@@ -29,7 +29,7 @@ from .fileio import (GhlFormatError, build_report, compare_reports, load_ghl,
                      parse_assignments, serialize_report)
 from .multilinear import FrameError, basis_vector
 from .scalars import (DEFAULT_TOLERANCE, DegreeGuardError, PoleError,
-                      RationalFunction, set_degree_cap)
+                      RationalFunction, get_degree_cap, set_degree_cap)
 
 USAGE_ERROR = 2
 SEMANTIC_ERROR = 1
@@ -228,7 +228,7 @@ def _sweep_value(args, assignment, tval) -> str:
             return dom.text(scal)
         return str(geo.as_fraction(scal))
     if args.quantity == "sec_max_basis":
-        Rm = geo.riemann_curvature(spec)
+        Rm = spec.Rm
         n2 = 2 * spec.m
         best = None
         for a in range(n2):
@@ -299,9 +299,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.max_degree:
-        set_degree_cap(args.max_degree)
+    prev_cap = get_degree_cap()
     try:
+        if args.max_degree is not None:
+            set_degree_cap(args.max_degree)
         return args.fn(args)
     except (GhlFormatError, ExprSyntaxError, UndeclaredParameterError,
             FrameError, FileNotFoundError, IsADirectoryError, PermissionError,
@@ -314,6 +315,8 @@ def main(argv=None) -> int:
     except geo.InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
+    finally:
+        set_degree_cap(prev_cap)
 
 
 if __name__ == "__main__":

@@ -308,14 +308,12 @@ def build_report(loaded: LoadedSpec, t=None, t_label: str | None = None) -> dict
     elif t_label is None:
         t_label = dom.text(t)
 
-    tors = geo.torsion_ingredients(spec)
-    S = geo.levi_civita(spec)
-    A = geo.gauduchon_connection(spec, t, tors=tors, S=S)
-    Rm = geo.riemann_curvature(spec, S)
+    tors, S, Rm = spec.tors, spec.S, spec.Rm
+    A = geo.gauduchon_connection(spec, t)
     Om, T = geo.gauduchon_curvature_torsion(spec, t, A=A)
     rho1, rho2, scal = geo.ricci_and_scalar(spec, Om)
     W = geo.rho2_matrix(spec, Om)
-    theta = geo.lee_form(spec, tors=tors)
+    theta = geo.lee_form(spec)
     flags = geo.metric_flags(spec)
 
     def s(x) -> str:

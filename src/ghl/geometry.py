@@ -141,9 +141,24 @@ class BracketSpec:
                         out[c] = out[c] + coeff * val
         return out
 
+    # Derived data built once per spec; the builders below stay the one place
+    # each formula lives.  Callers must not mutate what these return.
+
     @cached_property
     def I(self) -> list[list]:
         return istd(self.m, self.domain)
+
+    @cached_property
+    def tors(self) -> "TorsionData":
+        return torsion_ingredients(self)
+
+    @cached_property
+    def S(self) -> list[list[list]]:
+        return levi_civita(self)
+
+    @cached_property
+    def Rm(self) -> dict:
+        return riemann_curvature(self)
 
     def ad_h(self, hvec: Sequence) -> list[list]:
         """ad of an isotropy vector restricted to R^{2m} (column action)."""
@@ -159,11 +174,6 @@ class BracketSpec:
                     if not dom.is_zero(col[r]):
                         M[r][b] = M[r][b] + hvec[z] * col[r]
         return M
-
-    def with_name(self, name: str) -> "BracketSpec":
-        out = BracketSpec(self.q, self.m, {}, self.domain, name, self.params)
-        out.mu_store = self.mu_store
-        return out
 
     def instantiate(self, assignment: dict) -> "BracketSpec":
         """Substitute rational values for all parameters (exact backend)."""
@@ -382,32 +392,10 @@ def _independent(vectors: list[list], ncols: int, dom) -> bool:
 
 def _solve(cols: list[list], target: list, dom) -> list:
     """Solve sum_i x_i cols[i] = target exactly (unique solution expected)."""
-    k = len(cols)
-    nrows = len(target)
-    aug = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(nrows)]
-    r = 0
-    pivots = []
-    for c in range(k):
-        piv = None
-        for i in range(r, nrows):
-            if not dom.is_zero(aug[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = dom.one() / aug[r][c]
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(nrows):
-            if i != r and not dom.is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    sol = [dom.zero()] * k
-    for rr, pc in enumerate(pivots):
-        sol[pc] = aug[rr][k]
-    return sol
+    # the null space of [cols | -target] is spanned by (x, 1)
+    rows = [[c[i] for c in cols] + [-target[i]] for i in range(len(target))]
+    (sol,) = _nullspace(rows, len(cols) + 1, dom)
+    return sol[:-1]
 
 
 # -- bracket split and torsion ingredients --------------------------------------
@@ -503,14 +491,13 @@ def levi_civita(spec: BracketSpec) -> list[list[list]]:
     return out
 
 
-def gauduchon_connection(spec: BracketSpec, t, tors: TorsionData | None = None,
-                         S: list | None = None) -> list[list[list]]:
+def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
     """A^t: R^{2m} -> u(m).  t is a scalar of the spec's domain (or symbolic)."""
     dom = spec.domain
     n2 = 2 * spec.m
     I = spec.I
-    tors = tors or torsion_ingredients(spec)
-    S = S or levi_civita(spec)
+    tors = spec.tors
+    S = spec.S
     quarter = dom.from_fraction("1/4")
     half = dom.from_fraction("1/2")
     cp = (t + 1) * quarter
@@ -566,22 +553,25 @@ def _curvature(spec: BracketSpec, C: list) -> dict:
     return out
 
 
-def riemann_curvature(spec: BracketSpec, S: list | None = None) -> dict:
-    return _curvature(spec, S or levi_civita(spec))
+def riemann_curvature(spec: BracketSpec) -> dict:
+    return _curvature(spec, spec.S)
 
 
-def gauduchon_curvature_torsion(spec: BracketSpec, t, A: list | None = None):
-    """(Omega_t, T_t); Omega entries are in u(m), T values are vectors."""
+def _torsion(spec: BracketSpec, A: list) -> dict:
     dom = spec.domain
-    A = A or gauduchon_connection(spec, t)
-    Om = _curvature(spec, A)
     n2 = 2 * spec.m
     e = [basis_vector(n2, i, dom) for i in range(n2)]
     T = {}
     for a, b in itertools.combinations(range(n2), 2):
         v = vec_sub(vec_sub(mat_vec(A[a], e[b]), mat_vec(A[b], e[a])), spec.mu_m(a, b))
         T[(a, b)] = v
-    return Om, T
+    return T
+
+
+def gauduchon_curvature_torsion(spec: BracketSpec, t, A: list | None = None):
+    """(Omega_t, T_t); Omega entries are in u(m), T values are vectors."""
+    A = A or gauduchon_connection(spec, t)
+    return _curvature(spec, A), _torsion(spec, A)
 
 
 def curvature_value(curv: dict, a: int, b: int, n2: int, dom):
@@ -639,17 +629,15 @@ def ricci_and_scalar(spec: BracketSpec, Om: dict):
     return rho1, rho2, scal2
 
 
-def lee_form(spec: BracketSpec, tors: TorsionData | None = None) -> list:
+def lee_form(spec: BracketSpec) -> list:
     """Lee form extracted at t = 1 via tr(T^t(X, .)) = (t+1)/2 theta(X).
 
     The extraction degenerates only at t = -1; independence of the choice is
     asserted by re-extracting at t = 0."""
     dom = spec.domain
-    tors = tors or torsion_ingredients(spec)
 
     def torsion_trace(t):
-        A = gauduchon_connection(spec, t, tors=tors)
-        _, T = gauduchon_curvature_torsion(spec, t, A=A)
+        T = _torsion(spec, gauduchon_connection(spec, t))
         n2 = 2 * spec.m
         out = []
         for x in range(n2):
@@ -717,29 +705,28 @@ def hermitian_s_tuple(spec: BracketSpec, s: int = 2, verify: bool = True) -> Der
     if s < 0:
         raise ValueError("s must be >= 0")
     dom = spec.domain
-    S = levi_civita(spec)
-    Rm = riemann_curvature(spec, S)
+    S = spec.S
     Jt = MultiTensor.from_endo(spec.I, dom)
     J_derivs = []
     T = Jt
     for _ in range(s + 2):
         T = covariant_derivative(spec, T, S, 1)
         J_derivs.append(T)
-    Rm_derivs = [_rm_tensor(spec, Rm)]
+    Rm_derivs = [_rm_tensor(spec, spec.Rm)]
     for _ in range(s):
         Rm_derivs.append(covariant_derivative(spec, Rm_derivs[-1], S, 1))
     tup = DerivativeTuple(s, J_derivs, Rm_derivs)
     if verify:
-        check_x1_identities(spec, tup, Rm)
+        check_x1_identities(spec, tup)
     return tup
 
 
-def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple, Rm: dict | None = None):
+def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
     """Assert the curvature-model identities (pair symmetry, first Bianchi,
     and the Ricci-type alternations on higher derivatives)."""
     dom = spec.domain
     n2 = 2 * spec.m
-    Rm = Rm or riemann_curvature(spec)
+    Rm = spec.Rm
     e = [basis_vector(n2, i, dom) for i in range(n2)]
 
     # (i) pair symmetry <Rm(a,b)e_c, e_d> = <Rm(c,d)e_a, e_b>
@@ -852,12 +839,11 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     dom = spec.domain
     m = spec.m
     kmax = kmax if kmax is not None else m * m + 1
-    S = levi_civita(spec)
-    Rm = riemann_curvature(spec, S)
+    S = spec.S
     U = unitary_basis(m, dom)
     Jt = MultiTensor.from_endo(spec.I, dom)
     J_derivs = [covariant_derivative(spec, Jt, S, 1)]
-    Rm_derivs = [_rm_tensor(spec, Rm)]
+    Rm_derivs = [_rm_tensor(spec, spec.Rm)]
 
     def rows_for(tensor):
         acts = [derivation_action(B, tensor, dom) for B in U]
@@ -907,13 +893,13 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     m = spec.m
     n2 = 2 * m
     kmax = kmax if kmax is not None else m * m + 2
-    S = levi_civita(spec)
-    Rm = riemann_curvature(spec, S)
+    S = spec.S
     SO = so_basis(n2, dom)
     nA = len(SO)
     Jt = MultiTensor.from_endo(spec.I, dom)
     J_derivs = [Jt, covariant_derivative(spec, Jt, S, 1)]
-    Rm_derivs = [_rm_tensor(spec, Rm), covariant_derivative(spec, _rm_tensor(spec, Rm), S, 1)]
+    Rm0 = _rm_tensor(spec, spec.Rm)
+    Rm_derivs = [Rm0, covariant_derivative(spec, Rm0, S, 1)]
 
     def eq_rows(Tk: MultiTensor, Tk1: MultiTensor):
         """Rows of v . Tk1 + A . Tk = 0 in the unknowns (v, A-coords)."""
@@ -952,7 +938,7 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
                         A = mat_add(A, mat_scale(c, B))
                 basis.append((v, A))
             res = KillingResult(basis, len(basis), k + 1)
-            _check_killing(spec, res, Rm)
+            _check_killing(spec, res)
             return res
         if k >= kmax:
             raise InternalConsistencyError(
@@ -960,7 +946,7 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
         k += 1
 
 
-def _check_killing(spec: BracketSpec, res: KillingResult, Rm: dict):
+def _check_killing(spec: BracketSpec, res: KillingResult):
     dom = spec.domain
     n2 = 2 * spec.m
     # v-components span R^{2m}
@@ -979,7 +965,7 @@ def _check_killing(spec: BracketSpec, res: KillingResult, Rm: dict):
     for v, A in res.basis:
         flat.append(list(v) + [A[r][c] for r in range(n2) for c in range(n2)])
     for (v, A), (w, B) in itertools.combinations(res.basis, 2):
-        bv, bA = nomizu_bracket(spec, (v, A), (w, B), Rm)
+        bv, bA = nomizu_bracket(spec, (v, A), (w, B), spec.Rm)
         cand = list(bv) + [bA[r][c] for r in range(n2) for c in range(n2)]
         if _independent(flat + [cand], len(cand), dom):
             raise InternalConsistencyError(
@@ -1062,13 +1048,13 @@ def rescaling_exponent(spec: BracketSpec, a: int = 0, b: int = 1,
     n2 = 2 * spec.m
     X = basis_vector(n2, a, dom)
     Y = basis_vector(n2, b, dom)
-    base = sectional_curvature(spec, riemann_curvature(spec), X, Y)
+    base = sectional_curvature(spec, spec.Rm, X, Y)
     if dom.is_zero(base):
         raise ValueError("base sectional curvature vanishes; pick another plane")
     exps = set()
     for c in cs:
         scaled_spec = rescale(spec, c)
-        scaled = sectional_curvature(scaled_spec, riemann_curvature(scaled_spec), X, Y)
+        scaled = sectional_curvature(scaled_spec, scaled_spec.Rm, X, Y)
         ratio = as_fraction(base / scaled)
         neg = abs(ratio) < 1
         if neg:
@@ -1088,8 +1074,7 @@ def rescaling_exponent(spec: BracketSpec, a: int = 0, b: int = 1,
 def metric_flags(spec: BracketSpec) -> dict:
     dom = spec.domain
     n2 = 2 * spec.m
-    tors = torsion_ingredients(spec)
-    integrable = not tors.N
+    integrable = not spec.tors.N
 
     def mu_m(a, b):
         return spec.mu_m(a, b)
@@ -1134,10 +1119,10 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
     """
     dom = spec.domain
     n2 = 2 * spec.m
-    S = levi_civita(spec)
+    S = spec.S
     A = gauduchon_connection(spec, t)
     Om, T = gauduchon_curvature_torsion(spec, t, A=A)
-    Rm = riemann_curvature(spec, S)
+    Rm = spec.Rm
     e = [basis_vector(n2, i, dom) for i in range(n2)]
 
     def tval(x, y):

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 __all__ = [
     "basis_vector", "vec_add", "vec_sub", "vec_scale", "dot",
     "mat_zero", "mat_identity", "istd", "mat_add", "mat_sub", "mat_scale",
-    "mat_mul", "mat_vec", "commutator", "mat_is_zero", "mat_eq",
+    "mat_mul", "mat_vec", "commutator", "mat_is_zero",
     "KForm", "MultiTensor", "wedge", "interior_product", "coboundary",
     "derivation_action", "pi_11", "lambda3_minus", "complex_trace",
     "complex_trace_sym", "complex_trace_form", "gram_schmidt_unitary",
@@ -109,10 +109,6 @@ def commutator(A, B):
 
 def mat_is_zero(A, dom) -> bool:
     return all(dom.is_zero(a) for row in A for a in row)
-
-
-def mat_eq(A, B, dom) -> bool:
-    return all(dom.eq(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 # -- k-forms ------------------------------------------------------------------
@@ -393,15 +389,6 @@ class MultiTensor:
         for k, v in other.comp.items():
             out.set(k, out.get(k) - v, dom)
         return out
-
-    def endo_at(self, idx: tuple, dom):
-        """The End-slot value at covariant indices idx, as a matrix."""
-        assert self.has_endo and len(idx) == self.rank
-        M = mat_zero(self.n, dom)
-        for key, v in self.comp.items():
-            if key[:self.rank] == idx:
-                M[key[self.rank]][key[self.rank + 1]] = v
-        return M
 
 
 def derivation_action(A, T, dom):

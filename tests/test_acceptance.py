@@ -46,9 +46,9 @@ def test_criterion_1_iwasawa_exact(iwasawa):
     dom = spec.domain
     t = geo.symbolic_t()
     t0 = time.monotonic()
-    tors = geo.torsion_ingredients(spec)
-    S = geo.levi_civita(spec)
-    A = geo.gauduchon_connection(spec, t, tors=tors, S=S)
+    tors = spec.tors
+    S = spec.S
+    A = geo.gauduchon_connection(spec, t)
     Om, _ = geo.gauduchon_curvature_torsion(spec, t, A=A)
     rho1, _, scal = geo.ricci_and_scalar(spec, Om)
     W = geo.rho2_matrix(spec, Om)
@@ -330,7 +330,7 @@ def test_criterion_5_property_suites(all_bundled):
         assert tors.F_plus.add(tors.F_minus, dom).eq(tors.F, dom), name
 
         S = geo.levi_civita(spec)
-        A = geo.gauduchon_connection(spec, t, tors=tors, S=S)   # asserts u(m)
+        A = geo.gauduchon_connection(spec, t)                   # asserts u(m)
         Om, T = geo.gauduchon_curvature_torsion(spec, t, A=A)
         geo.ricci_and_scalar(spec, Om)                          # asserts traces
 
@@ -340,7 +340,7 @@ def test_criterion_5_property_suites(all_bundled):
         assert geo.covariant_derivative(spec, gt, A, 1).is_zero(dom), name
         assert geo.covariant_derivative(spec, gt, S, 1).is_zero(dom), name
 
-        Rm = geo.riemann_curvature(spec, S)
+        Rm = geo.riemann_curvature(spec)
         for a, b in itertools.combinations(range(n2), 2):
             for c, d in itertools.combinations(range(n2), 2):
                 lhs = geo.curvature_value(Rm, a, b, n2, dom)[d][c]
@@ -361,7 +361,7 @@ def test_criterion_5_property_suites(all_bundled):
         if audit.max_residual is not None:
             assert audit.max_residual < 1e-9, name
 
-        theta = geo.lee_form(spec, tors=tors)
+        theta = geo.lee_form(spec)
         for x in range(n2):
             acc = dom.zero()
             for b in range(n2):
@@ -504,4 +504,5 @@ def test_criterion_8_parser_and_determinism(all_bundled):
         b1 = serialize_report(build_report(loaded)).encode()
         b2 = serialize_report(build_report(fresh)).encode()
         assert b1 == b2, name
+        assert b1 == bundled_path(f"{name}.expected.json").read_bytes(), name
     note("criterion 8 PASS (round trips, bundled files, determinism)")

@@ -218,3 +218,18 @@ def test_max_degree_guard_exit_two():
         assert "degree" in err
     finally:
         set_degree_cap(DEFAULT_DEGREE_CAP)
+
+
+def test_max_degree_scoped_to_one_call_and_validated():
+    from ghl.scalars import DEFAULT_DEGREE_CAP, get_degree_cap, set_degree_cap
+    try:
+        run("validate", str(bundled_path("kodaira")), "--max-degree", "4")
+        assert get_degree_cap() == DEFAULT_DEGREE_CAP
+        for bad in ("0", "-1"):
+            code, _, err = run("validate", str(bundled_path("iwasawa")),
+                               "--max-degree", bad)
+            assert code == 2, bad
+            assert "degree cap" in err, bad
+            assert get_degree_cap() == DEFAULT_DEGREE_CAP
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)

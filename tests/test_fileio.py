@@ -3,6 +3,7 @@ comparison, round trips."""
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,19 @@ def test_report_round_trips_scal(kodaira):
     want = to_scalar(parse_expression(
         "-(t-1)*(alpha^2*r^2+beta^2*r^2+v^2)^3/(r^4*v^4)"), dom)
     assert scal.eq(want)
+
+
+def test_build_report_builds_each_derived_object_once(monkeypatch):
+    """S and the torsion data are built once per spec; curvature is built
+    twice, for Rm and Omega^t (the Lee form needs torsion only)."""
+    calls = Counter()
+    for name in ("levi_civita", "torsion_ingredients", "_curvature"):
+        def counted(*args, _orig=getattr(geo, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(geo, name, counted)
+    build_report(load_ghl(bundled_path("iwasawa")))
+    assert calls == {"levi_civita": 1, "torsion_ingredients": 1, "_curvature": 2}
 
 
 def test_serialize_deterministic(iwasawa):

@@ -81,8 +81,7 @@ def test_fminus_is_quarter_cyclic_nijenhuis():
 def test_structural_invariants_hold_with_fminus():
     t = geo.symbolic_t()
     for spec in [probe_spec()] + random_two_step_specs(3):
-        tors = geo.torsion_ingredients(spec)
-        A = geo.gauduchon_connection(spec, t, tors=tors)   # asserts u(m)
+        A = geo.gauduchon_connection(spec, t)              # asserts u(m)
         Om, _ = geo.gauduchon_curvature_torsion(spec, t, A=A)
         geo.ricci_and_scalar(spec, Om)                     # asserts traces
         assert geo.connection_audit(spec, t).ok
