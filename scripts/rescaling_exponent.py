@@ -16,11 +16,11 @@ def main() -> int:
     dom = sphere.domain
     X = basis_vector(2, 0, dom)
     Y = basis_vector(2, 1, dom)
-    base = geo.sectional_curvature(sphere, geo.riemann_curvature(sphere), X, Y)
+    base = geo.sectional_curvature(sphere, sphere.Rm, X, Y)
     print(f"sec(mu)(e0,e1) = {dom.text(base)}")
     for c in (2, 3, 5):
         scaled = geo.rescale(sphere, c)
-        val = geo.sectional_curvature(scaled, geo.riemann_curvature(scaled), X, Y)
+        val = geo.sectional_curvature(scaled, scaled.Rm, X, Y)
         print(f"sec({c}.mu)(e0,e1) = {dom.text(val)}")
     e = geo.rescaling_exponent(sphere)
     print(f"measured exponent: sec(c.mu) = c^-{e} sec(mu)")

@@ -186,6 +186,7 @@ def cmd_sweep(args) -> int:
     fixed = parse_assignments(args.params) if args.params else {}
     rows = []
     names = None
+    specs = {}   # one spec per parameter assignment: t does not change it
     for gnames, point in _grid_points(args.grid):
         names = gnames
         assignment = dict(fixed)
@@ -195,8 +196,13 @@ def cmd_sweep(args) -> int:
                 tval = v
             else:
                 assignment[k] = v
+        key = tuple(sorted(assignment.items()))
         try:
-            value = _sweep_value(args, assignment, tval)
+            if key not in specs:
+                loaded = load_ghl(args.file, sample=assignment or None, tol=args.tol)
+                specs[key] = (loaded.spec.instantiate(assignment)
+                              if loaded.kind == "algebra" and assignment else loaded.spec)
+            value = _sweep_value(args, specs[key], tval)
         except PoleError:
             value = "pole"
         rows.append([str(point[k]) for k in gnames] + [value])
@@ -212,11 +218,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_value(args, assignment, tval) -> str:
-    loaded = load_ghl(args.file, sample=assignment or None, tol=args.tol)
-    spec = loaded.spec
-    if loaded.kind == "algebra" and assignment:
-        spec = spec.instantiate(assignment)
+def _sweep_value(args, spec, tval) -> str:
     dom = spec.domain
     if args.quantity == "scal":
         if tval is None:

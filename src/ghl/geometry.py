@@ -298,46 +298,74 @@ def _isotropy_kernel(spec: BracketSpec) -> list[list]:
     q, m, n = spec.q, spec.m, spec.n
     if q == 0:
         return []
-    rows = []
+    span = _Echelon(q, dom)
     for b in range(2 * m):
+        cols = [spec.mu_full(z, q + b) for z in range(q)]
         for c in range(n):
-            rows.append([spec.mu_full(z, spec.q + b)[c] for z in range(q)])
-    return _nullspace(rows, q, dom)
+            span.add([col[c] for col in cols])
+    return span.nullspace()
 
 
-def _nullspace(rows: list[list], ncols: int, dom) -> list[list]:
-    """Null space basis of a matrix given by rows, over the scalar domain."""
-    mat = [list(r) for r in rows if any(not dom.is_zero(x) for x in r)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if not dom.is_zero(mat[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = dom.one() / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not dom.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        v = [dom.zero()] * ncols
-        v[fcol] = dom.one()
-        for rr, pc in enumerate(pivots):
-            v[pc] = -mat[rr][fcol]
-        basis.append(v)
-    return basis
+class _Echelon:
+    """Reduced row echelon form of the rows added so far, over a scalar domain.
+
+    `pivots` maps each pivot column to its kept row, a sparse {column: entry}
+    dict with entry 1 at the pivot and no entry in any other pivot column.
+    The RREF of a row space is unique, so `nullspace()` does not depend on
+    the order or batching of the rows."""
+
+    def __init__(self, ncols: int, dom):
+        self.ncols = ncols
+        self.dom = dom
+        self.pivots: dict[int, dict] = {}
+
+    def add(self, row: Sequence) -> bool:
+        """Reduce `row` against the form; keep it iff it is not in the span."""
+        if len(self.pivots) == self.ncols:
+            return False
+        dom = self.dom
+        r = {c: x for c, x in enumerate(row) if not dom.is_zero(x)}
+        # reducing by one kept row adds no entry in another pivot column
+        for p in [c for c in r if c in self.pivots]:
+            self._eliminate(r, p, self.pivots[p])
+        if not r:
+            return False
+        p = min(r)
+        inv = dom.one() / r[p]
+        r = {c: inv * x for c, x in r.items()}
+        for prow in self.pivots.values():
+            self._eliminate(prow, p, r)
+        self.pivots[p] = r
+        return True
+
+    def _eliminate(self, row: dict, p: int, prow: dict) -> None:
+        """row -= row[p] * prow, where prow has pivot p; cancelled entries go."""
+        f = row.pop(p, None)
+        if f is None:
+            return
+        dom = self.dom
+        for c, x in prow.items():
+            if c != p:
+                v = row.get(c, dom.zero()) - f * x
+                if dom.is_zero(v):
+                    row.pop(c, None)
+                else:
+                    row[c] = v
+
+    def nullspace(self) -> list[list]:
+        """The canonical basis: one vector per free column f, with 1 at f."""
+        dom = self.dom
+        basis = []
+        for f in range(self.ncols):
+            if f in self.pivots:
+                continue
+            v = [dom.zero()] * self.ncols
+            v[f] = dom.one()
+            for p, prow in self.pivots.items():
+                if f in prow:
+                    v[p] = -prow[f]
+            basis.append(v)
+        return basis
 
 
 def reduce_non_effective(spec: BracketSpec):
@@ -348,23 +376,24 @@ def reduce_non_effective(spec: BracketSpec):
         return spec.q, spec
     q, m, n = spec.q, spec.m, spec.n
     # complement: coordinate vectors independent from the kernel
-    chosen: list[list] = [list(k) for k in kernel]
-    comp_idx: list[int] = []
-    for z in range(q):
-        cand = basis_vector(q, z, dom)
-        if _independent(chosen + [cand], q, dom):
-            chosen.append(cand)
-            comp_idx.append(z)
+    span = _Echelon(q, dom)
+    for k in kernel:
+        span.add(k)
+    comp_idx = [z for z in range(q) if span.add(basis_vector(q, z, dom))]
     qp = len(comp_idx)
     # basis matrix B: columns = kernel vectors then complement vectors
-    cols = [list(k) for k in kernel] + [basis_vector(q, z, dom) for z in comp_idx]
+    cols = kernel + [basis_vector(q, z, dom) for z in comp_idx]
     nnew = qp + 2 * m
 
     def reexpress_h(hvec):
         """Coordinates of an R^q vector in the (kernel | complement) basis,
         keeping only the complement part."""
-        coords = _solve(cols, hvec, dom)
-        return coords[len(kernel):]
+        # B x = hvec exactly when (x, 1) spans the null space of [B | -hvec]
+        system = _Echelon(q + 1, dom)
+        for i in range(q):
+            system.add([c[i] for c in cols] + [-hvec[i]])
+        (sol,) = system.nullspace()
+        return sol[len(kernel):-1]
 
     def old_vector(i_new):
         # new basis vector i (0..qp-1 complement isotropy, then m-block)
@@ -382,20 +411,6 @@ def reduce_non_effective(spec: BracketSpec):
     if _isotropy_kernel(new):
         raise InternalConsistencyError("reduction left a non-effective isotropy part")
     return qp, new
-
-
-def _independent(vectors: list[list], ncols: int, dom) -> bool:
-    rows = [list(v) for v in vectors]
-    # columns of the relation matrix are the candidate vectors
-    return not _nullspace([list(col) for col in zip(*rows)], len(rows), dom)
-
-
-def _solve(cols: list[list], target: list, dom) -> list:
-    """Solve sum_i x_i cols[i] = target exactly (unique solution expected)."""
-    # the null space of [cols | -target] is spanned by (x, 1)
-    rows = [[c[i] for c in cols] + [-target[i]] for i in range(len(target))]
-    (sol,) = _nullspace(rows, len(cols) + 1, dom)
-    return sol[:-1]
 
 
 # -- bracket split and torsion ingredients --------------------------------------
@@ -534,7 +549,8 @@ def _assert_unitary(M, I, dom, label: str):
 
 
 def _conn_endo(C: list, v: Sequence, dom):
-    M = mat_zero(len(v), dom)
+    """sum_a v[a] C[a] over the nonzero coefficients."""
+    M = mat_zero(len(C[0]), dom)
     for a, c in enumerate(v):
         if not dom.is_zero(c):
             M = mat_add(M, mat_scale(c, C[a]))
@@ -845,30 +861,27 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     J_derivs = [covariant_derivative(spec, Jt, S, 1)]
     Rm_derivs = [_rm_tensor(spec, spec.Rm)]
 
-    def rows_for(tensor):
+    span = _Echelon(len(U), dom)
+
+    def add_rows(tensor):
+        """Rows of B . tensor = 0 in the u(m) coordinates of B."""
         acts = [derivation_action(B, tensor, dom) for B in U]
-        keys = set()
-        for a in acts:
-            keys.update(a.comp.keys())
-        return [[a.get(k) for a in acts] for k in sorted(keys)]
+        for key in sorted(set().union(*(a.comp for a in acts))):
+            span.add([a.get(key) for a in acts])
 
     dims = []
-    rows: list[list] = []
     k = 0
     while True:
         while len(J_derivs) < k + 2:
             J_derivs.append(covariant_derivative(spec, J_derivs[-1], S, 1))
         while len(Rm_derivs) < k + 1:
             Rm_derivs.append(covariant_derivative(spec, Rm_derivs[-1], S, 1))
+        # order k annihilates D^0Rm..D^kRm and D^1J..D^{k+2}J
         if k == 0:
-            for i in range(0, 1):
-                rows += rows_for(Rm_derivs[i])
-            for j in range(1, 3):
-                rows += rows_for(J_derivs[j - 1])
-        else:
-            rows += rows_for(Rm_derivs[k])
-            rows += rows_for(J_derivs[k + 2 - 1])
-        dims.append(len(_nullspace(rows, len(U), dom)))
+            add_rows(J_derivs[0])
+        add_rows(Rm_derivs[k])
+        add_rows(J_derivs[k + 1])
+        dims.append(len(U) - len(span.pivots))
         if len(dims) >= 2 and dims[-1] == dims[-2]:
             return SingerResult(dims, len(dims) - 2)
         if k >= kmax:
@@ -901,22 +914,16 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     Rm0 = _rm_tensor(spec, spec.Rm)
     Rm_derivs = [Rm0, covariant_derivative(spec, Rm0, S, 1)]
 
-    def eq_rows(Tk: MultiTensor, Tk1: MultiTensor):
+    span = _Echelon(n2 + nA, dom)
+
+    def add_rows(Tk: MultiTensor, Tk1: MultiTensor):
         """Rows of v . Tk1 + A . Tk = 0 in the unknowns (v, A-coords)."""
         acts = [derivation_action(B, Tk, dom) for B in SO]
-        keys = set()
-        for a in acts:
-            keys.update(a.comp.keys())
-        for key in Tk1.comp:
-            keys.add(key[1:])
-        rows = []
+        keys = set().union(*(a.comp for a in acts), (key[1:] for key in Tk1.comp))
         for key in sorted(keys):
-            row = [Tk1.get((x,) + key) for x in range(n2)]
-            row += [a.get(key) for a in acts]
-            rows.append(row)
-        return rows
+            span.add([Tk1.get((x,) + key) for x in range(n2)]
+                     + [a.get(key) for a in acts])
 
-    rows: list[list] = []
     dims: list[int] = []
     k = 0
     while True:
@@ -924,19 +931,12 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
             J_derivs.append(covariant_derivative(spec, J_derivs[-1], S, 1))
         while len(Rm_derivs) < k + 2:
             Rm_derivs.append(covariant_derivative(spec, Rm_derivs[-1], S, 1))
-        rows += eq_rows(J_derivs[k], J_derivs[k + 1])
-        rows += eq_rows(Rm_derivs[k], Rm_derivs[k + 1])
-        sol = _nullspace(rows, n2 + nA, dom)
-        dims.append(len(sol))
+        add_rows(J_derivs[k], J_derivs[k + 1])
+        add_rows(Rm_derivs[k], Rm_derivs[k + 1])
+        dims.append(n2 + nA - len(span.pivots))
         if len(dims) >= 2 and dims[-1] == dims[-2]:
-            basis = []
-            for vec in sol:
-                v = vec[:n2]
-                A = mat_zero(n2, dom)
-                for c, B in zip(vec[n2:], SO):
-                    if not dom.is_zero(c):
-                        A = mat_add(A, mat_scale(c, B))
-                basis.append((v, A))
+            basis = [(vec[:n2], _conn_endo(SO, vec[n2:], dom))
+                     for vec in span.nullspace()]
             res = KillingResult(basis, len(basis), k + 1)
             _check_killing(spec, res)
             return res
@@ -950,24 +950,20 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
     dom = spec.domain
     n2 = 2 * spec.m
     # v-components span R^{2m}
-    vrows = [list(v) for v, _ in res.basis]
-    if vrows:
-        nullity = len(_nullspace([[row[i] for row in vrows] for i in range(n2)],
-                                 len(vrows), dom))
-        rank = len(vrows) - nullity
-    else:
-        rank = 0
-    if rank != n2:
+    vspan = _Echelon(n2, dom)
+    if sum(vspan.add(v) for v, _ in res.basis) != n2:
         raise InternalConsistencyError(
             "Killing generators do not span the tangent space: invalid bracket input")
-    # closure under the Nomizu bracket
-    flat = []
+
+    def flat(v, A):
+        return list(v) + [A[r][c] for r in range(n2) for c in range(n2)]
+
+    # closure under the Nomizu bracket: no bracket leaves the span
+    span = _Echelon(n2 + n2 * n2, dom)
     for v, A in res.basis:
-        flat.append(list(v) + [A[r][c] for r in range(n2) for c in range(n2)])
+        span.add(flat(v, A))
     for (v, A), (w, B) in itertools.combinations(res.basis, 2):
-        bv, bA = nomizu_bracket(spec, (v, A), (w, B), spec.Rm)
-        cand = list(bv) + [bA[r][c] for r in range(n2) for c in range(n2)]
-        if _independent(flat + [cand], len(cand), dom):
+        if span.add(flat(*nomizu_bracket(spec, (v, A), (w, B), spec.Rm))):
             raise InternalConsistencyError(
                 "Killing generators are not closed under the Nomizu bracket")
 

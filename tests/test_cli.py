@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+from ghl import cli
+from ghl import geometry as geo
 from ghl.cli import main
 from ghl.fileio import bundled_path
 
@@ -141,6 +144,23 @@ def test_sweep_kodaira_t_grid(tmp_path):
     got = {r[0]: r[1] for r in rows[1:]}
     # scal = -8(t-1) at this point
     assert got == {"0": "8", "1/2": "4", "1": "0", "3/2": "-4", "2": "-8"}
+
+
+def test_sweep_t_grid_builds_one_spec(monkeypatch):
+    """A t-only grid loads the file and builds S and the torsion data once."""
+    calls = Counter()
+    for mod, name in ((cli, "load_ghl"), (geo, "torsion_ingredients"),
+                      (geo, "levi_civita")):
+        def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    code, out, _ = run("sweep", str(bundled_path("kodaira")),
+                       "--grid", "t=0:1:5", "--quantity", "scal",
+                       "--params", "alpha=1,beta=0,r=1,v=1")
+    assert code == 0
+    assert out == "t,scal\n0,8\n1/4,6\n1/2,4\n3/4,2\n1,0\n"
+    assert calls == {"load_ghl": 1, "torsion_ingredients": 1, "levi_civita": 1}
 
 
 def test_sweep_iwasawa_alpha_grid_zero():

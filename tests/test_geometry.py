@@ -6,6 +6,7 @@ independent oracles (Koszul, wedge-equation, formula re-evaluation) never
 share code paths with the operations they check."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,64 @@ def test_reduce_kernel_dimension_matches_rank_oracle():
     assert len(M.nullspace()) == 2 - 1
     qp, _ = geo.reduce_non_effective(spec)
     assert qp == 2 - len(M.nullspace())
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+# ---------------------------------------------------------------------------
+
+
+def test_echelon_matches_sympy_nullspace():
+    """Differential test: the incremental RREF fed rows in shuffled order
+    gives SymPy's canonical null-space basis and rank."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20211)
+    dom = FractionDomain()
+    entries = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 6)
+        rows = [[rng.choice(entries) if rng.random() < 0.6 else Fraction(0)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if rows and rng.random() < 0.5:   # a dependent row
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.choice(entries)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        M = sympy.Matrix(len(rows), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                            for row in rows for x in row])
+        span = geo._Echelon(ncols, dom)
+        for row in rng.sample(rows, len(rows)):
+            span.add(row)
+        assert len(span.pivots) == M.rank()
+        want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in M.nullspace()]
+        assert span.nullspace() == want, rows
+
+
+def test_echelon_symbolic_matches_sympy():
+    """Over Q(a) the canonical basis agrees with SymPy's, whatever the order."""
+    sympy = pytest.importorskip("sympy")
+    dom = ExactDomain(("a",))
+    a, one, zero = RF("a"), dom.one(), dom.zero()
+    rows = [[a, one, zero, a], [one, a, one, zero], [a + one, a + one, one, a]]
+    sa = sympy.Symbol("a")
+    want = sympy.Matrix([[sa, 1, 0, sa], [1, sa, 1, 0], [sa + 1, sa + 1, 1, sa]]).nullspace()
+
+    def from_sympy(expr):
+        def poly(p):
+            out = zero
+            for (k,), c in sympy.Poly(p, sa).terms():
+                out = out + dom.from_fraction(Fraction(int(c.p), int(c.q))) * a ** k
+            return out
+        num, den = sympy.fraction(sympy.cancel(expr))
+        return poly(num) / poly(den)
+
+    for order in itertools.permutations(rows):
+        span = geo._Echelon(4, dom)
+        assert [span.add(r) for r in order].count(True) == 2
+        got = span.nullspace()
+        assert len(got) == len(want) == 2
+        for v, w in zip(got, want):
+            for x, y in zip(v, w):
+                assert dom.eq(x, from_sympy(y)), (x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -333,3 +333,20 @@ def test_killing_kt_exact_and_kodaira_point(kt_exact, kodaira):
     inst = kodaira.spec.instantiate({"alpha": 1, "beta": 0, "r": 1, "v": 1})
     res2 = geo.killing_generators(inst)
     assert res2.dim >= 4
+
+
+def test_killing_self_checks_fire(kodaira):
+    """_check_killing rejects a basis whose v-parts miss a direction and one
+    that the Nomizu bracket leads out of."""
+    inst = kodaira.spec.instantiate({"alpha": 1, "beta": 0, "r": 1, "v": 1})
+    res = geo.killing_generators(inst)
+    assert res.dim == 5
+
+    def without(i):
+        basis = res.basis[:i] + res.basis[i + 1:]
+        return geo.KillingResult(basis, len(basis), res.orders_used)
+
+    with pytest.raises(geo.InternalConsistencyError, match="do not span"):
+        geo._check_killing(inst, without(0))
+    with pytest.raises(geo.InternalConsistencyError, match="not closed"):
+        geo._check_killing(inst, without(2))
