@@ -29,7 +29,7 @@ from .fileio import (GhlFormatError, build_report, compare_reports, load_ghl,
                      parse_assignments, serialize_report)
 from .multilinear import FrameError, basis_vector
 from .scalars import (DEFAULT_TOLERANCE, DegreeGuardError, PoleError,
-                      RationalFunction, get_degree_cap, set_degree_cap)
+                      RationalFunction, _degree_cap, set_degree_cap)
 
 USAGE_ERROR = 2
 SEMANTIC_ERROR = 1
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    prev_cap = get_degree_cap()
+    cap_token = _degree_cap.set(_degree_cap.get())   # reset() restores the caller's cap
     try:
         if args.max_degree is not None:
             set_degree_cap(args.max_degree)
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
     finally:
-        set_degree_cap(prev_cap)
+        _degree_cap.reset(cap_token)
 
 
 if __name__ == "__main__":

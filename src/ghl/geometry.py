@@ -33,8 +33,8 @@ from typing import Sequence
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
     coboundary, derivation_action, dot, istd, mat_add, mat_is_zero,
-    mat_mul, mat_scale, mat_sub, mat_vec, mat_zero, lambda3_minus,
-    vec_add, vec_sub, wedge, complex_trace_form,
+    mat_mul, mat_scale, mat_sub, mat_vec, mat_zero, vec_add, vec_sub, wedge,
+    complex_trace_form,
 )
 from .scalars import FractionDomain, RationalFunction
 
@@ -277,18 +277,11 @@ def validate(spec: BracketSpec) -> ValidationReport:
     wit = "" if h4_ok else f"isotropy kernel of dimension {len(kernel)}"
     rep.conditions.append(ConditionResult("h4", h4_ok, wit))
 
-    # h5: integrability flag (pass = integrable)
-    h5_ok, h5_wit = True, ""
-    for a, b in itertools.combinations(range(2 * m), 2):
-        X = basis_vector(2 * m, a, dom)
-        Y = basis_vector(2 * m, b, dom)
-        IX, IY = mat_vec(I, X), mat_vec(I, Y)
-        lhs = vec_sub(spec.mu_m_vec(IX, IY), spec.mu_m_vec(X, Y))
-        rhs = mat_vec(I, vec_add(spec.mu_m_vec(IX, Y), spec.mu_m_vec(X, IY)))
-        if any(not dom.is_zero(u) for u in vec_sub(lhs, rhs)):
-            h5_ok, h5_wit = False, f"integrability fails on (e{q + a},e{q + b})"
-            break
-    rep.conditions.append(ConditionResult("h5", h5_ok, h5_wit))
+    # h5: integrability flag (pass = integrable); witness: first pair with N != 0
+    bad = next(iter(_nijenhuis(spec)), None)
+    rep.conditions.append(ConditionResult(
+        "h5", bad is None,
+        "" if bad is None else f"integrability fails on (e{q + bad[0]},e{q + bad[1]})"))
     return rep
 
 
@@ -319,12 +312,14 @@ class _Echelon:
         self.dom = dom
         self.pivots: dict[int, dict] = {}
 
-    def add(self, row: Sequence) -> bool:
-        """Reduce `row` against the form; keep it iff it is not in the span."""
+    def add(self, row) -> bool:
+        """Reduce `row` (a sequence, or a {column: entry} mapping) against the
+        form; keep it iff it is not in the span."""
         if len(self.pivots) == self.ncols:
             return False
         dom = self.dom
-        r = {c: x for c, x in enumerate(row) if not dom.is_zero(x)}
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {c: x for c, x in items if not dom.is_zero(x)}
         # reducing by one kept row adds no entry in another pivot column
         for p in [c for c in r if c in self.pivots]:
             self._eliminate(r, p, self.pivots[p])
@@ -395,15 +390,10 @@ def reduce_non_effective(spec: BracketSpec):
         (sol,) = system.nullspace()
         return sol[len(kernel):-1]
 
-    def old_vector(i_new):
-        # new basis vector i (0..qp-1 complement isotropy, then m-block)
-        if i_new < qp:
-            return basis_vector(n, comp_idx[i_new], dom)
-        return basis_vector(n, q + (i_new - qp), dom)
-
+    old = comp_idx + list(range(q, n))   # old index of each new basis vector
     mu_new = {}
     for a, b in itertools.combinations(range(nnew), 2):
-        v = spec.mu_vec(old_vector(a), old_vector(b))
+        v = spec.mu_full(old[a], old[b])
         out = reexpress_h(v[:q]) + v[q:]
         if any(not dom.is_zero(x) for x in out):
             mu_new[(a, b)] = out
@@ -457,32 +447,82 @@ class TorsionData:
         return out
 
 
+def _Ie(a: int) -> tuple[int, int]:
+    """I e_a = s e_{a^1} in the adapted frame; returns (a ^ 1, s)."""
+    return a ^ 1, -1 if a & 1 else 1
+
+
+def _signed(s: int, x):
+    """s x for s = +-1.  Negates as 0 - x, so that a numeric 0.0 stays 0.0
+    rather than printing as -0.0."""
+    return x if s > 0 else 0 - x
+
+
+def _mu_m_table(spec: BracketSpec, clean: bool = False) -> list[list[list]]:
+    """tab[a][b] = mu_m(e_a, e_b) for all a, b in 0..2m-1.  With `clean`, an
+    entry that tests zero is an exact zero, as BracketSpec.mu_m_vec reads it."""
+    dom = spec.domain
+    n2 = 2 * spec.m
+    zero = dom.zero()
+    tab = [[[zero] * n2 for _ in range(n2)] for _ in range(n2)]
+    for a, b in itertools.combinations(range(n2), 2):
+        tab[a][b] = [zero if clean and dom.is_zero(x) else x for x in spec.mu_m(a, b)]
+        tab[b][a] = [zero - x for x in tab[a][b]]
+    return tab
+
+
+def _mu_s(tab, x: tuple, y: tuple) -> list:
+    """mu_m(s e_a, r e_b) for x = (a, s), y = (b, r): as tab[b][a] = -tab[a][b],
+    a sign flip is a transposed read."""
+    (a, s), (b, r) = x, y
+    return tab[a][b] if s * r > 0 else tab[b][a]
+
+
+def _nijenhuis(spec: BracketSpec) -> dict:
+    """N(e_a, e_b) = mu(Ie_a, Ie_b) - mu(e_a, e_b) - I(mu(Ie_a, e_b) + mu(e_a, Ie_b))
+    for a < b, nonzero values only."""
+    dom = spec.domain
+    n2 = 2 * spec.m
+    mu = _mu_m_table(spec, clean=True)
+    N = {}
+    for a, b in itertools.combinations(range(n2), 2):
+        Ia, Ib = _Ie(a), _Ie(b)
+        u = [x + y for x, y in zip(_mu_s(mu, Ia, (b, 1)), _mu_s(mu, (a, 1), Ib))]
+        # (I u)_c = s u_{c^1}, where I e_{c^1} = s e_c
+        v = [x - y - _signed(_Ie(c ^ 1)[1], u[c ^ 1])
+             for c, (x, y) in enumerate(zip(_mu_s(mu, Ia, Ib), spec.mu_m(a, b)))]
+        if any(not dom.is_zero(x) for x in v):
+            N[(a, b)] = v
+    return N
+
+
 def torsion_ingredients(spec: BracketSpec) -> TorsionData:
     dom = spec.domain
     n2 = 2 * spec.m
-    I = spec.I
-    e = [basis_vector(n2, i, dom) for i in range(n2)]
-    Ie = [mat_vec(I, v) for v in e]
-
-    N = {}
-    for a, b in itertools.combinations(range(n2), 2):
-        v = vec_sub(spec.mu_m_vec(Ie[a], Ie[b]), spec.mu_m(a, b))
-        v = vec_sub(v, mat_vec(I, vec_add(spec.mu_m_vec(Ie[a], e[b]),
-                                          spec.mu_m_vec(e[a], Ie[b]))))
-        if any(not dom.is_zero(x) for x in v):
-            N[(a, b)] = v
-
+    mu = _mu_m_table(spec, clean=True)
     comp = {}
     for a, b, c in itertools.combinations(range(n2), 3):
-        val = (dot(spec.mu_m_vec(Ie[a], Ie[b]), e[c])
-               + dot(spec.mu_m_vec(Ie[b], Ie[c]), e[a])
-               + dot(spec.mu_m_vec(Ie[c], Ie[a]), e[b]))
+        Ia, Ib, Ic = _Ie(a), _Ie(b), _Ie(c)
+        val = _mu_s(mu, Ia, Ib)[c] + _mu_s(mu, Ib, Ic)[a] + _mu_s(mu, Ic, Ia)[b]
         if not dom.is_zero(val):
             comp[(a, b, c)] = val
     F = KForm(n2, 3, comp)
-    F_minus = lambda3_minus(F, I, dom)
+
+    # F^- = 1/4 (F - F(I.,I.,.) - F(I.,.,I.) - F(.,I.,I.)), the (3,0)+(0,3) part
+    quarter = dom.from_fraction("1/4")
+    comp = {}
+    for a, b, c in itertools.combinations(range(n2), 3):
+        (a1, sa), (b1, sb), (c1, sc) = _Ie(a), _Ie(b), _Ie(c)
+        v = F.component((a, b, c), dom) \
+            - _signed(sa * sb, F.component((a1, b1, c), dom)) \
+            - _signed(sa * sc, F.component((a1, b, c1), dom)) \
+            - _signed(sb * sc, F.component((a, b1, c1), dom))
+        v = quarter * v
+        if not dom.is_zero(v):
+            comp[(a, b, c)] = v
+    F_minus = KForm(n2, 3, comp)
     F_plus = F.sub(F_minus, dom)
-    return TorsionData(N, F, F_plus, F_minus)
+    return TorsionData(_nijenhuis(spec), F, F_plus, F_minus)
 
 
 # -- connections -----------------------------------------------------------------
@@ -493,44 +533,38 @@ def levi_civita(spec: BracketSpec) -> list[list[list]]:
     dom = spec.domain
     n2 = 2 * spec.m
     half = dom.from_fraction("1/2")
-    e = [basis_vector(n2, i, dom) for i in range(n2)]
-    out = []
-    for x in range(n2):
-        M = mat_zero(n2, dom)
-        for y in range(n2):
-            for z in range(n2):
-                v = dot(spec.mu_m(x, y), e[z]) + dot(spec.mu_m(z, x), e[y]) \
-                    + dot(spec.mu_m(z, y), e[x])
-                M[z][y] = -half * v
-        out.append(M)
-    return out
+    mu = _mu_m_table(spec)
+    return [[[-half * (mu[x][y][z] + mu[z][x][y] + mu[z][y][x]) for y in range(n2)]
+             for z in range(n2)] for x in range(n2)]
 
 
 def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
     """A^t: R^{2m} -> u(m).  t is a scalar of the spec's domain (or symbolic)."""
     dom = spec.domain
     n2 = 2 * spec.m
-    I = spec.I
     tors = spec.tors
     S = spec.S
+    zero = dom.zero()
     quarter = dom.from_fraction("1/4")
     half = dom.from_fraction("1/2")
     cp = (t + 1) * quarter
     cm = (t - 1) * quarter
-    e = [basis_vector(n2, i, dom) for i in range(n2)]
-    Ie = [mat_vec(I, v) for v in e]
+
+    N = dict(tors.N)                # N(e_y, e_z) for all y != z with N != 0
+    N.update({(b, a): [0 - x for x in v] for (a, b), v in tors.N.items()})
     out = []
     for x in range(n2):
         M = mat_zero(n2, dom)
         for y in range(n2):
+            iy, sy = _Ie(y)
             for z in range(n2):
-                val = S[x][z][y] \
-                    - cp * tors.F_plus.evaluate([e[x], Ie[y], Ie[z]], dom) \
-                    - cm * tors.F_plus.evaluate([e[x], e[y], e[z]], dom) \
-                    + quarter * dot(tors.N_vec(spec, e[y], e[z]), e[x]) \
-                    - half * tors.F_minus.evaluate([e[x], e[y], e[z]], dom)
-                M[z][y] = val
-        _assert_unitary(M, I, dom, f"A^t(e{x})")
+                iz, sz = _Ie(z)
+                M[z][y] = S[x][z][y] \
+                    - cp * _signed(sy * sz, tors.F_plus.component((x, iy, iz), dom)) \
+                    - cm * tors.F_plus.component((x, y, z), dom) \
+                    + quarter * (N[(y, z)][x] if (y, z) in N else zero) \
+                    - half * tors.F_minus.component((x, y, z), dom)
+        _assert_unitary(M, spec.I, dom, f"A^t(e{x})")
         out.append(M)
     return out
 
@@ -574,14 +608,9 @@ def riemann_curvature(spec: BracketSpec) -> dict:
 
 
 def _torsion(spec: BracketSpec, A: list) -> dict:
-    dom = spec.domain
-    n2 = 2 * spec.m
-    e = [basis_vector(n2, i, dom) for i in range(n2)]
-    T = {}
-    for a, b in itertools.combinations(range(n2), 2):
-        v = vec_sub(vec_sub(mat_vec(A[a], e[b]), mat_vec(A[b], e[a])), spec.mu_m(a, b))
-        T[(a, b)] = v
-    return T
+    """T(e_a, e_b) = A(e_a) e_b - A(e_b) e_a - mu_m(e_a, e_b) for a < b."""
+    return {(a, b): [A[a][r][b] - A[b][r][a] - v for r, v in enumerate(spec.mu_m(a, b))]
+            for a, b in itertools.combinations(range(2 * spec.m), 2)}
 
 
 def gauduchon_curvature_torsion(spec: BracketSpec, t, A: list | None = None):
@@ -610,22 +639,14 @@ def ricci_and_scalar(spec: BracketSpec, Om: dict):
     scalar traces agree."""
     dom = spec.domain
     n2 = 2 * spec.m
-    I = spec.I
     half = dom.from_fraction("1/2")
-    Icol = [[I[r][c] for r in range(n2)] for c in range(n2)]
     comp1 = {}
     for i, j in itertools.combinations(range(n2), 2):
+        (i1, si), (j1, sj) = _Ie(i), _Ie(j)
         cij = complex_trace(curvature_value(Om, i, j, n2, dom), dom)
-        MJ = mat_zero(n2, dom)
-        for a in range(n2):
-            if dom.is_zero(Icol[i][a]):
-                continue
-            for b in range(n2):
-                if dom.is_zero(Icol[j][b]):
-                    continue
-                MJ = mat_add(MJ, mat_scale(Icol[i][a] * Icol[j][b],
-                                           curvature_value(Om, a, b, n2, dom)))
-        v = half * (cij + complex_trace(MJ, dom))
+        # Om(I e_i, I e_j) = s_i s_j Om(e_{i^1}, e_{j^1})
+        cI = _signed(si * sj, complex_trace(curvature_value(Om, i1, j1, n2, dom), dom))
+        v = half * (cij + cI)
         if not dom.is_zero(v):
             comp1[(i, j)] = v
     rho1 = KForm(n2, 2, comp1)
@@ -659,10 +680,8 @@ def lee_form(spec: BracketSpec) -> list:
         for x in range(n2):
             acc = dom.zero()
             for b in range(n2):
-                if x == b:
-                    continue
-                v = T[(x, b)] if x < b else [-c for c in T[(b, x)]]
-                acc = acc + v[b]
+                if x != b:
+                    acc = acc + (T[(x, b)][b] if x < b else -T[(b, x)][b])
             out.append(acc)
         return out
 
@@ -865,9 +884,12 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
 
     def add_rows(tensor):
         """Rows of B . tensor = 0 in the u(m) coordinates of B."""
-        acts = [derivation_action(B, tensor, dom) for B in U]
-        for key in sorted(set().union(*(a.comp for a in acts))):
-            span.add([a.get(key) for a in acts])
+        rows = {}
+        for col, B in enumerate(U):
+            for key, x in derivation_action(B, tensor, dom).comp.items():
+                rows.setdefault(key, {})[col] = x
+        for key in sorted(rows):
+            span.add(rows[key])
 
     dims = []
     k = 0
@@ -918,11 +940,14 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
 
     def add_rows(Tk: MultiTensor, Tk1: MultiTensor):
         """Rows of v . Tk1 + A . Tk = 0 in the unknowns (v, A-coords)."""
-        acts = [derivation_action(B, Tk, dom) for B in SO]
-        keys = set().union(*(a.comp for a in acts), (key[1:] for key in Tk1.comp))
-        for key in sorted(keys):
-            span.add([Tk1.get((x,) + key) for x in range(n2)]
-                     + [a.get(key) for a in acts])
+        rows = {}
+        for key, x in Tk1.comp.items():
+            rows.setdefault(key[1:], {})[key[0]] = x
+        for col, B in enumerate(SO):
+            for key, x in derivation_action(B, Tk, dom).comp.items():
+                rows.setdefault(key, {})[n2 + col] = x
+        for key in sorted(rows):
+            span.add(rows[key])
 
     dims: list[int] = []
     k = 0
@@ -970,21 +995,24 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
 
 def nomizu_bracket(spec: BracketSpec, a, b, Rm: dict):
     """[(v,A),(w,B)] = (Aw - Bv, [A,B] + Rm(v,w))."""
-    dom = spec.domain
-    n2 = 2 * spec.m
     v, A = a
     w, B = b
     first = vec_sub(mat_vec(A, w), mat_vec(B, v))
-    R = mat_zero(n2, dom)
+    second = mat_add(commutator(A, B), _curvature_at(Rm, v, w, 2 * spec.m, spec.domain))
+    return first, second
+
+
+def _curvature_at(Rm: dict, v: Sequence, w: Sequence, n2: int, dom):
+    """Rm(v, w) = sum_ij v_i w_j Rm(e_i, e_j) over the nonzero coefficients."""
+    M = mat_zero(n2, dom)
     for i in range(n2):
         if dom.is_zero(v[i]):
             continue
         for j in range(n2):
             if dom.is_zero(w[j]):
                 continue
-            R = mat_add(R, mat_scale(v[i] * w[j], curvature_value(Rm, i, j, n2, dom)))
-    second = mat_add(commutator(A, B), R)
-    return first, second
+            M = mat_add(M, mat_scale(v[i] * w[j], curvature_value(Rm, i, j, n2, dom)))
+    return M
 
 
 # -- rescaling, sectional curvature, flags ----------------------------------------
@@ -1017,15 +1045,7 @@ def sectional_curvature(spec: BracketSpec, Rm: dict, X: Sequence, Y: Sequence,
                         normalize: bool = False):
     """sec(X,Y) = <Rm(X,Y)X, Y>, optionally divided by |X|^2|Y|^2 - <X,Y>^2."""
     dom = spec.domain
-    n2 = 2 * spec.m
-    M = mat_zero(n2, dom)
-    for i in range(n2):
-        if dom.is_zero(X[i]):
-            continue
-        for j in range(n2):
-            if dom.is_zero(Y[j]):
-                continue
-            M = mat_add(M, mat_scale(X[i] * Y[j], curvature_value(Rm, i, j, n2, dom)))
+    M = _curvature_at(Rm, X, Y, 2 * spec.m, dom)
     val = dot(mat_vec(M, X), Y)
     if normalize:
         denom = dot(X, X) * dot(Y, Y) - dot(X, Y) * dot(X, Y)
@@ -1071,12 +1091,8 @@ def metric_flags(spec: BracketSpec) -> dict:
     dom = spec.domain
     n2 = 2 * spec.m
     integrable = not spec.tors.N
-
-    def mu_m(a, b):
-        return spec.mu_m(a, b)
-
     omega = KForm(n2, 2, {(2 * k, 2 * k + 1): dom.one() for k in range(spec.m)})
-    domega = coboundary(mu_m, n2, omega, dom)
+    domega = coboundary(spec.mu_m, n2, omega, dom)
     almost_kahler = domega.is_zero(dom)
     if spec.m == 1:
         balanced = True
@@ -1084,7 +1100,7 @@ def metric_flags(spec: BracketSpec) -> dict:
         power = omega
         for _ in range(spec.m - 2):
             power = wedge(power, omega, dom)
-        dpow = coboundary(mu_m, n2, power, dom)
+        dpow = coboundary(spec.mu_m, n2, power, dom)
         balanced = dpow.is_zero(dom)
     return {"integrable": integrable, "almost_kahler": almost_kahler,
             "balanced": balanced}

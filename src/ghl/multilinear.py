@@ -23,7 +23,7 @@ __all__ = [
     "mat_zero", "mat_identity", "istd", "mat_add", "mat_sub", "mat_scale",
     "mat_mul", "mat_vec", "commutator", "mat_is_zero",
     "KForm", "MultiTensor", "wedge", "interior_product", "coboundary",
-    "derivation_action", "pi_11", "lambda3_minus", "complex_trace",
+    "derivation_action", "pi_11", "complex_trace",
     "complex_trace_sym", "complex_trace_form", "gram_schmidt_unitary",
     "FrameError",
 ]
@@ -471,28 +471,6 @@ def pi_11(alpha: KForm, J, dom) -> KForm:
         if not dom.is_zero(v):
             comp[(i, j)] = v
     return KForm(n, 2, comp)
-
-
-def lambda3_minus(F: KForm, J, dom) -> KForm:
-    """Projection onto Lambda^3_- : (3,0)+(0,3) part of a real 3-form:
-    F^-(X,Y,Z) = 1/4 (F(X,Y,Z) - F(JX,JY,Z) - F(JX,Y,JZ) - F(X,JY,JZ))."""
-    assert F.degree == 3
-    n = F.n
-    quarter = dom.from_fraction("1/4")
-    Jcols = [[J[r][c] for r in range(n)] for c in range(n)]
-    ident = [basis_vector(n, i, dom) for i in range(n)]
-    comp: dict[tuple, object] = {}
-    for key in itertools.combinations(range(n), 3):
-        e = [ident[k] for k in key]
-        je = [Jcols[k] for k in key]
-        v = F.component(key, dom) \
-            - F.evaluate([je[0], je[1], e[2]], dom) \
-            - F.evaluate([je[0], e[1], je[2]], dom) \
-            - F.evaluate([e[0], je[1], je[2]], dom)
-        v = quarter * v
-        if not dom.is_zero(v):
-            comp[key] = v
-    return KForm(n, 3, comp)
 
 
 def complex_trace(W, dom):

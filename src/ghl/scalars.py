@@ -20,6 +20,7 @@ variable list, which makes serialization deterministic.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd as _gcd, isfinite, sqrt as _math_sqrt
 from typing import Iterable, Mapping
@@ -41,7 +42,8 @@ __all__ = [
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_TOLERANCE = 1e-9
 
-_degree_cap = DEFAULT_DEGREE_CAP
+# per context (thread or asyncio task), so concurrent callers do not share it
+_degree_cap: ContextVar[int] = ContextVar("ghl_degree_cap", default=DEFAULT_DEGREE_CAP)
 
 
 class DegreeGuardError(ArithmeticError):
@@ -53,14 +55,13 @@ class PoleError(ZeroDivisionError):
 
 
 def set_degree_cap(cap: int) -> None:
-    global _degree_cap
     if cap < 1:
         raise ValueError("degree cap must be positive")
-    _degree_cap = cap
+    _degree_cap.set(cap)
 
 
 def get_degree_cap() -> int:
-    return _degree_cap
+    return _degree_cap.get()
 
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
@@ -198,7 +199,7 @@ class Polynomial:
         a, b = Polynomial._align(self, other)
         if a.is_zero() or b.is_zero():
             return Polynomial.zero()
-        cap = _degree_cap
+        cap = _degree_cap.get()
         if a.total_degree() + b.total_degree() > cap:
             raise DegreeGuardError(
                 f"product degree {a.total_degree() + b.total_degree()} exceeds cap {cap}"

@@ -173,3 +173,80 @@ def test_engine_connection_matches_honest_oracle(tval):
         for i in range(6):
             for j in range(6):
                 assert A[a][i][j] == -NB[a][i][j], (a, i, j)
+
+
+# ---------------------------------------------------------------------------
+# index form against the vector-argument definitions
+# ---------------------------------------------------------------------------
+
+
+def _exact_copy(spec):
+    from ghl.scalars import ExactDomain, RationalFunction
+    mu = {k: [RationalFunction.const(c) for c in v] for k, v in spec.mu_store.items()}
+    return geo.BracketSpec(spec.q, spec.m, mu, ExactDomain(), spec.name + "|exact")
+
+
+def _index_form_specs():
+    from ghl.fileio import bundled_path, load_ghl
+    points = {"abelian2": {}, "sphere": {}, "iwasawa": {"alpha": 2},
+              "kodaira": {"alpha": 1, "beta": 2, "r": 3, "v": 1}}
+    specs = []
+    for name, point in points.items():
+        spec = load_ghl(bundled_path(name)).spec          # ExactDomain, symbolic
+        specs += [spec, spec.instantiate(point)]        # and FractionDomain
+    randoms = [probe_spec()] + random_two_step_specs(4, seed=11)
+    return specs + randoms + [_exact_copy(s) for s in randoms]
+
+
+def _vector_torsion(spec):
+    """N(e_a, e_b), F(e_a, e_b, e_c) and F^-(e_a, e_b, e_c) from the
+    definitions, with I applied as a matrix to basis vectors."""
+    dom = spec.domain
+    n2 = 2 * spec.m
+    I = spec.I
+    mu = spec.mu_m_vec
+    e = [basis_vector(n2, i, dom) for i in range(n2)]
+    Ie = [mat_vec(I, v) for v in e]
+    N = {}
+    for a, b in itertools.combinations(range(n2), 2):
+        lhs = [p - q for p, q in zip(mu(Ie[a], Ie[b]), mu(e[a], e[b]))]
+        rhs = mat_vec(I, [p + q for p, q in zip(mu(Ie[a], e[b]), mu(e[a], Ie[b]))])
+        N[(a, b)] = [p - q for p, q in zip(lhs, rhs)]
+    F = {}
+    for a, b, c in itertools.combinations(range(n2), 3):
+        F[(a, b, c)] = (dot(mu(Ie[a], Ie[b]), e[c]) + dot(mu(Ie[b], Ie[c]), e[a])
+                        + dot(mu(Ie[c], Ie[a]), e[b]))
+    return N, F, e, Ie
+
+
+def test_index_form_matches_vector_definitions():
+    witnesses = []
+    for spec in _index_form_specs():
+        dom = spec.domain
+        n2 = 2 * spec.m
+        tors = geo.torsion_ingredients(spec)
+        N, F, e, Ie = _vector_torsion(spec)
+        zero = [dom.zero()] * n2
+        for key, v in N.items():
+            got = tors.N.get(key, zero)
+            assert all(dom.eq(x, y) for x, y in zip(got, v)), (spec.name, key)
+        quarter = dom.from_fraction(Fraction(1, 4))
+        for key, f in F.items():
+            assert dom.eq(tors.F.component(key, dom), f), (spec.name, key)
+            X, Y, Z = (e[k] for k in key)
+            IX, IY, IZ = (Ie[k] for k in key)
+            fm = quarter * (tors.F.evaluate([X, Y, Z], dom)
+                            - tors.F.evaluate([IX, IY, Z], dom)
+                            - tors.F.evaluate([IX, Y, IZ], dom)
+                            - tors.F.evaluate([X, IY, IZ], dom))
+            assert dom.eq(tors.F_minus.component(key, dom), fm), (spec.name, key)
+            assert dom.eq(tors.F_plus.component(key, dom), f - fm), (spec.name, key)
+        # h5 reads the same N: its witness is the first pair with N != 0
+        bad = [key for key, v in N.items() if any(not dom.is_zero(x) for x in v)]
+        h5 = geo.validate(spec).condition("h5")
+        assert h5.passed == (not bad), spec.name
+        if bad:
+            a, b = bad[0]
+            assert h5.witness == f"integrability fails on (e{spec.q + a},e{spec.q + b})"
+            witnesses.append((spec.name, h5.witness))
+    assert ("probe6", "integrability fails on (e0,e2)") in witnesses

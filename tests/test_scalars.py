@@ -95,6 +95,35 @@ def test_degree_guard_trips():
     assert get_degree_cap() == DEFAULT_DEGREE_CAP
 
 
+def test_degree_cap_is_per_thread():
+    """A cap set in one thread is not seen by another, in either direction."""
+    import threading
+
+    seen = {}
+
+    def run_thread(cap):
+        def worker():
+            if cap is not None:
+                set_degree_cap(cap)
+            seen["thread"] = get_degree_cap()
+        t = threading.Thread(target=worker)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+
+    run_thread(2)
+    assert seen["thread"] == 2
+    assert get_degree_cap() == DEFAULT_DEGREE_CAP
+
+    set_degree_cap(2)
+    try:
+        run_thread(None)
+        assert seen["thread"] == DEFAULT_DEGREE_CAP
+        assert get_degree_cap() == 2
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
