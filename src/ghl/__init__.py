@@ -3,7 +3,7 @@ spaces presented by Lie-bracket structure constants."""
 
 from .scalars import (DegreeGuardError, ExactDomain, FractionDomain,
                       NumericDomain, NumericScalar, PoleError, Polynomial,
-                      RationalFunction, set_degree_cap)
+                      RationalFunction, UsageError, set_degree_cap)
 from .geometry import (AuditReport, BracketSpec, DerivativeTuple,
                        InternalConsistencyError, KillingResult, SingerResult,
                        TorsionData, ValidationReport, connection_audit,
@@ -13,8 +13,8 @@ from .geometry import (AuditReport, BracketSpec, DerivativeTuple,
                        metric_flags, nomizu_bracket, reduce_non_effective,
                        rescale, rescaling_exponent, ricci_and_scalar,
                        riemann_curvature, rho2_matrix, sectional_curvature,
-                       singer_invariant, split_bracket, symbolic_t,
-                       torsion_ingredients, validate)
+                       singer_invariant, symbolic_t, torsion_ingredients,
+                       validate)
 from .fileio import (GhlFormatError, LoadedSpec, build_report, bundled_path,
                      compare_reports, load_algebra, load_frame_metric,
                      load_ghl, serialize_report)

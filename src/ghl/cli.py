@@ -9,8 +9,9 @@
     ghl sweep    FILE --grid "p=a:b:n,..." --quantity scal|sec_max_basis|singer_k
                       [--params ...] [--output PATH]
 
-Exit codes: 0 success, 1 semantic failure (validation/check mismatch),
-2 usage, parse or I/O errors.
+Exit codes: 0 success, 1 semantic failure (validation failure, check
+mismatch or a failed built-in identity), 2 usage, parse or I/O errors,
+3 internal error (an engine defect).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,10 +31,11 @@ from .fileio import (GhlFormatError, build_report, compare_reports, load_ghl,
                      parse_assignments, serialize_report)
 from .multilinear import FrameError, basis_vector
 from .scalars import (DEFAULT_TOLERANCE, DegreeGuardError, PoleError,
-                      RationalFunction, _degree_cap, set_degree_cap)
+                      RationalFunction, UsageError, _degree_cap, set_degree_cap)
 
-USAGE_ERROR = 2
 SEMANTIC_ERROR = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _common(parser):
@@ -52,13 +55,20 @@ def _load(path: str, params: str, tol: float):
     return loaded
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad rational literal {text!r}: {exc}") from None
+
+
 def _parse_t(text: str | None, loaded):
     dom = loaded.spec.domain
     if text is None or text == "symbolic":
         if dom.backend == "numeric":
             return dom.one(), "1"
         return geo.symbolic_t(), "symbolic"
-    frac = Fraction(text)
+    frac = _rational(text)
     if dom.backend == "numeric":
         return dom.from_fraction(frac), text
     return RationalFunction.const(frac), text
@@ -166,8 +176,11 @@ def _grid_points(text: str):
         parts = spec_.split(":")
         if len(parts) != 3:
             raise GhlFormatError(f"grid component must be name=start:stop:count, got {piece!r}")
-        start, stop = Fraction(parts[0]), Fraction(parts[1])
-        count = int(parts[2])
+        start, stop = _rational(parts[0]), _rational(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise UsageError(f"grid count must be an integer, got {parts[2]!r}") from None
         if count < 1:
             raise GhlFormatError("grid count must be >= 1")
         if count == 1:
@@ -200,8 +213,10 @@ def cmd_sweep(args) -> int:
         try:
             if key not in specs:
                 loaded = load_ghl(args.file, sample=assignment or None, tol=args.tol)
-                specs[key] = (loaded.spec.instantiate(assignment)
-                              if loaded.kind == "algebra" and assignment else loaded.spec)
+                spec = loaded.spec
+                if loaded.kind == "algebra" and (assignment or spec.params):
+                    spec = spec.instantiate(assignment)   # raises on unassigned parameters
+                specs[key] = spec
             value = _sweep_value(args, specs[key], tval)
         except PoleError:
             value = "pole"
@@ -222,7 +237,7 @@ def _sweep_value(args, spec, tval) -> str:
     dom = spec.domain
     if args.quantity == "scal":
         if tval is None:
-            tval = Fraction(args.t) if args.t not in (None, "symbolic") else Fraction(1)
+            tval = _rational(args.t) if args.t not in (None, "symbolic") else Fraction(1)
         t = dom.from_fraction(tval)
         Om, _ = geo.gauduchon_curvature_torsion(spec, t)
         _, _, scal = geo.ricci_and_scalar(spec, Om)
@@ -306,17 +321,18 @@ def main(argv=None) -> int:
         if args.max_degree is not None:
             set_degree_cap(args.max_degree)
         return args.fn(args)
-    except (GhlFormatError, ExprSyntaxError, UndeclaredParameterError,
-            FrameError, FileNotFoundError, IsADirectoryError, PermissionError,
-            json.JSONDecodeError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (DegreeGuardError, PoleError) as exc:
+    except (UsageError, GhlFormatError, ExprSyntaxError, UndeclaredParameterError,
+            FrameError, OSError, json.JSONDecodeError, DegreeGuardError,
+            PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except geo.InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     finally:
         _degree_cap.reset(cap_token)
 

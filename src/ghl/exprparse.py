@@ -147,33 +147,9 @@ def parse_expression(text: str) -> ExprNode:
     return _Parser(text).parse()
 
 
-def to_scalar(node: ExprNode, domain, declared: set[str] | None = None):
+def to_scalar(node: ExprNode, domain):
     """Evaluate an ExprNode to a domain scalar (no basis vectors allowed)."""
-    declared = set(domain.params) if declared is None else declared
-    if node.kind == "integer":
-        return domain.from_fraction(node.value)
-    if node.kind == "parameter":
-        name = node.value
-        if _BASIS_RE.match(name):
-            raise ExprSyntaxError(f"basis vector {name} not allowed in a scalar expression", 0)
-        if name not in declared:
-            raise UndeclaredParameterError(name)
-        return domain.param(name)
-    if node.kind == "neg":
-        return -to_scalar(node.children[0], domain, declared)
-    if node.kind == "pow":
-        return to_scalar(node.children[0], domain, declared) ** node.value
-    a = to_scalar(node.children[0], domain, declared)
-    b = to_scalar(node.children[1], domain, declared)
-    if node.kind == "add":
-        return a + b
-    if node.kind == "sub":
-        return a - b
-    if node.kind == "mul":
-        return a * b
-    if node.kind == "div":
-        return a / b
-    raise ValueError(f"unknown node kind {node.kind}")  # pragma: no cover
+    return _lin(node, domain, 0, domain.zero())[0]
 
 
 def to_linear_combination(node: ExprNode, domain, n: int):
@@ -182,45 +158,48 @@ def to_linear_combination(node: ExprNode, domain, n: int):
     Values are affine combinations scalar + sum_i scalar_i * e_i; a nonzero
     pure-scalar part or any vector*vector product is rejected.
     """
-    scal, vec = _lin(node, domain, n)
+    scal, vec = _lin(node, domain, n, domain.zero())
     if not domain.is_zero(scal):
         raise ExprSyntaxError("bracket value has a scalar (basis-free) part", 0)
     return vec
 
 
-def _lin(node: ExprNode, domain, n: int):
-    zero = domain.zero()
-    zvec = [zero] * n
+def _lin(node: ExprNode, domain, n: int, zero):
+    """(scalar part, vector part) of a node; with n = 0 a basis vector is an
+    error, so the scalar part is the value of a scalar expression."""
     if node.kind == "integer":
-        return domain.from_fraction(node.value), list(zvec)
+        return domain.from_fraction(node.value), [zero] * n
     if node.kind == "parameter":
         m = _BASIS_RE.match(node.value)
         if m:
+            if n == 0:
+                raise ExprSyntaxError(
+                    f"basis vector {node.value} not allowed in a scalar expression", 0)
             idx = int(m.group(1))
             if idx >= n:
                 raise ExprSyntaxError(f"basis index out of range: {node.value}", 0)
-            vec = list(zvec)
+            vec = [zero] * n
             vec[idx] = domain.one()
             return zero, vec
         if node.value not in domain.params:
             raise UndeclaredParameterError(node.value)
-        return domain.param(node.value), list(zvec)
+        return domain.param(node.value), [zero] * n
     if node.kind == "neg":
-        s, v = _lin(node.children[0], domain, n)
+        s, v = _lin(node.children[0], domain, n, zero)
         return -s, [-x for x in v]
     if node.kind == "pow":
-        s, v = _lin(node.children[0], domain, n)
+        s, v = _lin(node.children[0], domain, n, zero)
         if any(not domain.is_zero(x) for x in v):
             raise ExprSyntaxError("cannot raise a basis vector to a power", 0)
-        return s ** node.value, list(zvec)
-    a_s, a_v = _lin(node.children[0], domain, n)
-    b_s, b_v = _lin(node.children[1], domain, n)
-    a_isvec = any(not domain.is_zero(x) for x in a_v)
-    b_isvec = any(not domain.is_zero(x) for x in b_v)
+        return s ** node.value, [zero] * n
+    a_s, a_v = _lin(node.children[0], domain, n, zero)
+    b_s, b_v = _lin(node.children[1], domain, n, zero)
     if node.kind == "add":
         return a_s + b_s, [x + y for x, y in zip(a_v, b_v)]
     if node.kind == "sub":
         return a_s - b_s, [x - y for x, y in zip(a_v, b_v)]
+    a_isvec = any(not domain.is_zero(x) for x in a_v)
+    b_isvec = any(not domain.is_zero(x) for x in b_v)
     if node.kind == "mul":
         if a_isvec and b_isvec:
             raise ExprSyntaxError("vector * vector is not allowed in bracket values", 0)

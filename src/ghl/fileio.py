@@ -377,7 +377,7 @@ def compare_reports(actual: dict, expected: dict, tol: float = DEFAULT_TOLERANCE
     """Field-by-field comparison; scalars are compared semantically
     (are_equal for the exact backend, tolerance for numeric).  Returns a list
     of mismatch paths; raises GhlFormatError on schema mismatch."""
-    if actual.get("schema") != expected.get("schema"):
+    if not isinstance(expected, dict) or actual.get("schema") != expected.get("schema"):
         raise GhlFormatError("report schema mismatch")
     backend = actual.get("backend", "exact")
     params = tuple(actual.get("params", ())) + ("t",)

@@ -36,13 +36,13 @@ from .multilinear import (
     mat_mul, mat_scale, mat_sub, mat_vec, mat_zero, vec_add, vec_sub, wedge,
     complex_trace_form,
 )
-from .scalars import FractionDomain, RationalFunction
+from .scalars import FractionDomain, RationalFunction, UsageError
 
 __all__ = [
     "BracketSpec", "ValidationReport", "ConditionResult", "TorsionData",
     "DerivativeTuple", "SingerResult", "KillingResult", "AuditReport",
     "InternalConsistencyError", "validate", "reduce_non_effective",
-    "split_bracket", "torsion_ingredients", "levi_civita",
+    "torsion_ingredients", "levi_civita",
     "gauduchon_connection", "riemann_curvature", "gauduchon_curvature_torsion",
     "ricci_and_scalar", "rho2_matrix", "lee_form", "covariant_derivative",
     "hermitian_s_tuple", "check_x1_identities", "singer_invariant",
@@ -125,22 +125,6 @@ class BracketSpec:
     def mu_h(self, a: int, b: int) -> list:
         return self.mu_full(self.q + a, self.q + b)[:self.q]
 
-    def mu_m_vec(self, x: Sequence, y: Sequence) -> list:
-        """mu_m of two R^{2m} vectors."""
-        out = [self.domain.zero()] * (2 * self.m)
-        dom = self.domain
-        for a in range(2 * self.m):
-            if dom.is_zero(x[a]):
-                continue
-            for b in range(2 * self.m):
-                if dom.is_zero(y[b]):
-                    continue
-                coeff = x[a] * y[b]
-                for c, val in enumerate(self.mu_m(a, b)):
-                    if not dom.is_zero(val):
-                        out[c] = out[c] + coeff * val
-        return out
-
     # Derived data built once per spec; the builders below stay the one place
     # each formula lives.  Callers must not mutate what these return.
 
@@ -182,7 +166,7 @@ class BracketSpec:
         assignment = {k: Fraction(v) for k, v in assignment.items()}
         missing = [p for p in self.params if p not in assignment]
         if missing:
-            raise ValueError(f"missing assignment for parameter(s): {', '.join(missing)}")
+            raise UsageError(f"missing assignment for parameter(s): {', '.join(missing)}")
         dom = FractionDomain()
         mu = {k: [c.evaluate(assignment) for c in vec] for k, vec in self.mu_store.items()}
         return BracketSpec(self.q, self.m, mu, dom, self.name, ())
@@ -403,21 +387,7 @@ def reduce_non_effective(spec: BracketSpec):
     return qp, new
 
 
-# -- bracket split and torsion ingredients --------------------------------------
-
-
-def split_bracket(spec: BracketSpec):
-    """Coordinate projections of mu on m-pairs: (mu_h, mu_m) as dicts."""
-    mu_h, mu_m = {}, {}
-    dom = spec.domain
-    for a, b in itertools.combinations(range(2 * spec.m), 2):
-        h = spec.mu_h(a, b)
-        mm = spec.mu_m(a, b)
-        if any(not dom.is_zero(x) for x in h):
-            mu_h[(a, b)] = h
-        if any(not dom.is_zero(x) for x in mm):
-            mu_m[(a, b)] = mm
-    return mu_h, mu_m
+# -- torsion ingredients ------------------------------------------------------------
 
 
 @dataclass
@@ -426,25 +396,6 @@ class TorsionData:
     F: KForm
     F_plus: KForm
     F_minus: KForm
-
-    def N_vec(self, spec, x, y):
-        dom = spec.domain
-        out = [dom.zero()] * (2 * spec.m)
-        for a in range(2 * spec.m):
-            if dom.is_zero(x[a]):
-                continue
-            for b in range(2 * spec.m):
-                if dom.is_zero(y[b]):
-                    continue
-                v = self.N.get((a, b)) if a < b else None
-                if a > b and (b, a) in self.N:
-                    v = [-c for c in self.N[(b, a)]]
-                if v is None:
-                    continue
-                coeff = x[a] * y[b]
-                for c, val in enumerate(v):
-                    out[c] = out[c] + coeff * val
-        return out
 
 
 def _Ie(a: int) -> tuple[int, int]:
@@ -460,7 +411,8 @@ def _signed(s: int, x):
 
 def _mu_m_table(spec: BracketSpec, clean: bool = False) -> list[list[list]]:
     """tab[a][b] = mu_m(e_a, e_b) for all a, b in 0..2m-1.  With `clean`, an
-    entry that tests zero is an exact zero, as BracketSpec.mu_m_vec reads it."""
+    entry that tests zero is an exact zero, so a numeric residue below the
+    tolerance does not enter N or F."""
     dom = spec.domain
     n2 = 2 * spec.m
     zero = dom.zero()
@@ -727,6 +679,14 @@ def _rm_tensor(spec: BracketSpec, Rm: dict) -> MultiTensor:
     return T
 
 
+def _tower(spec: BracketSpec, T: MultiTensor):
+    """T, DT, D^2T, ... for the Levi-Civita connection, each built when the
+    caller asks for it."""
+    while True:
+        yield T
+        T = covariant_derivative(spec, T, spec.S, 1)
+
+
 @dataclass
 class DerivativeTuple:
     """theta^s: covariant J-derivatives D^1J..D^{s+2}J and Rm-derivatives
@@ -739,17 +699,9 @@ class DerivativeTuple:
 def hermitian_s_tuple(spec: BracketSpec, s: int = 2, verify: bool = True) -> DerivativeTuple:
     if s < 0:
         raise ValueError("s must be >= 0")
-    dom = spec.domain
-    S = spec.S
-    Jt = MultiTensor.from_endo(spec.I, dom)
-    J_derivs = []
-    T = Jt
-    for _ in range(s + 2):
-        T = covariant_derivative(spec, T, S, 1)
-        J_derivs.append(T)
-    Rm_derivs = [_rm_tensor(spec, spec.Rm)]
-    for _ in range(s):
-        Rm_derivs.append(covariant_derivative(spec, Rm_derivs[-1], S, 1))
+    J = _tower(spec, MultiTensor.from_endo(spec.I, spec.domain))
+    J_derivs = list(itertools.islice(J, 1, s + 3))
+    Rm_derivs = list(itertools.islice(_tower(spec, _rm_tensor(spec, spec.Rm)), s + 1))
     tup = DerivativeTuple(s, J_derivs, Rm_derivs)
     if verify:
         check_x1_identities(spec, tup)
@@ -853,12 +805,12 @@ def so_basis(n2: int, dom) -> list[list[list]]:
 
 def _constant_domain_check(spec: BracketSpec, what: str):
     if spec.domain.backend != "exact" or spec.params:
-        raise TypeError(f"{what} requires an exact spec with all parameters "
-                        f"instantiated to rationals")
+        raise UsageError(f"{what} requires an exact spec with all parameters "
+                         f"instantiated to rationals")
     for vec in spec.mu_store.values():
         for c in vec:
             if isinstance(c, RationalFunction) and not c.is_constant():
-                raise TypeError(f"{what} requires constant structure constants")
+                raise UsageError(f"{what} requires constant structure constants")
 
 
 @dataclass
@@ -874,12 +826,7 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     dom = spec.domain
     m = spec.m
     kmax = kmax if kmax is not None else m * m + 1
-    S = spec.S
     U = unitary_basis(m, dom)
-    Jt = MultiTensor.from_endo(spec.I, dom)
-    J_derivs = [covariant_derivative(spec, Jt, S, 1)]
-    Rm_derivs = [_rm_tensor(spec, spec.Rm)]
-
     span = _Echelon(len(U), dom)
 
     def add_rows(tensor):
@@ -891,25 +838,20 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
         for key in sorted(rows):
             span.add(rows[key])
 
+    J = _tower(spec, MultiTensor.from_endo(spec.I, dom))
+    next(J)                                 # u(m) fixes J itself
+    add_rows(next(J))
     dims = []
-    k = 0
-    while True:
-        while len(J_derivs) < k + 2:
-            J_derivs.append(covariant_derivative(spec, J_derivs[-1], S, 1))
-        while len(Rm_derivs) < k + 1:
-            Rm_derivs.append(covariant_derivative(spec, Rm_derivs[-1], S, 1))
-        # order k annihilates D^0Rm..D^kRm and D^1J..D^{k+2}J
-        if k == 0:
-            add_rows(J_derivs[0])
-        add_rows(Rm_derivs[k])
-        add_rows(J_derivs[k + 1])
+    # order k annihilates D^0Rm..D^kRm and D^1J..D^{k+2}J
+    for k, (Jk2, Rmk) in enumerate(zip(J, _tower(spec, _rm_tensor(spec, spec.Rm)))):
+        add_rows(Rmk)
+        add_rows(Jk2)
         dims.append(len(U) - len(span.pivots))
         if len(dims) >= 2 and dims[-1] == dims[-2]:
             return SingerResult(dims, len(dims) - 2)
         if k >= kmax:
             raise InternalConsistencyError(
                 f"Singer filtration did not stabilize within kmax={kmax}")
-        k += 1
 
 
 @dataclass
@@ -928,14 +870,8 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     m = spec.m
     n2 = 2 * m
     kmax = kmax if kmax is not None else m * m + 2
-    S = spec.S
     SO = so_basis(n2, dom)
     nA = len(SO)
-    Jt = MultiTensor.from_endo(spec.I, dom)
-    J_derivs = [Jt, covariant_derivative(spec, Jt, S, 1)]
-    Rm0 = _rm_tensor(spec, spec.Rm)
-    Rm_derivs = [Rm0, covariant_derivative(spec, Rm0, S, 1)]
-
     span = _Echelon(n2 + nA, dom)
 
     def add_rows(Tk: MultiTensor, Tk1: MultiTensor):
@@ -950,14 +886,11 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
             span.add(rows[key])
 
     dims: list[int] = []
-    k = 0
-    while True:
-        while len(J_derivs) < k + 2:
-            J_derivs.append(covariant_derivative(spec, J_derivs[-1], S, 1))
-        while len(Rm_derivs) < k + 2:
-            Rm_derivs.append(covariant_derivative(spec, Rm_derivs[-1], S, 1))
-        add_rows(J_derivs[k], J_derivs[k + 1])
-        add_rows(Rm_derivs[k], Rm_derivs[k + 1])
+    pairs = zip(itertools.pairwise(_tower(spec, MultiTensor.from_endo(spec.I, dom))),
+                itertools.pairwise(_tower(spec, _rm_tensor(spec, spec.Rm))))
+    for k, ((Jk, Jk1), (Rmk, Rmk1)) in enumerate(pairs):
+        add_rows(Jk, Jk1)
+        add_rows(Rmk, Rmk1)
         dims.append(n2 + nA - len(span.pivots))
         if len(dims) >= 2 and dims[-1] == dims[-2]:
             basis = [(vec[:n2], _conn_endo(SO, vec[n2:], dom))
@@ -968,7 +901,6 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
         if k >= kmax:
             raise InternalConsistencyError(
                 f"Killing solution space did not stabilize within kmax={kmax}")
-        k += 1
 
 
 def _check_killing(spec: BracketSpec, res: KillingResult):

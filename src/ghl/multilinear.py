@@ -20,12 +20,11 @@ from typing import Callable, Sequence
 
 __all__ = [
     "basis_vector", "vec_add", "vec_sub", "vec_scale", "dot",
-    "mat_zero", "mat_identity", "istd", "mat_add", "mat_sub", "mat_scale",
+    "mat_zero", "istd", "mat_add", "mat_sub", "mat_scale",
     "mat_mul", "mat_vec", "commutator", "mat_is_zero",
-    "KForm", "MultiTensor", "wedge", "interior_product", "coboundary",
-    "derivation_action", "pi_11", "complex_trace",
-    "complex_trace_sym", "complex_trace_form", "gram_schmidt_unitary",
-    "FrameError",
+    "KForm", "MultiTensor", "wedge", "coboundary",
+    "derivation_action", "complex_trace", "complex_trace_form",
+    "gram_schmidt_unitary", "FrameError",
 ]
 
 
@@ -63,13 +62,6 @@ def dot(u, v):
 def mat_zero(n: int, dom) -> list[list]:
     z = dom.zero()
     return [[z] * n for _ in range(n)]
-
-
-def mat_identity(n: int, dom) -> list[list]:
-    M = mat_zero(n, dom)
-    for i in range(n):
-        M[i][i] = dom.one()
-    return M
 
 
 def istd(m: int, dom) -> list[list]:
@@ -140,14 +132,6 @@ class KForm:
         self.degree = degree
         self.comp = dict(comp or {})  # strictly increasing tuples -> scalar
 
-    @staticmethod
-    def basis(n: int, indices: Sequence[int], dom) -> "KForm":
-        key, sign = _sort_sign(indices)
-        if key is None:
-            return KForm(n, len(indices))
-        c = dom.one() if sign > 0 else -dom.one()
-        return KForm(n, len(indices), {key: c})
-
     def component(self, idx: Sequence[int], dom):
         key, sign = _sort_sign(idx)
         if key is None or key not in self.comp:
@@ -183,44 +167,6 @@ class KForm:
     def eq(self, other: "KForm", dom) -> bool:
         return self.sub(other, dom).is_zero(dom)
 
-    def evaluate(self, vectors: Sequence[Sequence], dom):
-        """Full evaluation on self.degree vectors."""
-        assert len(vectors) == self.degree
-        total = dom.zero()
-        for key, c in self.comp.items():
-            # sum over permutations of key against the vector slots
-            for perm in itertools.permutations(range(self.degree)):
-                sign = _perm_sign(perm)
-                prod = c if sign > 0 else -c
-                ok = True
-                for slot, pos in enumerate(perm):
-                    fac = vectors[slot][key[pos]]
-                    if dom.is_zero(fac):
-                        ok = False
-                        break
-                    prod = prod * fac
-                if ok:
-                    total = total + prod
-        return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def wedge(a: KForm, b: KForm, dom) -> KForm:
     if a.n != b.n:
         raise ValueError("wedge of forms on different spaces")
@@ -243,59 +189,6 @@ def wedge(a: KForm, b: KForm, dom) -> KForm:
             else:
                 comp[key] = s
     return KForm(a.n, deg, comp)
-
-
-def interior_product(phi: KForm, vectors: Sequence[Sequence], dom):
-    """Contract phi against up to phi.degree vectors (in the leading slots).
-
-    Full contraction returns a scalar, partial contraction a lower-degree
-    KForm."""
-    l = len(vectors)
-    if l > phi.degree:
-        raise ValueError("more vectors than form slots")
-    if any(len(v) != phi.n for v in vectors):
-        raise ValueError("dimension mismatch")
-    if l == phi.degree:
-        return phi.evaluate(vectors, dom)
-    out = KForm(phi.n, phi.degree - l)
-    comp: dict[tuple, object] = {}
-    for key, c in phi.comp.items():
-        # choose which positions of key the vectors hit
-        for chosen in itertools.permutations(range(phi.degree), l):
-            rest = [key[p] for p in sorted(set(range(phi.degree)) - set(chosen))]
-            # sign of moving chosen slots to the front, preserving order of rest
-            perm = list(chosen) + sorted(set(range(phi.degree)) - set(chosen))
-            sign = _perm_sign(_inverse_perm(perm))
-            prod = c if sign > 0 else -c
-            ok = True
-            for slot, pos in enumerate(chosen):
-                fac = vectors[slot][key[pos]]
-                if dom.is_zero(fac):
-                    ok = False
-                    break
-                prod = prod * fac
-            if not ok:
-                continue
-            rkey, rsign = _sort_sign(rest)
-            if rkey is None:
-                continue
-            if rsign < 0:
-                prod = -prod
-            s = comp.get(rkey)
-            s = prod if s is None else s + prod
-            if dom.is_zero(s):
-                comp.pop(rkey, None)
-            else:
-                comp[rkey] = s
-    out.comp = comp
-    return out
-
-
-def _inverse_perm(perm):
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return inv
 
 
 def coboundary(mu: Callable[[int, int], Sequence], n: int, phi: KForm, dom) -> KForm:
@@ -361,17 +254,6 @@ class MultiTensor:
                     t.comp[(r, c)] = M[r][c]
         return t
 
-    @staticmethod
-    def from_bilinear(rows, dom) -> "MultiTensor":
-        """(0,2)-tensor from a matrix of values T(e_i, e_j) = rows[i][j]."""
-        n = len(rows)
-        t = MultiTensor(n, 2, False, dom.zero())
-        for i in range(n):
-            for j in range(n):
-                if not dom.is_zero(rows[i][j]):
-                    t.comp[(i, j)] = rows[i][j]
-        return t
-
     def get(self, key):
         return self.comp.get(key, self._zero)
 
@@ -391,87 +273,44 @@ class MultiTensor:
         return out
 
 
-def derivation_action(A, T, dom):
-    """Derivation action of A in gl(n) on vectors, forms, endomorphisms and
-    MultiTensors: A.v = Av, (A.phi)(X..) = -sum phi(..AXi..), A.M = [A, M],
-    and on End-valued tensors the End slot transforms by commutator."""
-    if isinstance(T, list) and T and isinstance(T[0], list):   # endomorphism
-        return commutator(A, T)
-    if isinstance(T, list):                                    # vector
-        return mat_vec(A, T)
-    if isinstance(T, KForm):
-        n = T.n
-        comp: dict[tuple, object] = {}
-        for key, c in T.comp.items():
-            for slot in range(T.degree):
-                # (A.phi)_J = -sum_r A[r][J_i] phi_{J:i->r}; scattering from the
-                # stored component phi_K this lands at J = K:i->r with weight
-                # -A[K_i][r].
-                col = key[slot]
-                for r in range(n):
-                    a = A[col][r]
-                    if dom.is_zero(a):
-                        continue
-                    newkey, sign = _sort_sign(key[:slot] + (r,) + key[slot + 1:])
-                    if newkey is None:
-                        continue
-                    add = -(a * c) if sign > 0 else (a * c)
-                    s = comp.get(newkey)
-                    s = add if s is None else s + add
-                    if dom.is_zero(s):
-                        comp.pop(newkey, None)
-                    else:
-                        comp[newkey] = s
-        return KForm(n, T.degree, comp)
-    if isinstance(T, MultiTensor):
-        n = T.n
-        out = MultiTensor(n, T.rank, T.has_endo, T._zero)
-        # sparse structure of A, by row and by column
-        row_nz = [[(c, A[r][c]) for c in range(n) if not dom.is_zero(A[r][c])]
-                  for r in range(n)]
-        col_nz = [[(r, A[r][c]) for r in range(n) if not dom.is_zero(A[r][c])]
-                  for c in range(n)]
-        comp = out.comp
-        zero = out._zero
-        for key, c in T.comp.items():
-            cov = key[:T.rank]
-            # covariant slots: same scattering rule as for forms
-            for slot in range(T.rank):
-                for r, a in row_nz[cov[slot]]:
-                    nk = key[:slot] + (r,) + key[slot + 1:]
-                    comp[nk] = comp.get(nk, zero) - a * c
-            if T.has_endo:
-                row, col = key[T.rank], key[T.rank + 1]
-                # [A, W]: A@W part
-                for r, a in col_nz[row]:
-                    nk = cov + (r, col)
-                    comp[nk] = comp.get(nk, zero) + a * c
-                # -W@A part
-                for j, a in row_nz[col]:
-                    nk = cov + (row, j)
-                    comp[nk] = comp.get(nk, zero) - c * a
-        for k in [k for k, v in comp.items() if dom.is_zero(v)]:
-            del comp[k]
-        return out
-    raise TypeError(f"unsupported tensor kind {type(T)!r}")
+def derivation_action(A, T: MultiTensor, dom) -> MultiTensor:
+    """Derivation action of A in gl(n) on a MultiTensor: each covariant slot
+    transforms as (A.T)(..X..) = -T(..AX..), and an End slot by the
+    commutator [A, W]."""
+    n = T.n
+    out = MultiTensor(n, T.rank, T.has_endo, T._zero)
+    # sparse structure of A, by row and by column
+    row_nz = [[(c, A[r][c]) for c in range(n) if not dom.is_zero(A[r][c])]
+              for r in range(n)]
+    col_nz = [[(r, A[r][c]) for r in range(n) if not dom.is_zero(A[r][c])]
+              for c in range(n)]
+    comp = out.comp
+    zero = out._zero
+    for key, c in T.comp.items():
+        cov = key[:T.rank]
+        # covariant slots: (A.T)_J = -sum_r A[r][J_i] T_{J:i->r}; scattering
+        # from the stored component T_K this lands at J = K:i->r with weight
+        # -A[K_i][r].
+        for slot in range(T.rank):
+            for r, a in row_nz[cov[slot]]:
+                nk = key[:slot] + (r,) + key[slot + 1:]
+                comp[nk] = comp.get(nk, zero) - a * c
+        if T.has_endo:
+            row, col = key[T.rank], key[T.rank + 1]
+            # [A, W]: A@W part
+            for r, a in col_nz[row]:
+                nk = cov + (r, col)
+                comp[nk] = comp.get(nk, zero) + a * c
+            # -W@A part
+            for j, a in row_nz[col]:
+                nk = cov + (row, j)
+                comp[nk] = comp.get(nk, zero) - c * a
+    for k in [k for k, v in comp.items() if dom.is_zero(v)]:
+        del comp[k]
+    return out
 
 
 # -- complex linear algebra helpers -------------------------------------------
-
-def pi_11(alpha: KForm, J, dom) -> KForm:
-    """(1,1)-projection of a 2-form: 1/2(a(X,Y) + a(JX,JY))."""
-    assert alpha.degree == 2
-    n = alpha.n
-    half = dom.from_fraction("1/2")
-    comp: dict[tuple, object] = {}
-    Jcols = [[J[r][c] for r in range(n)] for c in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        v = alpha.component((i, j), dom) + alpha.evaluate([Jcols[i], Jcols[j]], dom)
-        v = half * v
-        if not dom.is_zero(v):
-            comp[(i, j)] = v
-    return KForm(n, 2, comp)
-
 
 def complex_trace(W, dom):
     """tr^C(J o W) for skew W commuting with I_st: sum_k W[2k, 2k+1]."""
@@ -482,19 +321,10 @@ def complex_trace(W, dom):
     return acc
 
 
-def complex_trace_sym(h, dom):
-    """tr^C of h in Sym^{1,1}: half the real trace."""
-    n = len(h)
-    acc = dom.zero()
-    for i in range(n):
-        acc = acc + h[i][i]
-    return dom.from_fraction("1/2") * acc
-
-
 def complex_trace_form(alpha: KForm, dom):
     """Tr^C_g of a 2-form in a unitary frame: sum_k alpha(e_{2k}, e_{2k+1}).
 
-    Insensitive to the (2,0)+(0,2) part, so no explicit pi_11 is needed."""
+    Insensitive to the (2,0)+(0,2) part, so no (1,1)-projection is needed."""
     acc = dom.zero()
     for k in range(alpha.n // 2):
         acc = acc + alpha.component((2 * k, 2 * k + 1), dom)

@@ -28,6 +28,7 @@ from typing import Iterable, Mapping
 __all__ = [
     "DegreeGuardError",
     "PoleError",
+    "UsageError",
     "Polynomial",
     "RationalFunction",
     "NumericScalar",
@@ -54,9 +55,16 @@ class PoleError(ZeroDivisionError):
     """A denominator vanished at the requested parameter point."""
 
 
+class UsageError(TypeError, ValueError):
+    """The caller asked for something the input does not allow: a bad
+    literal or option value, a parameter left without a value, or symbolic
+    data where constants are needed.  It is a TypeError and a ValueError, as
+    the sites that raise it raised one of those before."""
+
+
 def set_degree_cap(cap: int) -> None:
     if cap < 1:
-        raise ValueError("degree cap must be positive")
+        raise UsageError("degree cap must be positive")
     _degree_cap.set(cap)
 
 
@@ -550,7 +558,7 @@ class NumericScalar:
         if not isfinite(value):
             raise ValueError("NumericScalar must be finite")
         if tol < 0:
-            raise ValueError("tolerance must be non-negative")
+            raise UsageError("tolerance must be non-negative")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "tol", float(tol))
 

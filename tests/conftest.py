@@ -1,5 +1,6 @@
 import pytest
 
+from ghl import geometry as geo
 from ghl.fileio import bundled_path, load_ghl
 
 from pathlib import Path
@@ -46,3 +47,13 @@ def all_bundled(abelian2, sphere, iwasawa, kodaira, kodaira_thurston):
         "kodaira": kodaira,
         "kodaira-thurston": kodaira_thurston,
     }
+
+
+@pytest.fixture(scope="session")
+def s2_tuples(all_bundled):
+    """The s = 2 Hermitian tuple of each bundled spec, built once per session.
+
+    verify=True raises on any (X1) failure, so every test using this fixture
+    goes red when an identity fails."""
+    return {name: geo.hermitian_s_tuple(loaded.spec, s=2, verify=True)
+            for name, loaded in all_bundled.items()}

@@ -1,0 +1,234 @@
+"""Reference helpers for the tests: vector-argument and permutation-sum
+evaluations of definitions that the engine evaluates by index.
+
+The engine calls none of these.  They are the independent path the tests
+compare the engine against."""
+
+import itertools
+
+from ghl.multilinear import KForm, MultiTensor, _sort_sign, mat_zero
+
+
+def mat_identity(n: int, dom) -> list[list]:
+    M = mat_zero(n, dom)
+    for i in range(n):
+        M[i][i] = dom.one()
+    return M
+
+
+def from_bilinear(rows, dom) -> MultiTensor:
+    """(0,2)-tensor from a matrix of values T(e_i, e_j) = rows[i][j]."""
+    n = len(rows)
+    t = MultiTensor(n, 2, False, dom.zero())
+    for i in range(n):
+        for j in range(n):
+            if not dom.is_zero(rows[i][j]):
+                t.comp[(i, j)] = rows[i][j]
+    return t
+
+
+# -- k-forms ------------------------------------------------------------------
+
+def form_basis(n: int, indices, dom) -> KForm:
+    """e^{i1} ^ ... ^ e^{ik}."""
+    key, sign = _sort_sign(indices)
+    if key is None:
+        return KForm(n, len(indices))
+    c = dom.one() if sign > 0 else -dom.one()
+    return KForm(n, len(indices), {key: c})
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _inverse_perm(perm):
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return inv
+
+
+def form_evaluate(phi: KForm, vectors, dom):
+    """Full evaluation of phi on phi.degree vectors."""
+    assert len(vectors) == phi.degree
+    total = dom.zero()
+    for key, c in phi.comp.items():
+        # sum over permutations of key against the vector slots
+        for perm in itertools.permutations(range(phi.degree)):
+            sign = _perm_sign(perm)
+            prod = c if sign > 0 else -c
+            ok = True
+            for slot, pos in enumerate(perm):
+                fac = vectors[slot][key[pos]]
+                if dom.is_zero(fac):
+                    ok = False
+                    break
+                prod = prod * fac
+            if ok:
+                total = total + prod
+    return total
+
+
+def interior_product(phi: KForm, vectors, dom):
+    """Contract phi against up to phi.degree vectors (in the leading slots).
+
+    Full contraction returns a scalar, partial contraction a lower-degree
+    KForm."""
+    l = len(vectors)
+    if l > phi.degree:
+        raise ValueError("more vectors than form slots")
+    if any(len(v) != phi.n for v in vectors):
+        raise ValueError("dimension mismatch")
+    if l == phi.degree:
+        return form_evaluate(phi, vectors, dom)
+    comp: dict[tuple, object] = {}
+    for key, c in phi.comp.items():
+        # choose which positions of key the vectors hit
+        for chosen in itertools.permutations(range(phi.degree), l):
+            rest = [key[p] for p in sorted(set(range(phi.degree)) - set(chosen))]
+            # sign of moving chosen slots to the front, preserving order of rest
+            perm = list(chosen) + sorted(set(range(phi.degree)) - set(chosen))
+            sign = _perm_sign(_inverse_perm(perm))
+            prod = c if sign > 0 else -c
+            ok = True
+            for slot, pos in enumerate(chosen):
+                fac = vectors[slot][key[pos]]
+                if dom.is_zero(fac):
+                    ok = False
+                    break
+                prod = prod * fac
+            if not ok:
+                continue
+            rkey, rsign = _sort_sign(rest)
+            if rkey is None:
+                continue
+            if rsign < 0:
+                prod = -prod
+            s = comp.get(rkey)
+            s = prod if s is None else s + prod
+            if dom.is_zero(s):
+                comp.pop(rkey, None)
+            else:
+                comp[rkey] = s
+    return KForm(phi.n, phi.degree - l, comp)
+
+
+def form_action(A, phi: KForm, dom) -> KForm:
+    """Derivation action of A in gl(n) on a form: (A.phi)(X..) = -sum phi(..AXi..)."""
+    n = phi.n
+    comp: dict[tuple, object] = {}
+    for key, c in phi.comp.items():
+        for slot in range(phi.degree):
+            # (A.phi)_J = -sum_r A[r][J_i] phi_{J:i->r}; scattering from the
+            # stored component phi_K this lands at J = K:i->r with weight
+            # -A[K_i][r].
+            col = key[slot]
+            for r in range(n):
+                a = A[col][r]
+                if dom.is_zero(a):
+                    continue
+                newkey, sign = _sort_sign(key[:slot] + (r,) + key[slot + 1:])
+                if newkey is None:
+                    continue
+                add = -(a * c) if sign > 0 else (a * c)
+                s = comp.get(newkey)
+                s = add if s is None else s + add
+                if dom.is_zero(s):
+                    comp.pop(newkey, None)
+                else:
+                    comp[newkey] = s
+    return KForm(n, phi.degree, comp)
+
+
+# -- complex linear algebra ------------------------------------------------------
+
+def pi_11(alpha: KForm, J, dom) -> KForm:
+    """(1,1)-projection of a 2-form: 1/2(a(X,Y) + a(JX,JY))."""
+    assert alpha.degree == 2
+    n = alpha.n
+    half = dom.from_fraction("1/2")
+    comp: dict[tuple, object] = {}
+    Jcols = [[J[r][c] for r in range(n)] for c in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        v = alpha.component((i, j), dom) + form_evaluate(alpha, [Jcols[i], Jcols[j]], dom)
+        v = half * v
+        if not dom.is_zero(v):
+            comp[(i, j)] = v
+    return KForm(n, 2, comp)
+
+
+def complex_trace_sym(h, dom):
+    """tr^C of h in Sym^{1,1}: half the real trace."""
+    n = len(h)
+    acc = dom.zero()
+    for i in range(n):
+        acc = acc + h[i][i]
+    return dom.from_fraction("1/2") * acc
+
+
+# -- brackets and torsion on vectors ---------------------------------------------
+
+def split_bracket(spec):
+    """Coordinate projections of mu on m-pairs: (mu_h, mu_m) as dicts."""
+    mu_h, mu_m = {}, {}
+    dom = spec.domain
+    for a, b in itertools.combinations(range(2 * spec.m), 2):
+        h = spec.mu_h(a, b)
+        mm = spec.mu_m(a, b)
+        if any(not dom.is_zero(x) for x in h):
+            mu_h[(a, b)] = h
+        if any(not dom.is_zero(x) for x in mm):
+            mu_m[(a, b)] = mm
+    return mu_h, mu_m
+
+
+def mu_m_vec(spec, x, y) -> list:
+    """mu_m of two R^{2m} vectors."""
+    dom = spec.domain
+    out = [dom.zero()] * (2 * spec.m)
+    for a in range(2 * spec.m):
+        if dom.is_zero(x[a]):
+            continue
+        for b in range(2 * spec.m):
+            if dom.is_zero(y[b]):
+                continue
+            coeff = x[a] * y[b]
+            for c, val in enumerate(spec.mu_m(a, b)):
+                if not dom.is_zero(val):
+                    out[c] = out[c] + coeff * val
+    return out
+
+
+def N_vec(tors, spec, x, y) -> list:
+    """The Nijenhuis tensor of two R^{2m} vectors, from the stored tors.N."""
+    dom = spec.domain
+    out = [dom.zero()] * (2 * spec.m)
+    for a in range(2 * spec.m):
+        if dom.is_zero(x[a]):
+            continue
+        for b in range(2 * spec.m):
+            if dom.is_zero(y[b]):
+                continue
+            v = tors.N.get((a, b)) if a < b else None
+            if a > b and (b, a) in tors.N:
+                v = [-c for c in tors.N[(b, a)]]
+            if v is None:
+                continue
+            coeff = x[a] * y[b]
+            for c, val in enumerate(v):
+                out[c] = out[c] + coeff * val
+    return out

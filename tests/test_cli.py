@@ -6,6 +6,8 @@ import json
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from ghl import cli
 from ghl import geometry as geo
 from ghl.cli import main
@@ -253,3 +255,51 @@ def test_max_degree_scoped_to_one_call_and_validated():
             assert get_degree_cap() == DEFAULT_DEGREE_CAP
     finally:
         set_degree_cap(DEFAULT_DEGREE_CAP)
+
+
+def test_usage_mistakes_exit_two():
+    kodaira = str(bundled_path("kodaira"))
+    cases = [
+        # a t-only grid leaves the file's parameters unassigned
+        (("sweep", kodaira, "--grid", "t=0:1:2", "--quantity", "scal"),
+         "missing assignment for parameter(s): alpha, beta, r, v"),
+        (("singer", kodaira, "--params", "alpha=1"),
+         "missing assignment for parameter(s): beta, r, v"),
+        (("report", kodaira, "--t", "1/x"), "bad rational literal '1/x'"),
+        (("report", kodaira, "--t", "1/0"), "bad rational literal '1/0'"),
+        (("sweep", kodaira, "--grid", "t=0:1:x", "--quantity", "scal",
+          "--params", "alpha=1,beta=0,r=1,v=1"), "grid count must be an integer"),
+    ]
+    for argv, message in cases:
+        code, _, err = run(*argv)
+        assert code == 2, argv
+        assert message in err, (argv, err)
+
+
+def test_check_against_non_report_json_exits_two(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]", encoding="utf-8")
+    code, _, err = run("check", str(bundled_path("kodaira")), str(bad))
+    assert code == 2
+    assert "report schema mismatch" in err
+
+
+def test_usage_error_is_type_and_value_error(iwasawa):
+    """Library callers that caught TypeError or ValueError still catch it."""
+    from ghl import UsageError
+    for exc_type in (TypeError, ValueError):
+        with pytest.raises(exc_type) as info:
+            geo.killing_generators(iwasawa.spec)
+        assert isinstance(info.value, UsageError)
+    with pytest.raises(ValueError) as info:
+        iwasawa.spec.instantiate({})
+    assert isinstance(info.value, UsageError)
+
+
+def test_engine_type_error_exits_three(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(cli, "build_report", broken)
+    code, _, err = run("report", str(bundled_path("iwasawa")))
+    assert code == 3
+    assert "internal error: TypeError: unsupported operand" in err

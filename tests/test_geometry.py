@@ -18,6 +18,7 @@ from ghl.multilinear import (basis_vector, mat_is_zero, mat_mul, mat_sub,
 from ghl.scalars import ExactDomain, FractionDomain, RationalFunction
 
 from conftest import TEST_DATA
+from reference import N_vec, form_evaluate, mu_m_vec, split_bracket
 
 
 def RF(name):
@@ -204,20 +205,20 @@ def test_echelon_symbolic_matches_sympy():
 
 
 def test_split_iwasawa(iwasawa):
-    mu_h, mu_m = geo.split_bracket(iwasawa.spec)
+    mu_h, mu_m = split_bracket(iwasawa.spec)
     assert mu_h == {}
     assert set(mu_m) == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
 
 def test_split_sphere(sphere):
-    mu_h, mu_m = geo.split_bracket(sphere.spec)
+    mu_h, mu_m = split_bracket(sphere.spec)
     assert list(mu_h) == [(0, 1)]
     assert mu_m == {}
     assert mu_h[(0, 1)][0] == 1
 
 
 def test_split_kodaira_printed_bracket(kodaira):
-    _, mu_m = geo.split_bracket(kodaira.spec)
+    _, mu_m = split_bracket(kodaira.spec)
     dom = kodaira.spec.domain
     a, b, r, v = (RF(n) for n in ("alpha", "beta", "r", "v"))
     val = mu_m[(0, 1)]
@@ -256,7 +257,7 @@ def test_iwasawa_F_equals_dc_omega_via_coboundary(iwasawa):
     F = geo.torsion_ingredients(spec).F
     for key in itertools.combinations(range(n2), 3):
         vecs = [Jcols[k] for k in key]
-        lhs = domega.evaluate(vecs, dom)
+        lhs = form_evaluate(domega, vecs, dom)
         assert dom.eq(lhs, F.component(key, dom))
 
 
@@ -310,9 +311,9 @@ def test_fplus_fminus_relation_random_two_step():
         e = [basis_vector(n2, i, dom) for i in range(n2)]
         for key in itertools.combinations(range(n2), 3):
             X, Y, Z = (e[k] for k in key)
-            cyc = (dot(tors.N_vec(spec, X, Y), Z)
-                   + dot(tors.N_vec(spec, Y, Z), X)
-                   + dot(tors.N_vec(spec, Z, X), Y))
+            cyc = (dot(N_vec(tors, spec, X, Y), Z)
+                   + dot(N_vec(tors, spec, Y, Z), X)
+                   + dot(N_vec(tors, spec, Z, X), Y))
             assert dom.eq(tors.F_minus.component(key, dom), quarter * cyc)
 
 
@@ -374,9 +375,9 @@ def test_levi_civita_numeric_matches_formula_reevaluation(kodaira_thurston):
     for x in range(n2):
         for y in range(n2):
             for z in range(n2):
-                want = -0.5 * (dot(spec.mu_m_vec(e[x], e[y]), e[z]).value
-                               + dot(spec.mu_m_vec(e[z], e[x]), e[y]).value
-                               + dot(spec.mu_m_vec(e[z], e[y]), e[x]).value)
+                want = -0.5 * (dot(mu_m_vec(spec, e[x], e[y]), e[z]).value
+                               + dot(mu_m_vec(spec, e[z], e[x]), e[y]).value
+                               + dot(mu_m_vec(spec, e[z], e[y]), e[x]).value)
                 assert abs(S[x][z][y].value - want) < 1e-12
 
 

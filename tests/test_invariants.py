@@ -9,9 +9,11 @@ import pytest
 
 from ghl import geometry as geo
 from ghl.multilinear import (MultiTensor, basis_vector, commutator,
-                             derivation_action, mat_identity, mat_is_zero,
-                             mat_scale, mat_vec, mat_zero)
+                             derivation_action, mat_is_zero, mat_scale,
+                             mat_vec, mat_zero)
 from ghl.scalars import FractionDomain, RationalFunction
+
+from reference import form_basis, from_bilinear, mat_identity
 
 
 def spec_t(spec):
@@ -80,7 +82,7 @@ def test_fplus_plus_fminus_all_specs(all_bundled):
 
 
 def test_coboundary_squares_to_zero_all_specs(all_bundled):
-    from ghl.multilinear import KForm, coboundary
+    from ghl.multilinear import coboundary
     for name, loaded in all_bundled.items():
         spec = loaded.spec
         dom = spec.domain
@@ -88,7 +90,7 @@ def test_coboundary_squares_to_zero_all_specs(all_bundled):
         def mu(a, b):
             return spec.mu_full(a, b)
         for i in range(n):
-            phi = KForm.basis(n, (i,), dom)
+            phi = form_basis(n, (i,), dom)
             dd = coboundary(mu, n, coboundary(mu, n, phi, dom), dom)
             assert dd.is_zero(dom), (name, i)
 
@@ -104,7 +106,7 @@ def test_gauduchon_parallel_J_and_g_all_specs(all_bundled):
         dom = spec.domain
         A = geo.gauduchon_connection(spec, spec_t(spec))
         Jt = MultiTensor.from_endo(spec.I, dom)
-        gt = MultiTensor.from_bilinear(mat_identity(2 * spec.m, dom), dom)
+        gt = from_bilinear(mat_identity(2 * spec.m, dom), dom)
         assert geo.covariant_derivative(spec, Jt, A, 1).is_zero(dom), name
         assert geo.covariant_derivative(spec, gt, A, 1).is_zero(dom), name
         S = geo.levi_civita(spec)
@@ -131,13 +133,13 @@ def test_iwasawa_DJ_is_minus_commutator(iwasawa):
 
 
 def test_derivation_route_matches_covariant_derivative(iwasawa):
-    """e0 hook D^g J computed as -[S(e0), J] via derivation_action equals the
+    """e0 hook D^g J computed as the commutator [-S(e0), J] equals the
     covariant_derivative output (two independent evaluations of the same
     contract)."""
     spec = iwasawa.spec
     dom = spec.domain
     S = geo.levi_civita(spec)
-    via_derivation = derivation_action(mat_scale(-dom.one(), S[0]), spec.I, dom)
+    via_derivation = commutator(mat_scale(-dom.one(), S[0]), spec.I)
     Jt = MultiTensor.from_endo(spec.I, dom)
     DJ = geo.covariant_derivative(spec, Jt, S, 1)
     for r in range(6):
@@ -185,9 +187,12 @@ def test_s_tuple_identity_vii_independent_sides(iwasawa):
     assert checked
 
 
-def test_x1_identities_verified_all_specs(all_bundled):
-    for name, loaded in all_bundled.items():
-        geo.hermitian_s_tuple(loaded.spec, s=2, verify=True)
+def test_x1_identities_verified_all_specs(all_bundled, s2_tuples):
+    """s2_tuples builds each tuple with verify=True, which raises on any
+    (X1) failure."""
+    for name in all_bundled:
+        tup = s2_tuples[name]
+        assert (len(tup.J_derivs), len(tup.Rm_derivs)) == (4, 3), name
 
 
 # ---------------------------------------------------------------------------
