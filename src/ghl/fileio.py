@@ -45,7 +45,7 @@ from pathlib import Path
 from .exprparse import _BASIS_RE, parse_expression, to_linear_combination, to_scalar
 from .geometry import BracketSpec, ValidationReport, validate
 from .multilinear import gram_schmidt_unitary, mat_vec, dot
-from .scalars import DEFAULT_TOLERANCE, ExactDomain, NumericDomain, NumericScalar
+from .scalars import DEFAULT_TOLERANCE, ExactDomain, NumericDomain, NumericScalar, UsageError
 
 __all__ = ["GhlFormatError", "LoadedSpec", "load_ghl", "load_algebra",
            "load_frame_metric", "serialize_report", "parse_assignments",
@@ -248,14 +248,24 @@ def load_frame_metric(path: str | Path, sample: dict | None = None,
 
     num = NumericDomain((), tol)
 
+    def to_float(x) -> float:
+        value = x.evaluate(sample)
+        try:
+            return float(value)
+        except OverflowError:
+            raise UsageError(f"{path}: {x.text()} at the sample is beyond the float "
+                             f"range of the numeric backend") from None
+
     def ev(x):
         if x is None:
             return num.zero()
-        return NumericScalar(float(x.evaluate(sample)), tol)
+        return NumericScalar(to_float(x), tol)
 
     G = [[ev(Gexpr[i][j]) for j in range(n)] for i in range(n)]
     Jnum = [[num.from_fraction(J[i][j]) for j in range(n)] for i in range(n)]
     frame = gram_schmidt_unitary(G, Jnum, num)
+
+    fbrackets = {k: [to_float(x) for x in vec] for k, vec in brackets.items()}
 
     def lie(u, v):
         out = [num.zero()] * n
@@ -267,13 +277,13 @@ def load_frame_metric(path: str | Path, sample: dict | None = None,
                     continue
                 if a == b:
                     continue
-                vec = brackets.get((a, b)) if a < b else brackets.get((b, a))
+                vec = fbrackets.get((a, b)) if a < b else fbrackets.get((b, a))
                 if vec is None:
                     continue
                 sign = 1.0 if a < b else -1.0
                 coeff = u[a] * v[b] * sign
                 for c, x in enumerate(vec):
-                    out[c] = out[c] + coeff * float(x.evaluate(sample))
+                    out[c] = out[c] + coeff * x
         return out
 
     mu = {}

@@ -25,6 +25,7 @@ c(W) = sum_k W[2k, 2k+1], and scal = 2 sum_k rho[2k, 2k+1] from either.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -803,7 +804,8 @@ def so_basis(n2: int, dom) -> list[list[list]]:
     return out
 
 
-def _constant_domain_check(spec: BracketSpec, what: str):
+def _constant_spec(spec: BracketSpec, what: str) -> BracketSpec:
+    """`spec` itself over a FractionDomain, else its copy over plain Fractions."""
     if spec.domain.backend != "exact" or spec.params:
         raise UsageError(f"{what} requires an exact spec with all parameters "
                          f"instantiated to rationals")
@@ -811,6 +813,32 @@ def _constant_domain_check(spec: BracketSpec, what: str):
         for c in vec:
             if isinstance(c, RationalFunction) and not c.is_constant():
                 raise UsageError(f"{what} requires constant structure constants")
+    return spec if isinstance(spec.domain, FractionDomain) else spec.instantiate({})
+
+
+def _add_index_action(rows: dict, basis: list, T: MultiTensor, first: int = 0) -> None:
+    """rows[key][first + col] = derivation_action(basis[col], T).comp[key]
+    for skew Fraction matrices with entries in {0, 1, -1} and a T over
+    Fractions.  A skew B acts on the End slot's row and column indices as on
+    covariant ones, and an entry B[i][r] = s adds -s times each stored
+    component at its key with one i relabelled to r: no products.  The terms
+    are summed as integers over a common denominator."""
+    den = math.lcm(*(c.denominator for c in T.comp.values()))
+    comp = [(key, c.numerator * (den // c.denominator)) for key, c in T.comp.items()]
+    for col, B in enumerate(basis):
+        moves = {}                  # i -> [(r, B[i][r])] over the nonzero entries
+        for i, r in itertools.product(range(T.n), repeat=2):
+            if B[i][r]:
+                moves.setdefault(i, []).append((r, int(B[i][r])))
+        acc = {}
+        for key, c in comp:
+            for p, i in enumerate(key):
+                for r, s in moves.get(i, ()):
+                    nk = key[:p] + (r,) + key[p + 1:]
+                    acc[nk] = acc.get(nk, 0) - s * c
+        for key, x in acc.items():
+            if x:
+                rows.setdefault(key, {})[first + col] = Fraction(x, den)
 
 
 @dataclass
@@ -820,21 +848,19 @@ class SingerResult:
 
 
 def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult:
-    """Isotropy filtration dims j(0) >= j(1) >= ... and the first
-    stabilization order."""
-    _constant_domain_check(spec, "singer_invariant")
+    """Isotropy filtration dims j(0) >= j(1) >= ... and the first stabilization
+    order; not stabilizing by a given kmax is a UsageError."""
+    spec = _constant_spec(spec, "singer_invariant")
     dom = spec.domain
     m = spec.m
-    kmax = kmax if kmax is not None else m * m + 1
+    limit = m * m + 1 if kmax is None else kmax
     U = unitary_basis(m, dom)
     span = _Echelon(len(U), dom)
 
     def add_rows(tensor):
         """Rows of B . tensor = 0 in the u(m) coordinates of B."""
         rows = {}
-        for col, B in enumerate(U):
-            for key, x in derivation_action(B, tensor, dom).comp.items():
-                rows.setdefault(key, {})[col] = x
+        _add_index_action(rows, U, tensor)
         for key in sorted(rows):
             span.add(rows[key])
 
@@ -849,9 +875,9 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
         dims.append(len(U) - len(span.pivots))
         if len(dims) >= 2 and dims[-1] == dims[-2]:
             return SingerResult(dims, len(dims) - 2)
-        if k >= kmax:
-            raise InternalConsistencyError(
-                f"Singer filtration did not stabilize within kmax={kmax}")
+        if k >= limit:
+            raise (InternalConsistencyError if kmax is None else UsageError)(
+                f"Singer filtration did not stabilize within kmax={limit}")
 
 
 @dataclass
@@ -864,12 +890,12 @@ class KillingResult:
 def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingResult:
     """Basis of the real holomorphic Killing generators (v, A), by solving
     v . D^{k+1}J + A . D^kJ = 0 and v . D^{k+1}Rm + A . D^kRm = 0 for
-    increasing k until the solution space stabilizes."""
-    _constant_domain_check(spec, "killing_generators")
-    dom = spec.domain
+    increasing k until the solution space stabilizes (kmax as in Singer)."""
+    fspec = _constant_spec(spec, "killing_generators")
+    dom = fspec.domain
     m = spec.m
     n2 = 2 * m
-    kmax = kmax if kmax is not None else m * m + 2
+    limit = m * m + 2 if kmax is None else kmax
     SO = so_basis(n2, dom)
     nA = len(SO)
     span = _Echelon(n2 + nA, dom)
@@ -879,15 +905,13 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
         rows = {}
         for key, x in Tk1.comp.items():
             rows.setdefault(key[1:], {})[key[0]] = x
-        for col, B in enumerate(SO):
-            for key, x in derivation_action(B, Tk, dom).comp.items():
-                rows.setdefault(key, {})[n2 + col] = x
+        _add_index_action(rows, SO, Tk, n2)
         for key in sorted(rows):
             span.add(rows[key])
 
     dims: list[int] = []
-    pairs = zip(itertools.pairwise(_tower(spec, MultiTensor.from_endo(spec.I, dom))),
-                itertools.pairwise(_tower(spec, _rm_tensor(spec, spec.Rm))))
+    pairs = zip(itertools.pairwise(_tower(fspec, MultiTensor.from_endo(fspec.I, dom))),
+                itertools.pairwise(_tower(fspec, _rm_tensor(fspec, fspec.Rm))))
     for k, ((Jk, Jk1), (Rmk, Rmk1)) in enumerate(pairs):
         add_rows(Jk, Jk1)
         add_rows(Rmk, Rmk1)
@@ -896,11 +920,13 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
             basis = [(vec[:n2], _conn_endo(SO, vec[n2:], dom))
                      for vec in span.nullspace()]
             res = KillingResult(basis, len(basis), k + 1)
-            _check_killing(spec, res)
+            _check_killing(fspec, res)
+            lift = spec.domain.from_fraction        # back into the caller's domain
+            res.basis = [(list(map(lift, v)), [list(map(lift, r)) for r in A]) for v, A in basis]
             return res
-        if k >= kmax:
-            raise InternalConsistencyError(
-                f"Killing solution space did not stabilize within kmax={kmax}")
+        if k >= limit:
+            raise (InternalConsistencyError if kmax is None else UsageError)(
+                f"Killing solution space did not stabilize within kmax={limit}")
 
 
 def _check_killing(spec: BracketSpec, res: KillingResult):

@@ -675,10 +675,10 @@ class ExactDomain:
 class FractionDomain:
     """Exact domain over plain Q: values are stdlib Fractions.
 
-    Used for fully instantiated specs (Singer/Killing computations and
-    sweeps), where Fraction arithmetic is much faster than constant
-    RationalFunctions.  Methods tolerate RationalFunction values so symbolic
-    t can still flow through mixed expressions."""
+    Singer and Killing always run on it (a parameter-free ExactDomain spec is
+    copied with `instantiate({})`): Fraction arithmetic is much faster than
+    constant RationalFunctions.  Methods tolerate RationalFunction values so
+    symbolic t can still flow through mixed expressions."""
 
     backend = "exact"
     params: tuple = ()

@@ -259,6 +259,7 @@ def test_max_degree_scoped_to_one_call_and_validated():
 
 def test_usage_mistakes_exit_two():
     kodaira = str(bundled_path("kodaira"))
+    huge = "1" + "0" * 200
     cases = [
         # a t-only grid leaves the file's parameters unassigned
         (("sweep", kodaira, "--grid", "t=0:1:2", "--quantity", "scal"),
@@ -269,6 +270,12 @@ def test_usage_mistakes_exit_two():
         (("report", kodaira, "--t", "1/0"), "bad rational literal '1/0'"),
         (("sweep", kodaira, "--grid", "t=0:1:x", "--quantity", "scal",
           "--params", "alpha=1,beta=0,r=1,v=1"), "grid count must be an integer"),
+        # an explicit kmax below the stabilisation order is the caller's choice
+        (("singer", str(bundled_path("iwasawa")), "--params", "alpha=1", "--kmax", "0"),
+         "Singer filtration did not stabilize within kmax=0"),
+        (("report", str(bundled_path("kodaira-thurston")),
+          "--params", f"r={huge},sigma={huge},x=0,y=0"),
+         "r^2 at the sample is beyond the float range of the numeric backend"),
     ]
     for argv, message in cases:
         code, _, err = run(*argv)

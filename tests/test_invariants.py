@@ -11,9 +11,10 @@ from ghl import geometry as geo
 from ghl.multilinear import (MultiTensor, basis_vector, commutator,
                              derivation_action, mat_is_zero, mat_scale,
                              mat_vec, mat_zero)
-from ghl.scalars import FractionDomain, RationalFunction
+from ghl.scalars import ExactDomain, FractionDomain, RationalFunction, UsageError
 
 from reference import form_basis, from_bilinear, mat_identity
+from test_nonintegrable import random_two_step_specs
 
 
 def spec_t(spec):
@@ -355,3 +356,93 @@ def test_killing_self_checks_fire(kodaira):
         geo._check_killing(inst, without(0))
     with pytest.raises(geo.InternalConsistencyError, match="not closed"):
         geo._check_killing(inst, without(2))
+
+
+# ---------------------------------------------------------------------------
+# Singer and Killing on Fractions, rows by the index action
+# ---------------------------------------------------------------------------
+
+
+def _tensors(spec):
+    """J, DJ, D^2J, Rm and D Rm of a spec over Fractions."""
+    J = geo._tower(spec, MultiTensor.from_endo(spec.I, spec.domain))
+    Rm = geo._tower(spec, geo._rm_tensor(spec, spec.Rm))
+    return list(itertools.islice(J, 3)) + list(itertools.islice(Rm, 2))
+
+
+def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, sphere):
+    specs = [iwasawa.spec.instantiate({"alpha": 1}),
+             kodaira.spec.instantiate({"alpha": 1, "beta": 0, "r": 1, "v": 1}),
+             abelian2.spec.instantiate({}), sphere.spec.instantiate({})]
+    specs += random_two_step_specs(3)
+    for spec in specs:
+        dom = spec.domain
+        bases = (geo.unitary_basis(spec.m, dom), geo.so_basis(2 * spec.m, dom))
+        for T, basis in itertools.product(_tensors(spec), bases):
+            expected = {}
+            for col, B in enumerate(basis):
+                for key, x in derivation_action(B, T, dom).comp.items():
+                    expected.setdefault(key, {})[col] = x
+            rows = {}
+            geo._add_index_action(rows, basis, T)
+            assert rows == expected, (spec.name, T.rank, T.has_endo)
+            shifted = {}
+            geo._add_index_action(shifted, basis, T, 5)
+            assert shifted == {k: {c + 5: x for c, x in r.items()} for k, r in rows.items()}
+
+
+def _exact_two_step_spec():
+    spec = random_two_step_specs(1, seed=3)[0]
+    mu = {k: [RationalFunction.const(c) for c in vec] for k, vec in spec.mu_store.items()}
+    return geo.BracketSpec(spec.q, spec.m, mu, ExactDomain(), "rand6-exact")
+
+
+def test_constant_exact_specs_run_on_fractions(abelian2, sphere, monkeypatch):
+    """A parameter-free ExactDomain spec is eliminated over plain Fractions,
+    and the Killing basis comes back as equal RationalFunctions."""
+    specs = [abelian2.spec, sphere.spec, _exact_two_step_spec()]
+    for spec in specs:
+        spec.Rm                                     # build the spec's own data first
+    products = []
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    mul = RationalFunction.__mul__
+    monkeypatch.setattr(RationalFunction, "__mul__", counting)
+    monkeypatch.setattr(RationalFunction, "__rmul__", counting)
+    results = [(geo.singer_invariant(s), geo.killing_generators(s)) for s in specs]
+    monkeypatch.undo()
+    assert products == []
+    for spec, (_, res) in zip(specs, results):
+        ref = geo.killing_generators(spec.instantiate({}))
+        assert (res.dim, res.orders_used) == (ref.dim, ref.orders_used)
+        for (v, A), (rv, rA) in zip(res.basis, ref.basis):
+            got = list(v) + [x for row in A for x in row]
+            want = list(rv) + [x for row in rA for x in row]
+            assert all(isinstance(x, RationalFunction) for x in got), spec.name
+            assert all(x.eq(RationalFunction.const(y)) for x, y in zip(got, want)), spec.name
+
+
+@pytest.mark.parametrize("name, params, dims, k_jg, dim_kill, orders", [
+    ("iwasawa", {"alpha": 1}, [4, 4], 0, 10, 3),
+    ("kodaira", {"alpha": 1, "beta": 0, "r": 1, "v": 1}, [1, 1], 0, 5, 2),
+    ("abelian2", None, [4, 4], 0, 8, 2),
+    ("sphere", None, [1, 1], 0, 3, 2),
+])
+def test_invariant_values_pinned(all_bundled, name, params, dims, k_jg, dim_kill, orders):
+    spec = all_bundled[name].spec
+    if params is not None:
+        spec = spec.instantiate(params)
+    sing = geo.singer_invariant(spec)
+    assert (sing.dims, sing.k_jg) == (dims, k_jg)
+    res = geo.killing_generators(spec)
+    assert (res.dim, res.orders_used) == (dim_kill, orders)
+
+
+def test_explicit_kmax_too_small_is_a_usage_error(sphere):
+    with pytest.raises(UsageError, match="kmax=0"):
+        geo.singer_invariant(sphere.spec, kmax=0)
+    with pytest.raises(UsageError, match="kmax=0"):
+        geo.killing_generators(sphere.spec, kmax=0)
