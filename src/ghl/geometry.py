@@ -298,13 +298,14 @@ class _Echelon:
         self.pivots: dict[int, dict] = {}
 
     def add(self, row) -> bool:
-        """Reduce `row` (a sequence, or a {column: entry} mapping) against the
-        form; keep it iff it is not in the span."""
+        """Reduce `row` against the form; keep it iff it is not in the span.
+        A sequence row is filtered for zeros; a {column: entry} dict row must
+        hold no zero entry, as the Singer and Killing rows do, and is copied."""
         if len(self.pivots) == self.ncols:
             return False
         dom = self.dom
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        r = {c: x for c, x in items if not dom.is_zero(x)}
+        r = (dict(row) if isinstance(row, dict)
+             else {c: x for c, x in enumerate(row) if not dom.is_zero(x)})
         # reducing by one kept row adds no entry in another pivot column
         for p in [c for c in r if c in self.pivots]:
             self._eliminate(r, p, self.pivots[p])

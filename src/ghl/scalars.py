@@ -16,6 +16,11 @@ Representation:
 
 Term order everywhere is graded lexicographic over the alphabetically sorted
 variable list, which makes serialization deterministic.
+
+Zero and one rules: x + 0, 0 + x, x - 0, -0, x * 0 and 0 * x return an
+operand, and Polynomial p * 1 and 1 * p return p once the degree cap is
+checked.  Reduction is idempotent, so that operand is the (num, den) the full
+path would rebuild; values are immutable, so sharing it is thread-safe.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ def set_degree_cap(cap: int) -> None:
 
 def get_degree_cap() -> int:
     return _degree_cap.get()
+
+
+_ONE_TERMS = {(): Fraction(1)}      # the terms of the constant polynomial 1
 
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
@@ -204,14 +212,17 @@ class Polynomial:
             return Polynomial(self.vars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = Polynomial._align(self, other)
-        if a.is_zero() or b.is_zero():
+        if self.is_zero() or other.is_zero():
             return Polynomial.zero()
         cap = _degree_cap.get()
-        if a.total_degree() + b.total_degree() > cap:
-            raise DegreeGuardError(
-                f"product degree {a.total_degree() + b.total_degree()} exceeds cap {cap}"
-            )
+        degree = self.total_degree() + other.total_degree()
+        if degree > cap:
+            raise DegreeGuardError(f"product degree {degree} exceeds cap {cap}")
+        if other.terms == _ONE_TERMS:
+            return self
+        if self.terms == _ONE_TERMS:
+            return other
+        a, b = Polynomial._align(self, other)
         if len(b.terms) == 1:
             a, b = b, a
         if len(a.terms) == 1:
@@ -322,14 +333,16 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
 
-def _content(p: Polynomial) -> Fraction:
-    """Positive rational content (gcd of numerators / lcm of denominators)."""
+def _content(p: Polynomial, exact: bool = True) -> Fraction:
+    """Positive rational content (gcd of numerators / lcm of denominators).
+    text() alone passes exact=False, which stops once the coefficients seen so
+    far are integers of gcd 1: the pinned report bytes were written that way."""
     num_gcd = 0
     den_lcm = 1
     for c in p.terms.values():
         num_gcd = _gcd(num_gcd, c.numerator)
         den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-        if num_gcd == 1 and den_lcm == 1:
+        if not exact and num_gcd == 1 and den_lcm == 1:
             return Fraction(1)
     return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
 
@@ -407,6 +420,8 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.num.terms and other.num.terms):    # x + 0, 0 + x
+            return self if self.num.terms else other
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -414,6 +429,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.num.terms:
+            return self
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
@@ -429,6 +446,8 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.num.terms and other.num.terms):    # the zero operand
+            return other if self.num.terms else self
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -486,10 +505,10 @@ class RationalFunction:
         """Canonical text: expanded polynomials, integer coefficients where
         possible, `(num) / (den)` with den omitted when it is 1."""
         num, den = self.num, self.den
-        scale = _content(den)
+        scale = _content(den, exact=False)
         if scale != 1:
             num, den = num * (1 / scale), den * (1 / scale)
-        nc = _content(num)
+        nc = _content(num, exact=False)
         if nc != 0 and nc.denominator != 1:
             # clear remaining fractions in num by scaling both sides
             num = num * nc.denominator
@@ -504,35 +523,35 @@ class RationalFunction:
         return f"RationalFunction({self.text()})"
 
 
-_ONE_TERMS = {(): Fraction(1)}
+def _small(num: Polynomial, den: Polynomial) -> bool:
+    """A monomial denominator small enough for the integer-content pass alone."""
+    return len(den.terms) == 1 and den.total_degree() <= 6 and len(num.terms) <= 12
 
 
 def _heuristic_reduce(num: Polynomial, den: Polynomial):
-    """Cancel integer content and common monomial content. Keeps blowup in
-    check; correctness never depends on it."""
+    """Cancel integer content and common monomial content, and leave a reduced
+    pair unchanged.  Keeps blowup in check; correctness never depends on it."""
     if num.is_zero():
         return Polynomial.zero(), Polynomial.const(1)
     if not den.vars and den.terms == _ONE_TERMS:
         return num, den
-    if len(den.terms) == 1 and den.total_degree() <= 6 and len(num.terms) <= 12:
-        # small monomial denominator: cheap integer-content pass only
-        cb = _content(den)
-        if cb != 1:
-            inv = 1 / cb
-            return num * inv, den * inv
-        return num, den
-    a, b = Polynomial._align(num, den)
-    mono = tuple(map(min, _monomial_content(a), _monomial_content(b))) if a.vars else ()
-    if mono and any(mono):
-        a, b = _divide_monomial(a, mono), _divide_monomial(b, mono)
-    ca, cb = _content(a), _content(b)
-    if ca != 1 or cb != 1:
-        g = Fraction(_gcd(ca.numerator * cb.denominator, cb.numerator * ca.denominator),
-                     ca.denominator * cb.denominator)
-        if g not in (0, 1):
-            inv = 1 / g
-            a, b = a * inv, b * inv
-    return a._trim(), b._trim()
+    if not _small(num, den):
+        a, b = Polynomial._align(num, den)
+        mono = tuple(map(min, _monomial_content(a), _monomial_content(b))) if a.vars else ()
+        if mono and any(mono):
+            a, b = _divide_monomial(a, mono), _divide_monomial(b, mono)
+        if not _small(a, b):
+            ca, cb = _content(a), _content(b)
+            g = Fraction(_gcd(ca.numerator * cb.denominator, cb.numerator * ca.denominator),
+                         ca.denominator * cb.denominator)
+            if g != 1:
+                a, b = a * (1 / g), b * (1 / g)
+            return a._trim(), b._trim()
+        num, den = a._trim(), b._trim()    # the cancelled monomial left a small one
+    cb = _content(den)
+    if cb != 1:
+        return num * (1 / cb), den * (1 / cb)
+    return num, den
 
 
 def _as_rf(x):

@@ -2,6 +2,7 @@
 symmetries, s-tuple identities, Singer filtrations, Killing algebras and the
 Nomizu bracket."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -194,6 +195,28 @@ def test_x1_identities_verified_all_specs(all_bundled, s2_tuples):
     for name in all_bundled:
         tup = s2_tuples[name]
         assert (len(tup.J_derivs), len(tup.Rm_derivs)) == (4, 3), name
+
+
+# sha256 over "i key text" lines of the stored components of D^1J..D^4J, Rm,
+# DRm, D^2Rm (i counts the tensors in that order, keys sorted); abelian2
+# stores none, so its hash is that of no bytes
+S2_TUPLE_SHA256 = {
+    "abelian2": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "sphere": "91a153031a423a5ef774a3d215821df28ae98f1f93bc91743709100e20173998",
+    "iwasawa": "e73b47de1f1acff176ddede9bc1475050ab02ca7a3acaa8ec8bfaed4b3b83a57",
+    "kodaira": "cbfe906acdbce537c58a994a0efe50d525187f20910a9aacc3071a82c0b00ed6",
+    "kodaira-thurston": "08472c78c2e351806aa2daecd4d41645bf9ef4a9e50f90e761996416e652cc94",
+}
+
+
+def test_s2_tuple_text_pinned(all_bundled, s2_tuples):
+    for name, loaded in all_bundled.items():
+        tup = s2_tuples[name]
+        h = hashlib.sha256()
+        for i, T in enumerate(tup.J_derivs + tup.Rm_derivs):
+            for key in sorted(T.comp):
+                h.update(f"{i} {key} {loaded.spec.domain.text(T.comp[key])}\n".encode())
+        assert h.hexdigest() == S2_TUPLE_SHA256[name], name
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +462,27 @@ def test_invariant_values_pinned(all_bundled, name, params, dims, k_jg, dim_kill
     assert (sing.dims, sing.k_jg) == (dims, k_jg)
     res = geo.killing_generators(spec)
     assert (res.dim, res.orders_used) == (dim_kill, orders)
+
+
+def test_singer_and_killing_rows_hold_no_zero_entry(all_bundled, monkeypatch):
+    """_Echelon.add takes a dict row as already sparse."""
+    dict_rows = []
+    add = geo._Echelon.add
+
+    def recording(self, row):
+        if isinstance(row, dict):
+            dict_rows.append(len(row))
+            assert row and all(not self.dom.is_zero(x) for x in row.values())
+        return add(self, row)
+
+    monkeypatch.setattr(geo._Echelon, "add", recording)
+    for name, params in [("iwasawa", {"alpha": 1}), ("abelian2", None), ("sphere", None),
+                         ("kodaira", {"alpha": 1, "beta": 2, "r": 3, "v": 1})]:
+        spec = all_bundled[name].spec
+        spec = spec if params is None else spec.instantiate(params)
+        geo.singer_invariant(spec)
+        geo.killing_generators(spec)
+    assert len(dict_rows) > 100
 
 
 def test_explicit_kmax_too_small_is_a_usage_error(sphere):

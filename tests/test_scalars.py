@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ghl.scalars
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
                          NumericScalar, PoleError, Polynomial,
-                         RationalFunction, get_degree_cap, set_degree_cap)
+                         RationalFunction, _content, _heuristic_reduce,
+                         get_degree_cap, set_degree_cap)
 
 
 def P(name):
@@ -93,6 +95,20 @@ def test_degree_guard_trips():
     finally:
         set_degree_cap(DEFAULT_DEGREE_CAP)
     assert get_degree_cap() == DEFAULT_DEGREE_CAP
+
+
+def test_times_one_still_checks_the_degree_cap():
+    p = P("x") ** 8
+    one = Polynomial.const(1)
+    assert one * p is p and p * one is p
+    set_degree_cap(7)
+    try:
+        with pytest.raises(DegreeGuardError):
+            _ = one * p
+        with pytest.raises(DegreeGuardError):
+            _ = p * one
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
 def test_degree_cap_is_per_thread():
@@ -245,6 +261,73 @@ def test_are_equal_representation_independent(a, b, f):
     blown = RationalFunction(a.num * f.num, a.den * f.num)
     assert blown.eq(a)
     assert a.eq(b) == blown.eq(b)
+
+
+def _terms(x):
+    return x.num.terms, x.den.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ratfun())
+def test_zero_and_one_operands_match_a_fresh_build(x):
+    zero, one = RationalFunction.const(0), RationalFunction.const(1)
+    fresh = RationalFunction(x.num, x.den)
+    negated = RationalFunction(-x.num, x.den)
+    for got, want in [(x + zero, fresh), (zero + x, fresh), (x - zero, fresh),
+                      (zero - x, negated), (x * one, fresh), (one * x, fresh),
+                      (x * zero, zero), (zero * x, zero)]:
+        assert got.text() == want.text()
+        assert _terms(got) == _terms(want)
+    if not x.is_zero():                     # else either zero may come back
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert x * zero is zero and zero * x is zero
+
+
+def test_zero_operands_skip_the_reduction(monkeypatch):
+    x = R("a") / (R("b") + 1)
+    zero = RationalFunction.const(0)
+    calls = []
+
+    def counting(num, den):
+        calls.append(1)
+        return reduce(num, den)
+
+    reduce = ghl.scalars._heuristic_reduce
+    monkeypatch.setattr(ghl.scalars, "_heuristic_reduce", counting)
+    assert x + zero is x
+    assert zero * x is zero
+    assert calls == []
+    RationalFunction(x.num, x.den)
+    assert calls == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_ratfun())
+def test_reduction_leaves_a_built_value_unchanged(x):
+    """The zero and one rules return an operand where the full path would
+    run the reduction once more; the two agree because it is idempotent."""
+    num, den = _heuristic_reduce(x.num, x.den)
+    assert (num.terms, den.terms) == _terms(x)
+
+
+def test_reduction_is_idempotent_where_it_used_to_move():
+    a, b, r = P("a"), P("b"), P("r")
+    # the monomial cancellation leaves 2*r^6, whose content the same pass divides out
+    x = RationalFunction(r ** 2 * (a + 1), r ** 8 * 2)
+    assert x.den.terms == {(6,): 1}
+    # the content 1/28 of the denominator shows only after the unit prefix 6, -5
+    y = RationalFunction(Polynomial.const(Fraction(-27, 2)) - a ** 2 * Fraction(22, 3),
+                         a * 6 - 5 + a ** 2 * Fraction(7, 4) + b ** 2 * Fraction(10, 7))
+    for v in (x, y):
+        num, den = _heuristic_reduce(v.num, v.den)
+        assert (num.terms, den.terms) == _terms(v)
+
+
+def test_content_is_exact_after_a_unit_prefix():
+    p = Polynomial.const(1) + P("a") * Fraction(1, 2)
+    assert list(p.terms.values()) == [1, Fraction(1, 2)]
+    assert _content(p) == Fraction(1, 2)
+    assert _content(p, exact=False) == 1        # the text() normalisation
 
 
 # ---------------------------------------------------------------------------
