@@ -2,8 +2,8 @@
 spaces presented by Lie-bracket structure constants."""
 
 from .scalars import (DegreeGuardError, ExactDomain, FractionDomain,
-                      NumericDomain, NumericScalar, PoleError, Polynomial,
-                      RationalFunction, UsageError, set_degree_cap)
+                      NumericDomain, PoleError, Polynomial, RationalFunction,
+                      UsageError, set_degree_cap)
 from .geometry import (AuditReport, BracketSpec, DerivativeTuple,
                        InternalConsistencyError, KillingResult, SingerResult,
                        TorsionData, ValidationReport, connection_audit,

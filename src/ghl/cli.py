@@ -253,9 +253,9 @@ def _sweep_value(args, spec, tval) -> str:
                 X = basis_vector(n2, a, dom)
                 Y = basis_vector(n2, b, dom)
                 v = geo.sectional_curvature(spec, Rm, X, Y)
-                fv = float(v.value) if dom.backend == "numeric" else geo.as_fraction(v)
+                fv = v if dom.backend == "numeric" else geo.as_fraction(v)
                 best = fv if best is None else max(best, fv)
-        return str(best)
+        return dom.text(best) if dom.backend == "numeric" else str(best)
     if args.quantity == "singer_k":
         res = geo.singer_invariant(spec)
         return str(res.k_jg)

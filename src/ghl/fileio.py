@@ -45,7 +45,7 @@ from pathlib import Path
 from .exprparse import _BASIS_RE, parse_expression, to_linear_combination, to_scalar
 from .geometry import BracketSpec, ValidationReport, validate
 from .multilinear import gram_schmidt_unitary, mat_vec, dot
-from .scalars import DEFAULT_TOLERANCE, ExactDomain, NumericDomain, NumericScalar, UsageError
+from .scalars import DEFAULT_TOLERANCE, ExactDomain, NumericDomain, UsageError
 
 __all__ = ["GhlFormatError", "LoadedSpec", "load_ghl", "load_algebra",
            "load_frame_metric", "serialize_report", "parse_assignments",
@@ -256,12 +256,7 @@ def load_frame_metric(path: str | Path, sample: dict | None = None,
             raise UsageError(f"{path}: {x.text()} at the sample is beyond the float "
                              f"range of the numeric backend") from None
 
-    def ev(x):
-        if x is None:
-            return num.zero()
-        return NumericScalar(to_float(x), tol)
-
-    G = [[ev(Gexpr[i][j]) for j in range(n)] for i in range(n)]
+    G = [[num.zero() if g is None else to_float(g) for g in row] for row in Gexpr]
     Jnum = [[num.from_fraction(J[i][j]) for j in range(n)] for i in range(n)]
     frame = gram_schmidt_unitary(G, Jnum, num)
 
@@ -390,6 +385,7 @@ def compare_reports(actual: dict, expected: dict, tol: float = DEFAULT_TOLERANCE
     if not isinstance(expected, dict) or actual.get("schema") != expected.get("schema"):
         raise GhlFormatError("report schema mismatch")
     backend = actual.get("backend", "exact")
+    num = NumericDomain(tol=tol) if backend == "numeric" else None
     params = tuple(actual.get("params", ())) + ("t",)
     dom = ExactDomain(params)
     diffs: list[str] = []
@@ -399,12 +395,11 @@ def compare_reports(actual: dict, expected: dict, tol: float = DEFAULT_TOLERANCE
         are not scalars (names, 'symbolic', flags serialized as text)."""
         if a == b:
             return True
-        if backend == "numeric":
+        if num is not None:
             try:
-                x, y = float(a), float(b)
-            except ValueError:
+                return num.eq(float(a), float(b))
+            except ValueError:      # not a number, or not finite
                 return False
-            return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
         try:
             va = to_scalar(parse_expression(a), dom)
             vb = to_scalar(parse_expression(b), dom)

@@ -1072,7 +1072,7 @@ def metric_flags(spec: BracketSpec) -> dict:
 class AuditReport:
     torsion_identity_ok: bool
     curvature_identity_ok: bool
-    max_residual: float | None   # None for exact backend (residuals exactly 0)
+    max_residual: float | None   # max |residual| as a float; None when exact (all 0)
 
     @property
     def ok(self) -> bool:
@@ -1137,5 +1137,5 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
 
     max_res = None
     if dom.backend == "numeric":
-        max_res = max(abs(r.value) for r in residuals) if residuals else 0.0
+        max_res = max(abs(r) for r in residuals) if residuals else 0.0
     return AuditReport(tors_ok, curv_ok, max_res)

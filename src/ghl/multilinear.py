@@ -366,7 +366,7 @@ def gram_schmidt_unitary(G, J, dom):
         norm2 = ip(v, v)
         if dom.is_zero(norm2):
             continue
-        if float(norm2.value) < 0:
+        if norm2 < 0:
             raise FrameError("metric is not positive definite")
         inv = dom.one() / dom.sqrt(norm2)
         w = vec_scale(inv, v)

@@ -1,5 +1,5 @@
 """Exact scalar kernel: sparse multivariate polynomials and rational functions
-over Q, plus a tolerance-carrying float backend.
+over Q, plus a numeric domain over plain floats.
 
 Representation:
 
@@ -11,8 +11,9 @@ Representation:
                   (graded-lex order) is positive.  The pair is NOT reduced to
                   lowest terms: equality and zero tests go through
                   cross-multiplication, which is exact without any GCD.
-  NumericScalar   float value + comparison tolerance, used by the numeric
-                  backend (square-root-bearing frames).
+  NumericDomain   plain Python floats for the numeric backend
+                  (square-root-bearing frames); the domain, not the value,
+                  holds the comparison tolerance.
 
 Term order everywhere is graded lexicographic over the alphabetically sorted
 variable list, which makes serialization deterministic.
@@ -36,7 +37,6 @@ __all__ = [
     "UsageError",
     "Polynomial",
     "RationalFunction",
-    "NumericScalar",
     "ExactDomain",
     "NumericDomain",
     "set_degree_cap",
@@ -564,97 +564,6 @@ def _as_rf(x):
     return NotImplemented
 
 
-class NumericScalar:
-    """Finite float with a comparison tolerance.
-
-    Comparison passes when |a-b| <= tol * max(1, |a|, |b|).
-    """
-
-    __slots__ = ("value", "tol")
-
-    def __init__(self, value: float, tol: float = DEFAULT_TOLERANCE):
-        value = float(value)
-        if not isfinite(value):
-            raise ValueError("NumericScalar must be finite")
-        if tol < 0:
-            raise UsageError("tolerance must be non-negative")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "tol", float(tol))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("NumericScalar is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, NumericScalar):
-            return other
-        if isinstance(other, (int, float, Fraction)):
-            return NumericScalar(float(other), self.tol)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else NumericScalar(self.value + o.value, max(self.tol, o.tol))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NumericScalar(-self.value, self.tol)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else NumericScalar(self.value - o.value, max(self.tol, o.tol))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else NumericScalar(self.value * o.value, max(self.tol, o.tol))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.value == 0:
-            raise ZeroDivisionError("division by numeric zero")
-        return NumericScalar(self.value / o.value, max(self.tol, o.tol))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __pow__(self, n: int):
-        return NumericScalar(self.value ** n, self.tol)
-
-    def sqrt(self) -> "NumericScalar":
-        if self.value < 0:
-            raise ValueError("sqrt of negative numeric scalar")
-        return NumericScalar(_math_sqrt(self.value), self.tol)
-
-    def is_zero(self) -> bool:
-        return abs(self.value) <= self.tol
-
-    def eq(self, other) -> bool:
-        o = self._coerce(other)
-        tol = max(self.tol, o.tol)
-        return abs(self.value - o.value) <= tol * max(1.0, abs(self.value), abs(o.value))
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self.eq(o)
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("NumericScalar is unhashable")
-
-    def text(self) -> str:
-        return repr(self.value)
-
-    def __repr__(self):  # pragma: no cover
-        return f"NumericScalar({self.value!r})"
-
-
 class ExactDomain:
     """Scalar domain Q(params...): values are RationalFunctions."""
 
@@ -741,41 +650,56 @@ class FractionDomain:
         raise TypeError("the exact backend does not provide square roots")
 
 
+def _finite(v):
+    """v itself; a non-finite float can neither decide a verdict nor print."""
+    if not isfinite(v):
+        raise ValueError(f"numeric scalar must be finite, got {v!r}")
+    return v
+
+
 class NumericDomain:
-    """Scalar domain of tolerance-carrying floats."""
+    """Scalar domain over plain floats; the domain alone holds the tolerance.
+
+    is_zero is absolute, |a| <= tol; eq is relative,
+    |a - b| <= tol * max(1, |a|, |b|)."""
 
     backend = "numeric"
 
     def __init__(self, params: Iterable[str] = (), tol: float = DEFAULT_TOLERANCE):
+        if not tol >= 0:        # also rejects nan
+            raise UsageError("tolerance must be non-negative")
         self.params = tuple(params)
-        self.tol = tol
+        self.tol = float(tol)
 
-    def zero(self) -> NumericScalar:
-        return NumericScalar(0.0, self.tol)
+    @staticmethod
+    def zero() -> float:
+        return 0.0
 
-    def one(self) -> NumericScalar:
-        return NumericScalar(1.0, self.tol)
+    @staticmethod
+    def one() -> float:
+        return 1.0
 
-    def from_fraction(self, c) -> NumericScalar:
-        return NumericScalar(float(Fraction(c)), self.tol)
+    @staticmethod
+    def from_fraction(c) -> float:
+        return float(Fraction(c))
 
     def param(self, name: str):
         raise TypeError("numeric backend has no symbolic parameters; "
                         "instantiate them via a sample assignment")
 
-    @staticmethod
-    def is_zero(v) -> bool:
-        return v.is_zero()
+    def is_zero(self, v) -> bool:
+        return abs(_finite(v)) <= self.tol
 
-    @staticmethod
-    def eq(a, b) -> bool:
-        a = a if isinstance(a, NumericScalar) else NumericScalar(float(a))
-        return a.eq(b)
+    def eq(self, a, b) -> bool:
+        a, b = _finite(a), _finite(b)
+        return abs(a - b) <= self.tol * max(1.0, abs(a), abs(b))
 
     @staticmethod
     def text(v) -> str:
-        return v.text()
+        return repr(_finite(v))
 
     @staticmethod
-    def sqrt(v) -> NumericScalar:
-        return v.sqrt()
+    def sqrt(v) -> float:
+        if _finite(v) < 0:
+            raise ValueError("sqrt of negative numeric scalar")
+        return _math_sqrt(v)

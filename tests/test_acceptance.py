@@ -189,7 +189,7 @@ def _kt_engine_scal(pt, tval) -> float:
     spec = loaded.spec
     Om, _ = geo.gauduchon_curvature_torsion(spec, spec.domain.from_fraction(tval))
     _, _, scal = geo.ricci_and_scalar(spec, Om)
-    return scal.value
+    return scal
 
 
 def _matmul(A, B):
@@ -237,11 +237,11 @@ def test_criterion_4_kt_t_independence(kodaira_thurston, kt_exact):
             _, _, scal = geo.ricci_and_scalar(spec, Om)
             vals.append((A, scal))
         for (A1, s1), (A2, s2) in zip(vals, vals[1:]):
-            assert abs(s1.value - s2.value) < 1e-9
+            assert abs(s1 - s2) < 1e-9
             for M1, M2 in zip(A1, A2):
                 for r1, r2 in zip(M1, M2):
                     for x1, x2 in zip(r1, r2):
-                        assert abs(x1.value - x2.value) < 1e-9
+                        assert abs(x1 - x2) < 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 2.0
     note(f"criterion 4 (t-independence subcheck) PASS ({elapsed:.2f}s)")
@@ -307,10 +307,10 @@ def test_criterion_4_kt_spot_value_minus_one_sixteenth(kodaira_thurston):
     spec = kodaira_thurston.spec
     Om, _ = geo.gauduchon_curvature_torsion(spec, spec.domain.from_fraction(1))
     _, _, scal = geo.ricci_and_scalar(spec, Om)
-    note(f"criterion 4 (spot subcheck): engine scal = {scal.value}, true value = {want}, "
+    note(f"criterion 4 (spot subcheck): engine scal = {scal}, true value = {want}, "
          f"printed closed form = {_kt_printed_closed_form(*spot)}")
-    assert abs(scal.value - float(want)) <= 1e-9
-    assert _close(_kt_engine_scal(base, 1), scal.value)
+    assert abs(scal - float(want)) <= 1e-9
+    assert _close(_kt_engine_scal(base, 1), scal)
     assert _kt_printed_closed_form(*spot) == Fraction(-1, 16)
     assert _kt_printed_closed_form(*base) == -1
 

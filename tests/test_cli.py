@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, check/sweep behavior."""
 
 import csv
+import hashlib
 import io
 import json
 from collections import Counter
@@ -106,6 +107,18 @@ def test_check_detects_flipped_scal(tmp_path):
     code, out, _ = run("check", str(bundled_path("kodaira")), str(bad))
     assert code == 1
     assert "scal" in out
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_check_counts_non_finite_numeric_scal_as_mismatch(tmp_path, value):
+    """abs(x - inf) <= tol * inf holds, so inf once matched any value."""
+    fixture = json.loads(bundled_path("kodaira-thurston.expected.json").read_text())
+    fixture["scal"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(fixture), encoding="utf-8")
+    code, out, _ = run("check", str(bundled_path("kodaira-thurston")), str(bad))
+    assert code == 1
+    assert out == "check: 1 mismatching field(s):\n  /scal\n"
 
 
 def test_singer_cli_abelian():
@@ -222,6 +235,51 @@ def test_sweep_two_axes_row_major_order():
     assert [r[2] for r in rows[1:]] == ["8", "125", "0", "0"]
 
 
+# Numeric CLI output on kodaira-thurston, recorded before the numeric backend
+# moved to plain floats.
+KT_SWEEPS = [
+    (("x=0:1/2:3", "r=1,sigma=1,y=1/4", "0"), "scal",
+     "x,scal\n0,0.0\n1/4,0.08163265306122452\n1/2,0.5289256198347108\n"),
+    (("x=0:1/2:3", "r=1,sigma=1,y=1/4", "0"), "sec_max_basis",
+     "x,sec_max_basis\n0,0.2499999999999999\n1/4,0.2869897959183675\n"
+     "1/2,0.46487603305785125\n"),
+    (("t=-1:1:3", "r=2,sigma=1,x=1/2,y=-1/3", None), "scal",
+     "t,scal\n-1,0.037760037293863985\n0,0.018880018646931986\n"
+     "1,-6.938893903907228e-18\n"),
+    (("t=-1:1:3", "r=2,sigma=1,x=1/2,y=-1/3", None), "sec_max_basis",
+     "t,sec_max_basis\n-1,0.07138278655090027\n0,0.07138278655090027\n"
+     "1,0.07138278655090027\n"),
+]
+
+
+@pytest.mark.parametrize("axes,quantity,want", KT_SWEEPS)
+def test_sweep_kodaira_thurston_pinned(axes, quantity, want):
+    grid, params, t = axes
+    argv = ["sweep", str(bundled_path("kodaira-thurston")), "--grid", grid,
+            "--quantity", quantity, "--params", params]
+    code, out, err = run(*argv, *(["--t", t] if t else []))
+    assert (code, out, err) == (0, want, "")
+
+
+# sha256 of `report --format text` at the file's samples s1 and s2
+KT_TEXT_REPORTS = {
+    "r=1,sigma=1,x=0,y=1/2": "0781729b7bb6af72f3388db76ef65fb95b29a2b0d1002558c719d5bd7da5f1ed",
+    "r=2,sigma=1,x=0,y=-1/3": "a7b97a785a51ff173e2b33a0a119b913be72d86ce1aa325d09fd9f9975b7ffa6",
+}
+
+
+@pytest.mark.parametrize("sample", sorted(KT_TEXT_REPORTS))
+def test_validate_and_text_report_kodaira_thurston_pinned(sample):
+    kt = str(bundled_path("kodaira-thurston"))
+    code, out, err = run("validate", kt, "--params", sample)
+    assert (code, err) == (0, "")
+    assert out == ("h1: pass\nh2: pass\nh3: pass\nh4: pass\n"
+                   "h5: no  [integrability fails on (e0,e2)]\nintegrable: no\n")
+    code, out, err = run("report", kt, "--params", sample, "--format", "text")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == KT_TEXT_REPORTS[sample]
+
+
 def test_report_with_instantiated_params():
     code, out, _ = run("report", str(bundled_path("kodaira")),
                        "--params", "alpha=1,beta=0,r=1,v=1", "--t", "0")
@@ -276,6 +334,10 @@ def test_usage_mistakes_exit_two():
         (("report", str(bundled_path("kodaira-thurston")),
           "--params", f"r={huge},sigma={huge},x=0,y=0"),
          "r^2 at the sample is beyond the float range of the numeric backend"),
+        (("validate", str(bundled_path("kodaira-thurston")), "--tol", "-1"),
+         "tolerance must be non-negative"),
+        (("validate", str(bundled_path("kodaira-thurston")), "--tol", "nan"),
+         "tolerance must be non-negative"),
     ]
     for argv, message in cases:
         code, _, err = run(*argv)

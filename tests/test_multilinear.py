@@ -13,7 +13,7 @@ from ghl.multilinear import (FrameError, KForm, MultiTensor, basis_vector,
                              complex_trace_form, derivation_action, dot,
                              gram_schmidt_unitary, istd, mat_vec, mat_zero,
                              wedge)
-from ghl.scalars import FractionDomain, NumericDomain, NumericScalar
+from ghl.scalars import FractionDomain, NumericDomain
 
 from reference import (complex_trace_sym, form_action, form_basis,
                        form_evaluate, from_bilinear, interior_product,
@@ -295,7 +295,7 @@ NUM = NumericDomain(tol=1e-9)
 
 
 def nmat(rows):
-    return [[NumericScalar(float(x)) for x in row] for row in rows]
+    return [[float(x) for x in row] for row in rows]
 
 
 def test_gs_identity_returns_standard_basis():
@@ -305,19 +305,19 @@ def test_gs_identity_returns_standard_basis():
     frame = gram_schmidt_unitary(G, J, NUM)
     for i in range(n):
         for j in range(n):
-            assert abs(frame[i][j].value - (1.0 if i == j else 0.0)) < 1e-12
+            assert abs(frame[i][j] - (1.0 if i == j else 0.0)) < 1e-12
 
 
 def _check_frame(G, J, frame, n):
     def ip(u, v):
-        return dot(u, mat_vec(G, v)).value
+        return dot(u, mat_vec(G, v))
     for a in range(n):
         for b in range(n):
             assert abs(ip(frame[a], frame[b]) - (1.0 if a == b else 0.0)) < 1e-9
     for k in range(n // 2):
         jw = mat_vec(J, frame[2 * k])
         for c in range(n):
-            assert abs(jw[c].value - frame[2 * k + 1][c].value) < 1e-9
+            assert abs(jw[c] - frame[2 * k + 1][c]) < 1e-9
 
 
 def test_gs_kodaira_thurston_sample():
@@ -330,14 +330,13 @@ def test_gs_kodaira_thurston_sample():
 def test_gs_twenty_random_pd_j_compatible():
     rng = random.Random(20260810)
     J = nmat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    Jf = [[x.value for x in row] for row in J]
     for _ in range(20):
         B = [[rng.uniform(-1, 1) + (2.5 if i == j else 0) for j in range(4)]
              for i in range(4)]
         # G0 = B^T B is PD; average with J^T G0 J to enforce J-compatibility
         G0 = [[sum(B[k][i] * B[k][j] for k in range(4)) for j in range(4)]
               for i in range(4)]
-        JG = [[sum(Jf[k][i] * sum(G0[k][l] * Jf[l][j] for l in range(4))
+        JG = [[sum(J[k][i] * sum(G0[k][l] * J[l][j] for l in range(4))
                    for k in range(4)) for j in range(4)] for i in range(4)]
         G = nmat([[0.5 * (G0[i][j] + JG[i][j]) for j in range(4)] for i in range(4)])
         frame = gram_schmidt_unitary(G, J, NUM)

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import ghl.scalars
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
-                         NumericScalar, PoleError, Polynomial,
-                         RationalFunction, _content, _heuristic_reduce,
-                         get_degree_cap, set_degree_cap)
+                         NumericDomain, PoleError, Polynomial,
+                         RationalFunction, UsageError, _content,
+                         _heuristic_reduce, get_degree_cap, set_degree_cap)
 
 
 def P(name):
@@ -336,23 +336,29 @@ def test_content_is_exact_after_a_unit_prefix():
 
 
 def test_numeric_scalar_basics():
-    x = NumericScalar(2.0)
-    assert x.sqrt().eq(NumericScalar(2.0 ** 0.5))
-    assert (x - x).is_zero()
-    assert x.eq(NumericScalar(2.0 + 1e-12))
-    assert not x.eq(NumericScalar(2.1))
+    num = NumericDomain()
+    x = 2.0
+    assert num.eq(num.sqrt(x), 2.0 ** 0.5)
+    assert num.is_zero(x - x)
+    assert num.eq(x, 2.0 + 1e-12)
+    assert not num.eq(x, 2.1)
     with pytest.raises(ValueError):
-        NumericScalar(float("nan"))
-    with pytest.raises(ValueError):
-        NumericScalar(float("inf"))
-    with pytest.raises(ValueError):
-        NumericScalar(1.0, tol=-1.0)
+        num.sqrt(-1.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for check in (num.is_zero, num.text, num.sqrt,
+                      lambda v: num.eq(v, 1.0), lambda v: num.eq(1.0, v)):
+            with pytest.raises(ValueError, match="finite"):
+                check(bad)
+    for bad_tol in (-1.0, float("nan")):
+        with pytest.raises(UsageError):
+            NumericDomain(tol=bad_tol)
 
 
 def test_numeric_comparison_is_relative_hybrid():
-    big = NumericScalar(1e12)
-    assert big.eq(NumericScalar(1e12 * (1 + 1e-10)))
-    assert not big.eq(NumericScalar(1e12 * (1 + 1e-6)))
+    num = NumericDomain()
+    big = 1e12
+    assert num.eq(big, 1e12 * (1 + 1e-10))
+    assert not num.eq(big, 1e12 * (1 + 1e-6))
 
 
 def test_exact_domain_rejects_sqrt_and_undeclared():
