@@ -659,9 +659,9 @@ def covariant_derivative(spec: BracketSpec, Q: MultiTensor, C: list,
     n2 = 2 * spec.m
     T = Q
     for _ in range(order):
-        out = MultiTensor(n2, T.rank + 1, T.has_endo, dom.zero())
+        out = MultiTensor(n2, T.rank + 1, T.has_endo, T._zero)
         for x in range(n2):
-            U = derivation_action(mat_scale(-dom.one(), C[x]), T, dom)
+            U = derivation_action([[-a for a in row] for row in C[x]], T, dom)
             for key, val in U.comp.items():
                 out.set((x,) + key, val, dom)
         T = out
@@ -687,6 +687,24 @@ def _tower(spec: BracketSpec, T: MultiTensor):
     while True:
         yield T
         T = covariant_derivative(spec, T, spec.S, 1)
+
+
+def _int_tower(spec: BracketSpec, T: MultiTensor):
+    """`_tower` of a Fraction tensor as (den, D^kT * den) with integer
+    components and gcd(den, components) = 1.  Each step differentiates with
+    S scaled to integers by its common denominator dS, so no Fraction is
+    built per entry or product."""
+    dS = math.lcm(*(a.denominator for M in spec.S for row in M for a in row))
+    S = [[[a.numerator * (dS // a.denominator) for a in row] for row in M] for M in spec.S]
+    den = math.lcm(*(c.denominator for c in T.comp.values()))
+    comp = {k: c.numerator * (den // c.denominator) for k, c in T.comp.items()}
+    T = MultiTensor(T.n, T.rank, T.has_endo, 0, comp)
+    while True:
+        yield den, T
+        T = covariant_derivative(spec, T, S, 1)
+        g = math.gcd(den * dS, *T.comp.values())
+        den = den * dS // g
+        T.comp = {k: c // g for k, c in T.comp.items()}
 
 
 @dataclass
@@ -817,15 +835,15 @@ def _constant_spec(spec: BracketSpec, what: str) -> BracketSpec:
     return spec if isinstance(spec.domain, FractionDomain) else spec.instantiate({})
 
 
-def _add_index_action(rows: dict, basis: list, T: MultiTensor, first: int = 0) -> None:
-    """rows[key][first + col] = derivation_action(basis[col], T).comp[key]
-    for skew Fraction matrices with entries in {0, 1, -1} and a T over
-    Fractions.  A skew B acts on the End slot's row and column indices as on
+def _add_index_action(rows: dict, basis: list, T: MultiTensor, first: int = 0,
+                      scale: int = 1) -> None:
+    """rows[key][first + col] = scale * derivation_action(basis[col], T).comp[key]
+    for skew matrices with entries in {0, 1, -1} and a T with integer
+    components.  A skew B acts on the End slot's row and column indices as on
     covariant ones, and an entry B[i][r] = s adds -s times each stored
-    component at its key with one i relabelled to r: no products.  The terms
-    are summed as integers over a common denominator."""
-    den = math.lcm(*(c.denominator for c in T.comp.values()))
-    comp = [(key, c.numerator * (den // c.denominator)) for key, c in T.comp.items()]
+    component at its key with one i relabelled to r: no products, and the
+    rows hold integers."""
+    comp = [(key, c * scale) for key, c in T.comp.items()]
     for col, B in enumerate(basis):
         moves = {}                  # i -> [(r, B[i][r])] over the nonzero entries
         for i, r in itertools.product(range(T.n), repeat=2):
@@ -839,7 +857,7 @@ def _add_index_action(rows: dict, basis: list, T: MultiTensor, first: int = 0) -
                     acc[nk] = acc.get(nk, 0) - s * c
         for key, x in acc.items():
             if x:
-                rows.setdefault(key, {})[first + col] = Fraction(x, den)
+                rows.setdefault(key, {})[first + col] = x
 
 
 @dataclass
@@ -858,19 +876,19 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     U = unitary_basis(m, dom)
     span = _Echelon(len(U), dom)
 
-    def add_rows(tensor):
-        """Rows of B . tensor = 0 in the u(m) coordinates of B."""
+    def add_rows(pair):
+        """Rows of B . T = 0 in the u(m) coordinates of B, for (den, T): times den."""
         rows = {}
-        _add_index_action(rows, U, tensor)
+        _add_index_action(rows, U, pair[1])
         for key in sorted(rows):
             span.add(rows[key])
 
-    J = _tower(spec, MultiTensor.from_endo(spec.I, dom))
+    J = _int_tower(spec, MultiTensor.from_endo(spec.I, dom))
     next(J)                                 # u(m) fixes J itself
     add_rows(next(J))
     dims = []
     # order k annihilates D^0Rm..D^kRm and D^1J..D^{k+2}J
-    for k, (Jk2, Rmk) in enumerate(zip(J, _tower(spec, _rm_tensor(spec, spec.Rm)))):
+    for k, (Jk2, Rmk) in enumerate(zip(J, _int_tower(spec, _rm_tensor(spec, spec.Rm)))):
         add_rows(Rmk)
         add_rows(Jk2)
         dims.append(len(U) - len(span.pivots))
@@ -901,18 +919,20 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     nA = len(SO)
     span = _Echelon(n2 + nA, dom)
 
-    def add_rows(Tk: MultiTensor, Tk1: MultiTensor):
-        """Rows of v . Tk1 + A . Tk = 0 in the unknowns (v, A-coords)."""
+    def add_rows(Tk, Tk1):
+        """Rows of v . Tk1 + A . Tk = 0 in (v, A-coords), over the lcm of the dens."""
+        (d0, T0), (d1, T1) = Tk, Tk1
+        d = math.lcm(d0, d1)
         rows = {}
-        for key, x in Tk1.comp.items():
-            rows.setdefault(key[1:], {})[key[0]] = x
-        _add_index_action(rows, SO, Tk, n2)
+        for key, x in T1.comp.items():
+            rows.setdefault(key[1:], {})[key[0]] = x * (d // d1)
+        _add_index_action(rows, SO, T0, n2, d // d0)
         for key in sorted(rows):
             span.add(rows[key])
 
     dims: list[int] = []
-    pairs = zip(itertools.pairwise(_tower(fspec, MultiTensor.from_endo(fspec.I, dom))),
-                itertools.pairwise(_tower(fspec, _rm_tensor(fspec, fspec.Rm))))
+    pairs = zip(itertools.pairwise(_int_tower(fspec, MultiTensor.from_endo(fspec.I, dom))),
+                itertools.pairwise(_int_tower(fspec, _rm_tensor(fspec, fspec.Rm))))
     for k, ((Jk, Jk1), (Rmk, Rmk1)) in enumerate(pairs):
         add_rows(Jk, Jk1)
         add_rows(Rmk, Rmk1)

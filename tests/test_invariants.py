@@ -4,6 +4,8 @@ Nomizu bracket."""
 
 import hashlib
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -386,11 +388,34 @@ def test_killing_self_checks_fire(kodaira):
 # ---------------------------------------------------------------------------
 
 
-def _tensors(spec):
-    """J, DJ, D^2J, Rm and D Rm of a spec over Fractions."""
-    J = geo._tower(spec, MultiTensor.from_endo(spec.I, spec.domain))
-    Rm = geo._tower(spec, geo._rm_tensor(spec, spec.Rm))
-    return list(itertools.islice(J, 3)) + list(itertools.islice(Rm, 2))
+def _fraction_specs(iwasawa, kodaira, abelian2, sphere):
+    """Constant specs over Fractions, with unit and non-unit denominators."""
+    specs = [iwasawa.spec.instantiate({"alpha": 1}),
+             iwasawa.spec.instantiate({"alpha": Fraction(2, 3)}),
+             kodaira.spec.instantiate({"alpha": 1, "beta": 0, "r": 1, "v": 1}),
+             kodaira.spec.instantiate({"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5}),
+             abelian2.spec.instantiate({}), sphere.spec.instantiate({})]
+    specs += random_two_step_specs(3)
+    return specs + [geo.rescale(specs[3], c) for c in (2, Fraction(1, 2))]
+
+
+def _start_tensors(spec):
+    return MultiTensor.from_endo(spec.I, spec.domain), geo._rm_tensor(spec, spec.Rm)
+
+
+def test_integer_tower_equals_fraction_tower(iwasawa, kodaira, abelian2, sphere):
+    """(den, D^kT * den) from `_int_tower` is `_tower`'s D^kT entry for entry,
+    in lowest terms, for J and Rm up to order 3."""
+    for spec in _fraction_specs(iwasawa, kodaira, abelian2, sphere):
+        for T in _start_tensors(spec):
+            pairs = zip(geo._tower(spec, T), geo._int_tower(spec, T))
+            for k, (ref, (den, got)) in enumerate(itertools.islice(pairs, 4)):
+                where = (spec.name, T.rank, k)
+                assert got.comp.keys() == ref.comp.keys(), where
+                assert all(type(x) is int for x in got.comp.values()), where
+                assert all(Fraction(x, den) == ref.comp[key]
+                           for key, x in got.comp.items()), where
+                assert math.gcd(den, *got.comp.values()) == 1, where
 
 
 def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, sphere):
@@ -401,17 +426,99 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
     for spec in specs:
         dom = spec.domain
         bases = (geo.unitary_basis(spec.m, dom), geo.so_basis(2 * spec.m, dom))
-        for T, basis in itertools.product(_tensors(spec), bases):
+        # J, DJ, D^2J, Rm and D Rm, each over Fractions and as (den, integers)
+        tensors = []
+        for T, count in zip(_start_tensors(spec), (3, 2)):
+            pairs = zip(geo._tower(spec, T), geo._int_tower(spec, T))
+            tensors += itertools.islice(pairs, count)
+        for (T, (den, Ti)), basis in itertools.product(tensors, bases):
             expected = {}
             for col, B in enumerate(basis):
                 for key, x in derivation_action(B, T, dom).comp.items():
                     expected.setdefault(key, {})[col] = x
             rows = {}
-            geo._add_index_action(rows, basis, T)
-            assert rows == expected, (spec.name, T.rank, T.has_endo)
+            geo._add_index_action(rows, basis, Ti)
+            assert all(type(x) is int for r in rows.values() for x in r.values())
+            got = {k: {c: Fraction(x, den) for c, x in r.items()} for k, r in rows.items()}
+            assert got == expected, (spec.name, T.rank, T.has_endo)
             shifted = {}
-            geo._add_index_action(shifted, basis, T, 5)
-            assert shifted == {k: {c + 5: x for c, x in r.items()} for k, r in rows.items()}
+            geo._add_index_action(shifted, basis, Ti, 5, 3)
+            assert shifted == {k: {c + 5: 3 * x for c, x in r.items()} for k, r in rows.items()}
+
+
+def test_singer_and_killing_feed_integers_to_derivation_action(iwasawa, kodaira, monkeypatch):
+    """The tower under Singer and Killing builds no Fraction per entry: every
+    component and matrix entry reaching derivation_action is an int."""
+    seen = []
+    action = geo.derivation_action
+
+    def recording(A, T, dom):
+        seen.append(all(type(x) is int for row in A for x in row)
+                    and all(type(x) is int for x in T.comp.values()))
+        return action(A, T, dom)
+
+    specs = [iwasawa.spec.instantiate({"alpha": 1}),
+             kodaira.spec.instantiate({"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5})]
+    for spec in specs:
+        spec.Rm                                     # build the spec's own data first
+    monkeypatch.setattr(geo, "derivation_action", recording)
+    for spec in specs:
+        geo.singer_invariant(spec)
+        geo.killing_generators(spec)
+    assert len(seen) > 50 and all(seen)
+
+
+def _nilpotent(seed, m, kind):
+    """A constant two-step nilpotent bracket with the last complex line Z
+    central, as perfbench/gen.py draws them: "abelian" is J-invariant
+    (mu(IX, IY) = mu(X, Y)), "holomorphic" complex bilinear (m >= 3) and
+    "generic" a random real bracket into the last real line."""
+    rng = random.Random(seed)
+    n2 = 2 * m
+    vdim, zs = (n2 - 1, [n2 - 1]) if kind == "generic" else (n2 - 2, [n2 - 2, n2 - 1])
+    mu = {}
+
+    def put(a, b, c, x):
+        if a > b:
+            a, b, x = b, a, -x
+        mu.setdefault((a, b), [Fraction(0)] * n2)[c] += x
+
+    coeffs = [Fraction(v) for v in ("1", "-1", "2", "-1/2", "3/2", "-3")]
+    if kind == "holomorphic":
+        for j, k in itertools.combinations(range(m - 1), 2):
+            x, y = rng.choice(coeffs), rng.choice(coeffs)
+            for (a, b), (re, im) in {(2 * j, 2 * k): (x, y), (2 * j + 1, 2 * k): (-y, x),
+                                     (2 * j, 2 * k + 1): (-y, x),
+                                     (2 * j + 1, 2 * k + 1): (-x, -y)}.items():
+                put(a, b, n2 - 2, re)
+                put(a, b, n2 - 1, im)
+    else:
+        slots = [(a, b, c) for a, b in itertools.combinations(range(vdim), 2) for c in zs]
+        for a, b, c in rng.sample(slots, min(3, len(slots))):
+            x = rng.choice(coeffs)
+            put(a, b, c, x)
+            if kind == "abelian":               # add mu(I., I.)
+                (ia, sa), (ib, sb) = geo._Ie(a), geo._Ie(b)
+                put(ia, ib, c, sa * sb * x)
+    mu = {k: v for k, v in mu.items() if any(v)}
+    return geo.BracketSpec(0, m, mu, FractionDomain(), f"nil{m}-{kind}-{seed}")
+
+
+def test_killing_dim_is_2m_plus_stable_singer_dim(all_bundled):
+    """dim kill = 2m + j_stable, with j_stable the last Singer dim: the
+    u(m) and the so(2m) + R^{2m} eliminations agree."""
+    points = [("iwasawa", {"alpha": 1}), ("kodaira", {"alpha": 1, "beta": 0, "r": 1, "v": 1}),
+              ("abelian2", None), ("sphere", None), ("iwasawa", {"alpha": 2}),
+              ("kodaira", {"alpha": 2, "beta": 1, "r": 3, "v": 2})]
+    specs = [all_bundled[name].spec if params is None
+             else all_bundled[name].spec.instantiate(params) for name, params in points]
+    specs += random_two_step_specs(6, seed=11)
+    specs += [_nilpotent(seed, m, kind) for seed, m, kind in
+              [(1, 2, "abelian"), (2, 2, "generic"), (3, 3, "abelian"), (4, 3, "holomorphic")]]
+    for spec in specs:
+        assert geo.validate(spec).ok, spec.name
+        j_stable = geo.singer_invariant(spec).dims[-1]
+        assert geo.killing_generators(spec).dim == 2 * spec.m + j_stable, spec.name
 
 
 def _exact_two_step_spec():
