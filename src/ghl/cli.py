@@ -146,8 +146,19 @@ def cmd_check(args) -> int:
     return SEMANTIC_ERROR
 
 
+def _validation_failed(loaded) -> bool:
+    """Name each failed condition on stderr; True if there is one."""
+    for c in loaded.report.conditions:
+        if not c.passed and c.name != "h5":
+            print(f"validation failed: {c.name}" + (f"  [{c.witness}]" if c.witness else ""),
+                  file=sys.stderr)
+    return not loaded.report.ok
+
+
 def cmd_singer(args) -> int:
     loaded = _load(args.file, args.params, args.tol)
+    if _validation_failed(loaded):
+        return SEMANTIC_ERROR
     res = geo.singer_invariant(loaded.spec, kmax=args.kmax)
     print("j-dims:", " ".join(str(d) for d in res.dims))
     print(f"k_Jg = {res.k_jg}")
@@ -156,6 +167,8 @@ def cmd_singer(args) -> int:
 
 def cmd_killing(args) -> int:
     loaded = _load(args.file, args.params, args.tol)
+    if _validation_failed(loaded):
+        return SEMANTIC_ERROR
     res = geo.killing_generators(loaded.spec)
     print(f"dim kill = {res.dim}")
     print(f"orders used = {res.orders_used}")

@@ -288,14 +288,19 @@ class _Echelon:
     """Reduced row echelon form of the rows added so far, over a scalar domain.
 
     `pivots` maps each pivot column to its kept row, a sparse {column: entry}
-    dict with entry 1 at the pivot and no entry in any other pivot column.
-    The RREF of a row space is unique, so `nullspace()` does not depend on
-    the order or batching of the rows."""
+    dict with no entry in any other pivot column.  Rows of domain scalars are
+    kept with entry 1 at the pivot.  Rows of Python ints, as Singer's and
+    Killing's are, are reduced fraction-free (in the spirit of Bareiss) and
+    kept up to a positive scale: primitive, with a positive pivot entry, so
+    no Fraction is made until `nullspace()`.  The first nonzero row decides
+    which kind an echelon takes.  The RREF of a row space is unique, so
+    `nullspace()` does not depend on the order or batching of the rows."""
 
     def __init__(self, ncols: int, dom):
         self.ncols = ncols
         self.dom = dom
         self.pivots: dict[int, dict] = {}
+        self.integral: bool | None = None
 
     def add(self, row) -> bool:
         """Reduce `row` against the form; keep it iff it is not in the span.
@@ -306,16 +311,26 @@ class _Echelon:
         dom = self.dom
         r = (dict(row) if isinstance(row, dict)
              else {c: x for c, x in enumerate(row) if not dom.is_zero(x)})
+        if self.integral is None and r:
+            self.integral = all(isinstance(x, int) for x in r.values())
+        eliminate = self._eliminate_int if self.integral else self._eliminate
         # reducing by one kept row adds no entry in another pivot column
         for p in [c for c in r if c in self.pivots]:
-            self._eliminate(r, p, self.pivots[p])
+            eliminate(r, p, self.pivots[p])
         if not r:
             return False
         p = min(r)
-        inv = dom.one() / r[p]
-        r = {c: inv * x for c, x in r.items()}
+        if self.integral:
+            g = math.gcd(*r.values())
+            if r[p] < 0:
+                g = -g
+            if g != 1:
+                r = {c: x // g for c, x in r.items()}
+        else:
+            inv = dom.one() / r[p]
+            r = {c: inv * x for c, x in r.items()}
         for prow in self.pivots.values():
-            self._eliminate(prow, p, r)
+            eliminate(prow, p, r)
         self.pivots[p] = r
         return True
 
@@ -333,8 +348,36 @@ class _Echelon:
                 else:
                     row[c] = v
 
+    @staticmethod
+    def _eliminate_int(row: dict, p: int, prow: dict) -> None:
+        """row <- a*row - f*prow over the integers, where prow has pivot p and
+        a = prow[p] > 0, f = row[p] are first divided by their gcd; then the
+        content of row is divided out.  Entries in columns prow does not hold
+        keep their sign, so a kept row's pivot entry stays positive."""
+        f = row.pop(p, None)
+        if f is None:
+            return
+        a = prow[p]
+        g = math.gcd(a, f)
+        a, f = a // g, f // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
+        for c, x in prow.items():
+            if c != p:
+                v = row.get(c, 0) - f * x
+                if v:
+                    row[c] = v
+                else:
+                    row.pop(c, None)
+        g = math.gcd(*row.values())
+        if g > 1:
+            for c in row:
+                row[c] //= g
+
     def nullspace(self) -> list[list]:
-        """The canonical basis: one vector per free column f, with 1 at f."""
+        """The canonical basis: one vector per free column f, with 1 at f.
+        Integer rows make their Fractions here, one per entry read."""
         dom = self.dom
         basis = []
         for f in range(self.ncols):
@@ -344,7 +387,8 @@ class _Echelon:
             v[f] = dom.one()
             for p, prow in self.pivots.items():
                 if f in prow:
-                    v[p] = -prow[f]
+                    v[p] = (-dom.from_fraction(Fraction(prow[f], prow[p])) if self.integral
+                            else -prow[f])
             basis.append(v)
         return basis
 

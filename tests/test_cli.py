@@ -146,6 +146,41 @@ def test_killing_cli_requires_instantiation():
     assert "dim kill = 10" in out
 
 
+@pytest.mark.parametrize("verb", ["singer", "killing"])
+@pytest.mark.parametrize("fixture, condition, witness", [
+    ("broken-h2", "h2", "not skew on (e1,e1)"),
+    ("broken-jacobi", "h1", "Jacobi fails on (e0,e1,e2)"),
+])
+def test_singer_and_killing_exit_one_on_failed_validation(verb, fixture, condition, witness):
+    """A bracket that fails h1-h4 is a validation failure (exit 1), named on
+    stderr, and no invariant is printed."""
+    code, out, err = run(verb, str(TEST_DATA / f"{fixture}.ghl"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"validation failed: {condition}") and witness in err
+
+
+_KILLING_OK = "closure under Nomizu bracket: ok\nv-components span the tangent space: ok\n"
+
+
+@pytest.mark.parametrize("name, params, singer, killing", [
+    ("iwasawa", "alpha=1", "4 4", "10\norders used = 3"),
+    ("kodaira", "alpha=1,beta=0,r=1,v=1", "1 1", "5\norders used = 2"),
+    ("abelian2", "", "4 4", "8\norders used = 2"),
+    ("sphere", "", "1 1", "3\norders used = 2"),
+])
+def test_singer_and_killing_stdout_pinned(name, params, singer, killing):
+    args = [str(bundled_path(name))] + (["--params", params] if params else [])
+    assert run("singer", *args) == (0, f"j-dims: {singer}\nk_Jg = 0\n", "")
+    assert run("killing", *args) == (0, f"dim kill = {killing}\n{_KILLING_OK}", "")
+
+
+@pytest.mark.parametrize("verb", ["singer", "killing"])
+def test_singer_and_killing_without_params_exit_two(verb):
+    code, out, err = run(verb, str(bundled_path("iwasawa")))
+    assert (code, out) == (2, "")
+    assert "instantiated to rationals" in err
+
+
 def test_sweep_kodaira_t_grid(tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = run("sweep", str(bundled_path("kodaira")),

@@ -6,10 +6,12 @@ independent oracles (Koszul, wedge-equation, formula re-evaluation) never
 share code paths with the operations they check."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghl import geometry as geo
 from ghl.fileio import load_ghl
@@ -169,6 +171,51 @@ def test_echelon_matches_sympy_nullspace():
         assert len(span.pivots) == M.rank()
         want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in M.nullspace()]
         assert span.nullspace() == want, rows
+
+
+@st.composite
+def _int_matrices(draw):
+    """(ncols, rows): small integer rows with dependent, duplicate and zero
+    rows among them, in a drawn order."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 12])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    if rows:
+        # a*r + b*s: a duplicate (b = 0), a zero row (a = b = 0) or a combination
+        mix = st.tuples(st.sampled_from(rows), st.sampled_from(rows),
+                        st.integers(-3, 3), st.integers(-3, 3))
+        for r, s, a, b in draw(st.lists(mix, max_size=3)):
+            rows.append([a * x + b * y for x, y in zip(r, s)])
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_int_matrices())
+def test_integer_echelon_matches_fraction_echelon_and_sympy(case):
+    """Differential test: integer dict rows, as Singer and Killing hand them
+    over, give the pivots and canonical null space of the same rows as
+    Fractions and of SymPy's rref, and every kept integer row is primitive
+    with a positive pivot entry and is its RREF row up to that scale."""
+    sympy = pytest.importorskip("sympy")
+    ncols, rows = case
+    dom = FractionDomain()
+    ints, fracs = geo._Echelon(ncols, dom), geo._Echelon(ncols, dom)
+    for row in rows:
+        kept = ints.add({c: x for c, x in enumerate(row) if x})
+        assert kept == fracs.add([Fraction(x) for x in row])
+    assert ints.integral is not False and not fracs.integral
+    M = sympy.Matrix(len(rows), ncols, [x for row in rows for x in row])
+    R, piv = M.rref()
+    assert sorted(ints.pivots) == sorted(fracs.pivots) == list(piv)
+    want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in M.nullspace()]
+    assert ints.nullspace() == fracs.nullspace() == want
+    for i, p in enumerate(piv):
+        rref = {c: Fraction(int(x.p), int(x.q)) for c, x in enumerate(R.row(i)) if x}
+        assert fracs.pivots[p] == rref
+        row = ints.pivots[p]
+        assert all(type(x) is int for x in row.values())
+        assert row[p] > 0 and math.gcd(*row.values()) == 1
+        assert {c: Fraction(x, row[p]) for c, x in row.items()} == rref
 
 
 def test_echelon_symbolic_matches_sympy():

@@ -592,6 +592,31 @@ def test_singer_and_killing_rows_hold_no_zero_entry(all_bundled, monkeypatch):
     assert len(dict_rows) > 100
 
 
+def test_singer_and_killing_spans_hold_only_ints(all_bundled, monkeypatch):
+    """The echelons that take Singer's and Killing's rows eliminate without
+    a Fraction: every kept row holds ints, primitive with a positive pivot."""
+    spans = []
+    add = geo._Echelon.add
+
+    def recording(self, row):
+        if isinstance(row, dict) and self not in spans:
+            spans.append(self)
+        return add(self, row)
+
+    monkeypatch.setattr(geo._Echelon, "add", recording)
+    for name, params in [("iwasawa", {"alpha": 1}),
+                         ("kodaira", {"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5})]:
+        spec = all_bundled[name].spec.instantiate(params)
+        geo.singer_invariant(spec)
+        geo.killing_generators(spec)
+    assert len(spans) == 4
+    for span in spans:
+        assert span.integral and span.pivots
+        for p, row in span.pivots.items():
+            assert all(type(x) is int for x in row.values())
+            assert row[p] > 0 and math.gcd(*row.values()) == 1
+
+
 def test_explicit_kmax_too_small_is_a_usage_error(sphere):
     with pytest.raises(UsageError, match="kmax=0"):
         geo.singer_invariant(sphere.spec, kmax=0)
