@@ -16,7 +16,6 @@ from .geometry import (AuditReport, BracketSpec, DerivativeTuple,
                        singer_invariant, symbolic_t, torsion_ingredients,
                        validate)
 from .fileio import (GhlFormatError, LoadedSpec, build_report, bundled_path,
-                     compare_reports, load_algebra, load_frame_metric,
-                     load_ghl, serialize_report)
+                     compare_reports, load_ghl, serialize_report)
 
 __version__ = "0.1.0"

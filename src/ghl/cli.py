@@ -30,8 +30,8 @@ from .exprparse import ExprSyntaxError, UndeclaredParameterError
 from .fileio import (GhlFormatError, build_report, compare_reports, load_ghl,
                      parse_assignments, serialize_report)
 from .multilinear import FrameError, basis_vector
-from .scalars import (DEFAULT_TOLERANCE, DegreeGuardError, PoleError,
-                      RationalFunction, UsageError, _degree_cap, set_degree_cap)
+from .scalars import (DEFAULT_TOLERANCE, DegreeGuardError, PoleError, UsageError,
+                      _degree_cap, set_degree_cap)
 
 SEMANTIC_ERROR = 1
 USAGE_ERROR = 2
@@ -44,17 +44,6 @@ def _common(parser):
     parser.add_argument("--max-degree", type=int, default=None)
 
 
-def _load(path: str, params: str, tol: float):
-    sample = parse_assignments(params) if params else None
-    loaded = load_ghl(path, sample=sample, tol=tol)
-    if loaded.kind == "algebra" and sample:
-        spec = loaded.spec.instantiate(sample)
-        loaded.spec = spec
-        loaded.report = geo.validate(spec)
-        loaded.sample = sample
-    return loaded
-
-
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -62,20 +51,15 @@ def _rational(text: str) -> Fraction:
         raise UsageError(f"bad rational literal {text!r}: {exc}") from None
 
 
-def _parse_t(text: str | None, loaded):
-    dom = loaded.spec.domain
+def _parse_t(text: str | None, dom):
+    """--t as (value, label); (None, None) keeps build_report's default t."""
     if text is None or text == "symbolic":
-        if dom.backend == "numeric":
-            return dom.one(), "1"
-        return geo.symbolic_t(), "symbolic"
-    frac = _rational(text)
-    if dom.backend == "numeric":
-        return dom.from_fraction(frac), text
-    return RationalFunction.const(frac), text
+        return None, None
+    return dom.from_fraction(_rational(text)), text
 
 
 def cmd_validate(args) -> int:
-    loaded = _load(args.file, args.params, args.tol)
+    loaded = load_ghl(args.file, args.params, args.tol)
     rep = loaded.report
     for c in rep.conditions:
         status = "pass" if c.passed else ("no" if c.name == "h5" else "FAIL")
@@ -88,9 +72,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    loaded = _load(args.file, args.params, args.tol)
-    t, label = _parse_t(args.t, loaded)
-    report = build_report(loaded, t, t_label=label)
+    loaded = load_ghl(args.file, args.params, args.tol)
+    report = build_report(loaded, *_parse_t(args.t, loaded.spec.domain))
     text = serialize_report(report)
     if args.format == "text":
         buf = io.StringIO()
@@ -132,9 +115,8 @@ def _print_text_report(report: dict, out) -> None:
 
 
 def cmd_check(args) -> int:
-    loaded = _load(args.file, args.params, args.tol)
-    t, label = _parse_t(args.t, loaded)
-    actual = build_report(loaded, t, t_label=label)
+    loaded = load_ghl(args.file, args.params, args.tol)
+    actual = build_report(loaded, *_parse_t(args.t, loaded.spec.domain))
     expected = json.loads(Path(args.expected).read_text(encoding="utf-8"))
     diffs = compare_reports(actual, expected, tol=args.tol)
     if not diffs:
@@ -156,7 +138,7 @@ def _validation_failed(loaded) -> bool:
 
 
 def cmd_singer(args) -> int:
-    loaded = _load(args.file, args.params, args.tol)
+    loaded = load_ghl(args.file, args.params, args.tol)
     if _validation_failed(loaded):
         return SEMANTIC_ERROR
     res = geo.singer_invariant(loaded.spec, kmax=args.kmax)
@@ -166,7 +148,7 @@ def cmd_singer(args) -> int:
 
 
 def cmd_killing(args) -> int:
-    loaded = _load(args.file, args.params, args.tol)
+    loaded = load_ghl(args.file, args.params, args.tol)
     if _validation_failed(loaded):
         return SEMANTIC_ERROR
     res = geo.killing_generators(loaded.spec)
@@ -209,28 +191,21 @@ def _grid_points(text: str):
 
 
 def cmd_sweep(args) -> int:
-    fixed = parse_assignments(args.params) if args.params else {}
     rows = []
     names = None
     specs = {}   # one spec per parameter assignment: t does not change it
     for gnames, point in _grid_points(args.grid):
         names = gnames
-        assignment = dict(fixed)
-        tval = None
-        for k, v in point.items():
-            if k == "t":
-                tval = v
-            else:
-                assignment[k] = v
+        assignment = dict(args.params or {})
+        assignment.update((k, v) for k, v in point.items() if k != "t")
         key = tuple(sorted(assignment.items()))
         try:
             if key not in specs:
-                loaded = load_ghl(args.file, sample=assignment or None, tol=args.tol)
-                spec = loaded.spec
-                if loaded.kind == "algebra" and (assignment or spec.params):
-                    spec = spec.instantiate(assignment)   # raises on unassigned parameters
-                specs[key] = spec
-            value = _sweep_value(args, specs[key], tval)
+                loaded = load_ghl(args.file, sample=assignment, tol=args.tol)
+                if _validation_failed(loaded):
+                    return SEMANTIC_ERROR
+                specs[key] = loaded.spec
+            value = _sweep_value(args, specs[key], point.get("t"))
         except PoleError:
             value = "pole"
         rows.append([str(point[k]) for k in gnames] + [value])
@@ -251,24 +226,13 @@ def _sweep_value(args, spec, tval) -> str:
     if args.quantity == "scal":
         if tval is None:
             tval = _rational(args.t) if args.t not in (None, "symbolic") else Fraction(1)
-        t = dom.from_fraction(tval)
-        Om, _ = geo.gauduchon_curvature_torsion(spec, t)
-        _, _, scal = geo.ricci_and_scalar(spec, Om)
-        if dom.backend == "numeric":
-            return dom.text(scal)
-        return str(geo.as_fraction(scal))
+        Om, _ = geo.gauduchon_curvature_torsion(spec, dom.from_fraction(tval))
+        return dom.text(geo.ricci_and_scalar(spec, Om)[2])
     if args.quantity == "sec_max_basis":
-        Rm = spec.Rm
         n2 = 2 * spec.m
-        best = None
-        for a in range(n2):
-            for b in range(a + 1, n2):
-                X = basis_vector(n2, a, dom)
-                Y = basis_vector(n2, b, dom)
-                v = geo.sectional_curvature(spec, Rm, X, Y)
-                fv = v if dom.backend == "numeric" else geo.as_fraction(v)
-                best = fv if best is None else max(best, fv)
-        return dom.text(best) if dom.backend == "numeric" else str(best)
+        e = [basis_vector(n2, a, dom) for a in range(n2)]
+        return dom.text(max(geo.sectional_curvature(spec, spec.Rm, e[a], e[b])
+                            for a in range(n2) for b in range(a + 1, n2)))
     if args.quantity == "singer_k":
         res = geo.singer_invariant(spec)
         return str(res.k_jg)
@@ -333,6 +297,7 @@ def main(argv=None) -> int:
     try:
         if args.max_degree is not None:
             set_degree_cap(args.max_degree)
+        args.params = parse_assignments(args.params) if args.params else None
         return args.fn(args)
     except (UsageError, GhlFormatError, ExprSyntaxError, UndeclaredParameterError,
             FrameError, OSError, json.JSONDecodeError, DegreeGuardError,

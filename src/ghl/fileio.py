@@ -1,5 +1,7 @@
 """On-disk formats: .ghl input files (direct bracket files and frame-metric
-files) and the deterministic JSON report.
+files) and the deterministic JSON report.  `load_ghl(path, sample)` is the one
+way in: it reads either kind once, builds the spec at the parameter point
+`sample` and validates that spec.
 
 Direct bracket file:
 
@@ -47,9 +49,8 @@ from .geometry import BracketSpec, ValidationReport, validate
 from .multilinear import gram_schmidt_unitary, mat_vec, dot
 from .scalars import DEFAULT_TOLERANCE, ExactDomain, NumericDomain, UsageError
 
-__all__ = ["GhlFormatError", "LoadedSpec", "load_ghl", "load_algebra",
-           "load_frame_metric", "serialize_report", "parse_assignments",
-           "compare_reports", "bundled_path"]
+__all__ = ["GhlFormatError", "LoadedSpec", "load_ghl", "serialize_report",
+           "parse_assignments", "compare_reports", "bundled_path"]
 
 REPORT_SCHEMA = 1
 
@@ -58,12 +59,11 @@ class GhlFormatError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoadedSpec:
     spec: BracketSpec
-    report: ValidationReport
-    kind: str                      # "algebra" | "frame"
-    sample: dict | None = None     # assignment used for frame-metric files
+    report: ValidationReport       # validation of `spec` itself
+    sample: dict | None = None     # the parameter point `spec` was built at
 
 
 def _read_sections(path: Path) -> dict[str, list[tuple[str, str]]]:
@@ -114,11 +114,13 @@ def parse_assignments(text: str) -> dict[str, Fraction]:
             continue
         if "=" not in piece:
             raise GhlFormatError(f"bad assignment {piece!r} (expected name=num/den)")
-        k, v = piece.split("=", 1)
+        k, v = (x.strip() for x in piece.split("=", 1))
+        if k in out:
+            raise UsageError(f"parameter {k!r} is assigned twice")
         try:
-            out[k.strip()] = Fraction(v.strip())
+            out[k] = Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
-            raise GhlFormatError(f"bad rational literal {v.strip()!r}: {exc}") from None
+            raise GhlFormatError(f"bad rational literal {v!r}: {exc}") from None
     return out
 
 
@@ -138,28 +140,43 @@ def _parse_bracket_key(key: str, n: int, path) -> tuple[int, int]:
     return a, b
 
 
+def _check_declared(sample: dict, params: tuple[str, ...]) -> None:
+    for name in sample:
+        if name == "t":
+            raise UsageError("'t' is the Gauduchon parameter, not a file parameter; "
+                             "give it with --t")
+        if name not in params:
+            raise UsageError(f"undeclared parameter {name!r}; the file declares: "
+                             f"{', '.join(params) or 'none'}")
+
+
 def load_ghl(path: str | Path, sample: dict | None = None,
              tol: float = DEFAULT_TOLERANCE) -> LoadedSpec:
-    """Load either file kind, dispatching on the leading section."""
+    """Spec of a .ghl file at `sample`, validated.  An algebra file stays
+    symbolic when `sample` is None, else it is instantiated there (even at an
+    empty sample) to a FractionDomain spec.  A frame-metric file is evaluated
+    at `sample`, or at its first [samples] entry when `sample` is None or
+    empty.  A sample name the file does not declare is a UsageError."""
     path = Path(path)
     sections = _read_sections(path)
     if "algebra" in sections:
-        return load_algebra(path)
-    if "frame" in sections:
-        return load_frame_metric(path, sample=sample, tol=tol)
-    raise GhlFormatError(f"{path}: expected an [algebra] or [frame] section")
+        spec = _algebra_spec(path, sections)
+        if sample is not None:
+            _check_declared(sample, spec.params)
+            spec = spec.instantiate(sample)
+    elif "frame" in sections:
+        spec, sample = _frame_spec(path, sections, sample, tol)
+    else:
+        raise GhlFormatError(f"{path}: expected an [algebra] or [frame] section")
+    return LoadedSpec(spec, validate(spec), None if sample is None else dict(sample))
 
 
-def load_algebra(path: str | Path) -> LoadedSpec:
-    path = Path(path)
-    sections = _read_sections(path)
-    if "algebra" not in sections:
-        raise GhlFormatError(f"{path}: missing [algebra] section")
+def _algebra_spec(path: Path, sections: dict) -> BracketSpec:
     head = _section_dict(sections["algebra"], path, "algebra")
     try:
         q = int(head["q"])
         m = int(head["m"])
-    except KeyError as exc:
+    except KeyError:
         raise GhlFormatError(f"{path}: [algebra] needs q and m") from None
     name = head.get("name", path.stem)
     params = _parse_params(head.get("params", ""))
@@ -173,15 +190,12 @@ def load_algebra(path: str | Path) -> LoadedSpec:
         a, b = _parse_bracket_key(key, n, path)
         node = parse_expression(value)
         mu[(a, b)] = to_linear_combination(node, dom, n)
-    spec = BracketSpec(q, m, mu, dom, name, params)
-    return LoadedSpec(spec, validate(spec), "algebra")
+    return BracketSpec(q, m, mu, dom, name, params)
 
 
-def load_frame_metric(path: str | Path, sample: dict | None = None,
-                      tol: float = DEFAULT_TOLERANCE) -> LoadedSpec:
-    path = Path(path)
-    sections = _read_sections(path)
-    head = _section_dict(sections.get("frame", []), path, "frame")
+def _frame_spec(path: Path, sections: dict, sample: dict | None,
+                tol: float) -> tuple[BracketSpec, dict]:
+    head = _section_dict(sections["frame"], path, "frame")
     try:
         m = int(head["m"])
     except KeyError:
@@ -238,10 +252,11 @@ def load_frame_metric(path: str | Path, sample: dict | None = None,
     samples = {}
     for key, value in sections.get("samples", []):
         samples[key] = parse_assignments(value)
-    if sample is None:
+    if not sample:
         if not samples:
             raise GhlFormatError(f"{path}: frame-metric file needs a [samples] entry")
         sample = samples[sorted(samples)[0]]
+    _check_declared(sample, params)
     missing = [p for p in params if p not in sample]
     if missing:
         raise GhlFormatError(f"{path}: sample misses parameter(s) {', '.join(missing)}")
@@ -287,8 +302,7 @@ def load_frame_metric(path: str | Path, sample: dict | None = None,
             br = lie(frame[a], frame[b])
             vec = [dot(br, mat_vec(G, frame[c])) for c in range(n)]
             mu[(a, b)] = vec
-    spec = BracketSpec(0, m, mu, num, name, ())
-    return LoadedSpec(spec, validate(spec), "frame", sample=dict(sample))
+    return BracketSpec(0, m, mu, num, name, ()), sample
 
 
 # -- reports ---------------------------------------------------------------------

@@ -405,9 +405,6 @@ class RationalFunction:
         other = _as_rf(other)
         return (self.num * other.den - other.num * self.den).is_zero()
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.num.vars) | set(self.den.vars)))
-
     def as_fraction(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from ghl import geometry as geo
-from ghl.fileio import build_report, bundled_path, load_frame_metric, load_ghl, serialize_report
+from ghl.fileio import build_report, bundled_path, load_ghl, serialize_report
 from ghl.multilinear import (MultiTensor, basis_vector, mat_is_zero, mat_vec,
                              mat_zero)
 from ghl.scalars import ExactDomain, RationalFunction
@@ -184,8 +184,8 @@ def _phi_image(pt, c):
 
 
 def _kt_engine_scal(pt, tval) -> float:
-    loaded = load_frame_metric(bundled_path("kodaira-thurston"),
-                               sample=dict(zip(("r", "sigma", "x", "y"), map(Fraction, pt))))
+    loaded = load_ghl(bundled_path("kodaira-thurston"),
+                      sample=dict(zip(("r", "sigma", "x", "y"), map(Fraction, pt))))
     spec = loaded.spec
     Om, _ = geo.gauduchon_curvature_torsion(spec, spec.domain.from_fraction(tval))
     _, _, scal = geo.ricci_and_scalar(spec, Om)
@@ -225,8 +225,8 @@ def test_criterion_4_kt_t_independence(kodaira_thurston, kt_exact):
     # numeric spec at its bundled samples: A and scal agree across t values
     for sample in ({"r": 1, "sigma": 2, "x": 0, "y": 0},
                    {"r": 1, "sigma": 1, "x": 0, "y": Fraction(1, 2)}):
-        loaded = load_frame_metric(bundled_path("kodaira-thurston"),
-                                   sample={k: Fraction(v) for k, v in sample.items()})
+        loaded = load_ghl(bundled_path("kodaira-thurston"),
+                          sample={k: Fraction(v) for k, v in sample.items()})
         spec = loaded.spec
         dom = spec.domain
         vals = []

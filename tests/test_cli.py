@@ -174,6 +174,37 @@ def test_singer_and_killing_stdout_pinned(name, params, singer, killing):
     assert run("killing", *args) == (0, f"dim kill = {killing}\n{_KILLING_OK}", "")
 
 
+@pytest.mark.parametrize("quantity", ["scal", "singer_k"])
+@pytest.mark.parametrize("fixture, condition, witness", [
+    ("broken-h2", "h2", "not skew on (e1,e1)"),
+    ("broken-jacobi", "h1", "Jacobi fails on (e0,e1,e2)"),
+])
+def test_sweep_exit_one_on_failed_validation(quantity, fixture, condition, witness):
+    """sweep refuses a bracket that fails h1-h4 as singer and killing do: no CSV."""
+    code, out, err = run("sweep", str(TEST_DATA / f"{fixture}.ghl"),
+                         "--grid", "t=0:1:2", "--quantity", quantity)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"validation failed: {condition}") and witness in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("singer", "iwasawa", "--params", "alpha=1"),
+    ("report", "kodaira", "--params", "alpha=2,beta=1,r=1/2,v=5", "--t", "1/2"),
+])
+def test_instantiated_load_reads_and_validates_once(monkeypatch, argv):
+    """The file is read once and only the instantiated spec is validated."""
+    from ghl import fileio
+    calls = Counter()
+    for mod, name in ((fileio, "_read_sections"), (fileio, "validate"), (geo, "validate")):
+        def counted(*args, _orig=getattr(mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    verb, name, *rest = argv
+    assert run(verb, str(bundled_path(name)), *rest)[0] == 0
+    assert calls == {"_read_sections": 1, "validate": 1}
+
+
 @pytest.mark.parametrize("verb", ["singer", "killing"])
 def test_singer_and_killing_without_params_exit_two(verb):
     code, out, err = run(verb, str(bundled_path("iwasawa")))
@@ -296,6 +327,29 @@ def test_sweep_kodaira_thurston_pinned(axes, quantity, want):
     assert (code, out, err) == (0, want, "")
 
 
+# sha256 of reports on instantiated specs, recorded while `--t RAT` still
+# reached the engine as a constant RationalFunction rather than a Fraction
+INSTANTIATED_REPORTS = {
+    ("kodaira", "alpha=2,beta=1,r=1/2,v=5", "1/2", "json"):
+        "b90323b98c5e799b4a412078155bb98dc0d56279ff49c0f5f4aecfe5a8280deb",
+    ("iwasawa", "alpha=2/3", "-1", "text"):
+        "0009f4f6b4c88e74732871a2cf275f6df536929432d1f32ac0dd22d96c4290fb",
+}
+
+
+@pytest.mark.parametrize("name, params, t, fmt", sorted(INSTANTIATED_REPORTS))
+def test_instantiated_report_with_rational_t_pinned(name, params, t, fmt):
+    code, out, err = run("report", str(bundled_path(name)), "--params", params,
+                         "--t", t, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == INSTANTIATED_REPORTS[name, params, t, fmt]
+
+
+def test_sweep_abelian_sec_max_basis_pinned():
+    assert run("sweep", str(bundled_path("abelian2")), "--grid", "t=0:1:2",
+               "--quantity", "sec_max_basis") == (0, "t,sec_max_basis\n0,0\n1,0\n", "")
+
+
 # sha256 of `report --format text` at the file's samples s1 and s2
 KT_TEXT_REPORTS = {
     "r=1,sigma=1,x=0,y=1/2": "0781729b7bb6af72f3388db76ef65fb95b29a2b0d1002558c719d5bd7da5f1ed",
@@ -352,6 +406,7 @@ def test_max_degree_scoped_to_one_call_and_validated():
 
 def test_usage_mistakes_exit_two():
     kodaira = str(bundled_path("kodaira"))
+    iwasawa = str(bundled_path("iwasawa"))
     huge = "1" + "0" * 200
     cases = [
         # a t-only grid leaves the file's parameters unassigned
@@ -373,6 +428,17 @@ def test_usage_mistakes_exit_two():
          "tolerance must be non-negative"),
         (("validate", str(bundled_path("kodaira-thurston")), "--tol", "nan"),
          "tolerance must be non-negative"),
+        # a name the file does not declare, or one assigned twice
+        (("sweep", iwasawa, "--grid", "alpah=0:2:3", "--quantity", "scal",
+          "--params", "alpha=1"), "undeclared parameter 'alpah'"),
+        (("singer", iwasawa, "--params", "alpha=1,beta=7"), "undeclared parameter 'beta'"),
+        (("validate", str(bundled_path("kodaira-thurston")),
+          "--params", "r=1,sigma=1,x=0,y=0,z=1"), "undeclared parameter 'z'"),
+        (("singer", iwasawa, "--params", "alpha=1,alpha=0"),
+         "parameter 'alpha' is assigned twice"),
+        (("report", iwasawa, "--params", "t=1"), "give it with --t"),
+        (("sweep", kodaira, "--grid", "t=0:1:2", "--quantity", "scal",
+          "--params", "alpha=1,beta=0,r=1,v=1,t=1"), "give it with --t"),
     ]
     for argv, message in cases:
         code, _, err = run(*argv)

@@ -10,8 +10,8 @@ import pytest
 
 from ghl import geometry as geo
 from ghl.fileio import (GhlFormatError, build_report, bundled_path,
-                        compare_reports, load_frame_metric, load_ghl,
-                        parse_assignments, serialize_report)
+                        compare_reports, load_ghl, parse_assignments,
+                        serialize_report)
 
 from conftest import TEST_DATA
 
@@ -121,6 +121,21 @@ def test_parse_assignments():
         parse_assignments("nonsense")
 
 
+def test_load_ghl_instantiates_algebra_at_sample(iwasawa):
+    """Given a sample, an algebra file loads as a FractionDomain spec at that
+    point, validated there; the symbolic load is not kept."""
+    from ghl.scalars import FractionDomain
+    point = {"alpha": Fraction(2, 3)}
+    loaded = load_ghl(bundled_path("iwasawa"), sample=point)
+    assert isinstance(loaded.spec.domain, FractionDomain)
+    assert loaded.spec.mu_store == iwasawa.spec.instantiate(point).mu_store
+    assert loaded.report == geo.validate(loaded.spec)
+    assert loaded.sample == point
+    assert build_report(loaded)["sample"] == {"alpha": "2/3"}
+    flat = load_ghl(bundled_path("abelian2"), sample={})
+    assert isinstance(flat.spec.domain, FractionDomain) and flat.sample == {}
+
+
 # ---------------------------------------------------------------------------
 # frame-metric loading
 # ---------------------------------------------------------------------------
@@ -139,9 +154,9 @@ def test_frame_metric_kt_default_sample(kodaira_thurston):
 
 
 def test_frame_metric_explicit_sample():
-    loaded = load_frame_metric(bundled_path("kodaira-thurston"),
-                               sample={"r": Fraction(1), "sigma": Fraction(1),
-                                       "x": Fraction(0), "y": Fraction(1, 2)})
+    loaded = load_ghl(bundled_path("kodaira-thurston"),
+                      sample={"r": Fraction(1), "sigma": Fraction(1),
+                              "x": Fraction(0), "y": Fraction(1, 2)})
     assert loaded.report.ok
     assert not loaded.report.integrable
 
@@ -149,9 +164,9 @@ def test_frame_metric_explicit_sample():
 def test_frame_metric_rejects_degenerate_sample():
     from ghl.multilinear import FrameError
     with pytest.raises(FrameError):
-        load_frame_metric(bundled_path("kodaira-thurston"),
-                          sample={"r": Fraction(1), "sigma": Fraction(1),
-                                  "x": Fraction(1), "y": Fraction(1)})
+        load_ghl(bundled_path("kodaira-thurston"),
+                 sample={"r": Fraction(1), "sigma": Fraction(1),
+                         "x": Fraction(1), "y": Fraction(1)})
 
 
 def test_frame_metric_abelian_identity_matches_direct(tmp_path):
@@ -183,7 +198,7 @@ def test_iwasawa_generic_metric_alpha_pattern():
                    {"r": 2, "sigma": 1, "tau": 3, "x": Fraction(1, 2), "y": Fraction(1, 3)},
                    {"r": 1, "sigma": 3, "tau": 2, "x": 1, "y": -1}):
         sample = {k: Fraction(v) for k, v in sample.items()}
-        loaded = load_frame_metric(TEST_DATA / "iwasawa-metric.ghl", sample=sample)
+        loaded = load_ghl(TEST_DATA / "iwasawa-metric.ghl", sample=sample)
         assert loaded.report.ok and loaded.report.integrable
         spec = loaded.spec
         alpha = float(sample["tau"]) / math.sqrt(

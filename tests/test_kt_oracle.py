@@ -26,7 +26,7 @@ from fractions import Fraction
 import pytest
 
 from ghl import geometry as geo
-from ghl.fileio import bundled_path, load_frame_metric
+from ghl.fileio import bundled_path, load_ghl
 
 N = 4
 
@@ -203,7 +203,7 @@ def test_engine_matches_honest_oracle(sample, almost_kahler):
     for tval in (Fraction(0), Fraction(2)):
         want = honest_scal(sample, tval)
         assert want == kt_scal_closed_form(sample, tval)
-        loaded = load_frame_metric(
+        loaded = load_ghl(
             bundled_path("kodaira-thurston"),
             sample=dict(zip(("r", "sigma", "x", "y"), map(Fraction, sample))))
         spec = loaded.spec
