@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 import traceback
@@ -159,8 +160,9 @@ def cmd_killing(args) -> int:
     return 0
 
 
-def _grid_points(text: str):
-    axes = []
+def _grid_points(text: str) -> tuple[list[str], list[dict]]:
+    """The grid's axis names and its points, each a {name: value} dict."""
+    axes = {}
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
@@ -168,6 +170,9 @@ def _grid_points(text: str):
         if "=" not in piece:
             raise GhlFormatError(f"bad grid component {piece!r}")
         name, spec_ = piece.split("=", 1)
+        name = name.strip()
+        if name in axes:
+            raise UsageError(f"grid parameter {name!r} is given twice")
         parts = spec_.split(":")
         if len(parts) != 3:
             raise GhlFormatError(f"grid component must be name=start:stop:count, got {piece!r}")
@@ -183,20 +188,22 @@ def _grid_points(text: str):
         else:
             step = (stop - start) / (count - 1)
             vals = [start + i * step for i in range(count)]
-        axes.append((name.strip(), vals))
-    import itertools
-    names = [a[0] for a in axes]
-    for combo in itertools.product(*(a[1] for a in axes)):
-        yield names, dict(zip(names, combo))
+        axes[name] = vals
+    names = list(axes)
+    return names, [dict(zip(names, combo)) for combo in itertools.product(*axes.values())]
 
 
 def cmd_sweep(args) -> int:
+    fixed = args.params or {}
+    names, points = _grid_points(args.grid)
+    for name in names:
+        # t in --params is load_ghl's to refuse, with its pointer to --t
+        if name in fixed and name != "t":
+            raise UsageError(f"parameter {name!r} is given in both --grid and --params")
     rows = []
-    names = None
     specs = {}   # one spec per parameter assignment: t does not change it
-    for gnames, point in _grid_points(args.grid):
-        names = gnames
-        assignment = dict(args.params or {})
+    for point in points:
+        assignment = dict(fixed)
         assignment.update((k, v) for k, v in point.items() if k != "t")
         key = tuple(sorted(assignment.items()))
         try:
@@ -208,10 +215,10 @@ def cmd_sweep(args) -> int:
             value = _sweep_value(args, specs[key], point.get("t"))
         except PoleError:
             value = "pole"
-        rows.append([str(point[k]) for k in gnames] + [value])
+        rows.append([str(point[k]) for k in names] + [value])
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    w.writerow(list(names or []) + [args.quantity])
+    w.writerow(names + [args.quantity])
     w.writerows(rows)
     text = out.getvalue()
     if args.output:

@@ -275,33 +275,17 @@ def _frame_spec(path: Path, sections: dict, sample: dict | None,
     Jnum = [[num.from_fraction(J[i][j]) for j in range(n)] for i in range(n)]
     frame = gram_schmidt_unitary(G, Jnum, num)
 
-    fbrackets = {k: [to_float(x) for x in vec] for k, vec in brackets.items()}
-
-    def lie(u, v):
-        out = [num.zero()] * n
-        for a in range(n):
-            if num.is_zero(u[a]):
-                continue
-            for b in range(n):
-                if num.is_zero(v[b]):
-                    continue
-                if a == b:
-                    continue
-                vec = fbrackets.get((a, b)) if a < b else fbrackets.get((b, a))
-                if vec is None:
-                    continue
-                sign = 1.0 if a < b else -1.0
-                coeff = u[a] * v[b] * sign
-                for c, x in enumerate(vec):
-                    out[c] = out[c] + coeff * x
-        return out
-
+    # brackets of the frame vectors, whose coordinates that test zero are
+    # skipped; over a zero-tolerance domain mu_vec then skips only bracket
+    # terms that are exactly zero, however small the constants are at `sample`
+    orig = BracketSpec(0, m, {k: [to_float(x) for x in vec] for k, vec in brackets.items()},
+                      NumericDomain((), 0.0))
+    w = [[num.zero() if num.is_zero(x) else x for x in f] for f in frame]
     mu = {}
     for a in range(n):
         for b in range(a + 1, n):
-            br = lie(frame[a], frame[b])
-            vec = [dot(br, mat_vec(G, frame[c])) for c in range(n)]
-            mu[(a, b)] = vec
+            br = orig.mu_vec(w[a], w[b])
+            mu[(a, b)] = [dot(br, mat_vec(G, frame[c])) for c in range(n)]
     return BracketSpec(0, m, mu, num, name, ()), sample
 
 
@@ -329,7 +313,7 @@ def build_report(loaded: LoadedSpec, t=None, t_label: str | None = None) -> dict
 
     tors, S, Rm = spec.tors, spec.S, spec.Rm
     A = geo.gauduchon_connection(spec, t)
-    Om, T = geo.gauduchon_curvature_torsion(spec, t, A=A)
+    Om, T = geo._curvature(spec, A), geo._torsion(spec, A)
     rho1, rho2, scal = geo.ricci_and_scalar(spec, Om)
     W = geo.rho2_matrix(spec, Om)
     theta = geo.lee_form(spec)

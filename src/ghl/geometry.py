@@ -80,7 +80,6 @@ class BracketSpec:
         self.name = name
         self.params = tuple(params)
         self.domain = domain
-        zero = domain.zero()
         store = {}
         for (a, b), vec in mu.items():
             if not (0 <= a < b < self.n):
@@ -91,40 +90,44 @@ class BracketSpec:
             if any(not domain.is_zero(c) for c in vec):
                 store[(a, b)] = vec
         self.mu_store = store
-        self._zero_vec = [zero] * self.n
 
     # -- bracket access ------------------------------------------------------
 
-    def mu_full(self, a: int, b: int) -> list:
-        if a == b:
-            return list(self._zero_vec)
-        if a < b:
-            v = self.mu_store.get((a, b))
-            return list(v) if v else list(self._zero_vec)
-        v = self.mu_store.get((b, a))
-        return [-c for c in v] if v else list(self._zero_vec)
+    @cached_property
+    def mu(self) -> list[list[list]]:
+        """mu[a][b] = mu(e_a, e_b) for all a, b in 0..n-1: `mu_store` above
+        the diagonal, zero on it, and 0 - x below, so that a numeric 0.0
+        stays 0.0 rather than printing as -0.0.  Callers must not mutate it."""
+        zero = self.domain.zero()
+        zeros = [zero] * self.n
+        tab = [[zeros] * self.n for _ in range(self.n)]
+        for (a, b), v in self.mu_store.items():
+            tab[a][b] = v
+            tab[b][a] = [zero - x for x in v]
+        return tab
 
     def mu_vec(self, x: Sequence, y: Sequence) -> list:
-        out = list(self._zero_vec)
+        """mu(x, y) of coordinate vectors; a term with a factor that tests zero is skipped."""
         dom = self.domain
-        for a in range(self.n):
-            if dom.is_zero(x[a]):
+        out = [dom.zero()] * self.n
+        for a, xa in enumerate(x):
+            if dom.is_zero(xa):
                 continue
-            for b in range(self.n):
-                if dom.is_zero(y[b]):
+            for b, yb in enumerate(y):
+                if dom.is_zero(yb):
                     continue
-                coeff = x[a] * y[b]
-                for c, val in enumerate(self.mu_full(a, b)):
+                coeff = xa * yb
+                for c, val in enumerate(self.mu[a][b]):
                     if not dom.is_zero(val):
                         out[c] = out[c] + coeff * val
         return out
 
     def mu_m(self, a: int, b: int) -> list:
         """m-block of mu(e_{q+a}, e_{q+b}), indices a,b in 0..2m-1."""
-        return self.mu_full(self.q + a, self.q + b)[self.q:]
+        return self.mu[self.q + a][self.q + b][self.q:]
 
     def mu_h(self, a: int, b: int) -> list:
-        return self.mu_full(self.q + a, self.q + b)[:self.q]
+        return self.mu[self.q + a][self.q + b][:self.q]
 
     # Derived data built once per spec; the builders below stay the one place
     # each formula lives.  Callers must not mutate what these return.
@@ -147,17 +150,17 @@ class BracketSpec:
 
     def ad_h(self, hvec: Sequence) -> list[list]:
         """ad of an isotropy vector restricted to R^{2m} (column action)."""
-        n2 = 2 * self.m
+        q, n2 = self.q, 2 * self.m
         M = mat_zero(n2, self.domain)
         dom = self.domain
-        for z in range(self.q):
+        for z in range(q):
             if dom.is_zero(hvec[z]):
                 continue
             for b in range(n2):
-                col = self.mu_full(z, self.q + b)[self.q:]
+                col = self.mu[z][q + b]
                 for r in range(n2):
-                    if not dom.is_zero(col[r]):
-                        M[r][b] = M[r][b] + hvec[z] * col[r]
+                    if not dom.is_zero(col[q + r]):
+                        M[r][b] = M[r][b] + hvec[z] * col[q + r]
         return M
 
     def instantiate(self, assignment: dict) -> "BracketSpec":
@@ -203,26 +206,27 @@ class ValidationReport:
 def validate(spec: BracketSpec) -> ValidationReport:
     dom = spec.domain
     n, q, m = spec.n, spec.q, spec.m
+    mu = spec.mu
     rep = ValidationReport()
 
     jac_ok, jac_wit = True, ""
     for a, b, c in itertools.combinations(range(n), 3):
         ea, eb, ec = (basis_vector(n, i, dom) for i in (a, b, c))
-        s = vec_add(vec_add(spec.mu_vec(spec.mu_full(a, b), ec),
-                            spec.mu_vec(spec.mu_full(b, c), ea)),
-                    spec.mu_vec(spec.mu_full(c, a), eb))
+        s = vec_add(vec_add(spec.mu_vec(mu[a][b], ec),
+                            spec.mu_vec(mu[b][c], ea)),
+                    spec.mu_vec(mu[c][a], eb))
         if any(not dom.is_zero(x) for x in s):
             jac_ok, jac_wit = False, f"Jacobi fails on (e{a},e{b},e{c})"
             break
     closure_ok, closure_wit = True, ""
     for a, b in itertools.combinations(range(q), 2):
-        if any(not dom.is_zero(x) for x in spec.mu_full(a, b)[q:]):
+        if any(not dom.is_zero(x) for x in mu[a][b][q:]):
             closure_ok, closure_wit = False, f"mu(e{a},e{b}) leaves the isotropy block"
             break
     if closure_ok:
         for z in range(q):
             for b in range(q, n):
-                if any(not dom.is_zero(x) for x in spec.mu_full(z, b)[:q]):
+                if any(not dom.is_zero(x) for x in mu[z][b][:q]):
                     closure_ok, closure_wit = False, f"mu(e{z},e{b}) has an isotropy component"
                     break
             if not closure_ok:
@@ -235,7 +239,7 @@ def validate(spec: BracketSpec) -> ValidationReport:
     for z in range(q):
         for a in range(2 * m):
             for b in range(a, 2 * m):
-                lhs = spec.mu_full(z, q + a)[q + b] + spec.mu_full(z, q + b)[q + a]
+                lhs = mu[z][q + a][q + b] + mu[z][q + b][q + a]
                 if not dom.is_zero(lhs):
                     h2_ok, h2_wit = False, f"<mu(e{z},.),.> not skew on (e{q + a},e{q + b})"
                     break
@@ -256,11 +260,10 @@ def validate(spec: BracketSpec) -> ValidationReport:
             break
     rep.conditions.append(ConditionResult("h3", h3_ok, h3_wit))
 
-    # h4: effectiveness
-    kernel = _isotropy_kernel(spec)
-    h4_ok = not kernel
-    wit = "" if h4_ok else f"isotropy kernel of dimension {len(kernel)}"
-    rep.conditions.append(ConditionResult("h4", h4_ok, wit))
+    # h4: effectiveness; the isotropy kernel's dimension is q minus the rank
+    dead = q - len(_isotropy_echelon(spec).pivots)
+    wit = f"isotropy kernel of dimension {dead}" if dead else ""
+    rep.conditions.append(ConditionResult("h4", not dead, wit))
 
     # h5: integrability flag (pass = integrable); witness: first pair with N != 0
     bad = next(iter(_nijenhuis(spec)), None)
@@ -270,18 +273,16 @@ def validate(spec: BracketSpec) -> ValidationReport:
     return rep
 
 
-def _isotropy_kernel(spec: BracketSpec) -> list[list]:
-    """Exact basis of {Z in R^q : mu(Z, R^2m) = 0}."""
-    dom = spec.domain
-    q, m, n = spec.q, spec.m, spec.n
-    if q == 0:
-        return []
-    span = _Echelon(q, dom)
-    for b in range(2 * m):
-        cols = [spec.mu_full(z, q + b) for z in range(q)]
-        for c in range(n):
-            span.add([col[c] for col in cols])
-    return span.nullspace()
+def _isotropy_echelon(spec: BracketSpec) -> _Echelon:
+    """Echelon over R^q of the isotropy action's rows, Z -> mu(Z, e_b)_c for
+    each m-basis vector e_b and each coordinate c; its null space is the
+    kernel {Z in R^q : mu(Z, R^2m) = 0}."""
+    q = spec.q
+    span = _Echelon(q, spec.domain)
+    for b in range(q, spec.n):
+        for c in range(spec.n):
+            span.add([spec.mu[z][b][c] for z in range(q)])
+    return span
 
 
 class _Echelon:
@@ -328,7 +329,7 @@ class _Echelon:
                 r = {c: x // g for c, x in r.items()}
         else:
             inv = dom.one() / r[p]
-            r = {c: inv * x for c, x in r.items()}
+            r = {c: dom.one() if c == p else inv * x for c, x in r.items()}
         for prow in self.pivots.values():
             eliminate(prow, p, r)
         self.pivots[p] = r
@@ -394,43 +395,29 @@ class _Echelon:
 
 
 def reduce_non_effective(spec: BracketSpec):
-    """Drop the trivially acting part of the isotropy; returns (q', new spec)."""
+    """Drop the trivially acting part of the isotropy; returns (q', new spec).
+
+    The kernel's canonical basis has 1 at each free column of the isotropy
+    action's echelon, so the pivot coordinates span a complement of the
+    kernel, and the complement coordinates of an isotropy vector are the
+    kept pivot rows (1 at the pivot) applied to it."""
     dom = spec.domain
-    kernel = _isotropy_kernel(spec)
-    if not kernel:
-        return spec.q, spec
-    q, m, n = spec.q, spec.m, spec.n
-    # complement: coordinate vectors independent from the kernel
-    span = _Echelon(q, dom)
-    for k in kernel:
-        span.add(k)
-    comp_idx = [z for z in range(q) if span.add(basis_vector(q, z, dom))]
-    qp = len(comp_idx)
-    # basis matrix B: columns = kernel vectors then complement vectors
-    cols = kernel + [basis_vector(q, z, dom) for z in comp_idx]
-    nnew = qp + 2 * m
-
-    def reexpress_h(hvec):
-        """Coordinates of an R^q vector in the (kernel | complement) basis,
-        keeping only the complement part."""
-        # B x = hvec exactly when (x, 1) spans the null space of [B | -hvec]
-        system = _Echelon(q + 1, dom)
-        for i in range(q):
-            system.add([c[i] for c in cols] + [-hvec[i]])
-        (sol,) = system.nullspace()
-        return sol[len(kernel):-1]
-
-    old = comp_idx + list(range(q, n))   # old index of each new basis vector
+    q = spec.q
+    pivots = _isotropy_echelon(spec).pivots
+    if len(pivots) == q:
+        return q, spec
+    rows = [pivots[p] for p in sorted(pivots)]
+    old = sorted(pivots) + list(range(q, spec.n))   # old index of each new basis vector
     mu_new = {}
-    for a, b in itertools.combinations(range(nnew), 2):
-        v = spec.mu_full(old[a], old[b])
-        out = reexpress_h(v[:q]) + v[q:]
+    for a, b in itertools.combinations(range(len(old)), 2):
+        v = spec.mu[old[a]][old[b]]
+        out = [sum((x * v[c] for c, x in row.items()), dom.zero()) for row in rows] + v[q:]
         if any(not dom.is_zero(x) for x in out):
             mu_new[(a, b)] = out
-    new = BracketSpec(qp, m, mu_new, dom, spec.name + "|effective", spec.params)
-    if _isotropy_kernel(new):
+    new = BracketSpec(len(rows), spec.m, mu_new, dom, spec.name + "|effective", spec.params)
+    if len(_isotropy_echelon(new).pivots) != new.q:
         raise InternalConsistencyError("reduction left a non-effective isotropy part")
-    return qp, new
+    return len(rows), new
 
 
 # -- torsion ingredients ------------------------------------------------------------
@@ -460,13 +447,10 @@ def _mu_m_table(spec: BracketSpec, clean: bool = False) -> list[list[list]]:
     entry that tests zero is an exact zero, so a numeric residue below the
     tolerance does not enter N or F."""
     dom = spec.domain
-    n2 = 2 * spec.m
+    q = spec.q
     zero = dom.zero()
-    tab = [[[zero] * n2 for _ in range(n2)] for _ in range(n2)]
-    for a, b in itertools.combinations(range(n2), 2):
-        tab[a][b] = [zero if clean and dom.is_zero(x) else x for x in spec.mu_m(a, b)]
-        tab[b][a] = [zero - x for x in tab[a][b]]
-    return tab
+    return [[[zero if clean and dom.is_zero(x) else x for x in v[q:]] for v in row[q:]]
+            for row in spec.mu[q:]]
 
 
 def _mu_s(tab, x: tuple, y: tuple) -> list:
@@ -611,9 +595,9 @@ def _torsion(spec: BracketSpec, A: list) -> dict:
             for a, b in itertools.combinations(range(2 * spec.m), 2)}
 
 
-def gauduchon_curvature_torsion(spec: BracketSpec, t, A: list | None = None):
+def gauduchon_curvature_torsion(spec: BracketSpec, t):
     """(Omega_t, T_t); Omega entries are in u(m), T values are vectors."""
-    A = A or gauduchon_connection(spec, t)
+    A = gauduchon_connection(spec, t)
     return _curvature(spec, A), _torsion(spec, A)
 
 
@@ -1156,7 +1140,7 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
     n2 = 2 * spec.m
     S = spec.S
     A = gauduchon_connection(spec, t)
-    Om, T = gauduchon_curvature_torsion(spec, t, A=A)
+    Om, T = _curvature(spec, A), _torsion(spec, A)
     Rm = spec.Rm
     e = [basis_vector(n2, i, dom) for i in range(n2)]
 

@@ -51,7 +51,7 @@ def test_criterion_1_iwasawa_exact(iwasawa):
     tors = spec.tors
     S = spec.S
     A = geo.gauduchon_connection(spec, t)
-    Om, _ = geo.gauduchon_curvature_torsion(spec, t, A=A)
+    Om, _ = geo.gauduchon_curvature_torsion(spec, t)
     rho1, _, scal = geo.ricci_and_scalar(spec, Om)
     W = geo.rho2_matrix(spec, Om)
     elapsed = time.monotonic() - t0
@@ -115,7 +115,7 @@ def test_criterion_3_kodaira(kodaira):
     _, _, scal = geo.ricci_and_scalar(spec, Om)
     one = RationalFunction.const(1)
     A1 = geo.gauduchon_connection(spec, one)
-    Om1, _ = geo.gauduchon_curvature_torsion(spec, one, A=A1)
+    Om1, _ = geo.gauduchon_curvature_torsion(spec, one)
     W1 = geo.rho2_matrix(spec, Om1)
     elapsed = time.monotonic() - t0
 
@@ -233,7 +233,7 @@ def test_criterion_4_kt_t_independence(kodaira_thurston, kt_exact):
         for tv in (Fraction(0), Fraction(1), Fraction(7, 3)):
             t = dom.from_fraction(tv)
             A = geo.gauduchon_connection(spec, t)
-            Om, _ = geo.gauduchon_curvature_torsion(spec, t, A=A)
+            Om, _ = geo.gauduchon_curvature_torsion(spec, t)
             _, _, scal = geo.ricci_and_scalar(spec, Om)
             vals.append((A, scal))
         for (A1, s1), (A2, s2) in zip(vals, vals[1:]):
@@ -333,7 +333,7 @@ def test_criterion_5_property_suites(all_bundled, s2_tuples):
 
         S = geo.levi_civita(spec)
         A = geo.gauduchon_connection(spec, t)                   # asserts u(m)
-        Om, T = geo.gauduchon_curvature_torsion(spec, t, A=A)
+        Om, T = geo.gauduchon_curvature_torsion(spec, t)
         geo.ricci_and_scalar(spec, Om)                          # asserts traces
 
         Jt = MultiTensor.from_endo(spec.I, dom)
@@ -390,7 +390,7 @@ def test_criterion_6_degenerate_and_oracles(abelian2, sphere, iwasawa):
     S = geo.levi_civita(spec)
     A = geo.gauduchon_connection(spec, t)
     assert all(mat_is_zero(M, dom) for M in S + A)
-    Om, T = geo.gauduchon_curvature_torsion(spec, t, A=A)
+    Om, T = geo.gauduchon_curvature_torsion(spec, t)
     assert all(mat_is_zero(M, dom) for M in Om.values())
     assert all(all(dom.is_zero(x) for x in v) for v in T.values())
     rho1, rho2, scal = geo.ricci_and_scalar(spec, Om)

@@ -446,6 +446,19 @@ def test_usage_mistakes_exit_two():
         assert message in err, (argv, err)
 
 
+@pytest.mark.parametrize("grid, params, message", [
+    ("t=0:1:2,t=2:3:2", "alpha=1,beta=0,r=1,v=1", "grid parameter 't' is given twice"),
+    ("alpha=0:2:3", "beta=0,r=1,v=1,alpha=1",
+     "parameter 'alpha' is given in both --grid and --params"),
+])
+def test_sweep_name_given_twice_exits_two(grid, params, message):
+    """A repeated grid name, or one also in --params, is refused: no CSV."""
+    code, out, err = run("sweep", str(bundled_path("kodaira")), "--grid", grid,
+                         "--quantity", "scal", "--params", params)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_check_against_non_report_json_exits_two(tmp_path):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]", encoding="utf-8")

@@ -191,6 +191,34 @@ s0 =
     assert loaded.spec.mu_store == {}
 
 
+def test_frame_metric_keeps_constants_below_the_tolerance(tmp_path):
+    """[e0,e1] = c e1 with metric r^2: the unitary frame has [f0,f1] = (c/r) f1.
+    A structure constant c below the tolerance still counts, since c/r is
+    above it."""
+    text = """[frame]
+name = small
+m = 1
+params = c, r
+[brackets]
+e0,e1 = c*e1
+[J]
+row0 = 0,-1
+row1 = 1,0
+[metric]
+e0,e0 = r^2
+e1,e1 = r^2
+[samples]
+s0 = c=1/10000000000, r=1/100
+"""
+    p = tmp_path / "small.ghl"
+    p.write_text(text, encoding="utf-8")
+    spec = load_ghl(p).spec
+    assert spec.domain.tol == 1e-9
+    assert list(spec.mu_store) == [(0, 1)]
+    assert spec.mu_store[(0, 1)][0] == 0.0
+    assert math.isclose(spec.mu_store[(0, 1)][1], 1e-8, rel_tol=1e-12)
+
+
 def test_iwasawa_generic_metric_alpha_pattern():
     """Unitary-frame constants of the generic Iwasawa metric match the
     one-modulus pattern with alpha = tau / sqrt(r^2 sigma^2 - x^2 - y^2)."""

@@ -21,6 +21,7 @@ from ghl.scalars import ExactDomain, FractionDomain, RationalFunction
 
 from conftest import TEST_DATA
 from reference import N_vec, form_evaluate, mu_m_vec, split_bracket
+from test_nonintegrable import random_two_step_specs
 
 
 def RF(name):
@@ -136,11 +137,80 @@ def test_reduce_kernel_dimension_matches_rank_oracle():
     rows = []
     for b in range(2):
         for c in range(4):
-            rows.append([spec.mu_full(z, 2 + b)[c] for z in range(2)])
+            rows.append([spec.mu[z][2 + b][c] for z in range(2)])
     M = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
     assert len(M.nullspace()) == 2 - 1
     qp, _ = geo.reduce_non_effective(spec)
     assert qp == 2 - len(M.nullspace())
+
+
+def _rotating_isotropy_spec(rng, q):
+    """m = 1 with q isotropy generators: Z_z acts as c_z times the sphere's
+    rotation of the plane for one random integer vector c, so one
+    combination rotates and the other q - 1 act trivially; mu(e_q, e_{q+1})
+    is a random integer isotropy vector."""
+    c = [0] * q
+    while not any(c):
+        c = [rng.randint(-3, 3) for _ in range(q)]
+    n = q + 2
+
+    def vec(entries):
+        v = [Fraction(0)] * n
+        for i, x in entries.items():
+            v[i] = Fraction(x)
+        return v
+    mu = {}
+    for z in range(q):
+        if c[z]:
+            mu[(z, q)] = vec({q + 1: c[z]})
+            mu[(z, q + 1)] = vec({q: -c[z]})
+    mu[(q, q + 1)] = vec({z: rng.randint(-3, 3) for z in range(q)})
+    return geo.BracketSpec(q, 1, mu, FractionDomain(), f"rotating-{q}")
+
+
+def _reduce_reference(spec):
+    """(q', brackets) by SymPy: the kernel of Z -> ad(Z)|m, coordinate
+    vectors added greedily to it as the complement, and one linear solve per
+    bracket for its complement coordinates."""
+    sympy = pytest.importorskip("sympy")
+    q, n = spec.q, spec.n
+
+    def bracket(a, b):
+        return [sympy.Rational(x) for x in spec.mu_store.get((a, b), [0] * n)]
+    M = sympy.Matrix([[bracket(z, b)[c] for z in range(q)]
+                      for b in range(q, n) for c in range(n)])
+    kernel = M.nullspace()
+    unit = [sympy.eye(q)[:, z] for z in range(q)]
+    comp = []
+    for z in range(q):
+        if sympy.Matrix.hstack(*kernel, *(unit[j] for j in comp + [z])).rank() \
+                == len(kernel) + len(comp) + 1:
+            comp.append(z)
+    B = sympy.Matrix.hstack(*kernel, *(unit[j] for j in comp))
+    old = comp + list(range(q, n))
+    out = {}
+    for a, b in itertools.combinations(range(len(old)), 2):
+        v = bracket(old[a], old[b])
+        x = B.solve(sympy.Matrix(v[:q]))
+        w = [Fraction(int(y.p), int(y.q)) for y in list(x[len(kernel):]) + v[q:]]
+        if any(w):
+            out[(a, b)] = w
+    return len(comp), out
+
+
+def test_reduce_matches_sympy_reference_on_generated_specs():
+    """Seeded specs with up to three isotropy generators, one rotating
+    combination and the rest dead: q' and every reduced bracket equal the
+    SymPy reference exactly."""
+    rng = random.Random(14)
+    for i in range(30):
+        spec = _rotating_isotropy_spec(rng, 1 + i % 3)
+        assert geo.validate(spec).condition("h1").passed, i
+        qp, out = geo.reduce_non_effective(spec)
+        want_qp, want_mu = _reduce_reference(spec)
+        assert qp == out.q == want_qp == 1, i
+        assert out.mu_store == want_mu, i
+        assert geo.validate(out).ok, i
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +319,31 @@ def test_echelon_symbolic_matches_sympy():
 # ---------------------------------------------------------------------------
 # bracket split and torsion ingredients
 # ---------------------------------------------------------------------------
+
+
+def test_bracket_table_reads_mu_store(all_bundled):
+    """spec.mu holds mu_store above the diagonal (zeros where it has no
+    entry), its negation below and zeros on the diagonal."""
+    specs = [loaded.spec for loaded in all_bundled.values()] + random_two_step_specs(4)
+    for spec in specs:
+        zeros = [spec.domain.zero()] * spec.n
+        for a, b in itertools.combinations(range(spec.n), 2):
+            upper = spec.mu_store.get((a, b), zeros)
+            assert spec.mu[a][b] == upper, (spec.name, a, b)
+            assert spec.mu[b][a] == [-x for x in upper], (spec.name, a, b)
+        for a in range(spec.n):
+            assert spec.mu[a][a] == zeros, (spec.name, a)
+
+
+def test_bracket_table_negates_numeric_zero_to_zero(kodaira_thurston):
+    """A 0.0 above the diagonal is 0.0 below it, not -0.0, as the pinned
+    numeric report bytes of S were written."""
+    spec = kodaira_thurston.spec
+    zeros = [(a, b, c) for a, b in itertools.combinations(range(spec.n), 2)
+             for c, x in enumerate(spec.mu[a][b])
+             if x == 0.0 and math.copysign(1.0, x) > 0]
+    assert zeros
+    assert all(math.copysign(1.0, spec.mu[b][a][c]) > 0 for a, b, c in zeros)
 
 
 def test_split_iwasawa(iwasawa):
@@ -741,7 +836,7 @@ def test_rescale_sphere_isotropy_part(sphere):
     dom = out.domain
     assert dom.eq(out.mu_h(0, 1)[0], dom.from_fraction(Fraction(1, 9)))
     # brackets with an isotropy argument are unchanged
-    assert dom.eq(out.mu_full(0, 1)[2], dom.from_fraction(1))
+    assert dom.eq(out.mu[0][1][2], dom.from_fraction(1))
 
 
 def test_rescaling_exponent_measured(sphere):

@@ -92,7 +92,7 @@ def test_coboundary_squares_to_zero_all_specs(all_bundled):
         dom = spec.domain
         n = spec.n
         def mu(a, b):
-            return spec.mu_full(a, b)
+            return spec.mu[a][b]
         for i in range(n):
             phi = form_basis(n, (i,), dom)
             dd = coboundary(mu, n, coboundary(mu, n, phi, dom), dom)

@@ -84,7 +84,7 @@ def test_structural_invariants_hold_with_fminus():
     t = geo.symbolic_t()
     for spec in [probe_spec()] + random_two_step_specs(3):
         A = geo.gauduchon_connection(spec, t)              # asserts u(m)
-        Om, _ = geo.gauduchon_curvature_torsion(spec, t, A=A)
+        Om, _ = geo.gauduchon_curvature_torsion(spec, t)
         geo.ricci_and_scalar(spec, Om)                     # asserts traces
         assert geo.connection_audit(spec, t).ok
         geo.hermitian_s_tuple(spec, s=1, verify=True)

@@ -2,9 +2,12 @@
 
 scripts/regen_fixtures.py is not run: it rewrites the bundled fixtures."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from ghl.fileio import bundled_path
@@ -33,3 +36,21 @@ def test_rescaling_exponent_measures_c_to_minus_two():
     proc = run_script("rescaling_exponent.py")
     assert proc.returncode == 0, proc.stderr
     assert "measured exponent: sec(c.mu) = c^-2 sec(mu)" in proc.stdout.splitlines()
+
+
+def test_cli_digest_lines_match_the_pinned_reports():
+    """One JSON line per call, in under 20 s; the default report of each
+    bundled example hashes to its committed expected bytes."""
+    t0 = time.monotonic()
+    proc = run_script("cli_digest.py")
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 20, f"took {elapsed:.1f}s"
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len({json.dumps(d["argv"]) for d in lines}) == len(lines)
+    reports = {d["argv"][1]: d for d in lines
+               if len(d["argv"]) == 2 and d["argv"][0] == "report"}
+    for name in ("abelian2", "sphere", "iwasawa", "kodaira", "kodaira-thurston"):
+        d = reports[f"src/ghl/data/{name}.ghl"]
+        want = hashlib.sha256(bundled_path(name).with_suffix(".expected.json").read_bytes())
+        assert (d["exit"], d["stdout_sha256"], d["stderr_last"]) == (0, want.hexdigest(), ""), name
