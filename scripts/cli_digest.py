@@ -29,13 +29,13 @@ from pathlib import Path
 
 from ghl.cli import main as ghl_main
 
-VERSION = 1
+VERSION = 2
 ROOT = Path(__file__).resolve().parent.parent
 
 DATA = "src/ghl/data/"
 TESTS = "tests/data/"
 BUNDLED = ("abelian2", "sphere", "iwasawa", "kodaira", "kodaira-thurston")
-TEST_FILES = ("broken-h2", "broken-jacobi", "iwasawa-metric", "kt-exact")
+TEST_FILES = ("broken-h2", "broken-jacobi", "iwasawa-metric", "kt-exact", "nonunimodular")
 # a rational point of each algebra file's parameters, for the verbs that
 # need constant structure constants
 POINT = {"abelian2": "", "sphere": "", "iwasawa": "alpha=1",
@@ -96,6 +96,7 @@ def calls() -> list[list[str]]:
          "--params", "alpha=1,beta=1"],
         ["sweep", IWA, "--grid", "alpha=1:3:3", "--quantity", "scal", "--t", "2"],
         ["sweep", IWA, "--grid", "alpha=0:2:3", "--quantity", "singer_k"],
+        ["sweep", IWA, "--grid", "alpha=1:2:2", "--quantity", "sec_max_basis"],
         ["sweep", DATA + "sphere.ghl", "--grid", "t=1:1:1", "--quantity", "sec_max_basis"],
         ["sweep", DATA + "abelian2.ghl", "--grid", "t=0:1:2", "--quantity", "scal"],
         ["sweep", KT, "--grid", "x=0:1/2:3", "--quantity", "scal",

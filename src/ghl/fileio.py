@@ -39,6 +39,7 @@ reserved basis tokens e0..e{n-1}; parameters may not be named e<digits> or t.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,7 +98,9 @@ def _section_dict(entries: list[tuple[str, str]], path, name: str) -> dict[str, 
 
 def _parse_params(text: str) -> tuple[str, ...]:
     names = tuple(p.strip() for p in text.split(",") if p.strip())
-    for p in names:
+    for i, p in enumerate(names):
+        if p in names[:i]:
+            raise GhlFormatError(f"parameter {p!r} is declared twice")
         if _BASIS_RE.match(p):
             raise GhlFormatError(f"parameter may not be named like a basis vector: {p}")
         if p == "t":
@@ -138,6 +141,17 @@ def _parse_bracket_key(key: str, n: int, path) -> tuple[int, int]:
     if not (0 <= a < b < n):
         raise GhlFormatError(f"{path}: bracket key {key!r} needs 0 <= a < b < {n}")
     return a, b
+
+
+def _brackets(path, sections: dict, n: int, dom) -> dict:
+    """The [brackets] section as {(a, b): coordinate vector}; a pair given twice is an error."""
+    mu = {}
+    for key, value in sections.get("brackets", []):
+        a, b = _parse_bracket_key(key, n, path)
+        if (a, b) in mu:
+            raise GhlFormatError(f"{path}: duplicate key {key!r} in [brackets]")
+        mu[(a, b)] = to_linear_combination(parse_expression(value), dom, n)
+    return mu
 
 
 def _check_declared(sample: dict, params: tuple[str, ...]) -> None:
@@ -184,12 +198,7 @@ def _algebra_spec(path: Path, sections: dict) -> BracketSpec:
     if backend != "exact":
         raise GhlFormatError(f"{path}: direct bracket files are exact-backend only")
     dom = ExactDomain(params)
-    n = q + 2 * m
-    mu = {}
-    for key, value in sections.get("brackets", []):
-        a, b = _parse_bracket_key(key, n, path)
-        node = parse_expression(value)
-        mu[(a, b)] = to_linear_combination(node, dom, n)
+    mu = _brackets(path, sections, q + 2 * m, dom)
     return BracketSpec(q, m, mu, dom, name, params)
 
 
@@ -206,10 +215,7 @@ def _frame_spec(path: Path, sections: dict, sample: dict | None,
     exact = ExactDomain(params)
 
     # original-frame brackets as exact linear combinations
-    brackets = {}
-    for key, value in sections.get("brackets", []):
-        a, b = _parse_bracket_key(key, n, path)
-        brackets[(a, b)] = to_linear_combination(parse_expression(value), exact, n)
+    brackets = _brackets(path, sections, n, exact)
 
     # J matrix (integer entries, column action), given row by row
     jrows = _section_dict(sections.get("j", []), path, "J")
@@ -249,13 +255,12 @@ def _frame_spec(path: Path, sections: dict, sample: dict | None,
         if i != j:
             Gexpr[j][i] = val
 
-    samples = {}
-    for key, value in sections.get("samples", []):
-        samples[key] = parse_assignments(value)
+    samples = [parse_assignments(v) for v in
+               _section_dict(sections.get("samples", []), path, "samples").values()]
     if not sample:
         if not samples:
             raise GhlFormatError(f"{path}: frame-metric file needs a [samples] entry")
-        sample = samples[sorted(samples)[0]]
+        sample = samples[0]
     _check_declared(sample, params)
     missing = [p for p in params if p not in sample]
     if missing:
@@ -322,18 +327,19 @@ def build_report(loaded: LoadedSpec, t=None, t_label: str | None = None) -> dict
     def s(x) -> str:
         return dom.text(x)
 
+    def vector(v) -> list:
+        return [s(x) for x in v]
+
     def matrix(M) -> list:
-        return [[s(x) for x in row] for row in M]
+        return [vector(row) for row in M]
 
-    def vecdict(d) -> dict:
-        return {f"{a},{b}": [s(x) for x in v] for (a, b), v in sorted(d.items())}
+    def nonzero(v) -> bool:
+        return any(nonzero(x) if isinstance(x, list) else not dom.is_zero(x) for x in v)
 
-    def matdict(d) -> dict:
-        out = {}
-        for (a, b), M in sorted(d.items()):
-            if not all(dom.is_zero(x) for row in M for x in row):
-                out[f"{a},{b}"] = matrix(M)
-        return out
+    def pairs(X, text) -> dict:
+        """The a < b entries of a pair table that do not all test zero."""
+        return {f"{a},{b}": text(X[a][b]) for a, b in itertools.combinations(range(n2), 2)
+                if nonzero(X[a][b])}
 
     def formdict(f) -> dict:
         return {",".join(map(str, k)): s(v) for k, v in sorted(f.comp.items())}
@@ -351,16 +357,15 @@ def build_report(loaded: LoadedSpec, t=None, t_label: str | None = None) -> dict
             for c in loaded.report.conditions
         ],
         "flags": flags,
-        "N": vecdict(tors.N),
+        "N": {f"{a},{b}": vector(v) for (a, b), v in sorted(tors.N.items())},
         "F": formdict(tors.F),
         "F_plus": formdict(tors.F_plus),
         "F_minus": formdict(tors.F_minus),
         "S": [matrix(S[i]) for i in range(n2)],
         "A": [matrix(A[i]) for i in range(n2)],
-        "Rm": matdict(Rm),
-        "Omega": matdict(Om),
-        "T": vecdict({k: v for k, v in T.items()
-                      if any(not dom.is_zero(x) for x in v)}),
+        "Rm": pairs(Rm, matrix),
+        "Omega": pairs(Om, matrix),
+        "T": pairs(T, vector),
         "rho1": formdict(rho1),
         "rho2": matrix(W),
         "scal": s(scal),

@@ -49,7 +49,7 @@ __all__ = [
     "hermitian_s_tuple", "check_x1_identities", "singer_invariant",
     "killing_generators", "nomizu_bracket", "rescale", "rescaling_exponent",
     "sectional_curvature", "metric_flags", "connection_audit",
-    "unitary_basis", "so_basis", "symbolic_t", "as_fraction", "curvature_value",
+    "unitary_basis", "so_basis", "symbolic_t", "as_fraction",
 ]
 
 
@@ -145,7 +145,7 @@ class BracketSpec:
         return levi_civita(self)
 
     @cached_property
-    def Rm(self) -> dict:
+    def Rm(self) -> list[list[list]]:
         return riemann_curvature(self)
 
     def ad_h(self, hvec: Sequence) -> list[list]:
@@ -526,14 +526,13 @@ def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
     n2 = 2 * spec.m
     tors = spec.tors
     S = spec.S
-    zero = dom.zero()
     quarter = dom.from_fraction("1/4")
     half = dom.from_fraction("1/2")
     cp = (t + 1) * quarter
     cm = (t - 1) * quarter
 
-    N = dict(tors.N)                # N(e_y, e_z) for all y != z with N != 0
-    N.update({(b, a): [0 - x for x in v] for (a, b), v in tors.N.items()})
+    zeros = [dom.zero()] * n2
+    N = _pair_table(lambda a, b: tors.N.get((a, b), zeros), zeros)
     out = []
     for x in range(n2):
         M = mat_zero(n2, dom)
@@ -544,7 +543,7 @@ def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
                 M[z][y] = S[x][z][y] \
                     - cp * _signed(sy * sz, tors.F_plus.component((x, iy, iz), dom)) \
                     - cm * tors.F_plus.component((x, y, z), dom) \
-                    + quarter * (N[(y, z)][x] if (y, z) in N else zero) \
+                    + quarter * N[y][z][x] \
                     - half * tors.F_minus.component((x, y, z), dom)
         _assert_unitary(M, spec.I, dom, f"A^t(e{x})")
         out.append(M)
@@ -573,50 +572,55 @@ def _conn_endo(C: list, v: Sequence, dom):
     return M
 
 
-def _curvature(spec: BracketSpec, C: list) -> dict:
+def _pair_table(upper, zero: list) -> list[list]:
+    """X[a][b] = X(e_a, e_b) for all a, b of a 2-form on m with vector or
+    matrix values, kept as `BracketSpec.mu` is: upper(a, b) above the
+    diagonal, the one `zero` on it and the entrywise zero - x below.
+    Callers must not mutate it."""
+    sub = mat_sub if isinstance(zero[0], list) else vec_sub
+    tab = [[zero] * len(zero) for _ in zero]
+    for a, b in itertools.combinations(range(len(zero)), 2):
+        tab[a][b] = x = upper(a, b)
+        tab[b][a] = sub(zero, x)
+    return tab
+
+
+def _curvature(spec: BracketSpec, C: list) -> list[list[list]]:
+    """Om[a][b] = ad(mu_h(e_a, e_b)) - [C(e_a), C(e_b)] - C(mu_m(e_a, e_b))."""
     dom = spec.domain
-    n2 = 2 * spec.m
-    out = {}
-    for a, b in itertools.combinations(range(n2), 2):
+
+    def value(a, b):
         M = spec.ad_h(spec.mu_h(a, b))
         M = mat_sub(M, commutator(C[a], C[b]))
-        M = mat_sub(M, _conn_endo(C, spec.mu_m(a, b), dom))
-        out[(a, b)] = M
-    return out
+        return mat_sub(M, _conn_endo(C, spec.mu_m(a, b), dom))
+    return _pair_table(value, mat_zero(2 * spec.m, dom))
 
 
-def riemann_curvature(spec: BracketSpec) -> dict:
+def riemann_curvature(spec: BracketSpec) -> list[list[list]]:
     return _curvature(spec, spec.S)
 
 
-def _torsion(spec: BracketSpec, A: list) -> dict:
-    """T(e_a, e_b) = A(e_a) e_b - A(e_b) e_a - mu_m(e_a, e_b) for a < b."""
-    return {(a, b): [A[a][r][b] - A[b][r][a] - v for r, v in enumerate(spec.mu_m(a, b))]
-            for a, b in itertools.combinations(range(2 * spec.m), 2)}
+def _torsion(spec: BracketSpec, A: list) -> list[list[list]]:
+    """T[a][b] = T(e_a, e_b) = A(e_a) e_b - A(e_b) e_a - mu_m(e_a, e_b)."""
+    return _pair_table(
+        lambda a, b: [A[a][r][b] - A[b][r][a] - v for r, v in enumerate(spec.mu_m(a, b))],
+        [spec.domain.zero()] * (2 * spec.m))
 
 
 def gauduchon_curvature_torsion(spec: BracketSpec, t):
-    """(Omega_t, T_t); Omega entries are in u(m), T values are vectors."""
+    """(Omega_t, T_t) as pair tables; Omega entries are in u(m), T values are vectors."""
     A = gauduchon_connection(spec, t)
     return _curvature(spec, A), _torsion(spec, A)
 
 
-def curvature_value(curv: dict, a: int, b: int, n2: int, dom):
-    if a == b:
-        return mat_zero(n2, dom)
-    if a < b:
-        return curv[(a, b)]
-    return mat_scale(-dom.one(), curv[(b, a)])
-
-
-def rho2_matrix(spec: BracketSpec, Om: dict) -> list[list]:
+def rho2_matrix(spec: BracketSpec, Om: list) -> list[list]:
     W = mat_zero(2 * spec.m, spec.domain)
     for k in range(spec.m):
-        W = mat_add(W, Om[(2 * k, 2 * k + 1)])
+        W = mat_add(W, Om[2 * k][2 * k + 1])
     return W
 
 
-def ricci_and_scalar(spec: BracketSpec, Om: dict):
+def ricci_and_scalar(spec: BracketSpec, Om: list):
     """(rho1, rho2, scal) with both Ricci forms as KForms; asserts the two
     scalar traces agree."""
     dom = spec.domain
@@ -625,9 +629,9 @@ def ricci_and_scalar(spec: BracketSpec, Om: dict):
     comp1 = {}
     for i, j in itertools.combinations(range(n2), 2):
         (i1, si), (j1, sj) = _Ie(i), _Ie(j)
-        cij = complex_trace(curvature_value(Om, i, j, n2, dom), dom)
+        cij = complex_trace(Om[i][j], dom)
         # Om(I e_i, I e_j) = s_i s_j Om(e_{i^1}, e_{j^1})
-        cI = _signed(si * sj, complex_trace(curvature_value(Om, i1, j1, n2, dom), dom))
+        cI = _signed(si * sj, complex_trace(Om[i1][j1], dom))
         v = half * (cij + cI)
         if not dom.is_zero(v):
             comp1[(i, j)] = v
@@ -654,18 +658,11 @@ def lee_form(spec: BracketSpec) -> list:
     The extraction degenerates only at t = -1; independence of the choice is
     asserted by re-extracting at t = 0."""
     dom = spec.domain
+    n2 = 2 * spec.m
 
     def torsion_trace(t):
         T = _torsion(spec, gauduchon_connection(spec, t))
-        n2 = 2 * spec.m
-        out = []
-        for x in range(n2):
-            acc = dom.zero()
-            for b in range(n2):
-                if x != b:
-                    acc = acc + (T[(x, b)][b] if x < b else -T[(b, x)][b])
-            out.append(acc)
-        return out
+        return [sum((T[x][b][b] for b in range(n2)), dom.zero()) for x in range(n2)]
 
     theta = torsion_trace(dom.one())
     half = dom.from_fraction(Fraction(1, 2))
@@ -696,16 +693,16 @@ def covariant_derivative(spec: BracketSpec, Q: MultiTensor, C: list,
     return T
 
 
-def _rm_tensor(spec: BracketSpec, Rm: dict) -> MultiTensor:
+def _rm_tensor(spec: BracketSpec, Rm: list) -> MultiTensor:
     dom = spec.domain
     n2 = 2 * spec.m
     T = MultiTensor(n2, 2, True, dom.zero())
-    for (a, b), M in Rm.items():
+    for a, b in itertools.combinations(range(n2), 2):
         for r in range(n2):
             for c in range(n2):
-                if not dom.is_zero(M[r][c]):
-                    T.set((a, b, r, c), M[r][c], dom)
-                    T.set((b, a, r, c), -M[r][c], dom)
+                if not dom.is_zero(Rm[a][b][r][c]):
+                    T.set((a, b, r, c), Rm[a][b][r][c], dom)
+                    T.set((b, a, r, c), Rm[b][a][r][c], dom)
     return T
 
 
@@ -762,28 +759,22 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
     dom = spec.domain
     n2 = 2 * spec.m
     Rm = spec.Rm
-    e = [basis_vector(n2, i, dom) for i in range(n2)]
 
     # (i) pair symmetry <Rm(a,b)e_c, e_d> = <Rm(c,d)e_a, e_b>
     for a, b in itertools.combinations(range(n2), 2):
         for c, d in itertools.combinations(range(n2), 2):
-            lhs = curvature_value(Rm, a, b, n2, dom)[d][c]
-            rhs = curvature_value(Rm, c, d, n2, dom)[b][a]
-            if not dom.is_zero(lhs - rhs):
+            if not dom.is_zero(Rm[a][b][d][c] - Rm[c][d][b][a]):
                 raise InternalConsistencyError(f"pair symmetry fails on ({a},{b},{c},{d})")
-    # (ii) first Bianchi
+    # (ii) first Bianchi: Rm(a,b)e_c + Rm(b,c)e_a + Rm(c,a)e_b = 0
     for a, b, c in itertools.combinations(range(n2), 3):
-        v = vec_add(vec_add(mat_vec(curvature_value(Rm, a, b, n2, dom), e[c]),
-                            mat_vec(curvature_value(Rm, b, c, n2, dom), e[a])),
-                    mat_vec(curvature_value(Rm, c, a, n2, dom), e[b]))
-        if any(not dom.is_zero(x) for x in v):
+        if any(not dom.is_zero(Rm[a][b][r][c] + Rm[b][c][r][a] + Rm[c][a][r][b])
+               for r in range(n2)):
             raise InternalConsistencyError(f"first Bianchi fails on ({a},{b},{c})")
 
     def antisym_check(T: MultiTensor, base: MultiTensor, label: str):
         # T(x1,x2,rest) - T(x2,x1,rest) = -(Rm(x1,x2) . base)(rest)
         for x1, x2 in itertools.combinations(range(n2), 2):
-            R = curvature_value(Rm, x1, x2, n2, dom)
-            D = derivation_action(R, base, dom)
+            D = derivation_action(Rm[x1][x2], base, dom)
             keys = set()
             for key in T.comp:
                 if key[0] == x1 and key[1] == x2:
@@ -1000,17 +991,18 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
                 "Killing generators are not closed under the Nomizu bracket")
 
 
-def nomizu_bracket(spec: BracketSpec, a, b, Rm: dict):
+def nomizu_bracket(spec: BracketSpec, a, b, Rm: list):
     """[(v,A),(w,B)] = (Aw - Bv, [A,B] + Rm(v,w))."""
     v, A = a
     w, B = b
     first = vec_sub(mat_vec(A, w), mat_vec(B, v))
-    second = mat_add(commutator(A, B), _curvature_at(Rm, v, w, 2 * spec.m, spec.domain))
+    second = mat_add(commutator(A, B), _curvature_at(Rm, v, w, spec.domain))
     return first, second
 
 
-def _curvature_at(Rm: dict, v: Sequence, w: Sequence, n2: int, dom):
-    """Rm(v, w) = sum_ij v_i w_j Rm(e_i, e_j) over the nonzero coefficients."""
+def _curvature_at(Rm: list, v: Sequence, w: Sequence, dom):
+    """Rm(v, w) = sum_ij v_i w_j Rm[i][j] over the nonzero coefficients."""
+    n2 = len(Rm)
     M = mat_zero(n2, dom)
     for i in range(n2):
         if dom.is_zero(v[i]):
@@ -1018,7 +1010,7 @@ def _curvature_at(Rm: dict, v: Sequence, w: Sequence, n2: int, dom):
         for j in range(n2):
             if dom.is_zero(w[j]):
                 continue
-            M = mat_add(M, mat_scale(v[i] * w[j], curvature_value(Rm, i, j, n2, dom)))
+            M = mat_add(M, mat_scale(v[i] * w[j], Rm[i][j]))
     return M
 
 
@@ -1048,11 +1040,11 @@ def rescale(spec: BracketSpec, c) -> BracketSpec:
     return out
 
 
-def sectional_curvature(spec: BracketSpec, Rm: dict, X: Sequence, Y: Sequence,
+def sectional_curvature(spec: BracketSpec, Rm: list, X: Sequence, Y: Sequence,
                         normalize: bool = False):
     """sec(X,Y) = <Rm(X,Y)X, Y>, optionally divided by |X|^2|Y|^2 - <X,Y>^2."""
     dom = spec.domain
-    M = _curvature_at(Rm, X, Y, 2 * spec.m, dom)
+    M = _curvature_at(Rm, X, Y, dom)
     val = dot(mat_vec(M, X), Y)
     if normalize:
         denom = dot(X, X) * dot(Y, Y) - dot(X, Y) * dot(X, Y)
@@ -1142,40 +1134,29 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
     A = gauduchon_connection(spec, t)
     Om, T = _curvature(spec, A), _torsion(spec, A)
     Rm = spec.Rm
-    e = [basis_vector(n2, i, dom) for i in range(n2)]
-
-    def tval(x, y):
-        if x == y:
-            return [dom.zero()] * n2
-        return T[(x, y)] if x < y else [-c for c in T[(y, x)]]
 
     residuals = []
     tors_ok = True
     Gp = [mat_add(S[i], A[i]) for i in range(n2)]
     for X in range(n2):
         for Y in range(n2):
-            GXY = mat_vec(Gp[X], e[Y])
             for Z in range(n2):
-                r = (dom.from_fraction(2) * GXY[Z]
-                     - tval(X, Y)[Z] + tval(Y, Z)[X] - tval(Z, X)[Y])
+                r = (dom.from_fraction(2) * Gp[X][Z][Y]
+                     - T[X][Y][Z] + T[Y][Z][X] - T[Z][X][Y])
                 if not dom.is_zero(r):
                     tors_ok = False
                 residuals.append(r)
 
     Gm = [mat_sub(S[i], A[i]) for i in range(n2)]
-
-    def gm_of(v):
-        return _conn_endo(Gm, v, dom)
-
     curv_ok = True
     for X, Y in itertools.combinations(range(n2), 2):
         # X . (D_Y Gm) as an endomorphism: -[S(Y), Gm_X] + Gm_{S(Y)X}
         E1 = mat_add(mat_sub(mat_mul(Gm[X], S[Y]), mat_mul(S[Y], Gm[X])),
-                     gm_of(mat_vec(S[Y], e[X])))
+                     _conn_endo(Gm, [row[X] for row in S[Y]], dom))
         E2 = mat_add(mat_sub(mat_mul(Gm[Y], S[X]), mat_mul(S[X], Gm[Y])),
-                     gm_of(mat_vec(S[X], e[Y])))
+                     _conn_endo(Gm, [row[Y] for row in S[X]], dom))
         rhs = mat_sub(mat_sub(E1, E2), commutator(Gm[X], Gm[Y]))
-        lhs = mat_sub(Om[(X, Y)], Rm[(X, Y)])
+        lhs = mat_sub(Om[X][Y], Rm[X][Y])
         Dm = mat_sub(lhs, rhs)
         for row in Dm:
             for val in row:

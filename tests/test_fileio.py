@@ -282,3 +282,48 @@ backend = exact
     p.write_text(bad2, encoding="utf-8")
     with pytest.raises(GhlFormatError, match="basis vector"):
         load_ghl(p)
+
+
+def _kt_copy(tmp_path, old: str, new: str):
+    """The bundled Kodaira-Thurston file with one text replacement."""
+    text = bundled_path("kodaira-thurston").read_text(encoding="utf-8")
+    assert old in text
+    p = tmp_path / "kt.ghl"
+    p.write_text(text.replace(old, new), encoding="utf-8")
+    return p
+
+
+def test_repeated_bracket_key_is_an_error(tmp_path):
+    """A bracket pair given twice is refused in both file kinds, also when
+    the two keys differ only in spacing; the last value used to win."""
+    p = tmp_path / "twice.ghl"
+    p.write_text("[algebra]\nq = 0\nm = 2\n[brackets]\ne0,e1 = e3\ne0,e1 = 2*e3\n",
+                 encoding="utf-8")
+    with pytest.raises(GhlFormatError, match=r"duplicate key 'e0,e1' in \[brackets\]"):
+        load_ghl(p)
+    p = _kt_copy(tmp_path, "e0,e1 = -e3\n", "e0,e1 = -e3\ne0, e1 = -2*e3\n")
+    with pytest.raises(GhlFormatError, match=r"duplicate key 'e0, e1' in \[brackets\]"):
+        load_ghl(p)
+
+
+def test_repeated_sample_name_is_an_error(tmp_path):
+    p = _kt_copy(tmp_path, "s2 = ", "s1 = r=3, sigma=1, x=0, y=0\ns2 = ")
+    with pytest.raises(GhlFormatError, match=r"duplicate key 's1' in \[samples\]"):
+        load_ghl(p)
+
+
+def test_repeated_parameter_is_an_error(tmp_path, capsys):
+    from ghl.cli import main
+    p = tmp_path / "twice.ghl"
+    p.write_text("[algebra]\nq = 0\nm = 1\nparams = a, a\n[brackets]\n", encoding="utf-8")
+    with pytest.raises(GhlFormatError, match="parameter 'a' is declared twice"):
+        load_ghl(p)
+    assert main(["validate", str(p)]) == 2
+    assert "parameter 'a' is declared twice" in capsys.readouterr().err
+
+
+def test_frame_metric_default_sample_is_the_first_in_file_order(tmp_path):
+    """Not the alphabetically first name: zz comes before s0 in the file."""
+    p = _kt_copy(tmp_path, "s0 = ", "zz = r=1, sigma=1, x=0, y=1/2\ns0 = ")
+    assert load_ghl(p).sample == {"r": Fraction(1), "sigma": Fraction(1),
+                                  "x": Fraction(0), "y": Fraction(1, 2)}

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghl import geometry as geo
-from ghl.fileio import load_ghl
+from ghl.fileio import bundled_path, load_ghl
 from ghl.multilinear import (basis_vector, mat_is_zero, mat_mul, mat_sub,
                              mat_vec, mat_zero, dot)
 from ghl.scalars import ExactDomain, FractionDomain, RationalFunction
@@ -599,15 +599,15 @@ def koszul_oracle(spec):
 
 def test_riemann_abelian_zero(abelian2):
     Rm = geo.riemann_curvature(abelian2.spec)
-    assert all(mat_is_zero(M, abelian2.spec.domain) for M in Rm.values())
+    assert all(mat_is_zero(M, abelian2.spec.domain) for M in itertools.chain.from_iterable(Rm))
 
 
 def test_riemann_sphere(sphere):
     spec = sphere.spec
     dom = spec.domain
     Rm = geo.riemann_curvature(spec)
-    assert dom.eq(Rm[(0, 1)][0][1], dom.from_fraction(-1))
-    assert dom.eq(Rm[(0, 1)][1][0], dom.from_fraction(1))
+    assert dom.eq(Rm[0][1][0][1], dom.from_fraction(-1))
+    assert dom.eq(Rm[0][1][1][0], dom.from_fraction(1))
     X = basis_vector(2, 0, dom)
     Y = basis_vector(2, 1, dom)
     assert geo.sectional_curvature(spec, Rm, X, Y) == 1
@@ -618,8 +618,8 @@ def test_riemann_iwasawa_matches_koszul_oracle(iwasawa):
     Rm = geo.riemann_curvature(inst)
     oracle = koszul_oracle(inst)
     dom = inst.domain
-    for key in oracle:
-        assert all(dom.eq(Rm[key][i][j], oracle[key][i][j])
+    for a, b in oracle:
+        assert all(dom.eq(Rm[a][b][i][j], oracle[(a, b)][i][j])
                    for i in range(6) for j in range(6))
 
 
@@ -639,7 +639,8 @@ def test_gauduchon_curvature_iwasawa_printed(iwasawa):
     t = geo.symbolic_t()
     Om, T = geo.gauduchon_curvature_torsion(spec, t)
     base = RF("alpha") ** 2 * (t - 1) ** 2
-    for key, M in Om.items():
+    for key in itertools.combinations(range(6), 2):
+        M = Om[key[0]][key[1]]
         if key in IWASAWA_OMEGA:
             frac, entries = IWASAWA_OMEGA[key]
             want = sparse_mat(6, entries, base * frac, dom)
@@ -651,14 +652,14 @@ def test_gauduchon_curvature_iwasawa_printed(iwasawa):
 def test_chern_flatness_iwasawa(iwasawa):
     spec = iwasawa.spec
     Om, _ = geo.gauduchon_curvature_torsion(spec, RationalFunction.const(1))
-    assert all(mat_is_zero(M, spec.domain) for M in Om.values())
+    assert all(mat_is_zero(M, spec.domain) for M in itertools.chain.from_iterable(Om))
 
 
 def test_gauduchon_abelian_curvature_torsion_zero(abelian2):
     Om, T = geo.gauduchon_curvature_torsion(abelian2.spec, geo.symbolic_t())
     dom = abelian2.spec.domain
-    assert all(mat_is_zero(M, dom) for M in Om.values())
-    assert all(all(dom.is_zero(x) for x in v) for v in T.values())
+    assert all(mat_is_zero(M, dom) for M in itertools.chain.from_iterable(Om))
+    assert all(all(dom.is_zero(x) for x in v) for v in itertools.chain.from_iterable(T))
 
 
 def test_kaehler_case_reduces_to_riemannian(sphere):
@@ -672,9 +673,47 @@ def test_kaehler_case_reduces_to_riemannian(sphere):
                for MA, MS in zip(A, S))
     Om, T = geo.gauduchon_curvature_torsion(spec, t)
     Rm = geo.riemann_curvature(spec)
-    for key in Om:
-        assert all(dom.eq(Om[key][i][j], Rm[key][i][j]) for i in range(2) for j in range(2))
-    assert all(all(dom.is_zero(x) for x in v) for v in T.values())
+    for a, b in itertools.combinations(range(2), 2):
+        assert all(dom.eq(Om[a][b][i][j], Rm[a][b][i][j]) for i in range(2) for j in range(2))
+    assert all(all(dom.is_zero(x) for x in v) for v in itertools.chain.from_iterable(T))
+
+
+def _scalars(x) -> list:
+    """The scalars of a vector or a matrix, row by row."""
+    return [y for r in x for y in _scalars(r)] if isinstance(x, list) else [x]
+
+
+def test_pair_tables_are_antisymmetric_with_zero_diagonal(all_bundled):
+    """Rm, Omega^t and T^t hold a zero diagonal and the entrywise 0 - x of
+    each upper entry below it: .eq on exact specs, == on floats, and a 0.0
+    above the diagonal is 0.0 below it, not -0.0.  The Kodaira-Thurston
+    sample is the first ROADMAP scale probe; the second does not load."""
+    specs = {name: loaded.spec for name, loaded in all_bundled.items()}
+    specs.update((spec.name, spec) for spec in random_two_step_specs(3))
+    specs["kt-probe"] = load_ghl(bundled_path("kodaira-thurston"), sample={
+        "r": Fraction(10 ** 6), "sigma": Fraction(10), "x": Fraction(7), "y": Fraction(0)}).spec
+    for name, spec in specs.items():
+        dom = spec.domain
+        exact = dom.backend == "exact"
+        n2 = 2 * spec.m
+
+        def same(x, y):
+            return dom.eq(x, y) if exact else x == y
+
+        tables = [("Rm", spec.Rm)]
+        for t in [dom.from_fraction(Fraction(2, 7))] + ([geo.symbolic_t()] if exact else []):
+            Om, T = geo.gauduchon_curvature_torsion(spec, t)
+            tables += [(f"Omega@{t}", Om), (f"T@{t}", T)]
+        for label, X in tables:
+            where = (name, label)
+            assert len(X) == n2 and all(len(row) == n2 for row in X), where
+            for a in range(n2):
+                assert all(same(x, dom.zero()) for x in _scalars(X[a][a])), where + (a,)
+            for a, b in itertools.combinations(range(n2), 2):
+                for x, y in zip(_scalars(X[a][b]), _scalars(X[b][a]), strict=True):
+                    assert same(y, dom.zero() - x), where + (a, b)
+                    if not exact and x == 0.0 and math.copysign(1.0, x) > 0:
+                        assert math.copysign(1.0, y) > 0, where + (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +839,7 @@ def test_lee_proportionality_symbolic_t(all_bundled):
                 for b in range(n2):
                     if b == x:
                         continue
-                    v = T[(x, b)] if x < b else [-c for c in T[(b, x)]]
+                    v = T[x][b]
                     acc = acc + v[b]
                 want = (t + 1) * theta[x] * dom.from_fraction(Fraction(1, 2))
                 assert dom.is_zero(acc - want), (name, x)
