@@ -29,7 +29,7 @@ from pathlib import Path
 
 from ghl.cli import main as ghl_main
 
-VERSION = 2
+VERSION = 3
 ROOT = Path(__file__).resolve().parent.parent
 
 DATA = "src/ghl/data/"
@@ -138,6 +138,8 @@ def calls() -> list[list[str]]:
          "--params", "alpha=1,beta=0,r=1,v=1"],
         ["sweep", IWA, "--grid", "alpha=0:2:3", "--quantity", "singer_k",
          "--params", "alpha=1"],
+        ["sweep", KOD, "--grid", "alpha=1:2:2", "--quantity", "scal",
+         "--params", "beta=1,r=1,v=1", "--t", "symbolic"],
         ["validate", TESTS + "no-such-file.ghl"],
         ["frobnicate", IWA],
     ]

@@ -7,7 +7,7 @@
     ghl singer   FILE --params ... [--kmax N]
     ghl killing  FILE --params ...
     ghl sweep    FILE --grid "p=a:b:n,..." --quantity scal|sec_max_basis|singer_k
-                      [--params ...] [--output PATH]
+                      [--t RAT] [--params ...] [--output PATH]
 
 Exit codes: 0 success, 1 semantic failure (validation failure, check
 mismatch or a failed built-in identity), 2 usage, parse or I/O errors,
@@ -194,6 +194,8 @@ def _grid_points(text: str) -> tuple[list[str], list[dict]]:
 
 
 def cmd_sweep(args) -> int:
+    if args.t == "symbolic":
+        raise UsageError("sweep evaluates at a rational t: give --t RAT or a t axis in --grid")
     fixed = args.params or {}
     names, points = _grid_points(args.grid)
     for name in names:
@@ -232,7 +234,7 @@ def _sweep_value(args, spec, tval) -> str:
     dom = spec.domain
     if args.quantity == "scal":
         if tval is None:
-            tval = _rational(args.t) if args.t not in (None, "symbolic") else Fraction(1)
+            tval = _rational(args.t) if args.t is not None else Fraction(1)
         Om, _ = geo.gauduchon_curvature_torsion(spec, dom.from_fraction(tval))
         return dom.text(geo.ricci_and_scalar(spec, Om)[2])
     if args.quantity == "sec_max_basis":
@@ -287,7 +289,7 @@ def make_parser() -> argparse.ArgumentParser:
     w.add_argument("--grid", required=True, help="param=start:stop:count,...")
     w.add_argument("--quantity", choices=("scal", "sec_max_basis", "singer_k"),
                    required=True)
-    w.add_argument("--t", default=None)
+    w.add_argument("--t", default=None, help="rational Gauduchon parameter (default 1)")
     w.add_argument("--output", default=None)
     _common(w)
     w.set_defaults(fn=cmd_sweep)

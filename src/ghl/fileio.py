@@ -51,7 +51,7 @@ from .multilinear import gram_schmidt_unitary, mat_vec, dot
 from .scalars import DEFAULT_TOLERANCE, ExactDomain, NumericDomain, UsageError
 
 __all__ = ["GhlFormatError", "LoadedSpec", "load_ghl", "serialize_report",
-           "parse_assignments", "compare_reports", "bundled_path"]
+           "parse_assignments", "compare_reports", "BUNDLED", "bundled_path"]
 
 REPORT_SCHEMA = 1
 
@@ -434,21 +434,14 @@ def compare_reports(actual: dict, expected: dict, tol: float = DEFAULT_TOLERANCE
     return diffs
 
 
-_DATA_FILES = {
-    "abelian2": "abelian2.ghl",
-    "sphere": "sphere.ghl",
-    "iwasawa": "iwasawa.ghl",
-    "kodaira": "kodaira.ghl",
-    "kodaira-thurston": "kodaira-thurston.ghl",
-}
+BUNDLED = ("abelian2", "sphere", "iwasawa", "kodaira", "kodaira-thurston")
 
 
 def bundled_path(name: str) -> Path:
-    """Path of a bundled example (.ghl) or expected report (.expected.json)."""
+    """Path of a bundled example: `name` or `name.ghl` is its .ghl file and
+    `name.expected.json` its expected report."""
     from importlib.resources import files
-    base = files("ghl") / "data"
-    fname = _DATA_FILES.get(name, name)
-    p = Path(str(base / fname))
-    if not p.exists():
+    stem, _, ext = name.partition(".")
+    if stem not in BUNDLED or ext not in ("", "ghl", "expected.json"):
         raise FileNotFoundError(f"no bundled data file {name!r}")
-    return p
+    return Path(str(files("ghl") / "data" / f"{stem}.{ext or 'ghl'}"))

@@ -12,7 +12,7 @@ import pytest
 from ghl import cli
 from ghl import geometry as geo
 from ghl.cli import main
-from ghl.fileio import bundled_path
+from ghl.fileio import BUNDLED, bundled_path
 
 from conftest import TEST_DATA
 
@@ -89,7 +89,7 @@ def test_report_chern_substitution():
 def test_check_bundled_fixtures_pass():
     import time
     t0 = time.monotonic()
-    for name in ("abelian2", "sphere", "iwasawa", "kodaira", "kodaira-thurston"):
+    for name in BUNDLED:
         fixture = bundled_path(f"{name}.expected.json")
         code, out, _ = run("check", str(bundled_path(name)), str(fixture))
         assert code == 0, (name, out)
@@ -457,6 +457,16 @@ def test_sweep_name_given_twice_exits_two(grid, params, message):
                          "--quantity", "scal", "--params", params)
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_sweep_symbolic_t_exits_two():
+    """sweep evaluates at a rational t; --t symbolic once gave the t = 1 CSV."""
+    argv = ("sweep", str(bundled_path("kodaira")), "--grid", "alpha=1:2:2",
+            "--quantity", "scal", "--params", "beta=1,r=1,v=1")
+    code, out, err = run(*argv, "--t", "symbolic")
+    assert (code, out) == (2, "")
+    assert "give --t RAT or a t axis in --grid" in err
+    assert run(*argv, "--t", "0")[:2] == (0, "alpha,scal\n1,27\n2,216\n")
 
 
 def test_check_against_non_report_json_exits_two(tmp_path):

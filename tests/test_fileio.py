@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ghl import geometry as geo
-from ghl.fileio import (GhlFormatError, build_report, bundled_path,
+from ghl.fileio import (BUNDLED, GhlFormatError, build_report, bundled_path,
                         compare_reports, load_ghl, parse_assignments,
                         serialize_report)
 
@@ -327,3 +327,21 @@ def test_frame_metric_default_sample_is_the_first_in_file_order(tmp_path):
     p = _kt_copy(tmp_path, "s0 = ", "zz = r=1, sigma=1, x=0, y=1/2\ns0 = ")
     assert load_ghl(p).sample == {"r": Fraction(1), "sigma": Fraction(1),
                                   "x": Fraction(0), "y": Fraction(1, 2)}
+
+
+def test_bundled_list_is_the_data_directory():
+    """Each name in BUNDLED has a .ghl and an .expected.json, and the data
+    directory holds nothing else."""
+    data = bundled_path(BUNDLED[0]).parent
+    assert sorted(p.name for p in data.iterdir()) == sorted(
+        name + ext for name in BUNDLED for ext in (".ghl", ".expected.json"))
+
+
+def test_bundled_path_spellings():
+    for name in BUNDLED:
+        assert bundled_path(name) == bundled_path(f"{name}.ghl")
+        assert bundled_path(name).name == f"{name}.ghl"
+        assert bundled_path(f"{name}.expected.json").name == f"{name}.expected.json"
+    for bad in ("nosuch", "nosuch.ghl", "iwasawa.json", "iwasawa.ghl.expected.json"):
+        with pytest.raises(FileNotFoundError, match="no bundled data file"):
+            bundled_path(bad)

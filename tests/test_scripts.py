@@ -1,8 +1,10 @@
-"""Smoke tests of the example scripts, each run as a subprocess.
+"""Tests of the scripts: each is run as a subprocess, and the classifier of
+scripts/fixtures.py is also imported from its path and run in process.
 
-scripts/regen_fixtures.py is not run: it rewrites the bundled fixtures."""
+`scripts/fixtures.py --write` is not run: it rewrites the bundled fixtures."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +12,9 @@ import sys
 import time
 from pathlib import Path
 
-from ghl.fileio import bundled_path
+import pytest
+
+from ghl.fileio import BUNDLED, bundled_path, serialize_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,15 +25,46 @@ def run_script(name, *args):
                           capture_output=True, text=True, env=env, timeout=600)
 
 
-def test_run_examples_writes_the_bundled_reports(tmp_path):
-    proc = run_script("run_examples.py", str(tmp_path))
+def test_fixtures_reports_every_bundled_fixture_identical():
+    t0 = time.monotonic()
+    proc = run_script("fixtures.py")
+    elapsed = time.monotonic() - t0
     assert proc.returncode == 0, proc.stderr
-    names = ("abelian2", "sphere", "iwasawa", "kodaira", "kodaira-thurston")
+    assert proc.stdout == "".join(f"{name} identical\n" for name in BUNDLED)
+    assert elapsed < 10, f"took {elapsed:.1f}s"
+
+
+def test_fixtures_out_writes_the_bundled_reports(tmp_path):
+    proc = run_script("fixtures.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        f"{name}.report.json" for name in names)
-    for name in names:
+        f"{name}.report.json" for name in BUNDLED)
+    for name in BUNDLED:
         expected = bundled_path(name).with_suffix(".expected.json")
         assert (tmp_path / f"{name}.report.json").read_bytes() == expected.read_bytes(), name
+
+
+def _times_two(report):
+    num, den = report["scal"].split(" / ")
+    report["scal"] = f"2*{num} / (2*{den})"
+
+
+@pytest.mark.parametrize("edit, lines, code", [
+    (_times_two, ["kodaira scal equal"], 0),
+    (lambda r: r.update(scal=f"-({r['scal']})"), ["kodaira scal changed"], 1),
+    (lambda r: r.pop("rho1"), ["kodaira rho1 changed"], 1),
+    (lambda r: r.update(schema=2), ["kodaira schema changed"], 1),
+], ids=["equal", "negated", "missing", "schema"])
+def test_fixtures_classifies_each_key(capsys, edit, lines, code):
+    """The committed kodaira report against an edited copy of itself."""
+    spec = importlib.util.spec_from_file_location("fixtures", ROOT / "scripts" / "fixtures.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    committed = bundled_path("kodaira.expected.json").read_text(encoding="utf-8")
+    fixture = json.loads(committed)
+    edit(fixture)
+    assert tool.diff_fixture("kodaira", committed, serialize_report(fixture)) == code
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_rescaling_exponent_measures_c_to_minus_two():
@@ -50,7 +85,7 @@ def test_cli_digest_lines_match_the_pinned_reports():
     assert len({json.dumps(d["argv"]) for d in lines}) == len(lines)
     reports = {d["argv"][1]: d for d in lines
                if len(d["argv"]) == 2 and d["argv"][0] == "report"}
-    for name in ("abelian2", "sphere", "iwasawa", "kodaira", "kodaira-thurston"):
+    for name in BUNDLED:
         d = reports[f"src/ghl/data/{name}.ghl"]
         want = hashlib.sha256(bundled_path(name).with_suffix(".expected.json").read_bytes())
         assert (d["exit"], d["stdout_sha256"], d["stderr_last"]) == (0, want.hexdigest(), ""), name
