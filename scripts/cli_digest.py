@@ -29,13 +29,14 @@ from pathlib import Path
 
 from ghl.cli import main as ghl_main
 
-VERSION = 3
+VERSION = 4
 ROOT = Path(__file__).resolve().parent.parent
 
 DATA = "src/ghl/data/"
 TESTS = "tests/data/"
 BUNDLED = ("abelian2", "sphere", "iwasawa", "kodaira", "kodaira-thurston")
-TEST_FILES = ("broken-h2", "broken-jacobi", "iwasawa-metric", "kt-exact", "nonunimodular")
+TEST_FILES = ("broken-h2", "broken-jacobi", "iwasawa-metric", "kodaira-times-c", "kt-exact",
+              "nonunimodular")
 # a rational point of each algebra file's parameters, for the verbs that
 # need constant structure constants
 POINT = {"abelian2": "", "sphere": "", "iwasawa": "alpha=1",
@@ -119,6 +120,8 @@ def calls() -> list[list[str]]:
         ["killing", IWA],
         ["singer", KT],
         ["report", KOD, "--t", "1/x"],
+        ["sweep", IWA, "--grid", "alpha=1:2:2", "--quantity", "sec_max_basis", "--t", "1/x"],
+        ["sweep", IWA, "--grid", "alpha=1:2:2", "--quantity", "singer_k", "--t", "1/x"],
         ["report", KOD, "--t", "1/0"],
         ["sweep", KOD, "--grid", "t=0:1:x", "--quantity", "scal",
          "--params", "alpha=1,beta=0,r=1,v=1"],

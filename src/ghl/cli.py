@@ -196,6 +196,7 @@ def _grid_points(text: str) -> tuple[list[str], list[dict]]:
 def cmd_sweep(args) -> int:
     if args.t == "symbolic":
         raise UsageError("sweep evaluates at a rational t: give --t RAT or a t axis in --grid")
+    t = Fraction(1) if args.t is None else _rational(args.t)
     fixed = args.params or {}
     names, points = _grid_points(args.grid)
     for name in names:
@@ -214,7 +215,7 @@ def cmd_sweep(args) -> int:
                 if _validation_failed(loaded):
                     return SEMANTIC_ERROR
                 specs[key] = loaded.spec
-            value = _sweep_value(args, specs[key], point.get("t"))
+            value = _sweep_value(args.quantity, specs[key], point.get("t", t))
         except PoleError:
             value = "pole"
         rows.append([str(point[k]) for k in names] + [value])
@@ -230,22 +231,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_value(args, spec, tval) -> str:
+def _sweep_value(quantity: str, spec, t: Fraction) -> str:
     dom = spec.domain
-    if args.quantity == "scal":
-        if tval is None:
-            tval = _rational(args.t) if args.t is not None else Fraction(1)
-        Om, _ = geo.gauduchon_curvature_torsion(spec, dom.from_fraction(tval))
+    if quantity == "scal":
+        Om, _ = geo.gauduchon_curvature_torsion(spec, dom.from_fraction(t))
         return dom.text(geo.ricci_and_scalar(spec, Om)[2])
-    if args.quantity == "sec_max_basis":
+    if quantity == "sec_max_basis":
         n2 = 2 * spec.m
         e = [basis_vector(n2, a, dom) for a in range(n2)]
         return dom.text(max(geo.sectional_curvature(spec, spec.Rm, e[a], e[b])
                             for a in range(n2) for b in range(a + 1, n2)))
-    if args.quantity == "singer_k":
+    if quantity == "singer_k":
         res = geo.singer_invariant(spec)
         return str(res.k_jg)
-    raise GhlFormatError(f"unknown sweep quantity {args.quantity!r}")
+    raise GhlFormatError(f"unknown sweep quantity {quantity!r}")
 
 
 def make_parser() -> argparse.ArgumentParser:

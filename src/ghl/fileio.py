@@ -322,6 +322,7 @@ def build_report(loaded: LoadedSpec, t=None, t_label: str | None = None) -> dict
     rho1, rho2, scal = geo.ricci_and_scalar(spec, Om)
     W = geo.rho2_matrix(spec, Om)
     theta = geo.lee_form(spec)
+    geo._check_lee_trace(spec, T, t, theta)
     flags = geo.metric_flags(spec)
 
     def s(x) -> str:

@@ -16,6 +16,8 @@ Sign conventions are normalized against the worked examples (see tests):
     Rm(X,Y)    = ad(mu_h(X,Y)) - [S(X),S(Y)] - S(mu_m(X,Y))
     Om_t(X,Y)  = ad(mu_h(X,Y)) - [A(X),A(Y)] - A(mu_m(X,Y))
     T_t(X,Y)   = A(X)Y - A(Y)X - mu_m(X,Y)
+    theta      : d(w^{m-1}) = theta ^ w^{m-1},  w = sum_k e^{2k} ^ e^{2k+1},
+                 d = multilinear.coboundary; tr T_t(X,.) = (t+1)/2 theta(X)
 
 Ricci forms and the scalar follow the m-pair traces: rho2 is the matrix
 sum_k Om(e_{2k}, e_{2k+1}), rho1(X,Y) = 1/2(c(Om(X,Y)) + c(Om(IX,IY))) with
@@ -137,6 +139,10 @@ class BracketSpec:
         return istd(self.m, self.domain)
 
     @cached_property
+    def N(self) -> dict:
+        return _nijenhuis(self)
+
+    @cached_property
     def tors(self) -> "TorsionData":
         return torsion_ingredients(self)
 
@@ -147,6 +153,10 @@ class BracketSpec:
     @cached_property
     def Rm(self) -> list[list[list]]:
         return riemann_curvature(self)
+
+    @cached_property
+    def omega_power(self) -> tuple:
+        return _omega_power(self)
 
     def ad_h(self, hvec: Sequence) -> list[list]:
         """ad of an isotropy vector restricted to R^{2m} (column action)."""
@@ -209,56 +219,34 @@ def validate(spec: BracketSpec) -> ValidationReport:
     mu = spec.mu
     rep = ValidationReport()
 
-    jac_ok, jac_wit = True, ""
-    for a, b, c in itertools.combinations(range(n), 3):
+    def nonzero(v):
+        return any(not dom.is_zero(x) for x in v)
+
+    def jacobi(a, b, c):
         ea, eb, ec = (basis_vector(n, i, dom) for i in (a, b, c))
-        s = vec_add(vec_add(spec.mu_vec(mu[a][b], ec),
-                            spec.mu_vec(mu[b][c], ea)),
-                    spec.mu_vec(mu[c][a], eb))
-        if any(not dom.is_zero(x) for x in s):
-            jac_ok, jac_wit = False, f"Jacobi fails on (e{a},e{b},e{c})"
-            break
-    closure_ok, closure_wit = True, ""
-    for a, b in itertools.combinations(range(q), 2):
-        if any(not dom.is_zero(x) for x in mu[a][b][q:]):
-            closure_ok, closure_wit = False, f"mu(e{a},e{b}) leaves the isotropy block"
-            break
-    if closure_ok:
-        for z in range(q):
-            for b in range(q, n):
-                if any(not dom.is_zero(x) for x in mu[z][b][:q]):
-                    closure_ok, closure_wit = False, f"mu(e{z},e{b}) has an isotropy component"
-                    break
-            if not closure_ok:
-                break
-    rep.conditions.append(ConditionResult(
-        "h1", jac_ok and closure_ok, jac_wit or closure_wit))
+        return vec_add(vec_add(spec.mu_vec(mu[a][b], ec), spec.mu_vec(mu[b][c], ea)),
+                       spec.mu_vec(mu[c][a], eb))
+
+    # h1: Jacobi, then closure of the isotropy block; the first failure is the witness
+    h1_wit = next(itertools.chain(
+        (f"Jacobi fails on (e{a},e{b},e{c})"
+         for a, b, c in itertools.combinations(range(n), 3) if nonzero(jacobi(a, b, c))),
+        (f"mu(e{a},e{b}) leaves the isotropy block"
+         for a, b in itertools.combinations(range(q), 2) if nonzero(mu[a][b][q:])),
+        (f"mu(e{z},e{b}) has an isotropy component"
+         for z in range(q) for b in range(q, n) if nonzero(mu[z][b][:q]))), "")
+    rep.conditions.append(ConditionResult("h1", not h1_wit, h1_wit))
 
     # h2: ad(Z) skew on the m-block (metric invariance), diagonal included
-    h2_ok, h2_wit = True, ""
-    for z in range(q):
-        for a in range(2 * m):
-            for b in range(a, 2 * m):
-                lhs = mu[z][q + a][q + b] + mu[z][q + b][q + a]
-                if not dom.is_zero(lhs):
-                    h2_ok, h2_wit = False, f"<mu(e{z},.),.> not skew on (e{q + a},e{q + b})"
-                    break
-            if not h2_ok:
-                break
-        if not h2_ok:
-            break
-    rep.conditions.append(ConditionResult("h2", h2_ok, h2_wit))
+    h2_wit = next((f"<mu(e{z},.),.> not skew on (e{q + a},e{q + b})"
+                   for z in range(q) for a in range(2 * m) for b in range(a, 2 * m)
+                   if not dom.is_zero(mu[z][q + a][q + b] + mu[z][q + b][q + a])), "")
+    rep.conditions.append(ConditionResult("h2", not h2_wit, h2_wit))
 
     # h3: ad(Z) commutes with I
-    h3_ok, h3_wit = True, ""
-    I = spec.I
-    for z in range(q):
-        hv = basis_vector(q, z, dom) if q else []
-        M = spec.ad_h(hv)
-        if not mat_is_zero(commutator(M, I), dom):
-            h3_ok, h3_wit = False, f"ad(e{z}) does not commute with I"
-            break
-    rep.conditions.append(ConditionResult("h3", h3_ok, h3_wit))
+    h3_wit = next((f"ad(e{z}) does not commute with I" for z in range(q) if not mat_is_zero(
+        commutator(spec.ad_h(basis_vector(q, z, dom)), spec.I), dom)), "")
+    rep.conditions.append(ConditionResult("h3", not h3_wit, h3_wit))
 
     # h4: effectiveness; the isotropy kernel's dimension is q minus the rank
     dead = q - len(_isotropy_echelon(spec).pivots)
@@ -266,7 +254,7 @@ def validate(spec: BracketSpec) -> ValidationReport:
     rep.conditions.append(ConditionResult("h4", not dead, wit))
 
     # h5: integrability flag (pass = integrable); witness: first pair with N != 0
-    bad = next(iter(_nijenhuis(spec)), None)
+    bad = next(iter(spec.N), None)
     rep.conditions.append(ConditionResult(
         "h5", bad is None,
         "" if bad is None else f"integrability fails on (e{q + bad[0]},e{q + bad[1]})"))
@@ -504,7 +492,7 @@ def torsion_ingredients(spec: BracketSpec) -> TorsionData:
             comp[(a, b, c)] = v
     F_minus = KForm(n2, 3, comp)
     F_plus = F.sub(F_minus, dom)
-    return TorsionData(_nijenhuis(spec), F, F_plus, F_minus)
+    return TorsionData(spec.N, F, F_plus, F_minus)
 
 
 # -- connections -----------------------------------------------------------------
@@ -652,25 +640,37 @@ def ricci_and_scalar(spec: BracketSpec, Om: list):
     return rho1, rho2, scal2
 
 
-def lee_form(spec: BracketSpec) -> list:
-    """Lee form extracted at t = 1 via tr(T^t(X, .)) = (t+1)/2 theta(X).
-
-    The extraction degenerates only at t = -1; independence of the choice is
-    asserted by re-extracting at t = 0."""
+def _omega_power(spec: BracketSpec) -> tuple[KForm, KForm, KForm]:
+    """(omega, omega^{m-1}, d omega^{m-1}); the power starts at the 0-form 1."""
     dom = spec.domain
     n2 = 2 * spec.m
+    omega = KForm(n2, 2, {(2 * k, 2 * k + 1): dom.one() for k in range(spec.m)})
+    power = KForm(n2, 0, {(): dom.one()})
+    for _ in range(spec.m - 1):
+        power = wedge(power, omega, dom)
+    return omega, power, coboundary(spec.mu_m, n2, power, dom)
 
-    def torsion_trace(t):
-        T = _torsion(spec, gauduchon_connection(spec, t))
-        return [sum((T[x][b][b] for b in range(n2)), dom.zero()) for x in range(n2)]
 
-    theta = torsion_trace(dom.one())
-    half = dom.from_fraction(Fraction(1, 2))
-    other = torsion_trace(dom.zero())
-    for a, b in zip(theta, other):
-        if not dom.is_zero(half * a - b):
-            raise InternalConsistencyError("Lee form extraction is t-dependent")
+def lee_form(spec: BracketSpec) -> list:
+    """theta with d omega^{m-1} = theta ^ omega^{m-1}: e^x ^ omega^{m-1} has one
+    component, at the indices other than x ^ 1, so theta(e_x) is a quotient."""
+    dom = spec.domain
+    _, power, dpow = spec.omega_power
+    theta = []
+    for x in range(power.n):
+        (key, c), = wedge(KForm(power.n, 1, {(x,): dom.one()}), power, dom).comp.items()
+        theta.append(dpow.component(key, dom) / c)
     return theta
+
+
+def _check_lee_trace(spec: BracketSpec, T: list, t, theta: list) -> None:
+    """Assert tr T^t(X, .) = (t+1)/2 theta(X) on the basis (Gauduchon 1997),
+    an identity in t when t is symbolic."""
+    dom = spec.domain
+    c = (t + 1) * dom.from_fraction(Fraction(1, 2))
+    for x, row in enumerate(T):
+        if not dom.is_zero(sum((v[b] for b, v in enumerate(row)), dom.zero()) - c * theta[x]):
+            raise InternalConsistencyError(f"tr T^t(e{x}, .) is not (t+1)/2 theta(e{x})")
 
 
 # -- covariant derivatives and s-tuples --------------------------------------------
@@ -1089,20 +1089,10 @@ def rescaling_exponent(spec: BracketSpec, a: int = 0, b: int = 1,
 def metric_flags(spec: BracketSpec) -> dict:
     dom = spec.domain
     n2 = 2 * spec.m
-    integrable = not spec.tors.N
-    omega = KForm(n2, 2, {(2 * k, 2 * k + 1): dom.one() for k in range(spec.m)})
-    domega = coboundary(spec.mu_m, n2, omega, dom)
-    almost_kahler = domega.is_zero(dom)
-    if spec.m == 1:
-        balanced = True
-    else:
-        power = omega
-        for _ in range(spec.m - 2):
-            power = wedge(power, omega, dom)
-        dpow = coboundary(spec.mu_m, n2, power, dom)
-        balanced = dpow.is_zero(dom)
-    return {"integrable": integrable, "almost_kahler": almost_kahler,
-            "balanced": balanced}
+    omega, _, dpow = spec.omega_power
+    return {"integrable": not spec.N,
+            "almost_kahler": coboundary(spec.mu_m, n2, omega, dom).is_zero(dom),
+            "balanced": dpow.is_zero(dom)}
 
 
 # -- audits ------------------------------------------------------------------------

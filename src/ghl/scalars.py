@@ -11,6 +11,8 @@ Representation:
                   (graded-lex order) is positive.  The pair is NOT reduced to
                   lowest terms: equality and zero tests go through
                   cross-multiplication, which is exact without any GCD.
+                  text() alone fixes the printed form, a function of the
+                  value unless num and den share a non-monomial factor.
   NumericDomain   plain Python floats for the numeric backend
                   (square-root-bearing frames); the domain, not the value,
                   holds the comparison tolerance.
@@ -333,17 +335,13 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
 
-def _content(p: Polynomial, exact: bool = True) -> Fraction:
-    """Positive rational content (gcd of numerators / lcm of denominators).
-    text() alone passes exact=False, which stops once the coefficients seen so
-    far are integers of gcd 1: the pinned report bytes were written that way."""
+def _content(p: Polynomial) -> Fraction:
+    """Positive rational content (gcd of numerators / lcm of denominators)."""
     num_gcd = 0
     den_lcm = 1
     for c in p.terms.values():
         num_gcd = _gcd(num_gcd, c.numerator)
         den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-        if not exact and num_gcd == 1 and den_lcm == 1:
-            return Fraction(1)
     return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
 
 
@@ -359,10 +357,14 @@ def _monomial_content(p: Polynomial) -> tuple[int, ...]:
     return mins
 
 
-def _divide_monomial(p: Polynomial, mono: tuple[int, ...]) -> Polynomial:
+def _cancel_monomial(num: Polynomial, den: Polynomial):
+    """num and den on one variable tuple, with the monomial they share divided out."""
+    pair = Polynomial._align(num, den)
+    mono = tuple(map(min, *map(_monomial_content, pair)))
     if not any(mono):
-        return p
-    return Polynomial(p.vars, {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()})._trim()
+        return pair
+    return tuple(Polynomial(p.vars, {tuple(a - b for a, b in zip(e, mono)): c
+                                     for e, c in p.terms.items()})._trim() for p in pair)
 
 
 class RationalFunction:
@@ -499,17 +501,15 @@ class RationalFunction:
     # -- serialization ------------------------------------------------------
 
     def text(self) -> str:
-        """Canonical text: expanded polynomials, integer coefficients where
-        possible, `(num) / (den)` with den omitted when it is 1."""
-        num, den = self.num, self.den
-        scale = _content(den, exact=False)
+        """`(num) / (den)`, den omitted when 1: their shared monomial cancelled,
+        den scaled to coprime integers, num's fractions cleared into both."""
+        num, den = _cancel_monomial(self.num, self.den)
+        scale = _content(den)
         if scale != 1:
             num, den = num * (1 / scale), den * (1 / scale)
-        nc = _content(num, exact=False)
-        if nc != 0 and nc.denominator != 1:
-            # clear remaining fractions in num by scaling both sides
-            num = num * nc.denominator
-            den = den * nc.denominator
+        nc = _content(num)
+        if nc.denominator != 1:
+            num, den = num * nc.denominator, den * nc.denominator
         if den == Polynomial.const(1):
             return num.text()
         if num.is_constant() and den.is_constant():
@@ -533,10 +533,7 @@ def _heuristic_reduce(num: Polynomial, den: Polynomial):
     if not den.vars and den.terms == _ONE_TERMS:
         return num, den
     if not _small(num, den):
-        a, b = Polynomial._align(num, den)
-        mono = tuple(map(min, _monomial_content(a), _monomial_content(b))) if a.vars else ()
-        if mono and any(mono):
-            a, b = _divide_monomial(a, mono), _divide_monomial(b, mono)
+        a, b = _cancel_monomial(num, den)
         if not _small(a, b):
             ca, cb = _content(a), _content(b)
             g = Fraction(_gcd(ca.numerator * cb.denominator, cb.numerator * ca.denominator),

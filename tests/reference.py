@@ -1,11 +1,13 @@
 """Reference helpers for the tests: vector-argument and permutation-sum
-evaluations of definitions that the engine evaluates by index.
+evaluations of definitions that the engine evaluates by index, and the Lee
+form read from the Gauduchon torsion, which the engine reads from d omega^{m-1}.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
 
 import itertools
 
+from ghl import geometry as geo
 from ghl.multilinear import KForm, MultiTensor, _sort_sign, mat_zero
 
 
@@ -232,3 +234,21 @@ def N_vec(tors, spec, x, y) -> list:
             for c, val in enumerate(v):
                 out[c] = out[c] + coeff * val
     return out
+
+
+# -- the Lee form from the Gauduchon torsion ---------------------------------------
+
+def lee_from_torsion_trace(spec) -> list:
+    """theta(X) = tr T^1(X, .), read from tr T^t = (t+1)/2 theta at t = 1
+    (Gauduchon 1997); asserts that tr T^0 is half of it."""
+    dom = spec.domain
+    n2 = 2 * spec.m
+
+    def torsion_trace(t):
+        T = geo._torsion(spec, geo.gauduchon_connection(spec, t))
+        return [sum((T[x][b][b] for b in range(n2)), dom.zero()) for x in range(n2)]
+
+    theta = torsion_trace(dom.one())
+    half = dom.from_fraction("1/2")
+    assert all(dom.eq(half * a, b) for a, b in zip(theta, torsion_trace(dom.zero())))
+    return theta

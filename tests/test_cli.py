@@ -469,6 +469,25 @@ def test_sweep_symbolic_t_exits_two():
     assert run(*argv, "--t", "0")[:2] == (0, "alpha,scal\n1,27\n2,216\n")
 
 
+@pytest.mark.parametrize("quantity", ["scal", "sec_max_basis", "singer_k"])
+def test_sweep_parses_t_for_every_quantity(quantity):
+    """--t is parsed once, before any point: a bad literal is refused even
+    where the quantity does not depend on t."""
+    code, out, err = run("sweep", str(bundled_path("iwasawa")), "--grid", "alpha=1:2:2",
+                         "--quantity", quantity, "--t", "1/x")
+    assert (code, out) == (2, "")
+    assert "bad rational literal '1/x'" in err
+
+
+def test_report_exits_one_on_a_wrong_lee_form(monkeypatch):
+    """The report checks tr T^t = (t+1)/2 theta on the T it prints."""
+    lee = geo.lee_form
+    monkeypatch.setattr(geo, "lee_form", lambda spec: [2 * x for x in lee(spec)])
+    code, out, err = run("report", str(bundled_path("kodaira")))
+    assert (code, out) == (1, "")
+    assert "internal consistency error: tr T^t(e0, .) is not (t+1)/2 theta(e0)" in err
+
+
 def test_check_against_non_report_json_exits_two(tmp_path):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]", encoding="utf-8")

@@ -72,16 +72,19 @@ def test_report_round_trips_scal(kodaira):
 
 
 def test_build_report_builds_each_derived_object_once(monkeypatch):
-    """S and the torsion data are built once per spec; curvature is built
-    twice, for Rm and Omega^t (the Lee form needs torsion only)."""
+    """N, S, the torsion data, A^t and d omega^{m-1} are built once per spec,
+    validation included; curvature is built twice, for Rm and Omega^t (the
+    Lee form reads d omega^{m-1}, and its check the printed T)."""
     calls = Counter()
-    for name in ("levi_civita", "torsion_ingredients", "_curvature"):
+    for name in ("_nijenhuis", "levi_civita", "torsion_ingredients", "gauduchon_connection",
+                 "_curvature", "_omega_power"):
         def counted(*args, _orig=getattr(geo, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(geo, name, counted)
     build_report(load_ghl(bundled_path("iwasawa")))
-    assert calls == {"levi_civita": 1, "torsion_ingredients": 1, "_curvature": 2}
+    assert calls == {"_nijenhuis": 1, "levi_civita": 1, "torsion_ingredients": 1,
+                     "gauduchon_connection": 1, "_curvature": 2, "_omega_power": 1}
 
 
 def test_serialize_deterministic(iwasawa):

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghl import geometry as geo
-from ghl.fileio import bundled_path, load_ghl
+from ghl.fileio import build_report, bundled_path, load_ghl
 from ghl.multilinear import (basis_vector, mat_is_zero, mat_mul, mat_sub,
                              mat_vec, mat_zero, dot)
 from ghl.scalars import ExactDomain, FractionDomain, RationalFunction
 
 from conftest import TEST_DATA
-from reference import N_vec, form_evaluate, mu_m_vec, split_bracket
+from reference import N_vec, form_evaluate, lee_from_torsion_trace, mu_m_vec, split_bracket
+from test_invariants import _nilpotent
 from test_nonintegrable import random_two_step_specs
 
 
@@ -819,6 +820,72 @@ def test_lee_kodaira_wedge_equation_oracle(kodaira):
             sign = (-1) ** pos
             acc = acc + dom.from_fraction(sign) * theta[x] * omega.component(rest, dom)
         assert dom.eq(domega.component(key, dom), acc)
+
+
+@pytest.mark.parametrize("q, m, mu, name, witness", [
+    (2, 1, {(0, 1): [0, 0, 1, 0]}, "h1", "mu(e0,e1) leaves the isotropy block"),
+    (1, 1, {(0, 1): [1, 0, 0]}, "h1", "mu(e0,e1) has an isotropy component"),
+    # ad(e0) turns e1 into e3, skew but not complex linear
+    (1, 2, {(0, 1): [0, 0, 0, 1, 0], (0, 3): [0, -1, 0, 0, 0]}, "h3",
+     "ad(e0) does not commute with I"),
+])
+def test_validate_names_the_first_failure(q, m, mu, name, witness):
+    spec = geo.BracketSpec(q, m, {k: [Fraction(x) for x in v] for k, v in mu.items()},
+                           FractionDomain())
+    rep = geo.validate(spec)
+    assert not rep.condition(name).passed
+    assert rep.condition(name).witness == witness
+
+
+def _direct_sum(*specs):
+    """The product of parameter-free q = 0 specs, each on its own block of
+    coordinates: the complex structure and the metric are the factors'."""
+    n = sum(spec.n for spec in specs)
+    mu, off = {}, 0
+    for spec in specs:
+        pad = [Fraction(0)] * off, [Fraction(0)] * (n - off - spec.n)
+        for (a, b), v in spec.mu_store.items():
+            mu[(off + a, off + b)] = pad[0] + list(v) + pad[1]
+        off += spec.n
+    return geo.BracketSpec(0, n // 2, mu, FractionDomain(), "+".join(s.name for s in specs))
+
+
+def test_lee_form_equals_the_torsion_trace_reference(all_bundled):
+    """theta from d omega^{m-1} is the theta of tr T^t = (t+1)/2 theta."""
+    kod, iwa = all_bundled["kodaira"].spec, all_bundled["iwasawa"].spec
+    at = [kod.instantiate(p) for p in ({"alpha": 1, "beta": Fraction(1, 2), "r": 2, "v": 3},
+                                       {"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5},
+                                       {"alpha": -1, "beta": 3, "r": 1, "v": Fraction(1, 4)})]
+    at.append(iwa.instantiate({"alpha": Fraction(2, 3)}))
+    kt = bundled_path("kodaira-thurston")
+    at += [load_ghl(kt, sample).spec for sample in (
+        {"r": 1, "sigma": 2, "x": Fraction(1, 3), "y": Fraction(-1, 5)},
+        {"r": Fraction(3, 2), "sigma": 1, "x": 0, "y": 1},
+        {"r": 1000, "sigma": 7, "x": 5, "y": -3},
+        {"r": Fraction(1, 1000), "sigma": Fraction(2, 1000), "x": Fraction(1, 10**6), "y": 0})]
+    flat_c = geo.BracketSpec(0, 1, {}, FractionDomain(), "C")
+    products = [_direct_sum(at[0], flat_c), _direct_sum(flat_c, at[0]),
+                _direct_sum(at[0], at[1]), load_ghl(TEST_DATA / "kodaira-times-c.ghl").spec]
+    generated = [_nilpotent(seed, m, kind) for seed in range(8)
+                 for m, kind in [(2, "abelian"), (2, "generic"), (3, "abelian"),
+                                 (3, "generic"), (3, "holomorphic"), (4, "generic")]]
+    specs = [loaded.spec for loaded in all_bundled.values()] + at + products + generated
+    for spec in specs:
+        dom = spec.domain
+        theta = geo.lee_form(spec)
+        assert len(theta) == 2 * spec.m, spec.name
+        assert all(dom.eq(a, b) for a, b in zip(theta, lee_from_torsion_trace(spec))), spec.name
+    for spec in products:
+        assert spec.m >= 3 and not all(spec.domain.is_zero(x) for x in geo.lee_form(spec))
+
+
+def test_lee_form_of_a_product_with_c():
+    """Kodaira times a flat C keeps Kodaira's theta and is not balanced."""
+    loaded = load_ghl(TEST_DATA / "kodaira-times-c.ghl")
+    assert loaded.report.ok
+    report = build_report(loaded)
+    assert report["lee"] == ["7/18", "7/9", "7/6", "0", "0", "0"]
+    assert report["flags"] == {"integrable": True, "almost_kahler": False, "balanced": False}
 
 
 def test_lee_proportionality_symbolic_t(all_bundled):

@@ -206,7 +206,7 @@ S2_TUPLE_SHA256 = {
     "abelian2": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "sphere": "91a153031a423a5ef774a3d215821df28ae98f1f93bc91743709100e20173998",
     "iwasawa": "e73b47de1f1acff176ddede9bc1475050ab02ca7a3acaa8ec8bfaed4b3b83a57",
-    "kodaira": "cbfe906acdbce537c58a994a0efe50d525187f20910a9aacc3071a82c0b00ed6",
+    "kodaira": "73e17d459f2cc5de86b2b33fc71e918c20aa8d5ba1e100dafba6fcdc15061dee",
     "kodaira-thurston": "08472c78c2e351806aa2daecd4d41645bf9ef4a9e50f90e761996416e652cc94",
 }
 

@@ -327,7 +327,27 @@ def test_content_is_exact_after_a_unit_prefix():
     p = Polynomial.const(1) + P("a") * Fraction(1, 2)
     assert list(p.terms.values()) == [1, Fraction(1, 2)]
     assert _content(p) == Fraction(1, 2)
-    assert _content(p, exact=False) == 1        # the text() normalisation
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ratfun(), st.tuples(*[st.integers(0, 3)] * 3),
+       st.fractions(min_value=-4, max_value=4, max_denominator=8).filter(bool))
+def test_text_ignores_a_common_monomial_and_scalar(x, exps, c):
+    """(c z num) / (c z den) prints as num / den for a monomial z."""
+    z = Polynomial.const(1)
+    for name, e in zip(("a", "b", "r"), exps):
+        z = z * Polynomial.variable(name) ** e
+    assert RationalFunction(x.num * c * z, x.den * c * z).text() == x.text()
+
+
+def test_text_normalises_by_the_exact_content():
+    """The content of den and of num is read over every term, whatever the
+    order the terms were inserted in."""
+    a, v = P("a"), P("v")
+    x = RationalFunction(v ** 4 * Fraction(1, 2) - a ** 4 * Fraction(1, 2), v ** 2)
+    assert x.text() == "(-1*a^4 + v^4) / (2*v^2)"
+    y = RationalFunction(Polynomial.const(1) + a * Fraction(1, 2), v)
+    assert y.text() == "(a + 2) / (2*v)"
 
 
 # ---------------------------------------------------------------------------
