@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -39,7 +40,7 @@ from .multilinear import (
     mat_mul, mat_scale, mat_sub, mat_vec, mat_zero, vec_add, vec_sub, wedge,
     complex_trace_form,
 )
-from .scalars import FractionDomain, RationalFunction, UsageError
+from .scalars import FractionDomain, Polynomial, RationalFunction, UsageError
 
 __all__ = [
     "BracketSpec", "ValidationReport", "ConditionResult", "TorsionData",
@@ -611,6 +612,11 @@ def rho2_matrix(spec: BracketSpec, Om: list) -> list[list]:
 def ricci_and_scalar(spec: BracketSpec, Om: list):
     """(rho1, rho2, scal) with both Ricci forms as KForms; asserts the two
     scalar traces agree."""
+    return _ricci_and_scalar(spec, Om, rho2_matrix(spec, Om))
+
+
+def _ricci_and_scalar(spec: BracketSpec, Om: list, W: list):
+    """`ricci_and_scalar` on a caller's W = rho2_matrix(spec, Om)."""
     dom = spec.domain
     n2 = 2 * spec.m
     half = dom.from_fraction("1/2")
@@ -625,7 +631,6 @@ def ricci_and_scalar(spec: BracketSpec, Om: list):
             comp1[(i, j)] = v
     rho1 = KForm(n2, 2, comp1)
 
-    W = rho2_matrix(spec, Om)
     comp2 = {}
     for i, j in itertools.combinations(range(n2), 2):
         if not dom.is_zero(W[i][j]):
@@ -706,24 +711,125 @@ def _rm_tensor(spec: BracketSpec, Rm: list) -> MultiTensor:
     return T
 
 
+def _clear(values: list):
+    """(den, ring) with values[i] == ring[i] / den exactly, in one of three ways:
+    Fractions give an int lcm and ints; RationalFunctions whose denominators
+    are all monomials give a monomial Polynomial L*x^e and Polynomials with
+    int coefficients; anything else (no values, floats, a non-monomial
+    denominator) gives (1, values), the list itself."""
+    if values and all(isinstance(v, Fraction) for v in values):
+        den = math.lcm(*(v.denominator for v in values))
+        return den, [v.numerator * (den // v.denominator) for v in values]
+    if not (values and all(isinstance(v, RationalFunction) and len(v.den.terms) == 1
+                           for v in values)):
+        return 1, values
+    names = tuple(sorted({x for v in values for x in v.num.vars + v.den.vars}))
+    scaled = []                 # (den exponent, {num exponent: coefficient / den coefficient})
+    for v in values:
+        (e, c), = v.den._aligned_to(names).terms.items()
+        scaled.append((e, {x: k / c for x, k in v.num._aligned_to(names).terms.items()}))
+    top = tuple(map(max, zip(*(e for e, _ in scaled))))
+    L = math.lcm(*(q.denominator for _, qs in scaled for q in qs.values()))
+    ring = []
+    for e, qs in scaled:
+        shift = tuple(a - b for a, b in zip(top, e))
+        ring.append(Polynomial(names, {tuple(map(operator.add, x, shift)):
+                                       q.numerator * (L // q.denominator)
+                                       for x, q in qs.items()}))
+    return Polynomial(names, {top: L}), ring
+
+
+def _coprime(a, b):
+    """(a/g, b/g) for g the gcd of two `_clear` denominators, both ints or
+    both monomials L*x^e; any other pair as it is."""
+    if isinstance(a, int) and isinstance(b, int):
+        g = math.gcd(a, b)
+        return a // g, b // g
+    if not (isinstance(a, Polynomial) and isinstance(b, Polynomial)):
+        return a, b
+    a, b = Polynomial._align(a, b)
+    ((ea, ca),), ((eb, cb),) = a.terms.items(), b.terms.items()
+    g, low = math.gcd(ca, cb), tuple(map(min, ea, eb))
+    return (Polynomial(a.vars, {tuple(map(operator.sub, ea, low)): ca // g}),
+            Polynomial(a.vars, {tuple(map(operator.sub, eb, low)): cb // g}))
+
+
+def _clear_matrices(Ms: list):
+    """`_clear` over a list of square matrices: (den, ring matrices), or
+    (1, Ms) itself when `_clear` leaves their entries as they are."""
+    values = [a for M in Ms for row in M for a in row]
+    den, ring = _clear(values)
+    if ring is values:
+        return 1, Ms
+    n = len(Ms[0])
+    return den, [[ring[(i * n + r) * n:(i * n + r + 1) * n] for r in range(n)]
+                 for i in range(len(Ms))]
+
+
+def _cleared(T: MultiTensor):
+    """`_clear` over a tensor's stored values: (den, ring tensor), or (1, T)
+    itself when `_clear` leaves them as they are."""
+    values = list(T.comp.values())
+    den, ring = _clear(values)
+    if ring is values:
+        return 1, T
+    zero = 0 if isinstance(den, int) else Polynomial.zero()
+    return den, MultiTensor(T.n, T.rank, T.has_endo, zero, zip(T.comp, ring))
+
+
+def _divide(ring: dict, den) -> dict:
+    """{key: ring[key] / den}, popping ring as it goes.  Over an int den the
+    values are Fractions.  Over a monomial den L*x^e they are RationalFunctions
+    with Fraction coefficients, the monomial they share cancelled and L moved
+    into the numerator; equal denominator monomials and variable tuples are
+    shared within the call."""
+    out = {}
+    if isinstance(den, int):
+        for key in list(ring):
+            out[key] = Fraction(ring.pop(key), den)
+        return out
+    monomials, names = {}, {}
+    for key in list(ring):
+        p, d = Polynomial._align(ring.pop(key), den)
+        (top, L), = d.terms.items()
+        low = tuple(map(min, top, *p.terms))
+        e = (d.vars, tuple(map(operator.sub, top, low)))
+        if e not in monomials:
+            monomials[e] = Polynomial(d.vars, {e[1]: Fraction(1)})._trim()
+        terms = p.terms if not any(low) else {tuple(map(operator.sub, x, low)): c
+                                              for x, c in p.terms.items()}
+        num = Polynomial(names.setdefault(p.vars, p.vars),
+                         {x: Fraction(c, L) for x, c in terms.items()})
+        out[key] = RationalFunction(num, monomials[e])
+    return out
+
+
 def _tower(spec: BracketSpec, T: MultiTensor):
     """T, DT, D^2T, ... for the Levi-Civita connection, each built when the
-    caller asks for it."""
+    caller asks for it.  A step clears T, and once per tower S, to ring
+    values over one denominator (`_clear`), differentiates in the ring and
+    divides back; when `_clear` leaves either as it is, the step runs over
+    the spec's own domain."""
+    S = None
     while True:
         yield T
-        T = covariant_derivative(spec, T, spec.S, 1)
+        if S is None:
+            dS, S = _clear_matrices(spec.S)
+        dT, ring = _cleared(T)
+        if ring is T or S is spec.S:
+            T = covariant_derivative(spec, T, spec.S, 1)
+            continue
+        ring = covariant_derivative(spec, ring, S, 1)
+        T = MultiTensor(T.n, ring.rank, T.has_endo, T._zero)
+        T.comp = _divide(ring.comp, dT * dS)
 
 
 def _int_tower(spec: BracketSpec, T: MultiTensor):
     """`_tower` of a Fraction tensor as (den, D^kT * den) with integer
-    components and gcd(den, components) = 1.  Each step differentiates with
-    S scaled to integers by its common denominator dS, so no Fraction is
-    built per entry or product."""
-    dS = math.lcm(*(a.denominator for M in spec.S for row in M for a in row))
-    S = [[[a.numerator * (dS // a.denominator) for a in row] for row in M] for M in spec.S]
-    den = math.lcm(*(c.denominator for c in T.comp.values()))
-    comp = {k: c.numerator * (den // c.denominator) for k, c in T.comp.items()}
-    T = MultiTensor(T.n, T.rank, T.has_endo, 0, comp)
+    components and gcd(den, components) = 1.  S and T are cleared to
+    integers once (`_clear`), so no Fraction is built per entry or product."""
+    dS, S = _clear_matrices(spec.S)
+    den, T = _cleared(T)
     while True:
         yield den, T
         T = covariant_derivative(spec, T, S, 1)
@@ -772,19 +878,23 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
             raise InternalConsistencyError(f"first Bianchi fails on ({a},{b},{c})")
 
     def antisym_check(T: MultiTensor, base: MultiTensor, label: str):
-        # T(x1,x2,rest) - T(x2,x1,rest) = -(Rm(x1,x2) . base)(rest)
+        # T(x1,x2,rest) - T(x2,x1,rest) = -(Rm(x1,x2) . base)(rest), checked in
+        # the ring (`_clear`) with Rm(x1,x2) = Rn/dR, base = Bn/dB and the
+        # pair's entries of T = ring/dT:
+        # dR*dB*(T(x1,x2,rest) - T(x2,x1,rest)) + dT*(Rn . Bn)(rest) = 0,
+        # with the gcd of dR*dB and dT divided out of both
+        dB, Bn = _cleared(base)
+        pairs = {}
+        for key, v in T.comp.items():
+            pairs.setdefault(tuple(sorted(key[:2])), {})[key] = v
         for x1, x2 in itertools.combinations(range(n2), 2):
-            D = derivation_action(Rm[x1][x2], base, dom)
-            keys = set()
-            for key in T.comp:
-                if key[0] == x1 and key[1] == x2:
-                    keys.add(key[2:])
-                if key[0] == x2 and key[1] == x1:
-                    keys.add(key[2:])
-            keys |= set(D.comp.keys())
-            for rest in keys:
-                lhs = T.get((x1, x2) + rest) - T.get((x2, x1) + rest)
-                if not dom.is_zero(lhs + D.get(rest)):
+            dR, (Rn,) = _clear_matrices([Rm[x1][x2]])
+            D = derivation_action(Rn, Bn, dom)
+            dT, P = _cleared(MultiTensor(T.n, T.rank, T.has_endo, T._zero, pairs.get((x1, x2))))
+            scale, dT = _coprime(dR * dB, dT)
+            for rest in {key[2:] for key in P.comp} | D.comp.keys():
+                lhs = scale * (P.get((x1, x2) + rest) - P.get((x2, x1) + rest)) + dT * D.get(rest)
+                if not dom.is_zero(lhs):
                     raise InternalConsistencyError(f"identity {label} fails at {x1},{x2},{rest}")
 
     # (vii): D^2J alternation against Rm acting on I

@@ -6,7 +6,10 @@ Representation:
   Polynomial      vars:  tuple of parameter names, always sorted alphabetically
                   terms: dict mapping exponent tuples (one int per variable)
                          to Fraction coefficients; zero coefficients are never
-                         stored, the zero polynomial has terms == {}
+                         stored, the zero polynomial has terms == {}.  Sums,
+                         differences and products keep int coefficients int:
+                         the derivative tower computes in that ring and
+                         returns Fractions
   RationalFunction  num/den Polynomials; den != 0 and its leading coefficient
                   (graded-lex order) is positive.  The pair is NOT reduced to
                   lowest terms: equality and zero tests go through
@@ -28,6 +31,7 @@ path would rebuild; values are immutable, so sharing it is thread-safe.
 
 from __future__ import annotations
 
+import operator
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd as _gcd, isfinite, sqrt as _math_sqrt
@@ -176,7 +180,8 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op in (operator.add, operator.sub), term by term."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
@@ -184,12 +189,15 @@ class Polynomial:
         a, b = Polynomial._align(self, other)
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = op(terms.get(e, 0), c)
             if s == 0:
                 terms.pop(e, None)
             else:
                 terms[e] = s
         return Polynomial(a.vars, terms)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -197,21 +205,16 @@ class Polynomial:
         return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return Polynomial.const(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            if other == 0:
                 return Polynomial.zero()
-            return Polynomial(self.vars, {e: k * c for e, k in self.terms.items()})
+            return Polynomial(self.vars, {e: k * other for e, k in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -239,7 +242,7 @@ class Polynomial:
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s == 0:
                     terms.pop(e, None)
                 else:
@@ -436,7 +439,11 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not (self.num.terms and other.num.terms):    # x - 0, 0 - x
+            return self if self.num.terms else -other
+        if self.den == other.den:
+            return RationalFunction(self.num - other.num, self.den)
+        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
         return _as_rf(other) - self

@@ -72,19 +72,21 @@ def test_report_round_trips_scal(kodaira):
 
 
 def test_build_report_builds_each_derived_object_once(monkeypatch):
-    """N, S, the torsion data, A^t and d omega^{m-1} are built once per spec,
-    validation included; curvature is built twice, for Rm and Omega^t (the
-    Lee form reads d omega^{m-1}, and its check the printed T)."""
+    """N, S, the torsion data, A^t, d omega^{m-1} and the rho2 matrix are
+    built once per spec, validation included; curvature is built twice, for
+    Rm and Omega^t (the Lee form reads d omega^{m-1}, and its check the
+    printed T)."""
     calls = Counter()
     for name in ("_nijenhuis", "levi_civita", "torsion_ingredients", "gauduchon_connection",
-                 "_curvature", "_omega_power"):
+                 "_curvature", "_omega_power", "rho2_matrix"):
         def counted(*args, _orig=getattr(geo, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(geo, name, counted)
     build_report(load_ghl(bundled_path("iwasawa")))
     assert calls == {"_nijenhuis": 1, "levi_civita": 1, "torsion_ingredients": 1,
-                     "gauduchon_connection": 1, "_curvature": 2, "_omega_power": 1}
+                     "gauduchon_connection": 1, "_curvature": 2, "_omega_power": 1,
+                     "rho2_matrix": 1}
 
 
 def test_serialize_deterministic(iwasawa):

@@ -2,6 +2,7 @@
 symmetries, s-tuple identities, Singer filtrations, Killing algebras and the
 Nomizu bracket."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -14,7 +15,8 @@ from ghl import geometry as geo
 from ghl.multilinear import (MultiTensor, basis_vector, commutator,
                              derivation_action, mat_is_zero, mat_scale,
                              mat_vec, mat_zero)
-from ghl.scalars import ExactDomain, FractionDomain, RationalFunction, UsageError
+from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, FractionDomain,
+                         RationalFunction, UsageError, set_degree_cap)
 
 from reference import form_basis, from_bilinear, mat_identity
 from test_nonintegrable import random_two_step_specs
@@ -403,19 +405,104 @@ def _start_tensors(spec):
     return MultiTensor.from_endo(spec.I, spec.domain), geo._rm_tensor(spec, spec.Rm)
 
 
-def test_integer_tower_equals_fraction_tower(iwasawa, kodaira, abelian2, sphere):
-    """(den, D^kT * den) from `_int_tower` is `_tower`'s D^kT entry for entry,
-    in lowest terms, for J and Rm up to order 3."""
-    for spec in _fraction_specs(iwasawa, kodaira, abelian2, sphere):
-        for T in _start_tensors(spec):
-            pairs = zip(geo._tower(spec, T), geo._int_tower(spec, T))
-            for k, (ref, (den, got)) in enumerate(itertools.islice(pairs, 4)):
+def _non_monomial_spec():
+    """The Heisenberg algebra plus a line over Q(alpha), [e0,e1] = e3/(alpha+1):
+    its S has the non-monomial denominator alpha + 1."""
+    dom = ExactDomain(("alpha",))
+    one, zero = dom.one(), dom.zero()
+    c = one / (dom.param("alpha") + one)
+    mu = {(0, 1): [zero, zero, zero, c]}
+    return geo.BracketSpec(0, 2, mu, dom, "nonmonomial", ("alpha",))
+
+
+def _reference_tower(spec, T, count):
+    """T, DT, ... by iterated covariant_derivative over the spec's own domain."""
+    out = [T]
+    while len(out) < count:
+        out.append(geo.covariant_derivative(spec, out[-1], spec.S, 1))
+    return out
+
+
+def test_integer_tower_equals_fraction_tower(all_bundled, iwasawa, kodaira, abelian2, sphere):
+    """`_tower` and `_int_tower` each equal iterated covariant_derivative
+    entry for entry, for J and Rm up to order 3: `_tower` on the bundled
+    specs, the Fraction specs and a spec whose S `_clear` leaves as it is;
+    `_int_tower` as (den, D^kT * den) with int components in lowest terms.
+    Symbolic kodaira stops at D Rm: its reference D^2Rm and D^3Rm take about
+    20 s and 140 s over RationalFunctions, and the s = 2 text pin covers D^2Rm."""
+    nonmonomial = _non_monomial_spec()
+    S = [a for M in nonmonomial.S for row in M for a in row]
+    assert geo._clear(S)[1] is S
+    fraction_specs = _fraction_specs(iwasawa, kodaira, abelian2, sphere)
+    specs = [loaded.spec for loaded in all_bundled.values()] + [nonmonomial] + fraction_specs
+    for spec in specs:
+        dom = spec.domain
+        for T, count in zip(_start_tensors(spec), (4, 2 if spec is kodaira.spec else 4)):
+            ref = _reference_tower(spec, T, count)
+            for k, got in enumerate(itertools.islice(geo._tower(spec, T), count)):
                 where = (spec.name, T.rank, k)
-                assert got.comp.keys() == ref.comp.keys(), where
+                keys = got.comp.keys() | ref[k].comp.keys()
+                assert all(dom.eq(got.get(key), ref[k].get(key)) for key in keys), where
+                if spec in fraction_specs:
+                    assert all(type(x) is Fraction for x in got.comp.values()), where
+            if spec not in fraction_specs:
+                continue
+            for k, (den, got) in enumerate(itertools.islice(geo._int_tower(spec, T), count)):
+                where = (spec.name, T.rank, k)
+                assert got.comp.keys() == ref[k].comp.keys(), where
                 assert all(type(x) is int for x in got.comp.values()), where
-                assert all(Fraction(x, den) == ref.comp[key]
+                assert all(Fraction(x, den) == ref[k].comp[key]
                            for key, x in got.comp.items()), where
                 assert math.gcd(den, *got.comp.values()) == 1, where
+
+
+def test_s2_tuples_leave_no_int_coefficient(all_bundled, s2_tuples):
+    """The ring arithmetic behind the tuples runs on int coefficients, and
+    none may leave it: int / int is a float in as_fraction and evaluate."""
+    for name in all_bundled:
+        tup = s2_tuples[name]
+        for T in tup.J_derivs + tup.Rm_derivs:
+            for v in T.comp.values():
+                if isinstance(v, RationalFunction):
+                    assert all(type(c) is Fraction
+                               for p in (v.num, v.den) for c in p.terms.values()), name
+
+
+def test_x1_check_fails_on_a_perturbed_entry(all_bundled, s2_tuples, kodaira):
+    """One entry of D^2J, D^3J or D^2Rm moved by one breaks (vii), (viii) or
+    (vi): symbolic, over Fractions, numeric, and with a non-monomial
+    denominator, where `_clear` leaves Rm and some of the tuple as they are."""
+    inst = kodaira.spec.instantiate({"alpha": 1, "beta": Fraction(1, 2), "r": 2, "v": 3})
+    nonmonomial = _non_monomial_spec()
+    cases = [(kodaira.spec, s2_tuples["kodaira"]),
+             (inst, geo.hermitian_s_tuple(inst, s=2, verify=True)),
+             (all_bundled["kodaira-thurston"].spec, s2_tuples["kodaira-thurston"]),
+             (nonmonomial, geo.hermitian_s_tuple(nonmonomial, s=2, verify=True))]
+    for spec, tup in cases:
+        dom = spec.domain
+        for field, index, label in (("J_derivs", 1, "vii"), ("J_derivs", 2, "viii"),
+                                    ("Rm_derivs", 2, "vi")):
+            derivs = list(getattr(tup, field))
+            T = derivs[index]
+            key = (0, 1) + (0,) * (T.rank - 2 + 2 * T.has_endo)
+            comp = dict(T.comp)
+            comp[key] = T.get(key) + dom.one()
+            derivs[index] = MultiTensor(T.n, T.rank, T.has_endo, T._zero, comp)
+            bad = dataclasses.replace(tup, **{field: derivs})
+            with pytest.raises(geo.InternalConsistencyError, match=f"identity {label} fails"):
+                geo.check_x1_identities(spec, bad)
+
+
+def test_degree_cap_still_guards_the_s_tuple(kodaira, s2_tuples):
+    """The kodaira s = 2 tuple builds at the default cap (s2_tuples); at cap 4
+    the ring arithmetic still trips the guard."""
+    assert len(s2_tuples["kodaira"].J_derivs) == 4
+    set_degree_cap(4)
+    try:
+        with pytest.raises(DegreeGuardError):
+            geo.hermitian_s_tuple(kodaira.spec, s=2, verify=True)
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
 def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, sphere):
