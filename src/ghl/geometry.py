@@ -37,7 +37,7 @@ from typing import Sequence
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
     coboundary, derivation_action, dot, istd, mat_add, mat_is_zero,
-    mat_mul, mat_scale, mat_sub, mat_vec, mat_zero, vec_add, vec_sub, wedge,
+    mat_scale, mat_sub, mat_vec, mat_zero, vec_add, vec_sub, wedge,
     complex_trace_form,
 )
 from .scalars import FractionDomain, Polynomial, RationalFunction, UsageError
@@ -575,14 +575,43 @@ def _pair_table(upper, zero: list) -> list[list]:
 
 
 def _curvature(spec: BracketSpec, C: list) -> list[list[list]]:
-    """Om[a][b] = ad(mu_h(e_a, e_b)) - [C(e_a), C(e_b)] - C(mu_m(e_a, e_b))."""
+    """Om[a][b] = ad(mu_h(e_a, e_b)) - [C(e_a), C(e_b)] - C(mu_m(e_a, e_b)).
+
+    C and the bracket table are cleared together to ring values over one
+    denominator den (`_clear`), so that every term is a product of two ring
+    values over den^2; each pair's nonzero entries are summed in the ring
+    (`_add_product`) and divided back once.  When `_clear` leaves the values
+    as they are, the dense formula runs over the spec's own domain: its
+    float sums are the ones numeric reports print."""
     dom = spec.domain
+    q, n2 = spec.q, 2 * spec.m
+    values = [*C, *spec.mu]
+    den, ring = _clear_matrices(values)
+    if ring is values:
+        return _pair_table(lambda a, b: mat_sub(
+            mat_sub(spec.ad_h(spec.mu_h(a, b)), commutator(C[a], C[b])),
+            _conn_endo(C, spec.mu_m(a, b), dom)), mat_zero(n2, dom))
+    Cs = [_sparse(M) for M in ring[:n2]]
+    mu = ring[n2:]
+    ad = [_sparse([[mu[z][q + b][q + r] for b in range(n2)] for r in range(n2)])
+          for z in range(q)]
+    ident = _unit(n2)
 
     def value(a, b):
-        M = spec.ad_h(spec.mu_h(a, b))
-        M = mat_sub(M, commutator(C[a], C[b]))
-        return mat_sub(M, _conn_endo(C, spec.mu_m(a, b), dom))
-    return _pair_table(value, mat_zero(2 * spec.m, dom))
+        acc = {}
+        for z, h in enumerate(mu[q + a][q + b][:q]):
+            if _nonzero(h):
+                _add_product(acc, ident, ad[z], h)
+        _add_product(acc, Cs[a], Cs[b], -1)
+        _add_product(acc, Cs[b], Cs[a])
+        for c, x in enumerate(mu[q + a][q + b][q:]):
+            if _nonzero(x):
+                _add_product(acc, ident, Cs[c], -x)
+        M = mat_zero(n2, dom)
+        for (i, j), x in _divide({k: x for k, x in acc.items() if _nonzero(x)}, den * den).items():
+            M[i][j] = x
+        return M
+    return _pair_table(value, mat_zero(n2, dom))
 
 
 def riemann_curvature(spec: BracketSpec) -> list[list[list]]:
@@ -714,15 +743,17 @@ def _rm_tensor(spec: BracketSpec, Rm: list) -> MultiTensor:
 def _clear(values: list):
     """(den, ring) with values[i] == ring[i] / den exactly, in one of three ways:
     Fractions give an int lcm and ints; RationalFunctions whose denominators
-    are all monomials give a monomial Polynomial L*x^e and Polynomials with
-    int coefficients; anything else (no values, floats, a non-monomial
-    denominator) gives (1, values), the list itself."""
+    are all monomials, with any Fractions among them taken as constants (as
+    over a Fraction spec at symbolic t), give a monomial Polynomial L*x^e and
+    Polynomials with int coefficients; anything else (no values, floats, a
+    non-monomial denominator) gives (1, values), the list itself."""
     if values and all(isinstance(v, Fraction) for v in values):
         den = math.lcm(*(v.denominator for v in values))
         return den, [v.numerator * (den // v.denominator) for v in values]
-    if not (values and all(isinstance(v, RationalFunction) and len(v.den.terms) == 1
-                           for v in values)):
+    if not (values and all(isinstance(v, Fraction) or isinstance(v, RationalFunction)
+                           and len(v.den.terms) == 1 for v in values)):
         return 1, values
+    values = [RationalFunction.const(v) if isinstance(v, Fraction) else v for v in values]
     names = tuple(sorted({x for v in values for x in v.num.vars + v.den.vars}))
     scaled = []                 # (den exponent, {num exponent: coefficient / den coefficient})
     for v in values:
@@ -755,15 +786,14 @@ def _coprime(a, b):
 
 
 def _clear_matrices(Ms: list):
-    """`_clear` over a list of square matrices: (den, ring matrices), or
-    (1, Ms) itself when `_clear` leaves their entries as they are."""
+    """`_clear` over a list of matrices of any shapes: (den, ring matrices),
+    or (1, Ms) itself when `_clear` leaves their entries as they are."""
     values = [a for M in Ms for row in M for a in row]
     den, ring = _clear(values)
     if ring is values:
         return 1, Ms
-    n = len(Ms[0])
-    return den, [[ring[(i * n + r) * n:(i * n + r + 1) * n] for r in range(n)]
-                 for i in range(len(Ms))]
+    it = iter(ring)
+    return den, [[list(itertools.islice(it, len(row))) for row in M] for M in Ms]
 
 
 def _cleared(T: MultiTensor):
@@ -802,6 +832,33 @@ def _divide(ring: dict, den) -> dict:
                          {x: Fraction(c, L) for x, c in terms.items()})
         out[key] = RationalFunction(num, monomials[e])
     return out
+
+
+def _nonzero(x) -> bool:
+    """x is not exactly zero (a numeric residue below the tolerance is not)."""
+    return not x.is_zero() if isinstance(x, (Polynomial, RationalFunction)) else x != 0
+
+
+def _sparse(M: list) -> list:
+    """The rows of a matrix as [(column, entry)] lists of its nonzero entries."""
+    return [[(j, x) for j, x in enumerate(row) if _nonzero(x)] for row in M]
+
+
+def _unit(n: int) -> list:
+    """The identity as a row-sparse matrix: c * M is `_add_product` of
+    _unit(n) and M with the factor c."""
+    return [[(i, 1)] for i in range(n)]
+
+
+def _add_product(acc: dict, A: list, B: list, c=1) -> None:
+    """acc[(i, j)] += c * (A B)[i][j] for row-sparse A and B (`_sparse`), so
+    no product with a zero factor is formed."""
+    for i, row in enumerate(A):
+        for k, a in row:
+            a = c * a
+            for j, b in B[k]:
+                x = acc.get((i, j))
+                acc[i, j] = a * b if x is None else x + a * b
 
 
 def _tower(spec: BracketSpec, T: MultiTensor):
@@ -1082,32 +1139,63 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
 def _check_killing(spec: BracketSpec, res: KillingResult):
     dom = spec.domain
     n2 = 2 * spec.m
+    pairs = list(itertools.combinations(range(n2), 2))
+    # v = v'/den, A = A'/den and Rm(e_i, e_j) = R'_ij/den over one den
+    # (`_clear`), so `_nomizu(.., den)` of the ring generators is den^3 times
+    # their Nomizu bracket: a nonzero scale, which keeps span membership
+    k = len(res.basis)
+    den, ring = _clear_matrices([M for v, A in res.basis for M in ([v], A)]
+                                + [spec.Rm[i][j] for i, j in pairs])
+    gens = [(v, A) for (v,), A in zip(ring[:2 * k:2], ring[1:2 * k:2])]
+    R = {ij: _sparse(M) for ij, M in zip(pairs, ring[2 * k:])}
     # v-components span R^{2m}
     vspan = _Echelon(n2, dom)
-    if sum(vspan.add(v) for v, _ in res.basis) != n2:
+    if sum(vspan.add(v) for v, _ in gens) != n2:
         raise InternalConsistencyError(
             "Killing generators do not span the tangent space: invalid bracket input")
 
     def flat(v, A):
-        return list(v) + [A[r][c] for r in range(n2) for c in range(n2)]
+        return list(v) + [x for row in A for x in row]
 
     # closure under the Nomizu bracket: no bracket leaves the span
     span = _Echelon(n2 + n2 * n2, dom)
-    for v, A in res.basis:
+    for v, A in gens:
         span.add(flat(v, A))
-    for (v, A), (w, B) in itertools.combinations(res.basis, 2):
-        if span.add(flat(*nomizu_bracket(spec, (v, A), (w, B), spec.Rm))):
+    for a, b in itertools.combinations(gens, 2):
+        if span.add(flat(*_nomizu(a, b, R, den, 0))):
             raise InternalConsistencyError(
                 "Killing generators are not closed under the Nomizu bracket")
 
 
 def nomizu_bracket(spec: BracketSpec, a, b, Rm: list):
-    """[(v,A),(w,B)] = (Aw - Bv, [A,B] + Rm(v,w))."""
-    v, A = a
-    w, B = b
-    first = vec_sub(mat_vec(A, w), mat_vec(B, v))
-    second = mat_add(commutator(A, B), _curvature_at(Rm, v, w, spec.domain))
-    return first, second
+    """[(v,A),(w,B)] = (Aw - Bv, [A,B] + Rm(v,w)) for the pair table Rm."""
+    pairs = itertools.combinations(range(2 * spec.m), 2)
+    return _nomizu(a, b, {(i, j): _sparse(Rm[i][j]) for i, j in pairs}, 1, spec.domain.zero())
+
+
+def _nomizu(a, b, R: dict, den, zero):
+    """(den * (Aw - Bv), den * [A, B] + R(v, w)) for generators (v, A) and
+    (w, B), where R = {(i, j): row-sparse Rm(e_i, e_j)} over i < j, so that
+    R(v, w) = sum (v_i w_j - v_j w_i) R[i, j]; unset entries are `zero`."""
+    (v, A), (w, B) = a, b
+    n2 = len(v)
+    A, B = _sparse(A), _sparse(B)
+    ident = _unit(n2)
+    first, second = {}, {}
+    _add_product(first, A, [[(0, x)] if _nonzero(x) else [] for x in w], den)
+    _add_product(first, B, [[(0, x)] if _nonzero(x) else [] for x in v], -den)
+    _add_product(second, A, B, den)
+    _add_product(second, B, A, -den)
+    for (i, j), M in R.items():
+        c = v[i] * w[j] - v[j] * w[i]
+        if _nonzero(c):
+            _add_product(second, ident, M, c)
+    out = [zero] * n2, [[zero] * n2 for _ in range(n2)]
+    for (i, _), x in first.items():
+        out[0][i] = x
+    for (i, j), x in second.items():
+        out[1][i][j] = x
+    return out
 
 
 def _curvature_at(Rm: list, v: Sequence, w: Sequence, dom):
@@ -1247,19 +1335,29 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
                     tors_ok = False
                 residuals.append(r)
 
+    # the curvature identity times D^2, where S, G-, Om and Rm are cleared to
+    # ring values over one D (`_clear`):
+    # D*(Om - Rm) = E1 - E2 - [G-_X, G-_Y], X . (D_Y G-) = [G-_X, S_Y] + G-_{S(Y)X}
+    pairs = list(itertools.combinations(range(n2), 2))
     Gm = [mat_sub(S[i], A[i]) for i in range(n2)]
+    D, ring = _clear_matrices([*S, *Gm, *(M for X, Y in pairs for M in (Om[X][Y], Rm[X][Y]))])
+    Sr, Omr, Rmr = ring[:n2], ring[2 * n2::2], ring[2 * n2 + 1::2]
+    Ss, Gs = list(map(_sparse, Sr)), list(map(_sparse, ring[n2:2 * n2]))
+    ident = _unit(n2)
     curv_ok = True
-    for X, Y in itertools.combinations(range(n2), 2):
-        # X . (D_Y Gm) as an endomorphism: -[S(Y), Gm_X] + Gm_{S(Y)X}
-        E1 = mat_add(mat_sub(mat_mul(Gm[X], S[Y]), mat_mul(S[Y], Gm[X])),
-                     _conn_endo(Gm, [row[X] for row in S[Y]], dom))
-        E2 = mat_add(mat_sub(mat_mul(Gm[Y], S[X]), mat_mul(S[X], Gm[Y])),
-                     _conn_endo(Gm, [row[Y] for row in S[X]], dom))
-        rhs = mat_sub(mat_sub(E1, E2), commutator(Gm[X], Gm[Y]))
-        lhs = mat_sub(Om[X][Y], Rm[X][Y])
-        Dm = mat_sub(lhs, rhs)
-        for row in Dm:
-            for val in row:
+    for p, (X, Y) in enumerate(pairs):
+        rhs = {}
+        for U, V, c in ((X, Y, 1), (Y, X, -1)):
+            _add_product(rhs, Gs[U], Ss[V], c)
+            _add_product(rhs, Ss[V], Gs[U], -c)
+            for k, x in enumerate(row[U] for row in Sr[V]):
+                if _nonzero(x):
+                    _add_product(rhs, ident, Gs[k], c * x)
+        _add_product(rhs, Gs[X], Gs[Y], -1)
+        _add_product(rhs, Gs[Y], Gs[X])
+        for i in range(n2):
+            for j in range(n2):
+                val = D * (Omr[p][i][j] - Rmr[p][i][j]) - rhs.get((i, j), 0)
                 if not dom.is_zero(val):
                     curv_ok = False
                 residuals.append(val)

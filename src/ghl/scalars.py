@@ -181,11 +181,16 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def _combine(self, other, op):
-        """self op other for op in (operator.add, operator.sub), term by term."""
+        """self op other for op in (operator.add, operator.sub), term by term;
+        with no terms on one side, the other operand (or -other) itself."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other if op is operator.add else -other
         a, b = Polynomial._align(self, other)
         terms = dict(a.terms)
         for e, c in b.terms.items():

@@ -1,6 +1,8 @@
 """Reference helpers for the tests: vector-argument and permutation-sum
-evaluations of definitions that the engine evaluates by index, and the Lee
-form read from the Gauduchon torsion, which the engine reads from d omega^{m-1}.
+evaluations of definitions that the engine evaluates by index, the curvature
+of a connection by dense matrix products, which the engine sums sparsely over
+one denominator, and the Lee form read from the Gauduchon torsion, which the
+engine reads from d omega^{m-1}.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
@@ -8,7 +10,7 @@ compare the engine against."""
 import itertools
 
 from ghl import geometry as geo
-from ghl.multilinear import KForm, MultiTensor, _sort_sign, mat_zero
+from ghl.multilinear import KForm, MultiTensor, _sort_sign, mat_mul, mat_scale, mat_sub, mat_zero
 
 
 def mat_identity(n: int, dom) -> list[list]:
@@ -233,6 +235,28 @@ def N_vec(tors, spec, x, y) -> list:
             coeff = x[a] * y[b]
             for c, val in enumerate(v):
                 out[c] = out[c] + coeff * val
+    return out
+
+
+# -- curvature by dense matrix products -------------------------------------------
+
+def curvature_dense(spec, C) -> list:
+    """Om[a][b] = ad(mu_h(e_a, e_b)) - [C_a, C_b] - sum_c mu_m(e_a, e_b)_c C_c
+    for every a and b, each entry a dense sum over the spec's domain; the
+    isotropy acts by ad(h)[r][c] = sum_z h_z mu(e_z, e_{q+c})_{q+r}."""
+    dom = spec.domain
+    q, n2 = spec.q, 2 * spec.m
+    out = []
+    for a in range(n2):
+        out.append([])
+        for b in range(n2):
+            h = spec.mu_h(a, b)
+            M = [[sum((h[z] * spec.mu[z][q + c][q + r] for z in range(q)), dom.zero())
+                  for c in range(n2)] for r in range(n2)]
+            M = mat_sub(M, mat_sub(mat_mul(C[a], C[b]), mat_mul(C[b], C[a])))
+            for c, x in enumerate(spec.mu_m(a, b)):
+                M = mat_sub(M, mat_scale(x, C[c]))
+            out[-1].append(M)
     return out
 
 

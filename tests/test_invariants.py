@@ -12,13 +12,14 @@ from fractions import Fraction
 import pytest
 
 from ghl import geometry as geo
+from ghl.fileio import bundled_path, load_ghl
 from ghl.multilinear import (MultiTensor, basis_vector, commutator,
                              derivation_action, mat_is_zero, mat_scale,
                              mat_vec, mat_zero)
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, FractionDomain,
                          RationalFunction, UsageError, set_degree_cap)
 
-from reference import form_basis, from_bilinear, mat_identity
+from reference import curvature_dense, form_basis, from_bilinear, mat_identity
 from test_nonintegrable import random_two_step_specs
 
 
@@ -503,6 +504,72 @@ def test_degree_cap_still_guards_the_s_tuple(kodaira, s2_tuples):
             geo.hermitian_s_tuple(kodaira.spec, s=2, verify=True)
     finally:
         set_degree_cap(DEFAULT_DEGREE_CAP)
+
+
+def test_curvature_equals_dense_formula(all_bundled):
+    """`_curvature` equals the dense domain formula entry by entry, for Rm and
+    Omega^t at t in {-1, 0, 1} and at symbolic t: on the bundled specs
+    (sphere has q > 0), generated Fraction specs, a spec whose denominator
+    alpha + 1 `_clear` leaves as it is, and a second numeric Kodaira-Thurston
+    point.  The ring sums run on every exact spec but that one, a Fraction
+    spec at symbolic t included."""
+    nonmonomial = _non_monomial_spec()
+    kt = load_ghl(bundled_path("kodaira-thurston"),
+                  sample={"r": 1, "sigma": 2, "x": Fraction(1, 3), "y": Fraction(-1, 5)})
+    specs = ([loaded.spec for loaded in all_bundled.values()] + random_two_step_specs(3)
+             + [nonmonomial, kt.spec])
+    for spec in specs:
+        dom = spec.domain
+        ts = [dom.from_fraction(t) for t in (-1, 0, 1)]
+        if dom.backend == "exact":
+            ts.append(geo.symbolic_t())
+        for C in [spec.S] + [geo.gauduchon_connection(spec, t) for t in ts]:
+            values = [*C, *spec.mu]
+            ring = geo._clear_matrices(values)[1] is not values
+            assert ring == (dom.backend == "exact" and spec is not nonmonomial), spec.name
+            got, want = geo._curvature(spec, C), curvature_dense(spec, C)
+            assert all(dom.eq(got[a][b][i][j], want[a][b][i][j])
+                       for a, b, i, j in itertools.product(range(2 * spec.m), repeat=4)), spec.name
+
+
+def test_audit_fails_on_a_perturbed_omega_entry(all_bundled, kodaira, monkeypatch):
+    """One entry of Omega^t moved by one breaks the audit's curvature identity
+    and nothing else: symbolic, over Fractions at symbolic and rational t,
+    numeric, with isotropy and with a non-monomial denominator."""
+    inst = kodaira.spec.instantiate({"alpha": 1, "beta": Fraction(1, 2), "r": 2, "v": 3})
+    cases = [(all_bundled[name].spec, None) for name in ("kodaira", "sphere", "kodaira-thurston")]
+    cases += [(inst, None), (inst, Fraction(3, 5)), (_non_monomial_spec(), None)]
+    curvature = geo._curvature
+
+    def perturbed(spec, C):
+        Om = curvature(spec, C)
+        if C is spec.S:
+            return Om
+        Om = [list(row) for row in Om]
+        Om[0][1] = [list(row) for row in Om[0][1]]
+        Om[0][1][0][1] = Om[0][1][0][1] + spec.domain.one()
+        return Om
+
+    for spec, t in cases:
+        t = spec_t(spec) if t is None else spec.domain.from_fraction(t)
+        assert geo.connection_audit(spec, t).ok, spec.name
+        with monkeypatch.context() as patch:
+            patch.setattr(geo, "_curvature", perturbed)
+            rep = geo.connection_audit(spec, t)
+        assert rep.torsion_identity_ok and not rep.curvature_identity_ok, spec.name
+
+
+def test_killing_closure_fails_on_a_perturbed_generator(iwasawa):
+    """Adding a skew matrix to one generator's A leads a Nomizu bracket out
+    of the span, for each generator of iwasawa at alpha = 1."""
+    inst = iwasawa.spec.instantiate({"alpha": 1})
+    res = geo.killing_generators(inst)
+    for g, (v, A) in enumerate(res.basis):
+        B = [list(row) for row in A]
+        B[0][3], B[3][0] = B[0][3] + 1, B[3][0] - 1
+        basis = res.basis[:g] + [(v, B)] + res.basis[g + 1:]
+        with pytest.raises(geo.InternalConsistencyError, match="not closed"):
+            geo._check_killing(inst, geo.KillingResult(basis, res.dim, res.orders_used))
 
 
 def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, sphere):
