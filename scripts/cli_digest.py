@@ -6,7 +6,7 @@ Usage: python scripts/cli_digest.py
 Runs a fixed list of in-process `ghl.cli.main` calls (every verb on every
 bundled and test data file, `--t` symbolic/rational/-1/0, JSON and text
 reports, the two numeric scale probes, t-only, two-axis and pole-row sweeps,
-and usage errors) and prints, per call, its argv, exit code, the sha256 of
+and usage errors, bad input files among them) and prints, per call, its argv, exit code, the sha256 of
 its stdout and the last line of its stderr.  `ghl` is imported from
 PYTHONPATH, so
 
@@ -29,14 +29,14 @@ from pathlib import Path
 
 from ghl.cli import main as ghl_main
 
-VERSION = 4
+VERSION = 5
 ROOT = Path(__file__).resolve().parent.parent
 
 DATA = "src/ghl/data/"
 TESTS = "tests/data/"
 BUNDLED = ("abelian2", "sphere", "iwasawa", "kodaira", "kodaira-thurston")
 TEST_FILES = ("broken-h2", "broken-jacobi", "iwasawa-metric", "kodaira-times-c", "kt-exact",
-              "nonunimodular")
+              "nonunimodular", "non-integer-dimension", "negative-dimension", "zero-divisor")
 # a rational point of each algebra file's parameters, for the verbs that
 # need constant structure constants
 POINT = {"abelian2": "", "sphere": "", "iwasawa": "alpha=1",

@@ -209,5 +209,7 @@ def _lin(node: ExprNode, domain, n: int, zero):
     if node.kind == "div":
         if b_isvec:
             raise ExprSyntaxError("division by a basis vector is not allowed", 0)
+        if domain.is_zero(b_s):
+            raise ExprSyntaxError("division by zero", 0)
         return a_s / b_s, [x / b_s for x in a_v]
     raise ValueError(f"unknown node kind {node.kind}")  # pragma: no cover

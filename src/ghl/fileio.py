@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exprparse import _BASIS_RE, parse_expression, to_linear_combination, to_scalar
+from .exprparse import (_BASIS_RE, ExprSyntaxError, parse_expression, to_linear_combination,
+                        to_scalar)
 from .geometry import BracketSpec, ValidationReport, validate
 from .multilinear import gram_schmidt_unitary, mat_vec, dot
 from .scalars import DEFAULT_TOLERANCE, ExactDomain, NumericDomain, UsageError
@@ -150,8 +151,17 @@ def _brackets(path, sections: dict, n: int, dom) -> dict:
         a, b = _parse_bracket_key(key, n, path)
         if (a, b) in mu:
             raise GhlFormatError(f"{path}: duplicate key {key!r} in [brackets]")
-        mu[(a, b)] = to_linear_combination(parse_expression(value), dom, n)
+        mu[(a, b)] = _parse_value(path, "brackets", key, value,
+                                  lambda node: to_linear_combination(node, dom, n))
     return mu
+
+
+def _parse_value(path, section: str, key: str, text: str, convert):
+    """convert(parse_expression(text)), an expression error named by file, section and key."""
+    try:
+        return convert(parse_expression(text))
+    except ExprSyntaxError as exc:
+        raise GhlFormatError(f"{path}: [{section}] {key}: {exc}") from None
 
 
 def _check_declared(sample: dict, params: tuple[str, ...]) -> None:
@@ -185,13 +195,24 @@ def load_ghl(path: str | Path, sample: dict | None = None,
     return LoadedSpec(spec, validate(spec), None if sample is None else dict(sample))
 
 
+def _dimension(path, head: dict, section: str, key: str, least: int) -> int:
+    """The header field `key` as an int of at least `least`."""
+    if key not in head:
+        raise GhlFormatError(f"{path}: [{section}] needs {key}")
+    try:
+        value = int(head[key])
+    except ValueError:
+        raise GhlFormatError(f"{path}: [{section}] {key} must be an integer, "
+                             f"got {head[key]!r}") from None
+    if value < least:
+        raise GhlFormatError(f"{path}: [{section}] needs {key} >= {least}, got {value}")
+    return value
+
+
 def _algebra_spec(path: Path, sections: dict) -> BracketSpec:
     head = _section_dict(sections["algebra"], path, "algebra")
-    try:
-        q = int(head["q"])
-        m = int(head["m"])
-    except KeyError:
-        raise GhlFormatError(f"{path}: [algebra] needs q and m") from None
+    q = _dimension(path, head, "algebra", "q", 0)
+    m = _dimension(path, head, "algebra", "m", 1)
     name = head.get("name", path.stem)
     params = _parse_params(head.get("params", ""))
     backend = head.get("backend", "exact")
@@ -205,10 +226,7 @@ def _algebra_spec(path: Path, sections: dict) -> BracketSpec:
 def _frame_spec(path: Path, sections: dict, sample: dict | None,
                 tol: float) -> tuple[BracketSpec, dict]:
     head = _section_dict(sections["frame"], path, "frame")
-    try:
-        m = int(head["m"])
-    except KeyError:
-        raise GhlFormatError(f"{path}: [frame] needs m") from None
+    m = _dimension(path, head, "frame", "m", 1)
     name = head.get("name", path.stem)
     params = _parse_params(head.get("params", ""))
     n = 2 * m
@@ -248,7 +266,7 @@ def _frame_spec(path: Path, sections: dict, sample: dict | None,
                 raise GhlFormatError(f"{path}: bad metric index {p!r}")
             ij.append(int(mm.group(1)))
         i, j = ij
-        val = to_scalar(parse_expression(value), exact)
+        val = _parse_value(path, "metric", key, value, lambda node: to_scalar(node, exact))
         if Gexpr[i][j] is not None:
             raise GhlFormatError(f"{path}: duplicate metric entry {key}")
         Gexpr[i][j] = val

@@ -98,16 +98,11 @@ class BracketSpec:
 
     @cached_property
     def mu(self) -> list[list[list]]:
-        """mu[a][b] = mu(e_a, e_b) for all a, b in 0..n-1: `mu_store` above
-        the diagonal, zero on it, and 0 - x below, so that a numeric 0.0
-        stays 0.0 rather than printing as -0.0.  Callers must not mutate it."""
-        zero = self.domain.zero()
-        zeros = [zero] * self.n
-        tab = [[zeros] * self.n for _ in range(self.n)]
-        for (a, b), v in self.mu_store.items():
-            tab[a][b] = v
-            tab[b][a] = [zero - x for x in v]
-        return tab
+        """mu[a][b] = mu(e_a, e_b) for all a, b in 0..n-1, the `_pair_table`
+        of `mu_store`: 0 - x below the diagonal keeps a numeric 0.0 from
+        printing as -0.0.  Callers must not mutate it."""
+        zeros = [self.domain.zero()] * self.n
+        return _pair_table(lambda a, b: self.mu_store.get((a, b), zeros), zeros)
 
     def mu_vec(self, x: Sequence, y: Sequence) -> list:
         """mu(x, y) of coordinate vectors; a term with a factor that tests zero is skipped."""
@@ -744,9 +739,10 @@ def _clear(values: list):
     """(den, ring) with values[i] == ring[i] / den exactly, in one of three ways:
     Fractions give an int lcm and ints; RationalFunctions whose denominators
     are all monomials, with any Fractions among them taken as constants (as
-    over a Fraction spec at symbolic t), give a monomial Polynomial L*x^e and
-    Polynomials with int coefficients; anything else (no values, floats, a
-    non-monomial denominator) gives (1, values), the list itself."""
+    over a Fraction spec at symbolic t), give a monomial Polynomial L*x^e,
+    L the lcm of the denominators' coefficients, and Polynomials with int
+    coefficients; anything else (no values, floats, a non-monomial
+    denominator) gives (1, values), the list itself."""
     if values and all(isinstance(v, Fraction) for v in values):
         den = math.lcm(*(v.denominator for v in values))
         return den, [v.numerator * (den // v.denominator) for v in values]
@@ -755,18 +751,14 @@ def _clear(values: list):
         return 1, values
     values = [RationalFunction.const(v) if isinstance(v, Fraction) else v for v in values]
     names = tuple(sorted({x for v in values for x in v.num.vars + v.den.vars}))
-    scaled = []                 # (den exponent, {num exponent: coefficient / den coefficient})
-    for v in values:
-        (e, c), = v.den._aligned_to(names).terms.items()
-        scaled.append((e, {x: k / c for x, k in v.num._aligned_to(names).terms.items()}))
-    top = tuple(map(max, zip(*(e for e, _ in scaled))))
-    L = math.lcm(*(q.denominator for _, qs in scaled for q in qs.values()))
+    dens = [next(iter(v.den._aligned_to(names).terms.items())) for v in values]
+    top = tuple(map(max, zip(*(e for e, _ in dens))))
+    L = math.lcm(*(c for _, c in dens))
     ring = []
-    for e, qs in scaled:
-        shift = tuple(a - b for a, b in zip(top, e))
-        ring.append(Polynomial(names, {tuple(map(operator.add, x, shift)):
-                                       q.numerator * (L // q.denominator)
-                                       for x, q in qs.items()}))
+    for v, (e, c) in zip(values, dens):
+        shift, k = tuple(a - b for a, b in zip(top, e)), L // c
+        ring.append(Polynomial(names, {tuple(map(operator.add, x, shift)): a * k
+                                       for x, a in v.num._aligned_to(names).terms.items()}))
     return Polynomial(names, {top: L}), ring
 
 
@@ -808,29 +800,19 @@ def _cleared(T: MultiTensor):
 
 
 def _divide(ring: dict, den) -> dict:
-    """{key: ring[key] / den}, popping ring as it goes.  Over an int den the
-    values are Fractions.  Over a monomial den L*x^e they are RationalFunctions
-    with Fraction coefficients, the monomial they share cancelled and L moved
-    into the numerator; equal denominator monomials and variable tuples are
-    shared within the call."""
+    """{key: ring[key] / den}, popping ring as it goes: Fractions over an int
+    den, RationalFunctions over a monomial one, which share equal
+    denominators within the call."""
     out = {}
     if isinstance(den, int):
         for key in list(ring):
             out[key] = Fraction(ring.pop(key), den)
         return out
-    monomials, names = {}, {}
+    dens = {}
     for key in list(ring):
-        p, d = Polynomial._align(ring.pop(key), den)
-        (top, L), = d.terms.items()
-        low = tuple(map(min, top, *p.terms))
-        e = (d.vars, tuple(map(operator.sub, top, low)))
-        if e not in monomials:
-            monomials[e] = Polynomial(d.vars, {e[1]: Fraction(1)})._trim()
-        terms = p.terms if not any(low) else {tuple(map(operator.sub, x, low)): c
-                                              for x, c in p.terms.items()}
-        num = Polynomial(names.setdefault(p.vars, p.vars),
-                         {x: Fraction(c, L) for x, c in terms.items()})
-        out[key] = RationalFunction(num, monomials[e])
+        v = RationalFunction(ring.pop(key), den)
+        d = dens.setdefault((v.den.vars, *v.den.terms.items()), v.den)
+        out[key] = v if d is v.den else RationalFunction._of(v.num, d)
     return out
 
 
@@ -1198,20 +1180,6 @@ def _nomizu(a, b, R: dict, den, zero):
     return out
 
 
-def _curvature_at(Rm: list, v: Sequence, w: Sequence, dom):
-    """Rm(v, w) = sum_ij v_i w_j Rm[i][j] over the nonzero coefficients."""
-    n2 = len(Rm)
-    M = mat_zero(n2, dom)
-    for i in range(n2):
-        if dom.is_zero(v[i]):
-            continue
-        for j in range(n2):
-            if dom.is_zero(w[j]):
-                continue
-            M = mat_add(M, mat_scale(v[i] * w[j], Rm[i][j]))
-    return M
-
-
 # -- rescaling, sectional curvature, flags ----------------------------------------
 
 
@@ -1242,7 +1210,7 @@ def sectional_curvature(spec: BracketSpec, Rm: list, X: Sequence, Y: Sequence,
                         normalize: bool = False):
     """sec(X,Y) = <Rm(X,Y)X, Y>, optionally divided by |X|^2|Y|^2 - <X,Y>^2."""
     dom = spec.domain
-    M = _curvature_at(Rm, X, Y, dom)
+    M = _conn_endo([_conn_endo(row, Y, dom) for row in Rm], X, dom)
     val = dot(mat_vec(M, X), Y)
     if normalize:
         denom = dot(X, X) * dot(Y, Y) - dot(X, Y) * dot(X, Y)

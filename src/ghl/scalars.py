@@ -5,17 +5,18 @@ Representation:
 
   Polynomial      vars:  tuple of parameter names, always sorted alphabetically
                   terms: dict mapping exponent tuples (one int per variable)
-                         to Fraction coefficients; zero coefficients are never
-                         stored, the zero polynomial has terms == {}.  Sums,
-                         differences and products keep int coefficients int:
-                         the derivative tower computes in that ring and
-                         returns Fractions
-  RationalFunction  num/den Polynomials; den != 0 and its leading coefficient
-                  (graded-lex order) is positive.  The pair is NOT reduced to
-                  lowest terms: equality and zero tests go through
-                  cross-multiplication, which is exact without any GCD.
-                  text() alone fixes the printed form, a function of the
-                  value unless num and den share a non-monomial factor.
+                         to int or Fraction coefficients; zero coefficients
+                         are never stored, the zero polynomial has
+                         terms == {}.  Sums, differences and products keep
+                         int coefficients int.
+  RationalFunction  num/den Polynomials in one normal form, fixed when the
+                  value is built: int coefficients with no common factor, no
+                  monomial shared by num and den, den's leading coefficient
+                  (graded-lex order) positive, and zero as 0/1.  No GCD is
+                  taken, so num and den may still share a non-monomial
+                  factor; equality and zero tests go through
+                  cross-multiplication, which is exact regardless.  text()
+                  prints the stored pair.
   NumericDomain   plain Python floats for the numeric backend
                   (square-root-bearing frames); the domain, not the value,
                   holds the comparison tolerance.
@@ -25,8 +26,9 @@ variable list, which makes serialization deterministic.
 
 Zero and one rules: x + 0, 0 + x, x - 0, -0, x * 0 and 0 * x return an
 operand, and Polynomial p * 1 and 1 * p return p once the degree cap is
-checked.  Reduction is idempotent, so that operand is the (num, den) the full
-path would rebuild; values are immutable, so sharing it is thread-safe.
+checked.  A pair in normal form is its own normal form, so that operand is the
+(num, den) the full path would rebuild; values are immutable, so sharing it is
+thread-safe.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import operator
 from contextvars import ContextVar
 from fractions import Fraction
-from math import gcd as _gcd, isfinite, sqrt as _math_sqrt
+from math import gcd as _gcd, isfinite, lcm as _lcm, sqrt as _math_sqrt
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -92,7 +94,7 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with int or Fraction coefficients."""
 
     __slots__ = ("vars", "terms")
 
@@ -343,16 +345,6 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
 
-def _content(p: Polynomial) -> Fraction:
-    """Positive rational content (gcd of numerators / lcm of denominators)."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = _gcd(num_gcd, c.numerator)
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-    return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
-
-
 def _monomial_content(p: Polynomial) -> tuple[int, ...]:
     """Componentwise min exponent over all terms (common monomial factor)."""
     if not p.terms or not p.vars:
@@ -365,30 +357,48 @@ def _monomial_content(p: Polynomial) -> tuple[int, ...]:
     return mins
 
 
-def _cancel_monomial(num: Polynomial, den: Polynomial):
-    """num and den on one variable tuple, with the monomial they share divided out."""
-    pair = Polynomial._align(num, den)
-    mono = tuple(map(min, *map(_monomial_content, pair)))
-    if not any(mono):
-        return pair
-    return tuple(Polynomial(p.vars, {tuple(a - b for a, b in zip(e, mono)): c
-                                     for e, c in p.terms.items()})._trim() for p in pair)
+_ZERO = Polynomial((), {})
+_ONE = Polynomial((), {(): 1})
+
+
+def _normal_form(num: Polynomial, den: Polynomial):
+    """num/den in normal form: int coefficients with no common factor, no
+    monomial shared by num and den, den's leading coefficient positive, and
+    a zero num over the constant 1.  A pair already in normal form comes
+    back as the same objects."""
+    if not num.terms:
+        return num, _ONE
+    if any(_monomial_content(num)) and any(_monomial_content(den)):
+        pair = Polynomial._align(num, den)
+        low = tuple(map(min, *map(_monomial_content, pair)))
+        if any(low):
+            num, den = (Polynomial(p.vars, {tuple(map(operator.sub, e, low)): c
+                                            for e, c in p.terms.items()})._trim()
+                        for p in pair)
+    coeffs = [*num.terms.values(), *den.terms.values()]
+    L = _lcm(*[c.denominator for c in coeffs])
+    g = _gcd(*[c.numerator * (L // c.denominator) for c in coeffs])
+    if den.leading()[1] < 0:
+        g = -g
+    if L == 1 and g == 1 and all(type(c) is int for c in coeffs):
+        return num, den
+    return tuple(Polynomial(p.vars, {e: c.numerator * (L // c.denominator) // g
+                                     for e, c in p.terms.items()})
+                 for p in (num, den))
 
 
 class RationalFunction:
-    """num/den of Polynomials; equality via exact cross-multiplication."""
+    """num/den of Polynomials in normal form (`_normal_form`); equality via
+    exact cross-multiplication."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
-            den = Polynomial.const(1)
-        if den.is_zero():
+            den = _ONE
+        elif den.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
-        num, den = _heuristic_reduce(num, den)
-        _, lead = den.leading()
-        if lead < 0:
-            num, den = -num, -den
+        num, den = _normal_form(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -398,12 +408,23 @@ class RationalFunction:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _of(num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """The value of a pair already in normal form, taken as it is."""
+        v = object.__new__(RationalFunction)
+        object.__setattr__(v, "num", num)
+        object.__setattr__(v, "den", den)
+        return v
+
+    @staticmethod
     def const(c) -> "RationalFunction":
-        return RationalFunction(Polynomial.const(c))
+        c = Fraction(c)
+        return RationalFunction._of(
+            Polynomial((), {(): c.numerator}) if c else _ZERO,
+            _ONE if c.denominator == 1 else Polynomial((), {(): c.denominator}))
 
     @staticmethod
     def param(name: str) -> "RationalFunction":
-        return RationalFunction(Polynomial.variable(name))
+        return RationalFunction._of(Polynomial((name,), {(1,): 1}), _ONE)
 
     # -- queries ------------------------------------------------------------
 
@@ -416,7 +437,7 @@ class RationalFunction:
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def as_fraction(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(self.num.constant_value(), self.den.constant_value())
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
@@ -508,56 +529,23 @@ class RationalFunction:
         if den == 0:
             point = ", ".join(f"{k}={v}" for k, v in sorted(assignment.items()))
             raise PoleError(f"pole at assignment {point}")
-        return self.num.evaluate(assignment) / den
+        return Fraction(self.num.evaluate(assignment), den)
 
     # -- serialization ------------------------------------------------------
 
     def text(self) -> str:
-        """`(num) / (den)`, den omitted when 1: their shared monomial cancelled,
-        den scaled to coprime integers, num's fractions cleared into both."""
-        num, den = _cancel_monomial(self.num, self.den)
-        scale = _content(den)
-        if scale != 1:
-            num, den = num * (1 / scale), den * (1 / scale)
-        nc = _content(num)
-        if nc.denominator != 1:
-            num, den = num * nc.denominator, den * nc.denominator
-        if den == Polynomial.const(1):
-            return num.text()
-        if num.is_constant() and den.is_constant():
-            return str(num.constant_value() / den.constant_value())
+        """`(num) / (den)` of the normal form, den omitted when 1."""
+        num, den = self.num, self.den
+        if den.is_constant():
+            d = den.constant_value()
+            if d == 1:
+                return num.text()
+            if num.is_constant():
+                return str(Fraction(num.constant_value(), d))
         return f"({num.text()}) / ({den.text()})"
 
     def __repr__(self):  # pragma: no cover
         return f"RationalFunction({self.text()})"
-
-
-def _small(num: Polynomial, den: Polynomial) -> bool:
-    """A monomial denominator small enough for the integer-content pass alone."""
-    return len(den.terms) == 1 and den.total_degree() <= 6 and len(num.terms) <= 12
-
-
-def _heuristic_reduce(num: Polynomial, den: Polynomial):
-    """Cancel integer content and common monomial content, and leave a reduced
-    pair unchanged.  Keeps blowup in check; correctness never depends on it."""
-    if num.is_zero():
-        return Polynomial.zero(), Polynomial.const(1)
-    if not den.vars and den.terms == _ONE_TERMS:
-        return num, den
-    if not _small(num, den):
-        a, b = _cancel_monomial(num, den)
-        if not _small(a, b):
-            ca, cb = _content(a), _content(b)
-            g = Fraction(_gcd(ca.numerator * cb.denominator, cb.numerator * ca.denominator),
-                         ca.denominator * cb.denominator)
-            if g != 1:
-                a, b = a * (1 / g), b * (1 / g)
-            return a._trim(), b._trim()
-        num, den = a._trim(), b._trim()    # the cancelled monomial left a small one
-    cb = _content(den)
-    if cb != 1:
-        return num * (1 / cb), den * (1 / cb)
-    return num, den
 
 
 def _as_rf(x):
@@ -582,7 +570,7 @@ class ExactDomain:
     one = staticmethod(lambda: RationalFunction.const(1))
 
     def from_fraction(self, c) -> RationalFunction:
-        return RationalFunction.const(Fraction(c))
+        return RationalFunction.const(c)
 
     def param(self, name: str) -> RationalFunction:
         if name not in self.params:

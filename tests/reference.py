@@ -1,15 +1,20 @@
 """Reference helpers for the tests: vector-argument and permutation-sum
 evaluations of definitions that the engine evaluates by index, the curvature
 of a connection by dense matrix products, which the engine sums sparsely over
-one denominator, and the Lee form read from the Gauduchon torsion, which the
-engine reads from d omega^{m-1}.
+one denominator, the Lee form read from the Gauduchon torsion, which the
+engine reads from d omega^{m-1}, and the printed form of a rational function
+normalised from any num/den pair, which the engine fixes when it builds the
+value.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
 from ghl import geometry as geo
+from ghl.scalars import Polynomial
 from ghl.multilinear import KForm, MultiTensor, _sort_sign, mat_mul, mat_scale, mat_sub, mat_zero
 
 
@@ -276,3 +281,37 @@ def lee_from_torsion_trace(spec) -> list:
     half = dom.from_fraction("1/2")
     assert all(dom.eq(half * a, b) for a, b in zip(theta, torsion_trace(dom.zero())))
     return theta
+
+
+# -- the printed form of a rational function ----------------------------------------
+
+def content(p: Polynomial) -> Fraction:
+    """Positive rational content (gcd of numerators / lcm of denominators)."""
+    num_gcd, den_lcm = 0, 1
+    for c in map(Fraction, p.terms.values()):
+        num_gcd = gcd(num_gcd, c.numerator)
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
+
+
+def ratfun_text(num: Polynomial, den: Polynomial) -> str:
+    """The printed form of num/den: den's leading coefficient made positive,
+    their shared monomial cancelled, den scaled to coprime integers and
+    num's fractions cleared into both."""
+    if num.is_zero():
+        return "0"
+    if den.leading()[1] < 0:
+        num, den = -num, -den
+    num, den = Polynomial._align(num, den)
+    low = tuple(min(e[i] for p in (num, den) for e in p.terms) for i in range(len(num.vars)))
+    num, den = (Polynomial(p.vars, {tuple(a - b for a, b in zip(e, low)): c
+                                    for e, c in p.terms.items()}) for p in (num, den))
+    scale = content(den)
+    num, den = num * (1 / scale), den * (1 / scale)
+    nc = content(num)
+    num, den = num * nc.denominator, den * nc.denominator
+    if den == Polynomial.const(1):
+        return num.text()
+    if num.is_constant() and den.is_constant():
+        return str(Fraction(num.constant_value()) / den.constant_value())
+    return f"({num.text()}) / ({den.text()})"

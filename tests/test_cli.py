@@ -439,6 +439,13 @@ def test_usage_mistakes_exit_two():
         (("report", iwasawa, "--params", "t=1"), "give it with --t"),
         (("sweep", kodaira, "--grid", "t=0:1:2", "--quantity", "scal",
           "--params", "alpha=1,beta=0,r=1,v=1,t=1"), "give it with --t"),
+        # a header field that is no dimension, and a divisor that is zero
+        (("validate", str(TEST_DATA / "non-integer-dimension.ghl")),
+         "non-integer-dimension.ghl: [algebra] q must be an integer, got 'x'"),
+        (("report", str(TEST_DATA / "negative-dimension.ghl")),
+         "negative-dimension.ghl: [algebra] needs q >= 0, got -1"),
+        (("validate", str(TEST_DATA / "zero-divisor.ghl")),
+         "zero-divisor.ghl: [brackets] e0,e1: division by zero"),
     ]
     for argv, message in cases:
         code, _, err = run(*argv)

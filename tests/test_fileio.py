@@ -327,6 +327,28 @@ def test_repeated_parameter_is_an_error(tmp_path, capsys):
     assert "parameter 'a' is declared twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[algebra]\nm = 2\n[brackets]\n", r"\[algebra\] needs q$"),
+    ("[algebra]\nq = 0\nm = x\n[brackets]\n", r"\[algebra\] m must be an integer, got 'x'"),
+    ("[algebra]\nq = 0\nm = 0\n[brackets]\n", r"\[algebra\] needs m >= 1, got 0"),
+    ("[frame]\nm = 2.5\n", r"\[frame\] m must be an integer, got '2.5'"),
+    ("[frame]\nm = -2\n", r"\[frame\] needs m >= 1, got -2"),
+    ("[algebra]\nq = 0\nm = 2\n[brackets]\ne0,e1 = e1/0\n",
+     r"\[brackets\] e0,e1: division by zero"),
+])
+def test_bad_header_or_zero_divisor_is_a_format_error(tmp_path, text, message):
+    p = tmp_path / "bad.ghl"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(GhlFormatError, match=message):
+        load_ghl(p)
+
+
+def test_zero_divisor_in_a_metric_entry_is_a_format_error(tmp_path):
+    p = _kt_copy(tmp_path, "e0,e0 = r^2", "e0,e0 = r^2/(x - x)")
+    with pytest.raises(GhlFormatError, match=r"kt.ghl: \[metric\] e0,e0: division by zero"):
+        load_ghl(p)
+
+
 def test_frame_metric_default_sample_is_the_first_in_file_order(tmp_path):
     """Not the alphabetically first name: zz comes before s0 in the file."""
     p = _kt_copy(tmp_path, "s0 = ", "zz = r=1, sigma=1, x=0, y=1/2\ns0 = ")

@@ -1,6 +1,7 @@
 """Scalar kernel: exact polynomial/rational-function arithmetic and the
 numeric backend."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 import ghl.scalars
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
                          NumericDomain, PoleError, Polynomial,
-                         RationalFunction, UsageError, _content,
-                         _heuristic_reduce, get_degree_cap, set_degree_cap)
+                         RationalFunction, UsageError, _normal_form,
+                         get_degree_cap, set_degree_cap)
+from reference import content, ratfun_text
 
 
 def P(name):
@@ -292,8 +294,8 @@ def test_zero_operands_skip_the_reduction(monkeypatch):
         calls.append(1)
         return reduce(num, den)
 
-    reduce = ghl.scalars._heuristic_reduce
-    monkeypatch.setattr(ghl.scalars, "_heuristic_reduce", counting)
+    reduce = ghl.scalars._normal_form
+    monkeypatch.setattr(ghl.scalars, "_normal_form", counting)
     assert x + zero is x
     assert zero * x is zero
     assert calls == []
@@ -305,28 +307,74 @@ def test_zero_operands_skip_the_reduction(monkeypatch):
 @given(small_ratfun())
 def test_reduction_leaves_a_built_value_unchanged(x):
     """The zero and one rules return an operand where the full path would
-    run the reduction once more; the two agree because it is idempotent."""
-    num, den = _heuristic_reduce(x.num, x.den)
-    assert (num.terms, den.terms) == _terms(x)
+    build the normal form once more; the two agree because a pair in normal
+    form is its own, returned as the same objects."""
+    num, den = _normal_form(x.num, x.den)
+    assert num is x.num and den is x.den
 
 
 def test_reduction_is_idempotent_where_it_used_to_move():
     a, b, r = P("a"), P("b"), P("r")
-    # the monomial cancellation leaves 2*r^6, whose content the same pass divides out
+    # the monomial cancellation leaves 2*r^6, whose content 2 is coprime to num's
     x = RationalFunction(r ** 2 * (a + 1), r ** 8 * 2)
-    assert x.den.terms == {(6,): 1}
+    assert x.den.terms == {(6,): 2}
     # the content 1/28 of the denominator shows only after the unit prefix 6, -5
     y = RationalFunction(Polynomial.const(Fraction(-27, 2)) - a ** 2 * Fraction(22, 3),
                          a * 6 - 5 + a ** 2 * Fraction(7, 4) + b ** 2 * Fraction(10, 7))
     for v in (x, y):
-        num, den = _heuristic_reduce(v.num, v.den)
-        assert (num.terms, den.terms) == _terms(v)
+        num, den = _normal_form(v.num, v.den)
+        assert num is v.num and den is v.den
 
 
 def test_content_is_exact_after_a_unit_prefix():
     p = Polynomial.const(1) + P("a") * Fraction(1, 2)
     assert list(p.terms.values()) == [1, Fraction(1, 2)]
-    assert _content(p) == Fraction(1, 2)
+    assert content(p) == Fraction(1, 2)
+
+
+@st.composite
+def fraction_pair(draw, names=("a", "b", "r")):
+    """(num, den) with Fraction coefficients over a few monomials, den nonzero
+    and often not a monomial."""
+    def poly(min_size):
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(names)),
+                                     _fracs.filter(bool), min_size=min_size, max_size=4))
+        return Polynomial(names, terms)
+    return poly(0), poly(1)
+
+
+def _in_normal_form(x) -> bool:
+    num, den = Polynomial._align(x.num, x.den)
+    coeffs = [*num.terms.values(), *den.terms.values()]
+    low = [min(e[i] for p in (num, den) for e in p.terms) for i in range(len(num.vars))]
+    return (all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
+            and not any(low) and den.leading()[1] > 0
+            and (bool(num.terms) or den.terms == {(0,) * len(den.vars): 1}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_pair())
+def test_normal_form_prints_as_the_text_normalisation(pair):
+    """Built from any pair, a value holds its normal form, and text() of it is
+    what normalising the pair for printing gives; rebuilding it from its own
+    num and den returns the same objects."""
+    num, den = pair
+    x = RationalFunction(num, den)
+    assert x.text() == ratfun_text(num, den)
+    assert _in_normal_form(x)
+    y = RationalFunction(x.num, x.den)
+    assert y.num is x.num and y.den is x.den
+
+
+def test_constant_values_are_built_in_normal_form():
+    for c in (0, 3, -4, Fraction(-6, 4), "5/10"):
+        x = RationalFunction.const(c)
+        assert _in_normal_form(x)
+        assert x.as_fraction() == Fraction(c) and type(x.as_fraction()) is Fraction
+        assert x.text() == str(Fraction(c))
+    x = ExactDomain(("a",)).param("a")
+    assert _in_normal_form(x) and x.text() == "a"
+    assert type(x.evaluate({"a": 3})) is Fraction
 
 
 @settings(max_examples=100, deadline=None)
