@@ -15,7 +15,7 @@ of them (scalar * vector products only, no vector * vector).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = ["ExprNode", "ExprSyntaxError", "UndeclaredParameterError",
            "parse_expression", "to_scalar", "to_linear_combination"]
@@ -41,6 +41,7 @@ class ExprNode:
     kind: str                       # integer|parameter|add|sub|mul|div|pow|neg
     children: tuple = ()
     value: int | str | None = None  # int payload or parameter name
+    offset: int = 0                 # byte offset of the node's first token
 
 
 def _tokenize(text: str):
@@ -99,7 +100,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
-                node = ExprNode("add" if val == "+" else "sub", (node, rhs))
+                node = ExprNode("add" if val == "+" else "sub", (node, rhs), offset=node.offset)
             else:
                 return node
 
@@ -110,7 +111,7 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.factor()
-                node = ExprNode("mul" if val == "*" else "div", (node, rhs))
+                node = ExprNode("mul" if val == "*" else "div", (node, rhs), offset=node.offset)
             else:
                 return node
 
@@ -123,21 +124,21 @@ class _Parser:
             if ekind != "int":
                 raise ExprSyntaxError("exponent must be a non-negative integer literal", eoff)
             self.next()
-            node = ExprNode("pow", (node,), eval_)
+            node = ExprNode("pow", (node,), eval_, node.offset)
         return node
 
     def base(self) -> ExprNode:
         kind, val, off = self.next()
         if kind == "int":
-            return ExprNode("integer", value=val)
+            return ExprNode("integer", value=val, offset=off)
         if kind == "name":
-            return ExprNode("parameter", value=val)
+            return ExprNode("parameter", value=val, offset=off)
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
-            return node
+            return replace(node, offset=off)
         if kind == "op" and val == "-":
-            return ExprNode("neg", (self.base(),))
+            return ExprNode("neg", (self.base(),), offset=off)
         raise ExprSyntaxError(f"expected integer, parameter or '('", off)
 
 
@@ -160,13 +161,15 @@ def to_linear_combination(node: ExprNode, domain, n: int):
     """
     scal, vec = _lin(node, domain, n, domain.zero())
     if not domain.is_zero(scal):
-        raise ExprSyntaxError("bracket value has a scalar (basis-free) part", 0)
+        raise ExprSyntaxError("bracket value has a scalar (basis-free) part", node.offset)
     return vec
 
 
 def _lin(node: ExprNode, domain, n: int, zero):
     """(scalar part, vector part) of a node; with n = 0 a basis vector is an
-    error, so the scalar part is the value of a scalar expression."""
+    error, so the scalar part is the value of a scalar expression.  An error
+    names the offset of the offending node: the divisor of a division, else
+    the node itself."""
     if node.kind == "integer":
         return domain.from_fraction(node.value), [zero] * n
     if node.kind == "parameter":
@@ -174,10 +177,10 @@ def _lin(node: ExprNode, domain, n: int, zero):
         if m:
             if n == 0:
                 raise ExprSyntaxError(
-                    f"basis vector {node.value} not allowed in a scalar expression", 0)
+                    f"basis vector {node.value} not allowed in a scalar expression", node.offset)
             idx = int(m.group(1))
             if idx >= n:
-                raise ExprSyntaxError(f"basis index out of range: {node.value}", 0)
+                raise ExprSyntaxError(f"basis index out of range: {node.value}", node.offset)
             vec = [zero] * n
             vec[idx] = domain.one()
             return zero, vec
@@ -190,7 +193,7 @@ def _lin(node: ExprNode, domain, n: int, zero):
     if node.kind == "pow":
         s, v = _lin(node.children[0], domain, n, zero)
         if any(not domain.is_zero(x) for x in v):
-            raise ExprSyntaxError("cannot raise a basis vector to a power", 0)
+            raise ExprSyntaxError("cannot raise a basis vector to a power", node.offset)
         return s ** node.value, [zero] * n
     a_s, a_v = _lin(node.children[0], domain, n, zero)
     b_s, b_v = _lin(node.children[1], domain, n, zero)
@@ -202,14 +205,15 @@ def _lin(node: ExprNode, domain, n: int, zero):
     b_isvec = any(not domain.is_zero(x) for x in b_v)
     if node.kind == "mul":
         if a_isvec and b_isvec:
-            raise ExprSyntaxError("vector * vector is not allowed in bracket values", 0)
+            raise ExprSyntaxError("vector * vector is not allowed in bracket values", node.offset)
         if a_isvec:
             return a_s * b_s, [x * b_s for x in a_v]
         return a_s * b_s, [a_s * y for y in b_v]
     if node.kind == "div":
         if b_isvec:
-            raise ExprSyntaxError("division by a basis vector is not allowed", 0)
+            raise ExprSyntaxError("division by a basis vector is not allowed",
+                                  node.children[1].offset)
         if domain.is_zero(b_s):
-            raise ExprSyntaxError("division by zero", 0)
+            raise ExprSyntaxError("division by zero", node.children[1].offset)
         return a_s / b_s, [x / b_s for x in a_v]
     raise ValueError(f"unknown node kind {node.kind}")  # pragma: no cover

@@ -762,21 +762,6 @@ def _clear(values: list):
     return Polynomial(names, {top: L}), ring
 
 
-def _coprime(a, b):
-    """(a/g, b/g) for g the gcd of two `_clear` denominators, both ints or
-    both monomials L*x^e; any other pair as it is."""
-    if isinstance(a, int) and isinstance(b, int):
-        g = math.gcd(a, b)
-        return a // g, b // g
-    if not (isinstance(a, Polynomial) and isinstance(b, Polynomial)):
-        return a, b
-    a, b = Polynomial._align(a, b)
-    ((ea, ca),), ((eb, cb),) = a.terms.items(), b.terms.items()
-    g, low = math.gcd(ca, cb), tuple(map(min, ea, eb))
-    return (Polynomial(a.vars, {tuple(map(operator.sub, ea, low)): ca // g}),
-            Polynomial(a.vars, {tuple(map(operator.sub, eb, low)): cb // g}))
-
-
 def _clear_matrices(Ms: list):
     """`_clear` over a list of matrices of any shapes: (den, ring matrices),
     or (1, Ms) itself when `_clear` leaves their entries as they are."""
@@ -800,20 +785,40 @@ def _cleared(T: MultiTensor):
 
 
 def _divide(ring: dict, den) -> dict:
-    """{key: ring[key] / den}, popping ring as it goes: Fractions over an int
-    den, RationalFunctions over a monomial one, which share equal
-    denominators within the call."""
-    out = {}
+    """{key: ring[key] / den}: Fractions over an int den, RationalFunctions
+    over a monomial one, which share equal denominators within the call;
+    values that are not ints stay as they are over den 1 (`_tower`'s domain
+    values)."""
     if isinstance(den, int):
-        for key in list(ring):
-            out[key] = Fraction(ring.pop(key), den)
-        return out
-    dens = {}
-    for key in list(ring):
-        v = RationalFunction(ring.pop(key), den)
+        return {key: Fraction(v, den) if type(v) is int else v for key, v in ring.items()}
+    out, dens = {}, {}
+    for key, v in ring.items():
+        v = RationalFunction(v, den)
         d = dens.setdefault((v.den.vars, *v.den.terms.items()), v.den)
         out[key] = v if d is v.den else RationalFunction._of(v.num, d)
     return out
+
+
+def _reduce(den, values: list):
+    """(den / g, [v / g for v in values]) for g the content that den shares
+    with every value: their gcd over an int den and ints, and over a
+    monomial den L*x^e and Polynomials the gcd of L and every coefficient
+    times x to the least exponents.  A reduced pair, and any other (den 1
+    over domain values), comes back as it is."""
+    if isinstance(den, int) and all(type(v) is int for v in values):
+        g = math.gcd(den, *values)
+        return (den, values) if g == 1 else (den // g, [v // g for v in values])
+    if not (isinstance(den, Polynomial) and all(isinstance(v, Polynomial) for v in values)):
+        return den, values
+    names = tuple(sorted({x for p in (den, *values) for x in p.vars}))
+    polys = [p._aligned_to(names) for p in (den, *values)]
+    g = math.gcd(*(c for p in polys for c in p.terms.values()))
+    low = tuple(map(min, zip(*(e for p in polys for e in p.terms))))
+    if g == 1 and not any(low):
+        return den, values
+    den, *values = (Polynomial(names, {tuple(map(operator.sub, e, low)): c // g
+                                       for e, c in p.terms.items()}) for p in polys)
+    return den, values
 
 
 def _nonzero(x) -> bool:
@@ -844,37 +849,23 @@ def _add_product(acc: dict, A: list, B: list, c=1) -> None:
 
 
 def _tower(spec: BracketSpec, T: MultiTensor):
-    """T, DT, D^2T, ... for the Levi-Civita connection, each built when the
-    caller asks for it.  A step clears T, and once per tower S, to ring
-    values over one denominator (`_clear`), differentiates in the ring and
-    divides back; when `_clear` leaves either as it is, the step runs over
-    the spec's own domain."""
-    S = None
-    while True:
-        yield T
-        if S is None:
-            dS, S = _clear_matrices(spec.S)
-        dT, ring = _cleared(T)
-        if ring is T or S is spec.S:
-            T = covariant_derivative(spec, T, spec.S, 1)
-            continue
-        ring = covariant_derivative(spec, ring, S, 1)
-        T = MultiTensor(T.n, ring.rank, T.has_endo, T._zero)
-        T.comp = _divide(ring.comp, dT * dS)
-
-
-def _int_tower(spec: BracketSpec, T: MultiTensor):
-    """`_tower` of a Fraction tensor as (den, D^kT * den) with integer
-    components and gcd(den, components) = 1.  S and T are cleared to
-    integers once (`_clear`), so no Fraction is built per entry or product."""
+    """(den, ring) pairs with D^kT == ring / den for k = 0, 1, 2, ..., the
+    covariant derivatives for the Levi-Civita connection, each built when
+    the caller asks for it.  S and T are cleared to ring values once
+    (`_clear`); a step runs `covariant_derivative` on the ring values,
+    multiplies den by S's denominator and divides out the content that den
+    shares with every value (`_reduce`).  A reduced pair is unique, so each
+    is `_cleared(D^kT)`.  When `_clear` leaves S or T as it is, den is 1 and
+    the same step runs over the spec's own domain."""
     dS, S = _clear_matrices(spec.S)
-    den, T = _cleared(T)
+    den, ring = _cleared(T)
+    if S is spec.S or ring is T:
+        dS, S, den, ring = 1, spec.S, 1, T
     while True:
-        yield den, T
-        T = covariant_derivative(spec, T, S, 1)
-        g = math.gcd(den * dS, *T.comp.values())
-        den = den * dS // g
-        T.comp = {k: c // g for k, c in T.comp.items()}
+        yield den, ring
+        ring = covariant_derivative(spec, ring, S, 1)
+        den, values = _reduce(den * dS, list(ring.comp.values()))
+        ring.comp = dict(zip(ring.comp, values))
 
 
 @dataclass
@@ -887,12 +878,18 @@ class DerivativeTuple:
 
 
 def hermitian_s_tuple(spec: BracketSpec, s: int = 2, verify: bool = True) -> DerivativeTuple:
+    """theta^s from the `_tower` pairs of J and Rm, each divided once into the
+    spec's domain; with verify, checked by `check_x1_identities`."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    J = _tower(spec, MultiTensor.from_endo(spec.I, spec.domain))
-    J_derivs = list(itertools.islice(J, 1, s + 3))
-    Rm_derivs = list(itertools.islice(_tower(spec, _rm_tensor(spec, spec.Rm)), s + 1))
-    tup = DerivativeTuple(s, J_derivs, Rm_derivs)
+    zero = spec.domain.zero()
+
+    def derivs(T, start, stop):
+        return [MultiTensor(ring.n, ring.rank, ring.has_endo, zero, _divide(ring.comp, den))
+                for den, ring in itertools.islice(_tower(spec, T), start, stop)]
+
+    tup = DerivativeTuple(s, derivs(MultiTensor.from_endo(spec.I, spec.domain), 1, s + 3),
+                          derivs(_rm_tensor(spec, spec.Rm), 0, s + 1))
     if verify:
         check_x1_identities(spec, tup)
     return tup
@@ -915,23 +912,24 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
         if any(not dom.is_zero(Rm[a][b][r][c] + Rm[b][c][r][a] + Rm[c][a][r][b])
                for r in range(n2)):
             raise InternalConsistencyError(f"first Bianchi fails on ({a},{b},{c})")
+    dR, R = _cleared(_rm_tensor(spec, Rm))
 
     def antisym_check(T: MultiTensor, base: MultiTensor, label: str):
         # T(x1,x2,rest) - T(x2,x1,rest) = -(Rm(x1,x2) . base)(rest), checked in
-        # the ring (`_clear`) with Rm(x1,x2) = Rn/dR, base = Bn/dB and the
-        # pair's entries of T = ring/dT:
+        # the ring (`_cleared`, once per tensor) with Rm = R/dR, base = Bn/dB
+        # and T = P/dT:
         # dR*dB*(T(x1,x2,rest) - T(x2,x1,rest)) + dT*(Rn . Bn)(rest) = 0,
-        # with the gcd of dR*dB and dT divided out of both
+        # with the content the two factors share divided out (`_reduce`)
         dB, Bn = _cleared(base)
-        pairs = {}
-        for key, v in T.comp.items():
-            pairs.setdefault(tuple(sorted(key[:2])), {})[key] = v
+        dT, P = _cleared(T)
+        scale, (dT,) = _reduce(dR * dB, [dT])
+        rests = {}
+        for key in P.comp:
+            rests.setdefault(tuple(sorted(key[:2])), set()).add(key[2:])
         for x1, x2 in itertools.combinations(range(n2), 2):
-            dR, (Rn,) = _clear_matrices([Rm[x1][x2]])
+            Rn = [[R.get((x1, x2, r, c)) for c in range(n2)] for r in range(n2)]
             D = derivation_action(Rn, Bn, dom)
-            dT, P = _cleared(MultiTensor(T.n, T.rank, T.has_endo, T._zero, pairs.get((x1, x2))))
-            scale, dT = _coprime(dR * dB, dT)
-            for rest in {key[2:] for key in P.comp} | D.comp.keys():
+            for rest in rests.get((x1, x2), set()) | D.comp.keys():
                 lhs = scale * (P.get((x1, x2) + rest) - P.get((x2, x1) + rest)) + dT * D.get(rest)
                 if not dom.is_zero(lhs):
                     raise InternalConsistencyError(f"identity {label} fails at {x1},{x2},{rest}")
@@ -1006,26 +1004,12 @@ def _constant_spec(spec: BracketSpec, what: str) -> BracketSpec:
 def _add_index_action(rows: dict, basis: list, T: MultiTensor, first: int = 0,
                       scale: int = 1) -> None:
     """rows[key][first + col] = scale * derivation_action(basis[col], T).comp[key]
-    for skew matrices with entries in {0, 1, -1} and a T with integer
-    components.  A skew B acts on the End slot's row and column indices as on
-    covariant ones, and an entry B[i][r] = s adds -s times each stored
-    component at its key with one i relabelled to r: no products, and the
-    rows hold integers."""
-    comp = [(key, c * scale) for key, c in T.comp.items()]
+    over the nonzero entries.  For the skew u(m) and so(2m) bases with int
+    entries and a T with int components, the End slot's commutator relabels
+    its indices as a covariant slot's, and the rows hold ints."""
     for col, B in enumerate(basis):
-        moves = {}                  # i -> [(r, B[i][r])] over the nonzero entries
-        for i, r in itertools.product(range(T.n), repeat=2):
-            if B[i][r]:
-                moves.setdefault(i, []).append((r, int(B[i][r])))
-        acc = {}
-        for key, c in comp:
-            for p, i in enumerate(key):
-                for r, s in moves.get(i, ()):
-                    nk = key[:p] + (r,) + key[p + 1:]
-                    acc[nk] = acc.get(nk, 0) - s * c
-        for key, x in acc.items():
-            if x:
-                rows.setdefault(key, {})[first + col] = x
+        for key, x in derivation_action(B, T, FractionDomain).comp.items():
+            rows.setdefault(key, {})[first + col] = scale * x
 
 
 @dataclass
@@ -1041,7 +1025,7 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     dom = spec.domain
     m = spec.m
     limit = m * m + 1 if kmax is None else kmax
-    U = unitary_basis(m, dom)
+    _, U = _clear_matrices(unitary_basis(m, dom))       # int entries
     span = _Echelon(len(U), dom)
 
     def add_rows(pair):
@@ -1051,12 +1035,12 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
         for key in sorted(rows):
             span.add(rows[key])
 
-    J = _int_tower(spec, MultiTensor.from_endo(spec.I, dom))
+    J = _tower(spec, MultiTensor.from_endo(spec.I, dom))
     next(J)                                 # u(m) fixes J itself
     add_rows(next(J))
     dims = []
     # order k annihilates D^0Rm..D^kRm and D^1J..D^{k+2}J
-    for k, (Jk2, Rmk) in enumerate(zip(J, _int_tower(spec, _rm_tensor(spec, spec.Rm)))):
+    for k, (Jk2, Rmk) in enumerate(zip(J, _tower(spec, _rm_tensor(spec, spec.Rm)))):
         add_rows(Rmk)
         add_rows(Jk2)
         dims.append(len(U) - len(span.pivots))
@@ -1083,7 +1067,7 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     m = spec.m
     n2 = 2 * m
     limit = m * m + 2 if kmax is None else kmax
-    SO = so_basis(n2, dom)
+    _, SO = _clear_matrices(so_basis(n2, dom))          # int entries
     nA = len(SO)
     span = _Echelon(n2 + nA, dom)
 
@@ -1099,8 +1083,8 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
             span.add(rows[key])
 
     dims: list[int] = []
-    pairs = zip(itertools.pairwise(_int_tower(fspec, MultiTensor.from_endo(fspec.I, dom))),
-                itertools.pairwise(_int_tower(fspec, _rm_tensor(fspec, fspec.Rm))))
+    pairs = zip(itertools.pairwise(_tower(fspec, MultiTensor.from_endo(fspec.I, dom))),
+                itertools.pairwise(_tower(fspec, _rm_tensor(fspec, fspec.Rm))))
     for k, ((Jk, Jk1), (Rmk, Rmk1)) in enumerate(pairs):
         add_rows(Jk, Jk1)
         add_rows(Rmk, Rmk1)

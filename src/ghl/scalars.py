@@ -279,8 +279,8 @@ class Polynomial:
         a, b = Polynomial._align(self, other)
         return a.terms == b.terms
 
-    def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+    def __hash__(self):  # pragma: no cover
+        raise TypeError("Polynomial is unhashable (equality is semantic)")
 
     # -- substitution -------------------------------------------------------
 

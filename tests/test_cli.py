@@ -445,7 +445,7 @@ def test_usage_mistakes_exit_two():
         (("report", str(TEST_DATA / "negative-dimension.ghl")),
          "negative-dimension.ghl: [algebra] needs q >= 0, got -1"),
         (("validate", str(TEST_DATA / "zero-divisor.ghl")),
-         "zero-divisor.ghl: [brackets] e0,e1: division by zero"),
+         "zero-divisor.ghl: [brackets] e0,e1: division by zero (at byte offset 3)"),
     ]
     for argv, message in cases:
         code, _, err = run(*argv)

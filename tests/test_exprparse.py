@@ -77,6 +77,30 @@ def test_linear_combination_rejections():
         to_linear_combination(parse_expression("1/e1"), DOM, 4)
 
 
+@pytest.mark.parametrize("text, n, message, offset", [
+    ("e1/(a - a)", 4, "division by zero", 3),
+    ("e1 + e2/(b*0)", 4, "division by zero", 8),
+    ("alpha*e1 + e0*e1", 4, r"vector \* vector", 11),
+    ("e0 + 2/e1", 4, "division by a basis vector", 7),
+    ("e0 + 2*e9", 4, "basis index out of range: e9", 7),
+    ("2 + (e1)^2", 4, "raise a basis vector", 4),
+    ("1 + e0", 0, "basis vector e0 not allowed", 4),
+    ("  alpha", 4, r"scalar \(basis-free\) part", 2),
+])
+def test_semantic_errors_name_the_offending_node(text, n, message, offset):
+    """A semantic error reports the byte offset of the node at fault: the
+    divisor of a division (its '(' when parenthesised), else the node's
+    first token."""
+    node = parse_expression(text)
+    with pytest.raises(ExprSyntaxError, match=message) as err:
+        if n:
+            to_linear_combination(node, DOM, n)
+        else:
+            to_scalar(node, DOM)
+    assert err.value.offset == offset
+    assert str(err.value).endswith(f"(at byte offset {offset})")
+
+
 def _random_ratfun(rng: random.Random) -> RationalFunction:
     names = ("alpha", "r", "t")
 

@@ -425,36 +425,32 @@ def _reference_tower(spec, T, count):
 
 
 def test_integer_tower_equals_fraction_tower(all_bundled, iwasawa, kodaira, abelian2, sphere):
-    """`_tower` and `_int_tower` each equal iterated covariant_derivative
-    entry for entry, for J and Rm up to order 3: `_tower` on the bundled
-    specs, the Fraction specs and a spec whose S `_clear` leaves as it is;
-    `_int_tower` as (den, D^kT * den) with int components in lowest terms.
-    Symbolic kodaira stops at D Rm: its reference D^2Rm and D^3Rm take about
-    20 s and 140 s over RationalFunctions, and the s = 2 text pin covers D^2Rm."""
+    """Each `_tower` pair (den, ring) equals `_cleared` of iterated
+    covariant_derivative over the spec's own domain, for J and Rm up to
+    order 3: ints over an int den on the Fraction specs, Polynomials over a
+    monomial on the symbolic ones, and den 1 over the domain values
+    themselves where `_clear` leaves S as it is (numeric Kodaira-Thurston and
+    a non-monomial denominator).  Symbolic kodaira stops at D Rm: its
+    reference D^2Rm and D^3Rm take about 20 s and 140 s over
+    RationalFunctions, and the s = 2 text pin covers D^2Rm."""
     nonmonomial = _non_monomial_spec()
     S = [a for M in nonmonomial.S for row in M for a in row]
     assert geo._clear(S)[1] is S
     fraction_specs = _fraction_specs(iwasawa, kodaira, abelian2, sphere)
+    domain_specs = [all_bundled["kodaira-thurston"].spec, nonmonomial]
     specs = [loaded.spec for loaded in all_bundled.values()] + [nonmonomial] + fraction_specs
     for spec in specs:
-        dom = spec.domain
         for T, count in zip(_start_tensors(spec), (4, 2 if spec is kodaira.spec else 4)):
             ref = _reference_tower(spec, T, count)
-            for k, got in enumerate(itertools.islice(geo._tower(spec, T), count)):
+            for k, (den, got) in enumerate(itertools.islice(geo._tower(spec, T), count)):
                 where = (spec.name, T.rank, k)
-                keys = got.comp.keys() | ref[k].comp.keys()
-                assert all(dom.eq(got.get(key), ref[k].get(key)) for key in keys), where
+                want_den, want = geo._cleared(ref[k])
+                assert den == want_den and got.comp == want.comp, where
+                if spec in domain_specs:
+                    assert den == 1 and got.comp == ref[k].comp, where
                 if spec in fraction_specs:
-                    assert all(type(x) is Fraction for x in got.comp.values()), where
-            if spec not in fraction_specs:
-                continue
-            for k, (den, got) in enumerate(itertools.islice(geo._int_tower(spec, T), count)):
-                where = (spec.name, T.rank, k)
-                assert got.comp.keys() == ref[k].comp.keys(), where
-                assert all(type(x) is int for x in got.comp.values()), where
-                assert all(Fraction(x, den) == ref[k].comp[key]
-                           for key, x in got.comp.items()), where
-                assert math.gcd(den, *got.comp.values()) == 1, where
+                    assert type(den) is int, where
+                    assert all(type(x) is int for x in got.comp.values()), where
 
 
 def test_s2_tuples_evaluate_to_fractions(all_bundled, s2_tuples):
@@ -503,14 +499,36 @@ def test_x1_check_fails_on_a_perturbed_entry(all_bundled, s2_tuples, kodaira):
 
 def test_degree_cap_still_guards_the_s_tuple(kodaira, s2_tuples):
     """The kodaira s = 2 tuple builds at the default cap (s2_tuples); at cap 4
-    the ring arithmetic still trips the guard."""
+    the ring arithmetic still trips the guard.  With its X1 check the s = 1
+    tuple needs cap 18 and the s = 2 tuple cap 24, no more than their towers."""
     assert len(s2_tuples["kodaira"].J_derivs) == 4
-    set_degree_cap(4)
     try:
-        with pytest.raises(DegreeGuardError):
-            geo.hermitian_s_tuple(kodaira.spec, s=2, verify=True)
+        for s, cap, builds in ((2, 4, False), (1, 17, False), (1, 18, True), (2, 24, True)):
+            set_degree_cap(cap)
+            if builds:
+                geo.hermitian_s_tuple(kodaira.spec, s=s, verify=True)
+                continue
+            with pytest.raises(DegreeGuardError):
+                geo.hermitian_s_tuple(kodaira.spec, s=s, verify=True)
     finally:
         set_degree_cap(DEFAULT_DEGREE_CAP)
+
+
+def test_s_tuple_runs_the_x1_check_once(iwasawa, monkeypatch):
+    """hermitian_s_tuple(verify=True) checks its tuple through the public
+    check_x1_identities, once; verify=False skips it."""
+    calls = []
+    check = geo.check_x1_identities
+
+    def counting(spec, tup):
+        calls.append(tup)
+        return check(spec, tup)
+
+    monkeypatch.setattr(geo, "check_x1_identities", counting)
+    tup = geo.hermitian_s_tuple(iwasawa.spec, s=2, verify=True)
+    assert calls == [tup]
+    geo.hermitian_s_tuple(iwasawa.spec, s=1, verify=False)
+    assert len(calls) == 1
 
 
 def test_curvature_equals_dense_formula(all_bundled):
@@ -579,7 +597,25 @@ def test_killing_closure_fails_on_a_perturbed_generator(iwasawa):
             geo._check_killing(inst, geo.KillingResult(basis, res.dim, res.orders_used))
 
 
+def _relabelled(B, T):
+    """The action of a skew B with entries in {0, 1, -1} as an index
+    relabelling: an entry B[i][r] = s adds -s times each stored component at
+    its key with one i relabelled to r, the End slot's indices included."""
+    acc = {}
+    for key, c in T.comp.items():
+        for p, i in enumerate(key):
+            for r in range(T.n):
+                if B[i][r]:
+                    nk = key[:p] + (r,) + key[p + 1:]
+                    acc[nk] = acc.get(nk, 0) - B[i][r] * c
+    return {key: x for key, x in acc.items() if x}
+
+
 def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, sphere):
+    """`_add_index_action` over the int u(m) and so(2m) bases and a `_tower`
+    pair (den, T) gives int rows equal to den times the rows of the Fraction
+    bases acting on T / den, and equal to the index relabelling of each basis
+    matrix."""
     specs = [iwasawa.spec.instantiate({"alpha": 1}),
              kodaira.spec.instantiate({"alpha": 1, "beta": 0, "r": 1, "v": 1}),
              abelian2.spec.instantiate({}), sphere.spec.instantiate({})]
@@ -587,23 +623,28 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
     for spec in specs:
         dom = spec.domain
         bases = (geo.unitary_basis(spec.m, dom), geo.so_basis(2 * spec.m, dom))
-        # J, DJ, D^2J, Rm and D Rm, each over Fractions and as (den, integers)
-        tensors = []
+        # J, DJ, D^2J, Rm and D Rm as (den, int tensor) pairs
+        pairs = []
         for T, count in zip(_start_tensors(spec), (3, 2)):
-            pairs = zip(geo._tower(spec, T), geo._int_tower(spec, T))
-            tensors += itertools.islice(pairs, count)
-        for (T, (den, Ti)), basis in itertools.product(tensors, bases):
-            expected = {}
-            for col, B in enumerate(basis):
+            pairs += itertools.islice(geo._tower(spec, T), count)
+        for (den, Ti), basis in itertools.product(pairs, bases):
+            T = MultiTensor(Ti.n, Ti.rank, Ti.has_endo, dom.zero(),
+                            {key: Fraction(x, den) for key, x in Ti.comp.items()})
+            _, ints = geo._clear_matrices(basis)
+            expected, relabelled = {}, {}
+            for col, (B, Bi) in enumerate(zip(basis, ints)):
                 for key, x in derivation_action(B, T, dom).comp.items():
                     expected.setdefault(key, {})[col] = x
+                for key, x in _relabelled(Bi, Ti).items():
+                    relabelled.setdefault(key, {})[col] = x
             rows = {}
-            geo._add_index_action(rows, basis, Ti)
+            geo._add_index_action(rows, ints, Ti)
             assert all(type(x) is int for r in rows.values() for x in r.values())
+            assert rows == relabelled, (spec.name, T.rank, T.has_endo)
             got = {k: {c: Fraction(x, den) for c, x in r.items()} for k, r in rows.items()}
             assert got == expected, (spec.name, T.rank, T.has_endo)
             shifted = {}
-            geo._add_index_action(shifted, basis, Ti, 5, 3)
+            geo._add_index_action(shifted, ints, Ti, 5, 3)
             assert shifted == {k: {c + 5: 3 * x for c, x in r.items()} for k, r in rows.items()}
 
 

@@ -53,6 +53,19 @@ def test_difference_of_squares():
     assert (t - 1) * (t + 1) == t ** 2 - 1
 
 
+def test_polynomials_are_unhashable_as_equality_is_semantic():
+    """Equal polynomials can differ in their variable tuples, and a constant
+    equals an int, so no hash could agree with __eq__."""
+    pairs = [(Polynomial(("a",), {(1,): 1}), Polynomial(("a", "b"), {(1, 0): 1})),
+             (Polynomial.const(3), 3)]
+    for x, y in pairs:
+        assert x == y
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+    with pytest.raises(TypeError):
+        {Polynomial.zero()}
+
+
 def test_cube_expansion_against_brute_force():
     # ((alpha^2 + beta^2) r^2 + v^2)^3, 10 monomials in the (a^2, b^2, v^2) grouping
     a, b, r, v = P("alpha"), P("beta"), P("r"), P("v")
