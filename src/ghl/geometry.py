@@ -36,9 +36,9 @@ from typing import Sequence
 
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
-    coboundary, derivation_action, dot, istd, mat_add, mat_is_zero,
-    mat_scale, mat_sub, mat_vec, mat_zero, vec_add, vec_sub, wedge,
-    complex_trace_form,
+    action_terms, coboundary, derivation_action, dot, index_rows, istd, mat_add,
+    mat_is_zero, mat_scale, mat_sub, mat_vec, mat_zero, scatter_products, vec_add,
+    vec_sub, wedge, complex_trace_form,
 )
 from .scalars import FractionDomain, Polynomial, RationalFunction, UsageError
 
@@ -708,18 +708,14 @@ def _check_lee_trace(spec: BracketSpec, T: list, t, theta: list) -> None:
 def covariant_derivative(spec: BracketSpec, Q: MultiTensor, C: list,
                          order: int = 1) -> MultiTensor:
     """Iterated covariant derivative of an invariant tensor:
-    (D Q)(X; rest) = (-C(X) . Q)(rest)."""
+    (D Q)(X; rest) = (-C(X) . Q)(rest), each step one `scatter_products` call."""
     dom = spec.domain
     n2 = 2 * spec.m
-    T = Q
+    rows, cols = index_rows((((x,), C[x]) for x in range(n2)), dom.is_zero)
     for _ in range(order):
-        out = MultiTensor(n2, T.rank + 1, T.has_endo, T._zero)
-        for x in range(n2):
-            U = derivation_action([[-a for a in row] for row in C[x]], T, dom)
-            for key, val in U.comp.items():
-                out.set((x,) + key, val, dom)
-        T = out
-    return T
+        comp = scatter_products(action_terms(Q, rows, cols, -1), Q._zero, dom.is_zero)
+        Q = MultiTensor(n2, Q.rank + 1, Q.has_endo, Q._zero, comp)
+    return Q
 
 
 def _rm_tensor(spec: BracketSpec, Rm: list) -> MultiTensor:
@@ -1001,15 +997,13 @@ def _constant_spec(spec: BracketSpec, what: str) -> BracketSpec:
     return spec if isinstance(spec.domain, FractionDomain) else spec.instantiate({})
 
 
-def _add_index_action(rows: dict, basis: list, T: MultiTensor, first: int = 0,
+def _add_index_action(rows: dict, basis, T: MultiTensor, first: int = 0,
                       scale: int = 1) -> None:
-    """rows[key][first + col] = scale * derivation_action(basis[col], T).comp[key]
-    over the nonzero entries.  For the skew u(m) and so(2m) bases with int
-    entries and a T with int components, the End slot's commutator relabels
-    its indices as a covariant slot's, and the rows hold ints."""
-    for col, B in enumerate(basis):
-        for key, x in derivation_action(B, T, FractionDomain).comp.items():
-            rows.setdefault(key, {})[first + col] = scale * x
+    """rows[key][first + col] = scale * (B . T)[key], basis the `index_rows` of
+    each B tagged (col,).  For the skew int u(m) and so(2m) bases and an int T
+    the End slot's commutator relabels indices, and the rows hold ints."""
+    for key, x in scatter_products(action_terms(T, *basis), 0, FractionDomain.is_zero).items():
+        rows.setdefault(key[1:], {})[first + key[0]] = scale * x
 
 
 @dataclass
@@ -1027,11 +1021,12 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     limit = m * m + 1 if kmax is None else kmax
     _, U = _clear_matrices(unitary_basis(m, dom))       # int entries
     span = _Echelon(len(U), dom)
+    action = index_rows((((col,), B) for col, B in enumerate(U)), FractionDomain.is_zero)
 
     def add_rows(pair):
         """Rows of B . T = 0 in the u(m) coordinates of B, for (den, T): times den."""
         rows = {}
-        _add_index_action(rows, U, pair[1])
+        _add_index_action(rows, action, pair[1])
         for key in sorted(rows):
             span.add(rows[key])
 
@@ -1070,6 +1065,7 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     _, SO = _clear_matrices(so_basis(n2, dom))          # int entries
     nA = len(SO)
     span = _Echelon(n2 + nA, dom)
+    action = index_rows((((col,), B) for col, B in enumerate(SO)), FractionDomain.is_zero)
 
     def add_rows(Tk, Tk1):
         """Rows of v . Tk1 + A . Tk = 0 in (v, A-coords), over the lcm of the dens."""
@@ -1078,7 +1074,7 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
         rows = {}
         for key, x in T1.comp.items():
             rows.setdefault(key[1:], {})[key[0]] = x * (d // d1)
-        _add_index_action(rows, SO, T0, n2, d // d0)
+        _add_index_action(rows, action, T0, n2, d // d0)
         for key in sorted(rows):
             span.add(rows[key])
 

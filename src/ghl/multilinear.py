@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
+from .scalars import DegreeGuardError, Polynomial, get_degree_cap
+
 __all__ = [
     "basis_vector", "vec_add", "vec_sub", "vec_scale", "dot",
     "mat_zero", "istd", "mat_add", "mat_sub", "mat_scale",
@@ -246,13 +248,9 @@ class MultiTensor:
 
     @staticmethod
     def from_endo(M, dom) -> "MultiTensor":
-        n = len(M)
-        t = MultiTensor(n, 0, True, dom.zero())
-        for r in range(n):
-            for c in range(n):
-                if not dom.is_zero(M[r][c]):
-                    t.comp[(r, c)] = M[r][c]
-        return t
+        comp = {(r, c): x for r, row in enumerate(M) for c, x in enumerate(row)
+                if not dom.is_zero(x)}
+        return MultiTensor(len(M), 0, True, dom.zero(), comp)
 
     def get(self, key):
         return self.comp.get(key, self._zero)
@@ -266,48 +264,83 @@ class MultiTensor:
     def is_zero(self, dom) -> bool:
         return all(dom.is_zero(v) for v in self.comp.values())
 
-    def sub(self, other: "MultiTensor", dom) -> "MultiTensor":
-        out = MultiTensor(self.n, self.rank, self.has_endo, self._zero, self.comp)
-        for k, v in other.comp.items():
-            out.set(k, out.get(k) - v, dom)
-        return out
+
+def scatter_products(terms, zero, is_zero) -> dict:
+    """{key: sum of sign * a * c} over the (key, sign, a, c) in terms, sign
+    +-1, without the sums that is_zero.  A product of Polynomials passes the
+    degree cap check and adds into one {monomial: coefficient} dict per key,
+    each monomial packed into an int with a cap.bit_length()-bit field per
+    variable, then one Polynomial per key.  Other products sum from zero."""
+    cap = get_degree_cap()
+    width = cap.bit_length()
+    shifts, packed, sums, out = {}, {}, {}, {}   # packed: id(p) -> (p kept alive, pairs, degree)
+
+    def pack(p):
+        offsets = [shifts.setdefault(v, width * len(shifts)) for v in p.vars]
+        pairs = [(sum(x << o for x, o in zip(e, offsets)), k) for e, k in p.terms.items()]
+        return packed.setdefault(id(p), (p, pairs, p.total_degree()))
+
+    get = out.get
+    for key, sign, a, c in terms:
+        if type(a) is not Polynomial or type(c) is not Polynomial:
+            out[key] = get(key, zero) + a * c if sign > 0 else get(key, zero) - a * c
+            continue
+        _, pa, da = packed.get(id(a)) or pack(a)
+        _, pc, dc = packed.get(id(c)) or pack(c)
+        if pa and pc and da + dc > cap:     # a zero factor adds nothing
+            raise DegreeGuardError(f"product degree {da + dc} exceeds cap {cap}")
+        acc = sums.setdefault(key, {})
+        for ea, ka in pa:
+            ka *= sign
+            for ec, kc in pc:
+                acc[ea + ec] = acc.get(ea + ec, 0) + ka * kc
+    names = tuple(sorted(shifts))
+    fields = [(shifts[v], (1 << width) - 1) for v in names]
+    for key, acc in sums.items():
+        poly = {tuple(e >> o & mask for o, mask in fields): k for e, k in acc.items() if k}
+        if poly or key in out:
+            x = Polynomial(names, poly)
+            out[key] = out[key] + x if key in out else x
+    return {key: x for key, x in out.items() if not is_zero(x)}
+
+
+def index_rows(tagged, is_zero):
+    """Nonzero A[i][j] of (tag, A) pairs as rows[i] of (tag, j, a), cols[j] of (tag, i, a)."""
+    rows, cols = {}, {}
+    for tag, A in tagged:
+        for i, row in enumerate(A):
+            for j, a in enumerate(row):
+                if not is_zero(a):
+                    rows.setdefault(i, []).append((tag, j, a))
+                    cols.setdefault(j, []).append((tag, i, a))
+    return rows, cols
+
+
+def action_terms(T: MultiTensor, rows: dict, cols: dict, sign: int = 1):
+    """`scatter_products` terms of the derivation action of sign * A on T at
+    tag + key, for each tagged A in `index_rows`: (A.T)(..X..) = -T(..AX..)
+    on each covariant slot, and the commutator [A, W] on an End slot."""
+    rank, none, neg = T.rank, (), -sign
+    for key, c in T.comp.items():
+        # (A.T)_J = -sum_r A[r][J_i] T_{J:i->r}: T_K lands at K:i->r times -A[K_i][r]
+        for slot in range(rank):
+            head, tail = key[:slot], key[slot + 1:]
+            for tag, r, a in rows.get(key[slot], none):
+                yield tag + head + (r,) + tail, neg, a, c
+        if T.has_endo:
+            cov, row, col = key[:rank], key[rank], key[rank + 1]
+            for tag, r, a in cols.get(row, none):          # A@W
+                yield tag + cov + (r, col), sign, a, c
+            for tag, j, a in rows.get(col, none):          # -W@A
+                yield tag + cov + (row, j), neg, a, c
 
 
 def derivation_action(A, T: MultiTensor, dom) -> MultiTensor:
-    """Derivation action of A in gl(n) on a MultiTensor: each covariant slot
-    transforms as (A.T)(..X..) = -T(..AX..), and an End slot by the
-    commutator [A, W]."""
-    n = T.n
-    out = MultiTensor(n, T.rank, T.has_endo, T._zero)
-    # sparse structure of A, by row and by column
-    row_nz = [[(c, A[r][c]) for c in range(n) if not dom.is_zero(A[r][c])]
-              for r in range(n)]
-    col_nz = [[(r, A[r][c]) for r in range(n) if not dom.is_zero(A[r][c])]
-              for c in range(n)]
-    comp = out.comp
-    zero = out._zero
-    for key, c in T.comp.items():
-        cov = key[:T.rank]
-        # covariant slots: (A.T)_J = -sum_r A[r][J_i] T_{J:i->r}; scattering
-        # from the stored component T_K this lands at J = K:i->r with weight
-        # -A[K_i][r].
-        for slot in range(T.rank):
-            for r, a in row_nz[cov[slot]]:
-                nk = key[:slot] + (r,) + key[slot + 1:]
-                comp[nk] = comp.get(nk, zero) - a * c
-        if T.has_endo:
-            row, col = key[T.rank], key[T.rank + 1]
-            # [A, W]: A@W part
-            for r, a in col_nz[row]:
-                nk = cov + (r, col)
-                comp[nk] = comp.get(nk, zero) + a * c
-            # -W@A part
-            for j, a in row_nz[col]:
-                nk = cov + (row, j)
-                comp[nk] = comp.get(nk, zero) - c * a
-    for k in [k for k, v in comp.items() if dom.is_zero(v)]:
-        del comp[k]
-    return out
+    """Derivation action of A in gl(n) on a MultiTensor (`action_terms`),
+    without the entries of A and the sums that dom.is_zero."""
+    terms = action_terms(T, *index_rows([((), A)], dom.is_zero))
+    return MultiTensor(T.n, T.rank, T.has_endo, T._zero,
+                       scatter_products(terms, T._zero, dom.is_zero))
 
 
 # -- complex linear algebra helpers -------------------------------------------

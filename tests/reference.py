@@ -2,9 +2,10 @@
 evaluations of definitions that the engine evaluates by index, the curvature
 of a connection by dense matrix products, which the engine sums sparsely over
 one denominator, the Lee form read from the Gauduchon torsion, which the
-engine reads from d omega^{m-1}, and the printed form of a rational function
+engine reads from d omega^{m-1}, the printed form of a rational function
 normalised from any num/den pair, which the engine fixes when it builds the
-value.
+value, and the derivation action summed entry by entry with each scalar's own
+arithmetic, which the engine sums on packed monomials.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
@@ -161,6 +162,37 @@ def form_action(A, phi: KForm, dom) -> KForm:
                 else:
                     comp[newkey] = s
     return KForm(n, phi.degree, comp)
+
+
+def derivation_action_loop(A, T: MultiTensor, dom) -> MultiTensor:
+    """Derivation action of A in gl(n) on a MultiTensor: each covariant slot
+    transforms as (A.T)(..X..) = -T(..AX..), and an End slot by the
+    commutator [A, W]; every partial sum is the scalars' own + and *."""
+    n = T.n
+    out = MultiTensor(n, T.rank, T.has_endo, T._zero)
+    row_nz = [[(c, A[r][c]) for c in range(n) if not dom.is_zero(A[r][c])]
+              for r in range(n)]
+    col_nz = [[(r, A[r][c]) for r in range(n) if not dom.is_zero(A[r][c])]
+              for c in range(n)]
+    comp = out.comp
+    zero = out._zero
+    for key, c in T.comp.items():
+        cov = key[:T.rank]
+        for slot in range(T.rank):
+            for r, a in row_nz[cov[slot]]:
+                nk = key[:slot] + (r,) + key[slot + 1:]
+                comp[nk] = comp.get(nk, zero) - a * c
+        if T.has_endo:
+            row, col = key[T.rank], key[T.rank + 1]
+            for r, a in col_nz[row]:
+                nk = cov + (r, col)
+                comp[nk] = comp.get(nk, zero) + a * c
+            for j, a in row_nz[col]:
+                nk = cov + (row, j)
+                comp[nk] = comp.get(nk, zero) - c * a
+    for k in [k for k, v in comp.items() if dom.is_zero(v)]:
+        del comp[k]
+    return out
 
 
 # -- complex linear algebra ------------------------------------------------------

@@ -14,10 +14,10 @@ import pytest
 from ghl import geometry as geo
 from ghl.fileio import bundled_path, load_ghl
 from ghl.multilinear import (MultiTensor, basis_vector, commutator,
-                             derivation_action, mat_is_zero, mat_scale,
-                             mat_vec, mat_zero)
+                             derivation_action, index_rows, mat_is_zero,
+                             mat_scale, mat_vec, mat_zero)
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, FractionDomain,
-                         RationalFunction, UsageError, set_degree_cap)
+                         Polynomial, RationalFunction, UsageError, set_degree_cap)
 
 from reference import curvature_dense, form_basis, from_bilinear, mat_identity
 from test_nonintegrable import random_two_step_specs
@@ -214,14 +214,44 @@ S2_TUPLE_SHA256 = {
 }
 
 
+def _tuple_sha256(tup, dom) -> str:
+    h = hashlib.sha256()
+    for i, T in enumerate(tup.J_derivs + tup.Rm_derivs):
+        for key in sorted(T.comp):
+            h.update(f"{i} {key} {dom.text(T.comp[key])}\n".encode())
+    return h.hexdigest()
+
+
 def test_s2_tuple_text_pinned(all_bundled, s2_tuples):
     for name, loaded in all_bundled.items():
-        tup = s2_tuples[name]
-        h = hashlib.sha256()
-        for i, T in enumerate(tup.J_derivs + tup.Rm_derivs):
-            for key in sorted(T.comp):
-                h.update(f"{i} {key} {loaded.spec.domain.text(T.comp[key])}\n".encode())
-        assert h.hexdigest() == S2_TUPLE_SHA256[name], name
+        assert _tuple_sha256(s2_tuples[name], loaded.spec.domain) == S2_TUPLE_SHA256[name], name
+
+
+def _mixed_variable_spec():
+    """A filiform bracket over Q(a, b, c) whose entries carry different
+    variable sets, [e0,e1] = a e2 + bc e3, [e0,e2] = (a - c) e3 and
+    [e1,e2] = b e3: its tuple mixes variable tuples, and some of its entries
+    lose b."""
+    dom = ExactDomain(("a", "b", "c"))
+    a, b, c = (dom.param(x) for x in "abc")
+    z = dom.zero()
+    mu = {(0, 1): [z, z, a, b * c], (0, 2): [z, z, z, a - c], (1, 2): [z, z, z, b]}
+    return geo.BracketSpec(0, 2, mu, dom, "mixed4", ("a", "b", "c"))
+
+
+# the same digest of the s = 2 tuples of two generated Fraction specs in real
+# dimension 6 and of `_mixed_variable_spec`
+GENERATED_S2_TUPLE_SHA256 = {
+    "rand6-0": "ae25c7dec7e7476b912fa49ce396d5a5b5cdbe1a0a1ac5a27ac4e813cda0e213",
+    "rand6-1": "84f0f8bc238e9a358e70e2c6107c97730ea8699d5562c524e02c90e7ddcbffac",
+    "mixed4": "777c2d88b8e2cff85995d9f3080d8a2d4db00757437fb1e9f49925e9a683b1fb",
+}
+
+
+def test_generated_s2_tuple_text_pinned():
+    for spec in random_two_step_specs(2) + [_mixed_variable_spec()]:
+        tup = geo.hermitian_s_tuple(spec, s=2, verify=True)
+        assert _tuple_sha256(tup, spec.domain) == GENERATED_S2_TUPLE_SHA256[spec.name], spec.name
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +544,37 @@ def test_degree_cap_still_guards_the_s_tuple(kodaira, s2_tuples):
         set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
+def test_tower_step_sums_without_polynomial_products(kodaira, monkeypatch):
+    """A `_tower` step on kodaira's symbolic Rm forms no product of tower
+    values with Polynomial.__mul__: its one call is den * dS, the product of
+    two one-term denominators.  It builds at most two Polynomials per output
+    entry (the kernel's sum and `_reduce`'s quotient), besides the two of
+    the denominator (the product and its quotient)."""
+    spec = kodaira.spec
+    tower = geo._tower(spec, geo._rm_tensor(spec, spec.Rm))
+    next(tower)
+    products, built = [], []
+    init, mul = Polynomial.__init__, Polynomial.__mul__
+
+    def counting_init(self, variables, terms):
+        built.append(1)
+        init(self, variables, terms)
+
+    def counting_mul(self, other):
+        products.append((len(self.terms), len(other.terms)))
+        return mul(self, other)
+
+    for _ in range(2):                      # Rm -> D Rm (reduced), D Rm -> D^2 Rm
+        products.clear()
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "__init__", counting_init)
+            patch.setattr(Polynomial, "__mul__", counting_mul)
+            _, ring = next(tower)
+        assert products == [(1, 1)]
+        assert len(ring.comp) > 100 and len(built) <= 2 * len(ring.comp) + 2
+
+
 def test_s_tuple_runs_the_x1_check_once(iwasawa, monkeypatch):
     """hermitian_s_tuple(verify=True) checks its tuple through the public
     check_x1_identities, once; verify=False skips it."""
@@ -637,33 +698,35 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
                     expected.setdefault(key, {})[col] = x
                 for key, x in _relabelled(Bi, Ti).items():
                     relabelled.setdefault(key, {})[col] = x
+            action = index_rows((((col,), B) for col, B in enumerate(ints)), FractionDomain.is_zero)
             rows = {}
-            geo._add_index_action(rows, ints, Ti)
+            geo._add_index_action(rows, action, Ti)
             assert all(type(x) is int for r in rows.values() for x in r.values())
             assert rows == relabelled, (spec.name, T.rank, T.has_endo)
             got = {k: {c: Fraction(x, den) for c, x in r.items()} for k, r in rows.items()}
             assert got == expected, (spec.name, T.rank, T.has_endo)
             shifted = {}
-            geo._add_index_action(shifted, ints, Ti, 5, 3)
+            geo._add_index_action(shifted, action, Ti, 5, 3)
             assert shifted == {k: {c + 5: 3 * x for c, x in r.items()} for k, r in rows.items()}
 
 
 def test_singer_and_killing_feed_integers_to_derivation_action(iwasawa, kodaira, monkeypatch):
-    """The tower under Singer and Killing builds no Fraction per entry: every
-    component and matrix entry reaching derivation_action is an int."""
+    """The tower and the index action under Singer and Killing build no
+    Fraction per entry: both factors of every product reaching the scatter
+    kernel (the derivation action's sum) are ints."""
     seen = []
-    action = geo.derivation_action
+    kernel = geo.scatter_products
 
-    def recording(A, T, dom):
-        seen.append(all(type(x) is int for row in A for x in row)
-                    and all(type(x) is int for x in T.comp.values()))
-        return action(A, T, dom)
+    def recording(terms, zero, is_zero):
+        terms = list(terms)
+        seen.extend(type(a) is int and type(c) is int for _, _, a, c in terms)
+        return kernel(terms, zero, is_zero)
 
     specs = [iwasawa.spec.instantiate({"alpha": 1}),
              kodaira.spec.instantiate({"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5})]
     for spec in specs:
         spec.Rm                                     # build the spec's own data first
-    monkeypatch.setattr(geo, "derivation_action", recording)
+    monkeypatch.setattr(geo, "scatter_products", recording)
     for spec in specs:
         geo.singer_invariant(spec)
         geo.killing_generators(spec)

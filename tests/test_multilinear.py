@@ -8,16 +8,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghl.geometry import covariant_derivative
 from ghl.multilinear import (FrameError, KForm, MultiTensor, basis_vector,
                              coboundary, commutator, complex_trace,
                              complex_trace_form, derivation_action, dot,
                              gram_schmidt_unitary, istd, mat_vec, mat_zero,
                              wedge)
-from ghl.scalars import FractionDomain, NumericDomain
+from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
+                         FractionDomain, NumericDomain, Polynomial,
+                         set_degree_cap)
 
-from reference import (complex_trace_sym, form_action, form_basis,
-                       form_evaluate, from_bilinear, interior_product,
-                       mat_identity, pi_11)
+from reference import (complex_trace_sym, derivation_action_loop, form_action,
+                       form_basis, form_evaluate, from_bilinear,
+                       interior_product, mat_identity, pi_11)
 
 DOM = FractionDomain()
 
@@ -248,6 +251,112 @@ def test_derivation_on_endomorphism_is_commutator():
     out = derivation_action(A, MultiTensor.from_endo(M, DOM), DOM)
     want = commutator(A, M)
     assert all(out.get((r, c)) == want[r][c] for r in range(4) for c in range(4))
+
+
+NAMES = ("a", "b", "c")
+
+
+@st.composite
+def ring_values(draw, poly):
+    """A nonzero int, or a Polynomial with int coefficients over a sorted
+    subset of NAMES that may hold variables no term uses (an untrimmed
+    tuple), so that factors meet over mixed variable tuples."""
+    if not poly:
+        return draw(st.integers(-3, 3).filter(bool))
+    names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES)))))
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    return Polynomial(names, terms)
+
+
+@st.composite
+def action_cases(draw):
+    """(A, T): a sparse matrix and tensor, with or without an End slot, of
+    int or Polynomial entries, or a matrix mixing both on a Polynomial
+    tensor, so that products of both kinds meet at one key.  With `cancel`,
+    A is skew and T holds p times the identity in its End slot or p times
+    the metric in two covariant slots, whose action cancels key by key."""
+    n = draw(st.sampled_from((2, 4)))
+    rank, has_endo = draw(st.integers(0, 2)), draw(st.booleans())
+    poly_A, poly_T = draw(st.sampled_from(((True, True), (True, True), (False, False),
+                                           (True, False), (False, True), (None, True))))
+    if poly_A is None:                              # dense, ints and Polynomials
+        entries = st.one_of(ring_values(False), ring_values(True))
+    else:
+        entries = st.one_of(st.just(0), ring_values(poly_A))
+    A = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    width = rank + 2 * has_endo
+    keys = st.tuples(*[st.integers(0, n - 1)] * width)
+    comp = draw(st.dictionaries(keys, ring_values(poly_T), max_size=6))
+    if width >= 2 and draw(st.booleans()):         # the cancelling part
+        for i in range(n):
+            for j in range(i):
+                A[i][j] = -A[j][i]
+            A[i][i] = 0
+        p = draw(ring_values(poly_T))
+        comp = {} if draw(st.booleans()) else {k: v for k, v in comp.items() if k[-2] != k[-1]}
+        for i in range(n):
+            comp[(0,) * (width - 2) + (i, i)] = p
+    return A, MultiTensor(n, rank, has_endo, 0, comp)
+
+
+def _degree(x):
+    return x.total_degree() if isinstance(x, Polynomial) else 0
+
+
+def _largest_product_degree(A, T):
+    """The largest deg a + deg c over the products of two Polynomials that
+    the action of A on T forms."""
+    n, top = T.n, -1
+    for key, c in T.comp.items():
+        if not isinstance(c, Polynomial) or c.is_zero():
+            continue
+        factors = [A[i][r] for i in key[:T.rank] for r in range(n)]
+        if T.has_endo:
+            row, col = key[T.rank:]
+            factors += [A[r][row] for r in range(n)] + [A[col][j] for j in range(n)]
+        top = max([top] + [_degree(a) + _degree(c) for a in factors
+                           if isinstance(a, Polynomial) and not a.is_zero()])
+    return top
+
+
+def _same_tensor(got: MultiTensor, want: MultiTensor) -> bool:
+    exact = ExactDomain(NAMES)
+    return (got.comp.keys() == want.comp.keys()
+            and all(exact.eq(got.comp[k], want.comp[k]) for k in want.comp))
+
+
+@settings(max_examples=150, deadline=None)
+@given(action_cases())
+def test_derivation_action_equals_the_entrywise_loop(case):
+    """derivation_action (one scatter_products call) equals the entrywise
+    reference loop: the same keys, keys whose sum cancels absent, and .eq
+    values.  covariant_derivative equals the loop over -C(e_x) at the keys
+    (x,) + key.  With the cap one below the largest product degree both
+    raise DegreeGuardError, and at that degree both pass."""
+    A, T = case
+    want = derivation_action_loop(A, T, DOM)
+    assert _same_tensor(derivation_action(A, T, DOM), want)
+    assert all(not DOM.is_zero(v) for v in want.comp.values())
+    C = [[[x if i + j + k < 5 else -x for j, x in enumerate(row)] for i, row in enumerate(A)]
+         for k in range(T.n)]
+    spec = type("Spec", (), {"domain": DOM, "m": T.n // 2})
+    steps = [derivation_action_loop([[-x for x in row] for row in Ck], T, DOM) for Ck in C]
+    joined = MultiTensor(T.n, T.rank + 1, T.has_endo, 0,
+                         {(x,) + k: v for x, U in enumerate(steps) for k, v in U.comp.items()})
+    assert _same_tensor(covariant_derivative(spec, T, C, 1), joined)
+    top = _largest_product_degree(A, T)
+    if top < 2:
+        return
+    try:
+        set_degree_cap(top - 1)
+        for action in (derivation_action, derivation_action_loop):
+            with pytest.raises(DegreeGuardError):
+                action(A, T, DOM)
+        set_degree_cap(top)
+        assert _same_tensor(derivation_action(A, T, DOM), derivation_action_loop(A, T, DOM))
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
 # ---------------------------------------------------------------------------
