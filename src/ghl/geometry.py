@@ -574,10 +574,10 @@ def _curvature(spec: BracketSpec, C: list) -> list[list[list]]:
 
     C and the bracket table are cleared together to ring values over one
     denominator den (`_clear`), so that every term is a product of two ring
-    values over den^2; each pair's nonzero entries are summed in the ring
-    (`_add_product`) and divided back once.  When `_clear` leaves the values
-    as they are, the dense formula runs over the spec's own domain: its
-    float sums are the ones numeric reports print."""
+    values over den^2; the terms of all pairs are summed in one
+    `scatter_products` call at the keys (a, b, i, j) and divided back once.
+    When `_clear` leaves the values as they are, the dense formula runs over
+    the spec's own domain: its float sums are the ones numeric reports print."""
     dom = spec.domain
     q, n2 = spec.q, 2 * spec.m
     values = [*C, *spec.mu]
@@ -590,23 +590,21 @@ def _curvature(spec: BracketSpec, C: list) -> list[list[list]]:
     mu = ring[n2:]
     ad = [_sparse([[mu[z][q + b][q + r] for b in range(n2)] for r in range(n2)])
           for z in range(q)]
-    ident = _unit(n2)
 
-    def value(a, b):
-        acc = {}
-        for z, h in enumerate(mu[q + a][q + b][:q]):
-            if _nonzero(h):
-                _add_product(acc, ident, ad[z], h)
-        _add_product(acc, Cs[a], Cs[b], -1)
-        _add_product(acc, Cs[b], Cs[a])
-        for c, x in enumerate(mu[q + a][q + b][q:]):
-            if _nonzero(x):
-                _add_product(acc, ident, Cs[c], -x)
-        M = mat_zero(n2, dom)
-        for (i, j), x in _divide({k: x for k, x in acc.items() if _nonzero(x)}, den * den).items():
-            M[i][j] = x
-        return M
-    return _pair_table(value, mat_zero(n2, dom))
+    def terms():
+        for a, b in itertools.combinations(range(n2), 2):
+            key, bracket = (a, b), mu[q + a][q + b]
+            for z, h in enumerate(bracket[:q]):
+                yield from _product_terms(key, 1, h, ad[z])
+            yield from _product_terms(key, -1, Cs[a], Cs[b])
+            yield from _product_terms(key, 1, Cs[b], Cs[a])
+            for c, x in enumerate(bracket[q:]):
+                yield from _product_terms(key, -1, x, Cs[c])
+    tab = {}
+    sums = scatter_products(terms(), 0, FractionDomain.is_zero)
+    for (a, b, i, j), x in _divide(sums, den * den).items():
+        tab.setdefault((a, b), mat_zero(n2, dom))[i][j] = x
+    return _pair_table(lambda a, b: tab.get((a, b)) or mat_zero(n2, dom), mat_zero(n2, dom))
 
 
 def riemann_curvature(spec: BracketSpec) -> list[list[list]]:
@@ -817,31 +815,24 @@ def _reduce(den, values: list):
     return den, values
 
 
-def _nonzero(x) -> bool:
-    """x is not exactly zero (a numeric residue below the tolerance is not)."""
-    return not x.is_zero() if isinstance(x, (Polynomial, RationalFunction)) else x != 0
-
-
 def _sparse(M: list) -> list:
     """The rows of a matrix as [(column, entry)] lists of its nonzero entries."""
-    return [[(j, x) for j, x in enumerate(row) if _nonzero(x)] for row in M]
+    return [[(j, x) for j, x in enumerate(row) if not FractionDomain.is_zero(x)] for row in M]
 
 
-def _unit(n: int) -> list:
-    """The identity as a row-sparse matrix: c * M is `_add_product` of
-    _unit(n) and M with the factor c."""
-    return [[(i, 1)] for i in range(n)]
-
-
-def _add_product(acc: dict, A: list, B: list, c=1) -> None:
-    """acc[(i, j)] += c * (A B)[i][j] for row-sparse A and B (`_sparse`), so
-    no product with a zero factor is formed."""
-    for i, row in enumerate(A):
-        for k, a in row:
-            a = c * a
-            for j, b in B[k]:
-                x = acc.get((i, j))
-                acc[i, j] = a * b if x is None else x + a * b
+def _product_terms(key: tuple, sign: int, A, B: list):
+    """`scatter_products` terms of sign * (A B)[i][j] at key + (i, j) for
+    row-sparse A and B (`_sparse`), or of sign * A * B[i][j] for a scalar A,
+    so that no product with a zero factor is formed."""
+    if isinstance(A, list):
+        for i, row in enumerate(A):
+            for k, a in row:
+                for j, b in B[k]:
+                    yield key + (i, j), sign, a, b
+    elif not FractionDomain.is_zero(A):
+        for i, row in enumerate(B):
+            for j, b in row:
+                yield key + (i, j), sign, A, b
 
 
 def _tower(spec: BracketSpec, T: MultiTensor):
@@ -1103,8 +1094,9 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
     n2 = 2 * spec.m
     pairs = list(itertools.combinations(range(n2), 2))
     # v = v'/den, A = A'/den and Rm(e_i, e_j) = R'_ij/den over one den
-    # (`_clear`), so `_nomizu(.., den)` of the ring generators is den^3 times
-    # their Nomizu bracket: a nonzero scale, which keeps span membership
+    # (`_clear`), so `_nomizu(.., den)` of the ring generators, summed on ints,
+    # is den^3 times their Nomizu bracket: a nonzero scale, which keeps span
+    # membership
     k = len(res.basis)
     den, ring = _clear_matrices([M for v, A in res.basis for M in ([v], A)]
                                 + [spec.Rm[i][j] for i, j in pairs])
@@ -1138,25 +1130,27 @@ def nomizu_bracket(spec: BracketSpec, a, b, Rm: list):
 def _nomizu(a, b, R: dict, den, zero):
     """(den * (Aw - Bv), den * [A, B] + R(v, w)) for generators (v, A) and
     (w, B), where R = {(i, j): row-sparse Rm(e_i, e_j)} over i < j, so that
-    R(v, w) = sum (v_i w_j - v_j w_i) R[i, j]; unset entries are `zero`."""
+    R(v, w) = sum (v_i w_j - v_j w_i) R[i, j]; unset entries are `zero`.
+    A and B are scaled by den once, so every term of the one
+    `scatter_products` call is a product of two values."""
     (v, A), (w, B) = a, b
     n2 = len(v)
     A, B = _sparse(A), _sparse(B)
-    ident = _unit(n2)
-    first, second = {}, {}
-    _add_product(first, A, [[(0, x)] if _nonzero(x) else [] for x in w], den)
-    _add_product(first, B, [[(0, x)] if _nonzero(x) else [] for x in v], -den)
-    _add_product(second, A, B, den)
-    _add_product(second, B, A, -den)
-    for (i, j), M in R.items():
-        c = v[i] * w[j] - v[j] * w[i]
-        if _nonzero(c):
-            _add_product(second, ident, M, c)
+    dA, dB = ([[(j, den * x) for j, x in row] for row in M] for M in (A, B))
+
+    def terms():
+        yield from _product_terms((0,), 1, dA, _sparse([[x] for x in w]))
+        yield from _product_terms((0,), -1, dB, _sparse([[x] for x in v]))
+        yield from _product_terms((1,), 1, dA, B)
+        yield from _product_terms((1,), -1, dB, A)
+        for (i, j), M in R.items():
+            yield from _product_terms((1,), 1, v[i] * w[j] - v[j] * w[i], M)
     out = [zero] * n2, [[zero] * n2 for _ in range(n2)]
-    for (i, _), x in first.items():
-        out[0][i] = x
-    for (i, j), x in second.items():
-        out[1][i][j] = x
+    for (part, i, j), x in scatter_products(terms(), zero, FractionDomain.is_zero).items():
+        if part:
+            out[1][i][j] = x
+        else:
+            out[0][i] = x
     return out
 
 
@@ -1285,30 +1279,29 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
 
     # the curvature identity times D^2, where S, G-, Om and Rm are cleared to
     # ring values over one D (`_clear`):
-    # D*(Om - Rm) = E1 - E2 - [G-_X, G-_Y], X . (D_Y G-) = [G-_X, S_Y] + G-_{S(Y)X}
+    # D*(Om - Rm) = E1 - E2 - [G-_X, G-_Y], X . (D_Y G-) = [G-_X, S_Y] + G-_{S(Y)X};
+    # both sides go into one `scatter_products` call, which leaves the residues
     pairs = list(itertools.combinations(range(n2), 2))
     Gm = [mat_sub(S[i], A[i]) for i in range(n2)]
     D, ring = _clear_matrices([*S, *Gm, *(M for X, Y in pairs for M in (Om[X][Y], Rm[X][Y]))])
-    Sr, Omr, Rmr = ring[:n2], ring[2 * n2::2], ring[2 * n2 + 1::2]
-    Ss, Gs = list(map(_sparse, Sr)), list(map(_sparse, ring[n2:2 * n2]))
-    ident = _unit(n2)
-    curv_ok = True
-    for p, (X, Y) in enumerate(pairs):
-        rhs = {}
-        for U, V, c in ((X, Y, 1), (Y, X, -1)):
-            _add_product(rhs, Gs[U], Ss[V], c)
-            _add_product(rhs, Ss[V], Gs[U], -c)
-            for k, x in enumerate(row[U] for row in Sr[V]):
-                if _nonzero(x):
-                    _add_product(rhs, ident, Gs[k], c * x)
-        _add_product(rhs, Gs[X], Gs[Y], -1)
-        _add_product(rhs, Gs[Y], Gs[X])
-        for i in range(n2):
-            for j in range(n2):
-                val = D * (Omr[p][i][j] - Rmr[p][i][j]) - rhs.get((i, j), 0)
-                if not dom.is_zero(val):
-                    curv_ok = False
-                residuals.append(val)
+    Sr = ring[:n2]
+    Ss, Gs, Omr, Rmr = (list(map(_sparse, Ms)) for Ms in
+                        (Sr, ring[n2:2 * n2], ring[2 * n2::2], ring[2 * n2 + 1::2]))
+
+    def terms():
+        for p, (X, Y) in enumerate(pairs):
+            yield from _product_terms((p,), 1, D, Omr[p])
+            yield from _product_terms((p,), -1, D, Rmr[p])
+            for U, V, c in ((X, Y, 1), (Y, X, -1)):
+                yield from _product_terms((p,), -c, Gs[U], Ss[V])
+                yield from _product_terms((p,), c, Ss[V], Gs[U])
+                for k, x in enumerate(row[U] for row in Sr[V]):
+                    yield from _product_terms((p,), -c, x, Gs[k])
+            yield from _product_terms((p,), 1, Gs[X], Gs[Y])
+            yield from _product_terms((p,), -1, Gs[Y], Gs[X])
+    rest = scatter_products(terms(), 0, FractionDomain.is_zero).values()
+    curv_ok = all(dom.is_zero(x) for x in rest)
+    residuals.extend(rest)
 
     max_res = None
     if dom.backend == "numeric":

@@ -623,7 +623,7 @@ class FractionDomain:
 
     @staticmethod
     def is_zero(v) -> bool:
-        if isinstance(v, RationalFunction):
+        if isinstance(v, (Polynomial, RationalFunction)):
             return v.is_zero()
         return v == 0
 

@@ -4,8 +4,9 @@ of a connection by dense matrix products, which the engine sums sparsely over
 one denominator, the Lee form read from the Gauduchon torsion, which the
 engine reads from d omega^{m-1}, the printed form of a rational function
 normalised from any num/den pair, which the engine fixes when it builds the
-value, and the derivation action summed entry by entry with each scalar's own
-arithmetic, which the engine sums on packed monomials.
+value, and the derivation action and the matrix brackets summed entry by
+entry with each scalar's own arithmetic, which the engine sums on packed
+monomials.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
@@ -193,6 +194,17 @@ def derivation_action_loop(A, T: MultiTensor, dom) -> MultiTensor:
     for k in [k for k, v in comp.items() if dom.is_zero(v)]:
         del comp[k]
     return out
+
+
+def add_product_loop(acc: dict, A: list, B: list, c=1) -> None:
+    """acc[(i, j)] += c * (A B)[i][j] for row-sparse A and B (`_sparse`), so
+    no product with a zero factor is formed."""
+    for i, row in enumerate(A):
+        for k, a in row:
+            a = c * a
+            for j, b in B[k]:
+                x = acc.get((i, j))
+                acc[i, j] = a * b if x is None else x + a * b
 
 
 # -- complex linear algebra ------------------------------------------------------

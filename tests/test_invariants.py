@@ -544,6 +544,44 @@ def test_degree_cap_still_guards_the_s_tuple(kodaira, s2_tuples):
         set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
+def test_degree_cap_guards_the_curvature_brackets(kodaira):
+    """The scatter kernel's per-product cap check covers the brackets of
+    `_curvature` as Polynomial.__mul__ did: kodaira's symbolic S needs cap
+    12 and its A^t at symbolic t cap 14, and one below each raises."""
+    spec = kodaira.spec
+    At = geo.gauduchon_connection(spec, geo.symbolic_t())
+    try:
+        for C, cap in ((spec.S, 12), (At, 14)):
+            set_degree_cap(cap - 1)
+            with pytest.raises(DegreeGuardError):
+                geo._curvature(spec, C)
+            set_degree_cap(cap)
+            geo._curvature(spec, C)
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
+
+
+def test_curvature_sums_without_polynomial_products(kodaira, monkeypatch):
+    """`_curvature` on kodaira's symbolic S and on its A^t at symbolic t
+    forms every bracket term in the scatter kernel: its one
+    Polynomial.__mul__ call is den * den, the square of a one-term
+    denominator."""
+    spec = kodaira.spec
+    At = geo.gauduchon_connection(spec, geo.symbolic_t())
+    spec.mu                                     # build the spec's own data first
+    mul = Polynomial.__mul__
+    for C in (spec.S, At):
+        products = []
+
+        def counting_mul(self, other):
+            products.append((self, other))
+            return mul(self, other)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "__mul__", counting_mul)
+            geo._curvature(spec, C)
+        assert len(products) == 1 and all(len(x.terms) == 1 for x in products[0])
+
 def test_tower_step_sums_without_polynomial_products(kodaira, monkeypatch):
     """A `_tower` step on kodaira's symbolic Rm forms no product of tower
     values with Polynomial.__mul__: its one call is den * dS, the product of

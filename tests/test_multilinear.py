@@ -8,17 +8,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghl.geometry import covariant_derivative
+from ghl.geometry import _product_terms, _sparse, covariant_derivative
 from ghl.multilinear import (FrameError, KForm, MultiTensor, basis_vector,
                              coboundary, commutator, complex_trace,
                              complex_trace_form, derivation_action, dot,
                              gram_schmidt_unitary, istd, mat_vec, mat_zero,
-                             wedge)
+                             scatter_products, wedge)
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
                          FractionDomain, NumericDomain, Polynomial,
                          set_degree_cap)
 
-from reference import (complex_trace_sym, derivation_action_loop, form_action,
+from reference import (add_product_loop, complex_trace_sym, derivation_action_loop, form_action,
                        form_basis, form_evaluate, from_bilinear,
                        interior_product, mat_identity, pi_11)
 
@@ -357,6 +357,59 @@ def test_derivation_action_equals_the_entrywise_loop(case):
         assert _same_tensor(derivation_action(A, T, DOM), derivation_action_loop(A, T, DOM))
     finally:
         set_degree_cap(DEFAULT_DEGREE_CAP)
+
+
+@st.composite
+def bracket_cases(draw):
+    """(n, terms): `_product_terms` arguments (key, sign, A, B) over three
+    zero-heavy n x n matrices of int, Polynomial or mixed entries, with
+    zero rows and untrimmed zero Polynomials among the zeros; A is a matrix
+    (the product A B) or a scalar, zero included (the scaled A * B).  Terms
+    meet at two keys, and one may repeat with the opposite sign, so that a
+    key's sum can cancel."""
+    n = draw(st.integers(1, 3))
+    poly = draw(st.sampled_from((True, False, None)))
+    value = (st.one_of(ring_values(False), ring_values(True)) if poly is None
+             else ring_values(poly))
+    entry = st.one_of(st.just(0), st.just(Polynomial(("a", "c"), {})), value)
+
+    def matrix():
+        zero_rows = draw(st.sets(st.integers(0, n - 1)))
+        return [[0 if i in zero_rows else draw(entry) for _ in range(n)] for i in range(n)]
+    Ms = [matrix() for _ in range(3)]
+    terms = [((draw(st.integers(0, 1)),), draw(st.sampled_from((1, -1))),
+              draw(st.sampled_from(Ms)) if draw(st.booleans()) else draw(entry),
+              draw(st.sampled_from(Ms))) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        key, sign, A, B = draw(st.sampled_from(terms))
+        terms.append((key, -sign, A, B))
+    return n, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_cases())
+def test_product_terms_equal_the_add_product_loop(case):
+    """`_product_terms` summed by one `scatter_products` call equals the
+    entrywise loop (`add_product_loop`): sign * A B for a matrix A, and for a
+    scalar A the identity times B with the factor sign * A.  The same keys,
+    keys whose sum cancels absent, and .eq values."""
+    n, terms = case
+    unit = [[(i, 1)] for i in range(n)]
+    accs = {}
+    for key, sign, A, B in terms:
+        if isinstance(A, list):
+            add_product_loop(accs.setdefault(key, {}), _sparse(A), _sparse(B), sign)
+        else:
+            add_product_loop(accs.setdefault(key, {}), unit, _sparse(B), sign * A)
+    want = {key + ij: x for key, acc in accs.items() for ij, x in acc.items()
+            if not DOM.is_zero(x)}
+    got = scatter_products(
+        itertools.chain.from_iterable(
+            _product_terms(key, sign, _sparse(A) if isinstance(A, list) else A, _sparse(B))
+            for key, sign, A, B in terms), 0, DOM.is_zero)
+    exact = ExactDomain(NAMES)
+    assert got.keys() == want.keys()
+    assert all(exact.eq(got[k], want[k]) for k in want)
 
 
 # ---------------------------------------------------------------------------
