@@ -37,8 +37,8 @@ from typing import Sequence
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
     action_terms, coboundary, derivation_action, dot, index_rows, istd, mat_add,
-    mat_is_zero, mat_scale, mat_sub, mat_vec, mat_zero, scatter_products, vec_add,
-    vec_sub, wedge, complex_trace_form,
+    mat_scale, mat_sub, mat_vec, mat_zero, scatter_products, vec_add, vec_sub,
+    wedge, complex_trace_form,
 )
 from .scalars import FractionDomain, Polynomial, RationalFunction, UsageError
 
@@ -240,8 +240,8 @@ def validate(spec: BracketSpec) -> ValidationReport:
     rep.conditions.append(ConditionResult("h2", not h2_wit, h2_wit))
 
     # h3: ad(Z) commutes with I
-    h3_wit = next((f"ad(e{z}) does not commute with I" for z in range(q) if not mat_is_zero(
-        commutator(spec.ad_h(basis_vector(q, z, dom)), spec.I), dom)), "")
+    h3_wit = next((f"ad(e{z}) does not commute with I" for z in range(q)
+                   if not _commutes_with_I(spec.ad_h(basis_vector(q, z, dom)), dom)), "")
     rep.conditions.append(ConditionResult("h3", not h3_wit, h3_wit))
 
     # h4: effectiveness; the isotropy kernel's dimension is q minus the rank
@@ -529,19 +529,32 @@ def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
                     - cm * tors.F_plus.component((x, y, z), dom) \
                     + quarter * N[y][z][x] \
                     - half * tors.F_minus.component((x, y, z), dom)
-        _assert_unitary(M, spec.I, dom, f"A^t(e{x})")
+        _assert_unitary(M, dom, f"A^t(e{x})")
         out.append(M)
     return out
 
 
-def _assert_unitary(M, I, dom, label: str):
+def _assert_unitary(M, dom, label: str):
+    """Raise unless M is skew-symmetric and commutes with I
+    (`_commutes_with_I`): M in u(m), as every A^t(X) is (Gauduchon 1997)."""
     n = len(M)
     for i in range(n):
         for j in range(i, n):
             if not dom.is_zero(M[i][j] + M[j][i]):
                 raise InternalConsistencyError(f"{label} is not skew-symmetric")
-    if not mat_is_zero(commutator(M, I), dom):
+    if not _commutes_with_I(M, dom):
         raise InternalConsistencyError(f"{label} does not commute with I")
+
+
+def _commutes_with_I(M, dom) -> bool:
+    """[M, I] == 0, read by index: I e_a = s_a e_{a^1} (`_Ie`), so
+    (M I)[i][j] = s_j M[i][j^1] and (I M)[i][j] = s_{i^1} M[i^1][j], and
+    s_j s_{i^1} = 1 exactly when i and j differ in parity.  Entry (i, j)
+    and entry (i^1, j^1) test the same pair, so even rows i suffice."""
+    n = len(M)
+    return all(dom.is_zero(M[i][j ^ 1] - M[i ^ 1][j] if (i ^ j) & 1
+                           else M[i][j ^ 1] + M[i ^ 1][j])
+               for i in range(0, n, 2) for j in range(n))
 
 
 # -- curvature --------------------------------------------------------------------
@@ -734,25 +747,27 @@ def _clear(values: list):
     Fractions give an int lcm and ints; RationalFunctions whose denominators
     are all monomials, with any Fractions among them taken as constants (as
     over a Fraction spec at symbolic t), give a monomial Polynomial L*x^e,
-    L the lcm of the denominators' coefficients, and Polynomials with int
-    coefficients; anything else (no values, floats, a non-monomial
-    denominator) gives (1, values), the list itself."""
+    L the lcm of the nonzero values' denominator coefficients, and
+    Polynomials with int coefficients, every zero value the one zero ring
+    value; anything else (no values, floats, a non-monomial denominator)
+    gives (1, values), the list itself."""
     if values and all(isinstance(v, Fraction) for v in values):
         den = math.lcm(*(v.denominator for v in values))
         return den, [v.numerator * (den // v.denominator) for v in values]
     if not (values and all(isinstance(v, Fraction) or isinstance(v, RationalFunction)
                            and len(v.den.terms) == 1 for v in values)):
         return 1, values
-    values = [RationalFunction.const(v) if isinstance(v, Fraction) else v for v in values]
-    names = tuple(sorted({x for v in values for x in v.num.vars + v.den.vars}))
-    dens = [next(iter(v.den._aligned_to(names).terms.items())) for v in values]
+    nonzero = [(i, v if isinstance(v, RationalFunction) else RationalFunction.const(v))
+               for i, v in enumerate(values) if not FractionDomain.is_zero(v)]
+    names = tuple(sorted({x for _, v in nonzero for x in v.num.vars + v.den.vars}))
+    dens = [next(iter(v.den._aligned_to(names).terms.items())) for _, v in nonzero]
     top = tuple(map(max, zip(*(e for e, _ in dens))))
     L = math.lcm(*(c for _, c in dens))
-    ring = []
-    for v, (e, c) in zip(values, dens):
+    ring = [Polynomial(names, {})] * len(values)
+    for (i, v), (e, c) in zip(nonzero, dens):
         shift, k = tuple(a - b for a, b in zip(top, e)), L // c
-        ring.append(Polynomial(names, {tuple(map(operator.add, x, shift)): a * k
-                                       for x, a in v.num._aligned_to(names).terms.items()}))
+        ring[i] = Polynomial(names, {tuple(map(operator.add, x, shift)): a * k
+                                     for x, a in v.num._aligned_to(names).terms.items()})
     return Polynomial(names, {top: L}), ring
 
 
@@ -1094,9 +1109,9 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
     n2 = 2 * spec.m
     pairs = list(itertools.combinations(range(n2), 2))
     # v = v'/den, A = A'/den and Rm(e_i, e_j) = R'_ij/den over one den
-    # (`_clear`), so `_nomizu(.., den)` of the ring generators, summed on ints,
-    # is den^3 times their Nomizu bracket: a nonzero scale, which keeps span
-    # membership
+    # (`_clear`), so `_nomizu` of the ring generators, each sparsified and
+    # scaled by den once (`_sparse_generator`), summed on ints, is den^3 times
+    # their Nomizu bracket: a nonzero scale, which keeps span membership
     k = len(res.basis)
     den, ring = _clear_matrices([M for v, A in res.basis for M in ([v], A)]
                                 + [spec.Rm[i][j] for i, j in pairs])
@@ -1115,8 +1130,8 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
     span = _Echelon(n2 + n2 * n2, dom)
     for v, A in gens:
         span.add(flat(v, A))
-    for a, b in itertools.combinations(gens, 2):
-        if span.add(flat(*_nomizu(a, b, R, den, 0))):
+    for a, b in itertools.combinations([_sparse_generator(v, A, den) for v, A in gens], 2):
+        if span.add(flat(*_nomizu(a, b, R, 0))):
             raise InternalConsistencyError(
                 "Killing generators are not closed under the Nomizu bracket")
 
@@ -1124,23 +1139,30 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
 def nomizu_bracket(spec: BracketSpec, a, b, Rm: list):
     """[(v,A),(w,B)] = (Aw - Bv, [A,B] + Rm(v,w)) for the pair table Rm."""
     pairs = itertools.combinations(range(2 * spec.m), 2)
-    return _nomizu(a, b, {(i, j): _sparse(Rm[i][j]) for i, j in pairs}, 1, spec.domain.zero())
+    return _nomizu(_sparse_generator(*a, 1), _sparse_generator(*b, 1),
+                   {(i, j): _sparse(Rm[i][j]) for i, j in pairs}, spec.domain.zero())
 
 
-def _nomizu(a, b, R: dict, den, zero):
+def _sparse_generator(v, A, den):
+    """A generator (v, A) as `_nomizu` takes it: v, v as a row-sparse
+    column, and A and den * A row-sparse (`_sparse`)."""
+    A = _sparse(A)
+    return v, _sparse([[x] for x in v]), A, [[(j, den * x) for j, x in row] for row in A]
+
+
+def _nomizu(a, b, R: dict, zero):
     """(den * (Aw - Bv), den * [A, B] + R(v, w)) for generators (v, A) and
-    (w, B), where R = {(i, j): row-sparse Rm(e_i, e_j)} over i < j, so that
-    R(v, w) = sum (v_i w_j - v_j w_i) R[i, j]; unset entries are `zero`.
-    A and B are scaled by den once, so every term of the one
-    `scatter_products` call is a product of two values."""
-    (v, A), (w, B) = a, b
+    (w, B) given by `_sparse_generator(.., den)`, where R = {(i, j):
+    row-sparse Rm(e_i, e_j)} over i < j, so that R(v, w) = sum (v_i w_j -
+    v_j w_i) R[i, j]; unset entries are `zero`.  With A and B scaled by den
+    beforehand, every term of the one `scatter_products` call is a product
+    of two values."""
+    (v, vc, A, dA), (w, wc, B, dB) = a, b
     n2 = len(v)
-    A, B = _sparse(A), _sparse(B)
-    dA, dB = ([[(j, den * x) for j, x in row] for row in M] for M in (A, B))
 
     def terms():
-        yield from _product_terms((0,), 1, dA, _sparse([[x] for x in w]))
-        yield from _product_terms((0,), -1, dB, _sparse([[x] for x in v]))
+        yield from _product_terms((0,), 1, dA, wc)
+        yield from _product_terms((0,), -1, dB, vc)
         yield from _product_terms((1,), 1, dA, B)
         yield from _product_terms((1,), -1, dB, A)
         for (i, j), M in R.items():

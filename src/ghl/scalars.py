@@ -15,8 +15,9 @@ Representation:
                   (graded-lex order) positive, and zero as 0/1.  No GCD is
                   taken, so num and den may still share a non-monomial
                   factor; equality and zero tests go through
-                  cross-multiplication, which is exact regardless.  text()
-                  prints the stored pair.
+                  cross-multiplication (numerators alone over one
+                  denominator), which is exact regardless.  Negation keeps
+                  the normal form.  text() prints the stored pair.
   NumericDomain   plain Python floats for the numeric backend
                   (square-root-bearing frames); the domain, not the value,
                   holds the comparison tolerance.
@@ -345,18 +346,6 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
 
-def _monomial_content(p: Polynomial) -> tuple[int, ...]:
-    """Componentwise min exponent over all terms (common monomial factor)."""
-    if not p.terms or not p.vars:
-        return (0,) * len(p.vars)
-    mins = None
-    for e in p.terms:
-        mins = e if mins is None else tuple(map(min, mins, e))
-        if not any(mins):
-            break
-    return mins
-
-
 _ZERO = Polynomial((), {})
 _ONE = Polynomial((), {(): 1})
 
@@ -365,25 +354,30 @@ def _normal_form(num: Polynomial, den: Polynomial):
     """num/den in normal form: int coefficients with no common factor, no
     monomial shared by num and den, den's leading coefficient positive, and
     a zero num over the constant 1.  A pair already in normal form comes
-    back as the same objects."""
+    back as the same objects.  One pass: den's monomial content first (it
+    is usually 1 or a monomial), num's only when den has one, and over int
+    coefficients one gcd, with no lcm."""
     if not num.terms:
         return num, _ONE
-    if any(_monomial_content(num)) and any(_monomial_content(den)):
-        pair = Polynomial._align(num, den)
-        low = tuple(map(min, *map(_monomial_content, pair)))
-        if any(low):
-            num, den = (Polynomial(p.vars, {tuple(map(operator.sub, e, low)): c
+    if any(dlow := tuple(map(min, zip(*den.terms)))):
+        low = {v: min(e, dlow[den.vars.index(v)])
+               for v, e in zip(num.vars, map(min, zip(*num.terms))) if v in den.vars}
+        if any(low.values()):
+            num, den = (Polynomial(p.vars, {tuple(map(operator.sub, e, shift)): c
                                             for e, c in p.terms.items()})._trim()
-                        for p in pair)
+                        for p in (num, den) for shift in [[low.get(v, 0) for v in p.vars]])
     coeffs = [*num.terms.values(), *den.terms.values()]
-    L = _lcm(*[c.denominator for c in coeffs])
-    g = _gcd(*[c.numerator * (L // c.denominator) for c in coeffs])
+    if not all(type(c) is int for c in coeffs):
+        L = _lcm(*[c.denominator for c in coeffs])
+        num, den = (Polynomial(p.vars, {e: c.numerator * (L // c.denominator)
+                                        for e, c in p.terms.items()}) for p in (num, den))
+        coeffs = [*num.terms.values(), *den.terms.values()]
+    g = _gcd(*coeffs)
     if den.leading()[1] < 0:
         g = -g
-    if L == 1 and g == 1 and all(type(c) is int for c in coeffs):
+    if g == 1:
         return num, den
-    return tuple(Polynomial(p.vars, {e: c.numerator * (L // c.denominator) // g
-                                     for e, c in p.terms.items()})
+    return tuple(Polynomial(p.vars, {e: c // g for e, c in p.terms.items()})
                  for p in (num, den))
 
 
@@ -434,6 +428,8 @@ class RationalFunction:
     def eq(self, other: "RationalFunction") -> bool:
         """Representation-independent equality (cross-multiplication)."""
         other = _as_rf(other)
+        if self.den == other.den:       # no products over one denominator
+            return self.num == other.num
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def as_fraction(self) -> Fraction:
@@ -459,7 +455,7 @@ class RationalFunction:
     def __neg__(self):
         if not self.num.terms:
             return self
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._of(-self.num, self.den)    # still normal
 
     def __sub__(self, other):
         other = _as_rf(other)

@@ -6,17 +6,20 @@ engine reads from d omega^{m-1}, the printed form of a rational function
 normalised from any num/den pair, which the engine fixes when it builds the
 value, and the derivation action and the matrix brackets summed entry by
 entry with each scalar's own arithmetic, which the engine sums on packed
-monomials.
+monomials, and the two-pass normal form and the clearing of every value,
+zeros included, which the engine does in one pass and with zeros skipped.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 from math import gcd
 
 from ghl import geometry as geo
-from ghl.scalars import Polynomial
+from ghl.scalars import Polynomial, RationalFunction
 from ghl.multilinear import KForm, MultiTensor, _sort_sign, mat_mul, mat_scale, mat_sub, mat_zero
 
 
@@ -359,3 +362,73 @@ def ratfun_text(num: Polynomial, den: Polynomial) -> str:
     if num.is_constant() and den.is_constant():
         return str(Fraction(num.constant_value()) / den.constant_value())
     return f"({num.text()}) / ({den.text()})"
+
+
+# -- the normal form in two passes, and clearing every value ------------------------
+
+_ONE = Polynomial((), {(): 1})
+
+
+def monomial_content(p: Polynomial) -> tuple[int, ...]:
+    """Componentwise min exponent over all terms (common monomial factor)."""
+    if not p.terms or not p.vars:
+        return (0,) * len(p.vars)
+    mins = None
+    for e in p.terms:
+        mins = e if mins is None else tuple(map(min, mins, e))
+        if not any(mins):
+            break
+    return mins
+
+
+def normal_form_two_pass(num: Polynomial, den: Polynomial):
+    """num/den in normal form: int coefficients with no common factor, no
+    monomial shared by num and den, den's leading coefficient positive, and
+    a zero num over the constant 1.  A pair already in normal form comes
+    back as the same objects."""
+    if not num.terms:
+        return num, _ONE
+    if any(monomial_content(num)) and any(monomial_content(den)):
+        pair = Polynomial._align(num, den)
+        low = tuple(map(min, *map(monomial_content, pair)))
+        if any(low):
+            num, den = (Polynomial(p.vars, {tuple(map(operator.sub, e, low)): c
+                                            for e, c in p.terms.items()})._trim()
+                        for p in pair)
+    coeffs = [*num.terms.values(), *den.terms.values()]
+    L = math.lcm(*[c.denominator for c in coeffs])
+    g = math.gcd(*[c.numerator * (L // c.denominator) for c in coeffs])
+    if den.leading()[1] < 0:
+        g = -g
+    if L == 1 and g == 1 and all(type(c) is int for c in coeffs):
+        return num, den
+    return tuple(Polynomial(p.vars, {e: c.numerator * (L // c.denominator) // g
+                                     for e, c in p.terms.items()})
+                 for p in (num, den))
+
+
+def clear_every_value(values: list):
+    """(den, ring) with values[i] == ring[i] / den exactly, in one of three ways:
+    Fractions give an int lcm and ints; RationalFunctions whose denominators
+    are all monomials, with any Fractions among them taken as constants (as
+    over a Fraction spec at symbolic t), give a monomial Polynomial L*x^e,
+    L the lcm of the denominators' coefficients, and Polynomials with int
+    coefficients; anything else (no values, floats, a non-monomial
+    denominator) gives (1, values), the list itself."""
+    if values and all(isinstance(v, Fraction) for v in values):
+        den = math.lcm(*(v.denominator for v in values))
+        return den, [v.numerator * (den // v.denominator) for v in values]
+    if not (values and all(isinstance(v, Fraction) or isinstance(v, RationalFunction)
+                           and len(v.den.terms) == 1 for v in values)):
+        return 1, values
+    values = [RationalFunction.const(v) if isinstance(v, Fraction) else v for v in values]
+    names = tuple(sorted({x for v in values for x in v.num.vars + v.den.vars}))
+    dens = [next(iter(v.den._aligned_to(names).terms.items())) for v in values]
+    top = tuple(map(max, zip(*(e for e, _ in dens))))
+    L = math.lcm(*(c for _, c in dens))
+    ring = []
+    for v, (e, c) in zip(values, dens):
+        shift, k = tuple(a - b for a, b in zip(top, e)), L // c
+        ring.append(Polynomial(names, {tuple(map(operator.add, x, shift)): a * k
+                                       for x, a in v.num._aligned_to(names).terms.items()}))
+    return Polynomial(names, {top: L}), ring

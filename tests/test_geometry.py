@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from ghl import geometry as geo
 from ghl.fileio import build_report, bundled_path, load_ghl
-from ghl.multilinear import (basis_vector, mat_is_zero, mat_mul, mat_sub,
-                             mat_vec, mat_zero, dot)
-from ghl.scalars import ExactDomain, FractionDomain, RationalFunction
+from ghl.multilinear import (basis_vector, commutator, istd, mat_is_zero, mat_mul,
+                             mat_sub, mat_vec, mat_zero, dot)
+from ghl.scalars import ExactDomain, FractionDomain, NumericDomain, RationalFunction
 
 from conftest import TEST_DATA
 from reference import N_vec, form_evaluate, lee_from_torsion_trace, mu_m_vec, split_bracket
@@ -559,6 +559,55 @@ def test_gauduchon_kt_t_independent(kodaira_thurston, kt_exact):
         for r0, r7 in zip(M0, M7):
             for x0, x7 in zip(r0, r7):
                 assert abs(x0 - x7) < 1e-9
+
+
+_I_DOMAINS = {
+    "fraction": (FractionDomain(), lambda k: Fraction(k, 3)),
+    "ratfun": (ExactDomain(("a", "b")), lambda k: RF("a") * k / (RF("b") ** 2 + 1) + k % 2),
+    "float": (NumericDomain(), lambda k: 0.37 * k),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_I_DOMAINS)), st.integers(1, 3), st.data())
+def test_commuting_with_I_by_index_equals_the_commutator(kind, m, data):
+    """`_commutes_with_I` gives the verdict of mat_is_zero(commutator(M, I)),
+    on spans of unitary_basis (which commute) and on those plus a few
+    random entries (which mostly do not), over Fractions, rational
+    functions and floats."""
+    dom, scalar = _I_DOMAINS[kind]
+    n2 = 2 * m
+    U = geo.unitary_basis(m, dom)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(U), max_size=len(U)))
+    M = mat_zero(n2, dom)
+    for c, B in zip(coeffs, U):
+        M = [[x + scalar(c) * b for x, b in zip(row, brow)] for row, brow in zip(M, B)]
+    noise = data.draw(st.lists(st.tuples(st.integers(0, n2 - 1), st.integers(0, n2 - 1),
+                                         st.integers(-3, 3)), max_size=3))
+    for i, j, k in noise:
+        M[i][j] = M[i][j] + scalar(k)
+    want = mat_is_zero(commutator(M, istd(m, dom)), dom)
+    assert geo._commutes_with_I(M, dom) == want
+    if not noise and kind != "float":
+        assert want
+
+
+def test_assert_unitary_names_a_perturbed_connection_matrix(kodaira):
+    """A^t(e_x) with one skew pair of entries perturbed is still skew but no
+    longer commutes with I, and `_assert_unitary` says so; an entry
+    perturbed alone breaks skewness first."""
+    spec = kodaira.spec
+    dom = spec.domain
+    for x, M in enumerate(geo.gauduchon_connection(spec, geo.symbolic_t())):
+        geo._assert_unitary(M, dom, f"A^t(e{x})")
+        B = [list(row) for row in M]
+        B[0][2], B[2][0] = B[0][2] + 1, B[2][0] - 1
+        with pytest.raises(geo.InternalConsistencyError,
+                           match=rf"A\^t\(e{x}\) does not commute with I"):
+            geo._assert_unitary(B, dom, f"A^t(e{x})")
+        B[1][3] = B[1][3] + 1
+        with pytest.raises(geo.InternalConsistencyError, match="not skew-symmetric"):
+            geo._assert_unitary(B, dom, f"A^t(e{x})")
 
 
 # ---------------------------------------------------------------------------

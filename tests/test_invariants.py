@@ -19,7 +19,8 @@ from ghl.multilinear import (MultiTensor, basis_vector, commutator,
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, FractionDomain,
                          Polynomial, RationalFunction, UsageError, set_degree_cap)
 
-from reference import curvature_dense, form_basis, from_bilinear, mat_identity
+from reference import (clear_every_value, curvature_dense, form_basis, from_bilinear,
+                       mat_identity)
 from test_nonintegrable import random_two_step_specs
 
 
@@ -481,6 +482,31 @@ def test_integer_tower_equals_fraction_tower(all_bundled, iwasawa, kodaira, abel
                 if spec in fraction_specs:
                     assert type(den) is int, where
                     assert all(type(x) is int for x in got.comp.values()), where
+
+
+def test_clear_skipping_zeros_equals_clearing_every_value(kodaira):
+    """`_clear` leaves zero values out of the variable names, the top
+    exponent and the lcm, and maps them all to one zero ring value; den and
+    every ring value are == to clearing every value
+    (`reference.clear_every_value`): on kodaira's A^t at symbolic t with its
+    bracket table (as `_curvature` clears them), on zeros alone (one with an
+    unused variable left in) and on a zero-heavy mix of Fractions and
+    rational functions."""
+    spec = kodaira.spec
+    At = geo.gauduchon_connection(spec, geo.symbolic_t())
+    table = [a for M in [*At, *spec.mu] for row in M for a in row]
+    zero = RationalFunction.const(0)
+    a, t = RationalFunction.param("alpha"), RationalFunction.param("t")
+    mixed = [zero, Fraction(0), a / (t ** 2 * 6), zero, Fraction(-3, 4), zero,
+             t * a / (a * 4), Fraction(0), zero, (a + t) / (a ** 3 * 10)]
+    zeros = [zero, Fraction(0), RationalFunction(Polynomial(("t",), {}))]
+    for values in (table, zeros, mixed):
+        den, ring = geo._clear(values)
+        want_den, want = clear_every_value(values)
+        assert den == want_den and len(ring) == len(want)
+        assert all(x == y for x, y in zip(ring, want))
+        assert len({id(x) for x, v in zip(ring, values) if FractionDomain.is_zero(v)}) == 1
+    assert 0 < sum(map(FractionDomain.is_zero, table)) < len(table)
 
 
 def test_s2_tuples_evaluate_to_fractions(all_bundled, s2_tuples):

@@ -5,14 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ghl.scalars
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
                          NumericDomain, PoleError, Polynomial,
                          RationalFunction, UsageError, _normal_form,
                          get_degree_cap, set_degree_cap)
-from reference import content, ratfun_text
+from reference import content, normal_form_two_pass, ratfun_text
 
 
 def P(name):
@@ -409,6 +409,75 @@ def test_text_normalises_by_the_exact_content():
     assert x.text() == "(-1*a^4 + v^4) / (2*v^2)"
     y = RationalFunction(Polynomial.const(1) + a * Fraction(1, 2), v)
     assert y.text() == "(a + 2) / (2*v)"
+
+
+_coeffs = st.one_of(st.integers(-6, 6), _fracs).filter(bool)
+
+
+@st.composite
+def mixed_pair(draw, names=("a", "b", "r", "t")):
+    """(num, den) over their own sorted subsets of names, an unused variable
+    left in now and then, int and Fraction coefficients, num possibly zero,
+    den's leading coefficient of either sign, and often a monomial factor
+    shared by both."""
+    shift = draw(st.tuples(*[st.integers(0, 2)] * len(names)))
+
+    def poly(min_size):
+        used = tuple(sorted(draw(st.sets(st.sampled_from(names)))))
+        exps = st.tuples(*[st.integers(0, 3)] * len(used)).map(
+            lambda e: tuple(x + shift[names.index(v)] for x, v in zip(e, used)))
+        return Polynomial(used, draw(st.dictionaries(exps, _coeffs, min_size=min_size,
+                                                     max_size=4)))
+    return poly(0), poly(1)
+
+
+def _fields(p: Polynomial):
+    return p.vars, p.terms, sorted(type(c).__name__ for c in p.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_pair())
+@example((Polynomial(("t",), {}), Polynomial(("a",), {(1,): -2, (0,): 1})))
+@example((Polynomial(("a", "r"), {(1, 2): Fraction(3, 2), (0, 3): -3}),
+          Polynomial(("b", "r", "t"), {(0, 2, 0): -4, (1, 5, 0): -6})))
+def test_normal_form_equals_the_two_pass_reference(pair):
+    """The one-pass `_normal_form` gives the (vars, terms) pairs, coefficient
+    types included, of the two-pass form it replaced
+    (`reference.normal_form_two_pass`), and a pair it returns comes back as
+    the same objects."""
+    got, want = _normal_form(*pair), normal_form_two_pass(*pair)
+    assert [_fields(p) for p in got] == [_fields(p) for p in want]
+    again = _normal_form(*got)
+    assert again[0] is got[0] and again[1] is got[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_pair())
+def test_negation_keeps_the_normal_form(pair):
+    """-x is RationalFunction(-x.num, x.den) field by field, built without
+    `_normal_form`: negating num keeps every property of the normal form."""
+    x = RationalFunction(*pair)
+    neg, want = -x, RationalFunction(-x.num, x.den)
+    assert _fields(neg.num) == _fields(want.num) and _fields(neg.den) == _fields(want.den)
+    assert neg.den is x.den and (neg is x if x.is_zero() else neg.num is not x.num)
+    assert -neg == x and _in_normal_form(neg)
+
+
+def test_negation_builds_no_normal_form(monkeypatch):
+    x = R("a") / (R("b") * 2 - 1)
+    monkeypatch.setattr(ghl.scalars, "_normal_form", None)
+    assert (-x).num.terms == {(1,): -1}
+
+
+def test_equality_over_one_denominator_forms_no_product(monkeypatch):
+    """Values over one denominator compare by their numerators: no
+    Polynomial product, so no degree cap check either."""
+    a8 = P("a") ** 8
+    x, x1 = RationalFunction(a8, P("b") + 1), RationalFunction(a8 + P("b"), P("b") + 1)
+    y = RationalFunction(a8 + 1)
+    monkeypatch.setattr(Polynomial, "__mul__", None)
+    assert x == RationalFunction(x.num, x.den) and x != x1
+    assert y == RationalFunction(y.num) and y != RationalFunction(a8)
 
 
 # ---------------------------------------------------------------------------
