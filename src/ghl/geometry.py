@@ -588,7 +588,7 @@ def _curvature(spec: BracketSpec, C: list) -> list[list[list]]:
     C and the bracket table are cleared together to ring values over one
     denominator den (`_clear`), so that every term is a product of two ring
     values over den^2; the terms of all pairs are summed in one
-    `scatter_products` call at the keys (a, b, i, j) and divided back once.
+    `scatter_products` call at the packed (a, b, i, j) and divided back once.
     When `_clear` leaves the values as they are, the dense formula runs over
     the spec's own domain: its float sums are the ones numeric reports print."""
     dom = spec.domain
@@ -606,18 +606,18 @@ def _curvature(spec: BracketSpec, C: list) -> list[list[list]]:
 
     def terms():
         for a, b in itertools.combinations(range(n2), 2):
-            key, bracket = (a, b), mu[q + a][q + b]
+            key, bracket = a * n2 + b, mu[q + a][q + b]
             for z, h in enumerate(bracket[:q]):
-                yield from _product_terms(key, 1, h, ad[z])
-            yield from _product_terms(key, -1, Cs[a], Cs[b])
-            yield from _product_terms(key, 1, Cs[b], Cs[a])
+                yield from _product_terms(key, n2, 1, h, ad[z])
+            yield from _product_terms(key, n2, -1, Cs[a], Cs[b])
+            yield from _product_terms(key, n2, 1, Cs[b], Cs[a])
             for c, x in enumerate(bracket[q:]):
-                yield from _product_terms(key, -1, x, Cs[c])
+                yield from _product_terms(key, n2, -1, x, Cs[c])
     tab = {}
     sums = scatter_products(terms(), 0, FractionDomain.is_zero)
-    for (a, b, i, j), x in _divide(sums, den * den).items():
-        tab.setdefault((a, b), mat_zero(n2, dom))[i][j] = x
-    return _pair_table(lambda a, b: tab.get((a, b)) or mat_zero(n2, dom), mat_zero(n2, dom))
+    for key, x in _divide(sums, den * den).items():
+        tab.setdefault(key // n2 ** 2, mat_zero(n2, dom))[key // n2 % n2][key % n2] = x
+    return _pair_table(lambda a, b: tab.get(a * n2 + b) or mat_zero(n2, dom), mat_zero(n2, dom))
 
 
 def riemann_curvature(spec: BracketSpec) -> list[list[list]]:
@@ -719,14 +719,19 @@ def _check_lee_trace(spec: BracketSpec, T: list, t, theta: list) -> None:
 def covariant_derivative(spec: BracketSpec, Q: MultiTensor, C: list,
                          order: int = 1) -> MultiTensor:
     """Iterated covariant derivative of an invariant tensor:
-    (D Q)(X; rest) = (-C(X) . Q)(rest), each step one `scatter_products` call."""
-    dom = spec.domain
-    n2 = 2 * spec.m
-    rows, cols = index_rows((((x,), C[x]) for x in range(n2)), dom.is_zero)
+    (D Q)(X; rest) = (-C(X) . Q)(rest), each step one `_derive` call."""
+    Q = Q.packed()
     for _ in range(order):
-        comp = scatter_products(action_terms(Q, rows, cols, -1), Q._zero, dom.is_zero)
-        Q = MultiTensor(n2, Q.rank + 1, Q.has_endo, Q._zero, comp)
-    return Q
+        Q = _derive(Q, C, spec.domain.is_zero)
+    return Q.unpacked()
+
+
+def _derive(Q: MultiTensor, C: list, is_zero) -> MultiTensor:
+    """One step of `covariant_derivative` on a packed Q: -C(e_x) at the new first slot x."""
+    n, size = Q.n, Q.n ** (Q.rank + 2 * Q.has_endo)
+    rows, cols = index_rows(((x * size, M) for x, M in enumerate(C)), is_zero)
+    comp = scatter_products(action_terms(Q, rows, cols, -1), Q._zero, is_zero)
+    return MultiTensor(n, Q.rank + 1, Q.has_endo, Q._zero, comp)
 
 
 def _rm_tensor(spec: BracketSpec, Rm: list) -> MultiTensor:
@@ -831,41 +836,41 @@ def _reduce(den, values: list):
 
 
 def _sparse(M: list) -> list:
-    """The rows of a matrix as [(column, entry)] lists of its nonzero entries."""
-    return [[(j, x) for j, x in enumerate(row) if not FractionDomain.is_zero(x)] for row in M]
+    """The rows of a matrix as [(0, column, entry)] lists of its nonzero entries."""
+    return [[(0, j, x) for j, x in enumerate(row) if not FractionDomain.is_zero(x)] for row in M]
 
 
-def _product_terms(key: tuple, sign: int, A, B: list):
-    """`scatter_products` terms of sign * (A B)[i][j] at key + (i, j) for
+def _product_terms(kp: int, n: int, sign: int, A, B: list):
+    """`scatter_products` runs of sign * (A B)[i][j] at (kp*n + i)*n + j for
     row-sparse A and B (`_sparse`), or of sign * A * B[i][j] for a scalar A,
     so that no product with a zero factor is formed."""
     if isinstance(A, list):
         for i, row in enumerate(A):
-            for k, a in row:
-                for j, b in B[k]:
-                    yield key + (i, j), sign, a, b
+            base = (kp * n + i) * n
+            for _, k, a in row:
+                yield base, 1, sign, a, B[k]
     elif not FractionDomain.is_zero(A):
         for i, row in enumerate(B):
-            for j, b in row:
-                yield key + (i, j), sign, A, b
+            yield (kp * n + i) * n, 1, sign, A, row
 
 
 def _tower(spec: BracketSpec, T: MultiTensor):
-    """(den, ring) pairs with D^kT == ring / den for k = 0, 1, 2, ..., the
-    covariant derivatives for the Levi-Civita connection, each built when
-    the caller asks for it.  S and T are cleared to ring values once
-    (`_clear`); a step runs `covariant_derivative` on the ring values,
-    multiplies den by S's denominator and divides out the content that den
-    shares with every value (`_reduce`).  A reduced pair is unique, so each
-    is `_cleared(D^kT)`.  When `_clear` leaves S or T as it is, den is 1 and
-    the same step runs over the spec's own domain."""
+    """(den, ring) pairs with D^kT == ring.unpacked() / den for k = 0, 1, 2,
+    ..., the covariant derivatives for the Levi-Civita connection, each
+    built when the caller asks for it, ring keyed by packed ints.  S and T
+    are cleared to ring values once (`_clear`); a step runs `_derive` on the
+    ring values, multiplies den by S's denominator and divides out the
+    content that den shares with every value (`_reduce`).  A reduced pair
+    is unique, so each is `_cleared(D^kT)`.  When `_clear` leaves S or T as
+    it is, den is 1 and the same step runs over the spec's own domain."""
     dS, S = _clear_matrices(spec.S)
     den, ring = _cleared(T)
     if S is spec.S or ring is T:
         dS, S, den, ring = 1, spec.S, 1, T
+    ring = ring.packed()
     while True:
         yield den, ring
-        ring = covariant_derivative(spec, ring, S, 1)
+        ring = _derive(ring, S, spec.domain.is_zero)
         den, values = _reduce(den * dS, list(ring.comp.values()))
         ring.comp = dict(zip(ring.comp, values))
 
@@ -888,7 +893,7 @@ def hermitian_s_tuple(spec: BracketSpec, s: int = 2, verify: bool = True) -> Der
 
     def derivs(T, start, stop):
         return [MultiTensor(ring.n, ring.rank, ring.has_endo, zero, _divide(ring.comp, den))
-                for den, ring in itertools.islice(_tower(spec, T), start, stop)]
+                .unpacked() for den, ring in itertools.islice(_tower(spec, T), start, stop)]
 
     tup = DerivativeTuple(s, derivs(MultiTensor.from_endo(spec.I, spec.domain), 1, s + 3),
                           derivs(_rm_tensor(spec, spec.Rm), 0, s + 1))
@@ -1003,13 +1008,17 @@ def _constant_spec(spec: BracketSpec, what: str) -> BracketSpec:
     return spec if isinstance(spec.domain, FractionDomain) else spec.instantiate({})
 
 
-def _add_index_action(rows: dict, basis, T: MultiTensor, first: int = 0,
+def _add_index_action(rows: dict, basis: list, T: MultiTensor, first: int = 0,
                       scale: int = 1) -> None:
-    """rows[key][first + col] = scale * (B . T)[key], basis the `index_rows` of
-    each B tagged (col,).  For the skew int u(m) and so(2m) bases and an int T
-    the End slot's commutator relabels indices, and the rows hold ints."""
-    for key, x in scatter_products(action_terms(T, *basis), 0, FractionDomain.is_zero).items():
-        rows.setdefault(key[1:], {})[first + key[0]] = scale * x
+    """rows[key][first + col] = scale * (B . T)[key] for the col-th matrix B
+    of basis and a packed T, keys packed.  For the skew int u(m) and so(2m)
+    bases and an int T the End slot's commutator relabels indices, and the
+    rows hold ints."""
+    size = T.n ** (T.rank + 2 * T.has_endo)
+    action = index_rows(((col * size, B) for col, B in enumerate(basis)), FractionDomain.is_zero)
+    for key, x in scatter_products(action_terms(T, *action), 0, FractionDomain.is_zero).items():
+        col, key = divmod(key, size)
+        rows.setdefault(key, {})[first + col] = scale * x
 
 
 @dataclass
@@ -1027,12 +1036,11 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     limit = m * m + 1 if kmax is None else kmax
     _, U = _clear_matrices(unitary_basis(m, dom))       # int entries
     span = _Echelon(len(U), dom)
-    action = index_rows((((col,), B) for col, B in enumerate(U)), FractionDomain.is_zero)
 
     def add_rows(pair):
         """Rows of B . T = 0 in the u(m) coordinates of B, for (den, T): times den."""
         rows = {}
-        _add_index_action(rows, action, pair[1])
+        _add_index_action(rows, U, pair[1])
         for key in sorted(rows):
             span.add(rows[key])
 
@@ -1071,16 +1079,16 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     _, SO = _clear_matrices(so_basis(n2, dom))          # int entries
     nA = len(SO)
     span = _Echelon(n2 + nA, dom)
-    action = index_rows((((col,), B) for col, B in enumerate(SO)), FractionDomain.is_zero)
 
     def add_rows(Tk, Tk1):
         """Rows of v . Tk1 + A . Tk = 0 in (v, A-coords), over the lcm of the dens."""
         (d0, T0), (d1, T1) = Tk, Tk1
         d = math.lcm(d0, d1)
+        size = n2 ** (T0.rank + 2 * T0.has_endo)
         rows = {}
         for key, x in T1.comp.items():
-            rows.setdefault(key[1:], {})[key[0]] = x * (d // d1)
-        _add_index_action(rows, action, T0, n2, d // d0)
+            rows.setdefault(key % size, {})[key // size] = x * (d // d1)
+        _add_index_action(rows, SO, T0, n2, d // d0)
         for key in sorted(rows):
             span.add(rows[key])
 
@@ -1147,7 +1155,7 @@ def _sparse_generator(v, A, den):
     """A generator (v, A) as `_nomizu` takes it: v, v as a row-sparse
     column, and A and den * A row-sparse (`_sparse`)."""
     A = _sparse(A)
-    return v, _sparse([[x] for x in v]), A, [[(j, den * x) for j, x in row] for row in A]
+    return v, _sparse([[x] for x in v]), A, [[(0, j, den * x) for _, j, x in row] for row in A]
 
 
 def _nomizu(a, b, R: dict, zero):
@@ -1161,18 +1169,18 @@ def _nomizu(a, b, R: dict, zero):
     n2 = len(v)
 
     def terms():
-        yield from _product_terms((0,), 1, dA, wc)
-        yield from _product_terms((0,), -1, dB, vc)
-        yield from _product_terms((1,), 1, dA, B)
-        yield from _product_terms((1,), -1, dB, A)
+        yield from _product_terms(0, n2, 1, dA, wc)
+        yield from _product_terms(0, n2, -1, dB, vc)
+        yield from _product_terms(1, n2, 1, dA, B)
+        yield from _product_terms(1, n2, -1, dB, A)
         for (i, j), M in R.items():
-            yield from _product_terms((1,), 1, v[i] * w[j] - v[j] * w[i], M)
+            yield from _product_terms(1, n2, 1, v[i] * w[j] - v[j] * w[i], M)
     out = [zero] * n2, [[zero] * n2 for _ in range(n2)]
-    for (part, i, j), x in scatter_products(terms(), zero, FractionDomain.is_zero).items():
-        if part:
-            out[1][i][j] = x
+    for key, x in scatter_products(terms(), zero, FractionDomain.is_zero).items():
+        if key >= n2 * n2:
+            out[1][key // n2 % n2][key % n2] = x
         else:
-            out[0][i] = x
+            out[0][key // n2] = x               # j = 0: w and v are columns
     return out
 
 
@@ -1312,15 +1320,15 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
 
     def terms():
         for p, (X, Y) in enumerate(pairs):
-            yield from _product_terms((p,), 1, D, Omr[p])
-            yield from _product_terms((p,), -1, D, Rmr[p])
+            yield from _product_terms(p, n2, 1, D, Omr[p])
+            yield from _product_terms(p, n2, -1, D, Rmr[p])
             for U, V, c in ((X, Y, 1), (Y, X, -1)):
-                yield from _product_terms((p,), -c, Gs[U], Ss[V])
-                yield from _product_terms((p,), c, Ss[V], Gs[U])
+                yield from _product_terms(p, n2, -c, Gs[U], Ss[V])
+                yield from _product_terms(p, n2, c, Ss[V], Gs[U])
                 for k, x in enumerate(row[U] for row in Sr[V]):
-                    yield from _product_terms((p,), -c, x, Gs[k])
-            yield from _product_terms((p,), 1, Gs[X], Gs[Y])
-            yield from _product_terms((p,), -1, Gs[Y], Gs[X])
+                    yield from _product_terms(p, n2, -c, x, Gs[k])
+            yield from _product_terms(p, n2, 1, Gs[X], Gs[Y])
+            yield from _product_terms(p, n2, -1, Gs[Y], Gs[X])
     rest = scatter_products(terms(), 0, FractionDomain.is_zero).values()
     curv_ok = all(dom.is_zero(x) for x in rest)
     residuals.extend(rest)

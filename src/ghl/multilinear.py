@@ -264,36 +264,69 @@ class MultiTensor:
     def is_zero(self, dom) -> bool:
         return all(dom.is_zero(v) for v in self.comp.values())
 
+    def packed(self) -> "MultiTensor":
+        """This tensor keyed by `pack`ed ints, the form the kernel runs on."""
+        return MultiTensor(self.n, self.rank, self.has_endo, self._zero,
+                           {pack(k, self.n): v for k, v in self.comp.items()})
 
-def scatter_products(terms, zero, is_zero) -> dict:
-    """{key: sum of sign * a * c} over the (key, sign, a, c) in terms, sign
-    +-1, without the sums that is_zero.  A product of Polynomials passes the
-    degree cap check and adds into one {monomial: coefficient} dict per key,
-    each monomial packed into an int with a cap.bit_length()-bit field per
-    variable, then one Polynomial per key.  Other products sum from zero."""
+    def unpacked(self) -> "MultiTensor":
+        """The tuple-keyed tensor of a `packed` one."""
+        n, length = self.n, self.rank + 2 * self.has_endo
+        return MultiTensor(n, self.rank, self.has_endo, self._zero,
+                           {unpack(k, n, length): v for k, v in self.comp.items()})
+
+
+def pack(key, n: int) -> int:
+    """The index tuple key over range(n) as one int, sum k_i n^(L-1-i): slot
+    0 is most significant, so among keys of one length int order is tuple
+    order, a new first slot x is x * n^L + k and dropping it is k % n^L."""
+    return sum(k * n ** p for p, k in enumerate(reversed(key)))
+
+
+def unpack(x: int, n: int, length: int) -> tuple:
+    """The key of that length which `pack` turns into x; slot 0 takes what
+    is left, so a tag there may exceed n."""
+    key = [x] * length
+    for i in range(length - 1, 0, -1):
+        key[0], key[i] = divmod(key[0], n)
+    return tuple(key)
+
+
+def scatter_products(runs, zero, is_zero) -> dict:
+    """{key: sum of sign * a * c} over the runs (base, stride, sign +-1, c,
+    entries), each entry (offset, r, a) at key offset + base + r * stride,
+    without the sums that is_zero (an int one: that are 0).  A product of
+    Polynomials passes the degree cap check and adds into one {monomial:
+    coefficient} dict per key, each monomial packed into an int with a
+    cap.bit_length()-bit field per variable, then one Polynomial per key.
+    Other products sum from zero in run and entry order."""
     cap = get_degree_cap()
     width = cap.bit_length()
     shifts, packed, sums, out = {}, {}, {}, {}   # packed: id(p) -> (p kept alive, pairs, degree)
 
-    def pack(p):
+    def pack_monomials(p):
         offsets = [shifts.setdefault(v, width * len(shifts)) for v in p.vars]
         pairs = [(sum(x << o for x, o in zip(e, offsets)), k) for e, k in p.terms.items()]
         return packed.setdefault(id(p), (p, pairs, p.total_degree()))
 
     get = out.get
-    for key, sign, a, c in terms:
-        if type(a) is not Polynomial or type(c) is not Polynomial:
-            out[key] = get(key, zero) + a * c if sign > 0 else get(key, zero) - a * c
-            continue
-        _, pa, da = packed.get(id(a)) or pack(a)
-        _, pc, dc = packed.get(id(c)) or pack(c)
-        if pa and pc and da + dc > cap:     # a zero factor adds nothing
-            raise DegreeGuardError(f"product degree {da + dc} exceeds cap {cap}")
-        acc = sums.setdefault(key, {})
-        for ea, ka in pa:
-            ka *= sign
-            for ec, kc in pc:
-                acc[ea + ec] = acc.get(ea + ec, 0) + ka * kc
+    for base, stride, sign, c, entries in runs:
+        pc = None       # packed at c's first Polynomial product: an unused c adds no name
+        for off, r, a in entries:
+            key = off + base + r * stride
+            if type(a) is not Polynomial or type(c) is not Polynomial:
+                out[key] = get(key, zero) + a * c if sign > 0 else get(key, zero) - a * c
+                continue
+            if pc is None:
+                _, pc, dc = packed.get(id(c)) or pack_monomials(c)
+            _, pa, da = packed.get(id(a)) or pack_monomials(a)
+            if pa and pc and da + dc > cap:     # a zero factor adds nothing
+                raise DegreeGuardError(f"product degree {da + dc} exceeds cap {cap}")
+            acc = sums.setdefault(key, {})
+            for ea, ka in pa:
+                ka *= sign
+                for ec, kc in pc:
+                    acc[ea + ec] = acc.get(ea + ec, 0) + ka * kc
     names = tuple(sorted(shifts))
     fields = [(shifts[v], (1 << width) - 1) for v in names]
     for key, acc in sums.items():
@@ -301,11 +334,12 @@ def scatter_products(terms, zero, is_zero) -> dict:
         if poly or key in out:
             x = Polynomial(names, poly)
             out[key] = out[key] + x if key in out else x
-    return {key: x for key, x in out.items() if not is_zero(x)}
+    return {key: x for key, x in out.items() if (x if type(x) is int else not is_zero(x))}
 
 
 def index_rows(tagged, is_zero):
-    """Nonzero A[i][j] of (tag, A) pairs as rows[i] of (tag, j, a), cols[j] of (tag, i, a)."""
+    """Nonzero A[i][j] of (tag, A) pairs, int tags, as rows[i] of (tag, j, a)
+    and cols[j] of (tag, i, a): the entries of `scatter_products` runs."""
     rows, cols = {}, {}
     for tag, A in tagged:
         for i, row in enumerate(A):
@@ -317,30 +351,29 @@ def index_rows(tagged, is_zero):
 
 
 def action_terms(T: MultiTensor, rows: dict, cols: dict, sign: int = 1):
-    """`scatter_products` terms of the derivation action of sign * A on T at
-    tag + key, for each tagged A in `index_rows`: (A.T)(..X..) = -T(..AX..)
-    on each covariant slot, and the commutator [A, W] on an End slot."""
-    rank, none, neg = T.rank, (), -sign
+    """`scatter_products` runs, one per stored component and slot, of the
+    derivation action of sign * A on T, keys packed (`MultiTensor.packed`),
+    at tag + key for each A in `index_rows`: (A.T)(..X..) = -T(..AX..) on
+    each covariant slot, and the commutator [A, W] on an End slot."""
+    n, none, neg = T.n, (), -sign
+    strides = [n ** p for p in range(T.rank + 2 * T.has_endo - 1, -1, -1)][:T.rank]
     for key, c in T.comp.items():
         # (A.T)_J = -sum_r A[r][J_i] T_{J:i->r}: T_K lands at K:i->r times -A[K_i][r]
-        for slot in range(rank):
-            head, tail = key[:slot], key[slot + 1:]
-            for tag, r, a in rows.get(key[slot], none):
-                yield tag + head + (r,) + tail, neg, a, c
+        for stride in strides:
+            i = key // stride % n
+            yield key - i * stride, stride, neg, c, rows.get(i, none)
         if T.has_endo:
-            cov, row, col = key[:rank], key[rank], key[rank + 1]
-            for tag, r, a in cols.get(row, none):          # A@W
-                yield tag + cov + (r, col), sign, a, c
-            for tag, j, a in rows.get(col, none):          # -W@A
-                yield tag + cov + (row, j), neg, a, c
+            row, col = key // n % n, key % n
+            yield key - row * n, n, sign, c, cols.get(row, none)    # A@W
+            yield key - col, 1, neg, c, rows.get(col, none)         # -W@A
 
 
 def derivation_action(A, T: MultiTensor, dom) -> MultiTensor:
     """Derivation action of A in gl(n) on a MultiTensor (`action_terms`),
     without the entries of A and the sums that dom.is_zero."""
-    terms = action_terms(T, *index_rows([((), A)], dom.is_zero))
+    runs = action_terms(T.packed(), *index_rows([(0, A)], dom.is_zero))
     return MultiTensor(T.n, T.rank, T.has_endo, T._zero,
-                       scatter_products(terms, T._zero, dom.is_zero))
+                       scatter_products(runs, T._zero, dom.is_zero)).unpacked()
 
 
 # -- complex linear algebra helpers -------------------------------------------

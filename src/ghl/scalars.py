@@ -554,6 +554,10 @@ def _as_rf(x):
     return NotImplemented
 
 
+_RF_ZERO, _RF_ONE = RationalFunction.const(0), RationalFunction.const(1)
+_FRACTION_ZERO, _FRACTION_ONE = Fraction(0), Fraction(1)
+
+
 class ExactDomain:
     """Scalar domain Q(params...): values are RationalFunctions."""
 
@@ -562,8 +566,8 @@ class ExactDomain:
     def __init__(self, params: Iterable[str] = ()):
         self.params = tuple(params)
 
-    zero = staticmethod(lambda: RationalFunction.const(0))
-    one = staticmethod(lambda: RationalFunction.const(1))
+    zero = staticmethod(lambda: _RF_ZERO)        # values are immutable: one of each
+    one = staticmethod(lambda: _RF_ONE)
 
     def from_fraction(self, c) -> RationalFunction:
         return RationalFunction.const(c)
@@ -601,13 +605,8 @@ class FractionDomain:
     backend = "exact"
     params: tuple = ()
 
-    @staticmethod
-    def zero() -> Fraction:
-        return Fraction(0)
-
-    @staticmethod
-    def one() -> Fraction:
-        return Fraction(1)
+    zero = staticmethod(lambda: _FRACTION_ZERO)  # values are immutable: one of each
+    one = staticmethod(lambda: _FRACTION_ONE)
 
     @staticmethod
     def from_fraction(c) -> Fraction:

@@ -7,7 +7,9 @@ normalised from any num/den pair, which the engine fixes when it builds the
 value, and the derivation action and the matrix brackets summed entry by
 entry with each scalar's own arithmetic, which the engine sums on packed
 monomials, and the two-pass normal form and the clearing of every value,
-zeros included, which the engine does in one pass and with zeros skipped.
+zeros included, which the engine does in one pass and with zeros skipped,
+and the sum-of-products kernel on tuple keys with one term per product,
+which the engine runs on packed int keys with one run of terms per factor.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
@@ -19,7 +21,8 @@ from fractions import Fraction
 from math import gcd
 
 from ghl import geometry as geo
-from ghl.scalars import Polynomial, RationalFunction
+from ghl.scalars import (DegreeGuardError, FractionDomain, Polynomial, RationalFunction,
+                         get_degree_cap)
 from ghl.multilinear import KForm, MultiTensor, _sort_sign, mat_mul, mat_scale, mat_sub, mat_zero
 
 
@@ -432,3 +435,95 @@ def clear_every_value(values: list):
         ring.append(Polynomial(names, {tuple(map(operator.add, x, shift)): a * k
                                        for x, a in v.num._aligned_to(names).terms.items()}))
     return Polynomial(names, {top: L}), ring
+
+
+# -- the sum-of-products kernel on tuple keys ---------------------------------------
+
+def tuple_scatter_products(terms, zero, is_zero) -> dict:
+    """{key: sum of sign * a * c} over the (key, sign, a, c) in terms, sign
+    +-1, without the sums that is_zero.  A product of Polynomials passes the
+    degree cap check and adds into one {monomial: coefficient} dict per key,
+    each monomial packed into an int with a cap.bit_length()-bit field per
+    variable, then one Polynomial per key.  Other products sum from zero."""
+    cap = get_degree_cap()
+    width = cap.bit_length()
+    shifts, packed, sums, out = {}, {}, {}, {}   # packed: id(p) -> (p kept alive, pairs, degree)
+
+    def pack(p):
+        offsets = [shifts.setdefault(v, width * len(shifts)) for v in p.vars]
+        pairs = [(sum(x << o for x, o in zip(e, offsets)), k) for e, k in p.terms.items()]
+        return packed.setdefault(id(p), (p, pairs, p.total_degree()))
+
+    get = out.get
+    for key, sign, a, c in terms:
+        if type(a) is not Polynomial or type(c) is not Polynomial:
+            out[key] = get(key, zero) + a * c if sign > 0 else get(key, zero) - a * c
+            continue
+        _, pa, da = packed.get(id(a)) or pack(a)
+        _, pc, dc = packed.get(id(c)) or pack(c)
+        if pa and pc and da + dc > cap:     # a zero factor adds nothing
+            raise DegreeGuardError(f"product degree {da + dc} exceeds cap {cap}")
+        acc = sums.setdefault(key, {})
+        for ea, ka in pa:
+            ka *= sign
+            for ec, kc in pc:
+                acc[ea + ec] = acc.get(ea + ec, 0) + ka * kc
+    names = tuple(sorted(shifts))
+    fields = [(shifts[v], (1 << width) - 1) for v in names]
+    for key, acc in sums.items():
+        poly = {tuple(e >> o & mask for o, mask in fields): k for e, k in acc.items() if k}
+        if poly or key in out:
+            x = Polynomial(names, poly)
+            out[key] = out[key] + x if key in out else x
+    return {key: x for key, x in out.items() if not is_zero(x)}
+
+
+def tuple_index_rows(tagged, is_zero):
+    """Nonzero A[i][j] of (tag, A) pairs as rows[i] of (tag, j, a), cols[j] of (tag, i, a)."""
+    rows, cols = {}, {}
+    for tag, A in tagged:
+        for i, row in enumerate(A):
+            for j, a in enumerate(row):
+                if not is_zero(a):
+                    rows.setdefault(i, []).append((tag, j, a))
+                    cols.setdefault(j, []).append((tag, i, a))
+    return rows, cols
+
+
+def tuple_action_terms(T: MultiTensor, rows: dict, cols: dict, sign: int = 1):
+    """`scatter_products` terms of the derivation action of sign * A on T at
+    tag + key, for each tagged A in `index_rows`: (A.T)(..X..) = -T(..AX..)
+    on each covariant slot, and the commutator [A, W] on an End slot."""
+    rank, none, neg = T.rank, (), -sign
+    for key, c in T.comp.items():
+        # (A.T)_J = -sum_r A[r][J_i] T_{J:i->r}: T_K lands at K:i->r times -A[K_i][r]
+        for slot in range(rank):
+            head, tail = key[:slot], key[slot + 1:]
+            for tag, r, a in rows.get(key[slot], none):
+                yield tag + head + (r,) + tail, neg, a, c
+        if T.has_endo:
+            cov, row, col = key[:rank], key[rank], key[rank + 1]
+            for tag, r, a in cols.get(row, none):          # A@W
+                yield tag + cov + (r, col), sign, a, c
+            for tag, j, a in rows.get(col, none):          # -W@A
+                yield tag + cov + (row, j), neg, a, c
+
+
+def sparse_pairs(M: list) -> list:
+    """The rows of a matrix as [(column, entry)] lists of its nonzero entries."""
+    return [[(j, x) for j, x in enumerate(row) if not FractionDomain.is_zero(x)] for row in M]
+
+
+def tuple_product_terms(key: tuple, sign: int, A, B: list):
+    """`scatter_products` terms of sign * (A B)[i][j] at key + (i, j) for
+    row-sparse A and B (`_sparse`), or of sign * A * B[i][j] for a scalar A,
+    so that no product with a zero factor is formed."""
+    if isinstance(A, list):
+        for i, row in enumerate(A):
+            for k, a in row:
+                for j, b in B[k]:
+                    yield key + (i, j), sign, a, b
+    elif not FractionDomain.is_zero(A):
+        for i, row in enumerate(B):
+            for j, b in row:
+                yield key + (i, j), sign, A, b

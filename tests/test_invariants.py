@@ -14,7 +14,7 @@ import pytest
 from ghl import geometry as geo
 from ghl.fileio import bundled_path, load_ghl
 from ghl.multilinear import (MultiTensor, basis_vector, commutator,
-                             derivation_action, index_rows, mat_is_zero,
+                             derivation_action, mat_is_zero, unpack,
                              mat_scale, mat_vec, mat_zero)
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, FractionDomain,
                          Polynomial, RationalFunction, UsageError, set_degree_cap)
@@ -456,9 +456,9 @@ def _reference_tower(spec, T, count):
 
 
 def test_integer_tower_equals_fraction_tower(all_bundled, iwasawa, kodaira, abelian2, sphere):
-    """Each `_tower` pair (den, ring) equals `_cleared` of iterated
-    covariant_derivative over the spec's own domain, for J and Rm up to
-    order 3: ints over an int den on the Fraction specs, Polynomials over a
+    """Each `_tower` pair (den, ring), ring's packed keys unpacked, equals
+    `_cleared` of iterated covariant_derivative over the spec's own domain,
+    for J and Rm up to order 3: ints over an int den on the Fraction specs, Polynomials over a
     monomial on the symbolic ones, and den 1 over the domain values
     themselves where `_clear` leaves S as it is (numeric Kodaira-Thurston and
     a non-monomial denominator).  Symbolic kodaira stops at D Rm: its
@@ -473,8 +473,8 @@ def test_integer_tower_equals_fraction_tower(all_bundled, iwasawa, kodaira, abel
     for spec in specs:
         for T, count in zip(_start_tensors(spec), (4, 2 if spec is kodaira.spec else 4)):
             ref = _reference_tower(spec, T, count)
-            for k, (den, got) in enumerate(itertools.islice(geo._tower(spec, T), count)):
-                where = (spec.name, T.rank, k)
+            for k, (den, packed) in enumerate(itertools.islice(geo._tower(spec, T), count)):
+                where, got = (spec.name, T.rank, k), packed.unpacked()
                 want_den, want = geo._cleared(ref[k])
                 assert den == want_den and got.comp == want.comp, where
                 if spec in domain_specs:
@@ -752,7 +752,8 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
         pairs = []
         for T, count in zip(_start_tensors(spec), (3, 2)):
             pairs += itertools.islice(geo._tower(spec, T), count)
-        for (den, Ti), basis in itertools.product(pairs, bases):
+        for (den, Tp), basis in itertools.product(pairs, bases):
+            Ti, length = Tp.unpacked(), Tp.rank + 2 * Tp.has_endo
             T = MultiTensor(Ti.n, Ti.rank, Ti.has_endo, dom.zero(),
                             {key: Fraction(x, den) for key, x in Ti.comp.items()})
             _, ints = geo._clear_matrices(basis)
@@ -762,16 +763,16 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
                     expected.setdefault(key, {})[col] = x
                 for key, x in _relabelled(Bi, Ti).items():
                     relabelled.setdefault(key, {})[col] = x
-            action = index_rows((((col,), B) for col, B in enumerate(ints)), FractionDomain.is_zero)
-            rows = {}
-            geo._add_index_action(rows, action, Ti)
+            packed = {}
+            geo._add_index_action(packed, ints, Tp)
+            rows = {unpack(k, Tp.n, length): r for k, r in packed.items()}
             assert all(type(x) is int for r in rows.values() for x in r.values())
             assert rows == relabelled, (spec.name, T.rank, T.has_endo)
             got = {k: {c: Fraction(x, den) for c, x in r.items()} for k, r in rows.items()}
             assert got == expected, (spec.name, T.rank, T.has_endo)
             shifted = {}
-            geo._add_index_action(shifted, action, Ti, 5, 3)
-            assert shifted == {k: {c + 5: 3 * x for c, x in r.items()} for k, r in rows.items()}
+            geo._add_index_action(shifted, ints, Tp, 5, 3)
+            assert shifted == {k: {c + 5: 3 * x for c, x in r.items()} for k, r in packed.items()}
 
 
 def test_singer_and_killing_feed_integers_to_derivation_action(iwasawa, kodaira, monkeypatch):
@@ -781,10 +782,11 @@ def test_singer_and_killing_feed_integers_to_derivation_action(iwasawa, kodaira,
     seen = []
     kernel = geo.scatter_products
 
-    def recording(terms, zero, is_zero):
-        terms = list(terms)
-        seen.extend(type(a) is int and type(c) is int for _, _, a, c in terms)
-        return kernel(terms, zero, is_zero)
+    def recording(runs, zero, is_zero):
+        runs = list(runs)
+        seen.extend(type(a) is int and type(c) is int
+                    for _, _, _, c, entries in runs for _, _, a in entries)
+        return kernel(runs, zero, is_zero)
 
     specs = [iwasawa.spec.instantiate({"alpha": 1}),
              kodaira.spec.instantiate({"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5})]

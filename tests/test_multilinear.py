@@ -12,15 +12,17 @@ from ghl.geometry import _product_terms, _sparse, covariant_derivative
 from ghl.multilinear import (FrameError, KForm, MultiTensor, basis_vector,
                              coboundary, commutator, complex_trace,
                              complex_trace_form, derivation_action, dot,
-                             gram_schmidt_unitary, istd, mat_vec, mat_zero,
-                             scatter_products, wedge)
+                             action_terms, gram_schmidt_unitary, index_rows, istd,
+                             mat_vec, mat_zero, pack, scatter_products, unpack, wedge)
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
                          FractionDomain, NumericDomain, Polynomial,
                          set_degree_cap)
 
 from reference import (add_product_loop, complex_trace_sym, derivation_action_loop, form_action,
                        form_basis, form_evaluate, from_bilinear,
-                       interior_product, mat_identity, pi_11)
+                       interior_product, mat_identity, pi_11, sparse_pairs,
+                       tuple_action_terms, tuple_index_rows, tuple_product_terms,
+                       tuple_scatter_products)
 
 DOM = FractionDomain()
 
@@ -398,18 +400,134 @@ def test_product_terms_equal_the_add_product_loop(case):
     accs = {}
     for key, sign, A, B in terms:
         if isinstance(A, list):
-            add_product_loop(accs.setdefault(key, {}), _sparse(A), _sparse(B), sign)
+            add_product_loop(accs.setdefault(key, {}), sparse_pairs(A), sparse_pairs(B), sign)
         else:
-            add_product_loop(accs.setdefault(key, {}), unit, _sparse(B), sign * A)
+            add_product_loop(accs.setdefault(key, {}), unit, sparse_pairs(B), sign * A)
     want = {key + ij: x for key, acc in accs.items() for ij, x in acc.items()
             if not DOM.is_zero(x)}
-    got = scatter_products(
+    packed = scatter_products(
         itertools.chain.from_iterable(
-            _product_terms(key, sign, _sparse(A) if isinstance(A, list) else A, _sparse(B))
+            _product_terms(*key, n, sign, _sparse(A) if isinstance(A, list) else A, _sparse(B))
             for key, sign, A, B in terms), 0, DOM.is_zero)
+    got = {unpack(k, n, 3): x for k, x in packed.items()}       # (kp, i, j)
     exact = ExactDomain(NAMES)
     assert got.keys() == want.keys()
     assert all(exact.eq(got[k], want[k]) for k in want)
+
+
+# ---------------------------------------------------------------------------
+# packed keys and runs against the tuple-key kernel
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def key_pairs(draw):
+    """(n, a, b): two index tuples of one length 0..6 over range(n), n 1..8."""
+    n, length = draw(st.integers(1, 8)), draw(st.integers(0, 6))
+    key = st.tuples(*[st.integers(0, n - 1)] * length)
+    return n, draw(key), draw(key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key_pairs())
+def test_pack_round_trips_and_keeps_tuple_order(case):
+    """unpack(pack(key)) == key, and among keys of one length int order is
+    tuple order, so sorting packed rows keeps the elimination's order."""
+    n, a, b = case
+    assert unpack(pack(a, n), n, len(a)) == a
+    assert (pack(a, n) < pack(b, n)) == (a < b)
+    assert (pack(a, n) == pack(b, n)) == (a == b)
+
+
+KINDS = ("int", "fraction", "poly", "float", "mixed")
+
+
+def kernel_values(kind):
+    """Nonzero values of one kind; floats of two scales, so that a sum
+    rounds and its order shows in the bits."""
+    return {"int": st.integers(-3, 3).filter(bool),
+            "fraction": st.fractions(-3, 3, max_denominator=6).filter(bool),
+            "poly": ring_values(True),
+            "float": st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-3, 1e-3)).filter(bool),
+            "mixed": st.one_of(ring_values(False), ring_values(True))}[kind]
+
+
+def _identical(x, y) -> bool:
+    """Same type and value; floats bit for bit, Polynomials term for term."""
+    if type(x) is not type(y):
+        return False
+    if type(x) is float:
+        return x.hex() == y.hex()
+    if type(x) is Polynomial:
+        return x.vars == y.vars and x.terms == y.terms
+    return x == y
+
+
+@st.composite
+def kernel_action_cases(draw):
+    """(zero, tagged matrices, T, sign) of one value kind, zero entries
+    among the matrices' and a tensor with or without an End slot."""
+    kind = draw(st.sampled_from(KINDS))
+    values, zero = kernel_values(kind), 0.0 if kind == "float" else 0
+    n, rank, has_endo = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.booleans())
+    entries = st.one_of(st.just(zero), values)
+    mats = [[[draw(entries) for _ in range(n)] for _ in range(n)]
+            for _ in range(draw(st.integers(1, 3)))]
+    keys = st.tuples(*[st.integers(0, n - 1)] * (rank + 2 * has_endo))
+    comp = draw(st.dictionaries(keys, values, max_size=8))
+    return zero, mats, MultiTensor(n, rank, has_endo, zero, comp), draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_action_cases())
+def test_action_runs_equal_the_tuple_kernel(case):
+    """`action_terms` runs on a packed tensor with int tags, summed by
+    `scatter_products`, give the tuple-key kernel's terms summed
+    (`reference.tuple_scatter_products`): the same keys once decoded, in the
+    same order, and identical values, floats bit for bit."""
+    zero, mats, T, sign = case
+    n, length = T.n, T.rank + 2 * T.has_endo
+    rows = tuple_index_rows((((t,), A) for t, A in enumerate(mats)), DOM.is_zero)
+    want = tuple_scatter_products(tuple_action_terms(T, *rows, sign), zero, DOM.is_zero)
+    rows = index_rows(((t * n ** length, A) for t, A in enumerate(mats)), DOM.is_zero)
+    packed = scatter_products(action_terms(T.packed(), *rows, sign), zero, DOM.is_zero)
+    got = {unpack(k, n, length + 1): x for k, x in packed.items()}
+    assert list(got) == list(want)
+    assert all(_identical(got[k], want[k]) for k in want)
+
+
+@st.composite
+def kernel_product_cases(draw):
+    """(zero, n, terms): `_product_terms` arguments (kp, sign, A, B) of one
+    value kind, A a matrix or a scalar, zero included, meeting at two kp."""
+    kind = draw(st.sampled_from(KINDS))
+    values, zero = kernel_values(kind), 0.0 if kind == "float" else 0
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(zero), values)
+    Ms = [[[draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(3)]
+    terms = [(draw(st.integers(0, 1)), draw(st.sampled_from((1, -1))),
+              draw(st.sampled_from(Ms)) if draw(st.booleans()) else draw(entry),
+              draw(st.sampled_from(Ms))) for _ in range(draw(st.integers(1, 5)))]
+    return zero, n, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_product_cases())
+def test_product_runs_equal_the_tuple_kernel(case):
+    """`_product_terms` runs at the packed keys (kp*n + i)*n + j, summed by
+    `scatter_products`, give `reference.tuple_product_terms` at (kp, i, j)
+    summed by the tuple-key kernel: the same keys in the same order, and
+    identical values, floats bit for bit."""
+    zero, n, terms = case
+    want = tuple_scatter_products(itertools.chain.from_iterable(
+        tuple_product_terms((kp,), sign, sparse_pairs(A) if isinstance(A, list) else A,
+                            sparse_pairs(B)) for kp, sign, A, B in terms), zero, DOM.is_zero)
+    packed = scatter_products(itertools.chain.from_iterable(
+        _product_terms(kp, n, sign, _sparse(A) if isinstance(A, list) else A, _sparse(B))
+        for kp, sign, A, B in terms), zero, DOM.is_zero)
+    got = {unpack(k, n, 3): x for k, x in packed.items()}
+    assert list(got) == list(want)
+    assert all(_identical(got[k], want[k]) for k in want)
 
 
 # ---------------------------------------------------------------------------

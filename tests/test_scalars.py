@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ghl.scalars
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
-                         NumericDomain, PoleError, Polynomial,
+                         FractionDomain, NumericDomain, PoleError, Polynomial,
                          RationalFunction, UsageError, _normal_form,
                          get_degree_cap, set_degree_cap)
 from reference import content, normal_form_two_pass, ratfun_text
@@ -296,6 +296,20 @@ def test_zero_and_one_operands_match_a_fresh_build(x):
     if not x.is_zero():                     # else either zero may come back
         assert x + zero is x and zero + x is x and x - zero is x
         assert x * zero is zero and zero * x is zero
+
+
+def test_domains_share_one_zero_and_one():
+    """ExactDomain and FractionDomain return one shared immutable zero and
+    one, equal term for term to a fresh build; the bundled report bytes
+    that every use of them feeds are pinned in test_acceptance."""
+    for dom in (ExactDomain(), ExactDomain(("a",)), FractionDomain()):
+        assert dom.zero() is dom.zero() and dom.one() is dom.one()
+    assert ExactDomain().zero() is ExactDomain(("a",)).zero()
+    exact = ExactDomain()
+    assert _terms(exact.zero()) == _terms(RationalFunction.const(0))
+    assert _terms(exact.one()) == _terms(RationalFunction.const(1))
+    assert FractionDomain.zero() == 0 and FractionDomain.one() == 1
+    assert type(FractionDomain.zero()) is Fraction
 
 
 def test_zero_operands_skip_the_reduction(monkeypatch):
