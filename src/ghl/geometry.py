@@ -36,8 +36,8 @@ from typing import Sequence
 
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
-    action_terms, coboundary, derivation_action, dot, index_rows, istd, mat_add,
-    mat_scale, mat_sub, mat_vec, mat_zero, scatter_products, vec_add, vec_sub,
+    action_terms, coboundary, dot, index_rows, istd, mat_add,
+    mat_scale, mat_sub, mat_vec, mat_zero, scatter_products, unpack, vec_add, vec_sub,
     wedge, complex_trace_form,
 )
 from .scalars import FractionDomain, Polynomial, RationalFunction, UsageError
@@ -787,17 +787,6 @@ def _clear_matrices(Ms: list):
     return den, [[list(itertools.islice(it, len(row))) for row in M] for M in Ms]
 
 
-def _cleared(T: MultiTensor):
-    """`_clear` over a tensor's stored values: (den, ring tensor), or (1, T)
-    itself when `_clear` leaves them as they are."""
-    values = list(T.comp.values())
-    den, ring = _clear(values)
-    if ring is values:
-        return 1, T
-    zero = 0 if isinstance(den, int) else Polynomial.zero()
-    return den, MultiTensor(T.n, T.rank, T.has_endo, zero, zip(T.comp, ring))
-
-
 def _divide(ring: dict, den) -> dict:
     """{key: ring[key] / den}: Fractions over an int den, RationalFunctions
     over a monomial one, which share equal denominators within the call;
@@ -855,18 +844,21 @@ def _product_terms(kp: int, n: int, sign: int, A, B: list):
 
 
 def _tower(spec: BracketSpec, T: MultiTensor):
-    """(den, ring) pairs with D^kT == ring.unpacked() / den for k = 0, 1, 2,
-    ..., the covariant derivatives for the Levi-Civita connection, each
-    built when the caller asks for it, ring keyed by packed ints.  S and T
-    are cleared to ring values once (`_clear`); a step runs `_derive` on the
-    ring values, multiplies den by S's denominator and divides out the
-    content that den shares with every value (`_reduce`).  A reduced pair
-    is unique, so each is `_cleared(D^kT)`.  When `_clear` leaves S or T as
-    it is, den is 1 and the same step runs over the spec's own domain."""
+    """Reduced (den, ring) pairs with D^kT == ring.unpacked() / den, k = 0, 1,
+    2, ..., the Levi-Civita covariant derivatives, each built when the caller
+    asks for it, ring keyed by packed ints.  S and T are cleared to ring
+    values once (`_clear`); a step runs `_derive` on the ring values, takes
+    den times S's denominator and divides out the content den shares with
+    every value (`_reduce`).  When `_clear` leaves S or T as it is, den is 1
+    and the same step runs over the spec's own domain."""
     dS, S = _clear_matrices(spec.S)
-    den, ring = _cleared(T)
-    if S is spec.S or ring is T:
+    values = list(T.comp.values())
+    den, ring = _clear(values)
+    if S is spec.S or ring is values:
         dS, S, den, ring = 1, spec.S, 1, T
+    else:
+        zero = 0 if isinstance(den, int) else Polynomial.zero()
+        ring = MultiTensor(T.n, T.rank, T.has_endo, zero, zip(T.comp, ring))
     ring = ring.packed()
     while True:
         yield den, ring
@@ -878,25 +870,29 @@ def _tower(spec: BracketSpec, T: MultiTensor):
 @dataclass
 class DerivativeTuple:
     """theta^s: covariant J-derivatives D^1J..D^{s+2}J and Rm-derivatives
-    D^0Rm..D^sRm, all with respect to the Levi-Civita connection."""
+    D^0Rm..D^sRm for the Levi-Civita connection, held as `_tower` pairs;
+    `J_derivs` and `Rm_derivs` divide them on each read (`_divide`) into
+    tuple-keyed tensors over the spec's domain, whose zero is `zero`."""
     s: int
-    J_derivs: list          # [D^1 J, ..., D^{s+2} J]
-    Rm_derivs: list         # [Rm, D Rm, ..., D^s Rm]
+    J_pairs: list           # (den, ring) of D^0 J, D^1 J, ..., D^{s+2} J
+    Rm_pairs: list          # (den, ring) of Rm, D Rm, ..., D^s Rm
+    zero: object
+
+    J_derivs = property(lambda self: self._divided(self.J_pairs[1:]))  # [D^1 J, ..., D^{s+2} J]
+    Rm_derivs = property(lambda self: self._divided(self.Rm_pairs))    # [Rm, D Rm, ..., D^s Rm]
+
+    def _divided(self, pairs) -> list:
+        return [MultiTensor(ring.n, ring.rank, ring.has_endo, self.zero, _divide(ring.comp, den))
+                .unpacked() for den, ring in pairs]
 
 
 def hermitian_s_tuple(spec: BracketSpec, s: int = 2, verify: bool = True) -> DerivativeTuple:
-    """theta^s from the `_tower` pairs of J and Rm, each divided once into the
-    spec's domain; with verify, checked by `check_x1_identities`."""
+    """theta^s from the `_tower`s of J and Rm, with verify checked by `check_x1_identities`."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    zero = spec.domain.zero()
-
-    def derivs(T, start, stop):
-        return [MultiTensor(ring.n, ring.rank, ring.has_endo, zero, _divide(ring.comp, den))
-                .unpacked() for den, ring in itertools.islice(_tower(spec, T), start, stop)]
-
-    tup = DerivativeTuple(s, derivs(MultiTensor.from_endo(spec.I, spec.domain), 1, s + 3),
-                          derivs(_rm_tensor(spec, spec.Rm), 0, s + 1))
+    J, Rm = MultiTensor.from_endo(spec.I, spec.domain), _rm_tensor(spec, spec.Rm)
+    tup = DerivativeTuple(s, list(itertools.islice(_tower(spec, J), s + 3)),
+                          list(itertools.islice(_tower(spec, Rm), s + 1)), spec.domain.zero())
     if verify:
         check_x1_identities(spec, tup)
     return tup
@@ -904,7 +900,11 @@ def hermitian_s_tuple(spec: BracketSpec, s: int = 2, verify: bool = True) -> Der
 
 def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
     """Assert the curvature-model identities (pair symmetry, first Bianchi,
-    and the Ricci-type alternations on higher derivatives)."""
+    and the Ricci-type alternations on higher derivatives).  An alternation
+    T(x1,x2,.) - T(x2,x1,.) = -Rm(x1,x2) . base on the tuple's pairs is
+    checked in their ring, cleared of denominators up to shared content
+    (`_reduce`), as one `scatter_products` call at the packed (x1, x2, rest),
+    x1 < x2, that must leave no sum."""
     dom = spec.domain
     n2 = 2 * spec.m
     Rm = spec.Rm
@@ -919,38 +919,37 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
         if any(not dom.is_zero(Rm[a][b][r][c] + Rm[b][c][r][a] + Rm[c][a][r][b])
                for r in range(n2)):
             raise InternalConsistencyError(f"first Bianchi fails on ({a},{b},{c})")
-    dR, R = _cleared(_rm_tensor(spec, Rm))
+    dR, R = tup.Rm_pairs[0]
 
-    def antisym_check(T: MultiTensor, base: MultiTensor, label: str):
-        # T(x1,x2,rest) - T(x2,x1,rest) = -(Rm(x1,x2) . base)(rest), checked in
-        # the ring (`_cleared`, once per tensor) with Rm = R/dR, base = Bn/dB
-        # and T = P/dT:
-        # dR*dB*(T(x1,x2,rest) - T(x2,x1,rest)) + dT*(Rn . Bn)(rest) = 0,
-        # with the content the two factors share divided out (`_reduce`)
-        dB, Bn = _cleared(base)
-        dT, P = _cleared(T)
+    def antisym_check(dT, P, dB, B, label: str):
         scale, (dT,) = _reduce(dR * dB, [dT])
-        rests = {}
-        for key in P.comp:
-            rests.setdefault(tuple(sorted(key[:2])), set()).add(key[2:])
-        for x1, x2 in itertools.combinations(range(n2), 2):
-            Rn = [[R.get((x1, x2, r, c)) for c in range(n2)] for r in range(n2)]
-            D = derivation_action(Rn, Bn, dom)
-            for rest in rests.get((x1, x2), set()) | D.comp.keys():
-                lhs = scale * (P.get((x1, x2) + rest) - P.get((x2, x1) + rest)) + dT * D.get(rest)
-                if not dom.is_zero(lhs):
-                    raise InternalConsistencyError(f"identity {label} fails at {x1},{x2},{rest}")
+        length = B.rank + 2 * B.has_endo
+        size = n2 ** length
+        keys = [(key, *divmod(key // size, n2), v) for key, v in P.comp.items()]
+        plus = [(key, 0, v) for key, x1, x2, v in keys if x1 < x2]
+        minus = [((x2 * n2 + x1) * size + key % size, 0, v)    # at the mirrored (x2, x1, rest)
+                 for key, x1, x2, v in keys if x1 > x2]
+        rows, cols = {}, {}
+        for key, v in R.comp.items():
+            x12, rc = divmod(key, n2 * n2)
+            if x12 // n2 < x12 % n2:
+                (r, c), a = divmod(rc, n2), dT * v
+                rows.setdefault(r, []).append((x12 * size, c, a))
+                cols.setdefault(c, []).append((x12 * size, r, a))
+        runs = [(0, 0, 1, scale, plus), (0, 0, -1, scale, minus)]
+        left = scatter_products(itertools.chain(runs, action_terms(B, rows, cols)),
+                                P._zero, dom.is_zero)
+        if left:
+            x12, rest = divmod(min(left), size)
+            raise InternalConsistencyError(
+                f"identity {label} fails at {x12 // n2},{x12 % n2},{unpack(rest, n2, length)}")
 
-    # (vii): D^2J alternation against Rm acting on I
-    Jt = MultiTensor.from_endo(spec.I, dom)
-    if tup.s >= 0 and len(tup.J_derivs) >= 2:
-        antisym_check(tup.J_derivs[1], Jt, "vii")
-    # (viii): D^{k+2}J vs D^kJ for 1 <= k <= s
-    for k in range(1, tup.s + 1):
-        antisym_check(tup.J_derivs[k + 1], tup.J_derivs[k - 1], "viii")
+    # (vii) at k = 0 and (viii) for 1 <= k <= s: D^{k+2}J vs D^kJ
+    for k in range(0, tup.s + 1):
+        antisym_check(*tup.J_pairs[k + 2], *tup.J_pairs[k], "viii" if k else "vii")
     # (vi): D^{k+2}Rm vs D^kRm for 0 <= k <= s-2
     for k in range(0, tup.s - 1):
-        antisym_check(tup.Rm_derivs[k + 2], tup.Rm_derivs[k], "vi")
+        antisym_check(*tup.Rm_pairs[k + 2], *tup.Rm_pairs[k], "vi")
 
 
 # -- Singer invariant and Killing generators -----------------------------------------

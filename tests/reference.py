@@ -8,6 +8,7 @@ value, and the derivation action and the matrix brackets summed entry by
 entry with each scalar's own arithmetic, which the engine sums on packed
 monomials, and the two-pass normal form and the clearing of every value,
 zeros included, which the engine does in one pass and with zeros skipped,
+and the reduced pair of a tensor, which the engine's derivative tower keeps,
 and the sum-of-products kernel on tuple keys with one term per product,
 which the engine runs on packed int keys with one run of terms per factor.
 
@@ -435,6 +436,28 @@ def clear_every_value(values: list):
         ring.append(Polynomial(names, {tuple(map(operator.add, x, shift)): a * k
                                        for x, a in v.num._aligned_to(names).terms.items()}))
     return Polynomial(names, {top: L}), ring
+
+
+def clear_and_reduce(T: MultiTensor):
+    """(den, ring tensor) with T == ring / den: `clear_every_value` over T's
+    stored values, then the content that den shares with every ring value
+    divided out, their gcd over ints and over a monomial den the gcd of all
+    coefficients times the least exponents; (1, T) itself where
+    clear_every_value leaves the values as they are."""
+    values = list(T.comp.values())
+    den, ring = clear_every_value(values)
+    if ring is values:
+        return 1, T
+    if isinstance(den, int):
+        g = gcd(den, *ring)
+        return den // g, MultiTensor(T.n, T.rank, T.has_endo, 0,
+                                     {k: v // g for k, v in zip(T.comp, ring)})
+    polys = [den, *ring]
+    g = gcd(*(content(p).numerator for p in polys))
+    low = tuple(map(min, *map(monomial_content, polys)))
+    den, *ring = (Polynomial(p.vars, {tuple(map(operator.sub, e, low)): c // g
+                                      for e, c in p.terms.items()}) for p in polys)
+    return den, MultiTensor(T.n, T.rank, T.has_endo, Polynomial.zero(), zip(T.comp, ring))
 
 
 # -- the sum-of-products kernel on tuple keys ---------------------------------------

@@ -2,6 +2,7 @@
 symmetries, s-tuple identities, Singer filtrations, Killing algebras and the
 Nomizu bracket."""
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -12,15 +13,16 @@ from fractions import Fraction
 import pytest
 
 from ghl import geometry as geo
+from ghl import multilinear
 from ghl.fileio import bundled_path, load_ghl
 from ghl.multilinear import (MultiTensor, basis_vector, commutator,
-                             derivation_action, mat_is_zero, unpack,
+                             derivation_action, mat_is_zero, pack, unpack,
                              mat_scale, mat_vec, mat_zero)
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, FractionDomain,
                          Polynomial, RationalFunction, UsageError, set_degree_cap)
 
-from reference import (clear_every_value, curvature_dense, form_basis, from_bilinear,
-                       mat_identity)
+from reference import (clear_and_reduce, clear_every_value, curvature_dense, form_basis,
+                       from_bilinear, mat_identity)
 from test_nonintegrable import random_two_step_specs
 
 
@@ -457,7 +459,8 @@ def _reference_tower(spec, T, count):
 
 def test_integer_tower_equals_fraction_tower(all_bundled, iwasawa, kodaira, abelian2, sphere):
     """Each `_tower` pair (den, ring), ring's packed keys unpacked, equals
-    `_cleared` of iterated covariant_derivative over the spec's own domain,
+    the reduced pair (`reference.clear_and_reduce`) of iterated
+    covariant_derivative over the spec's own domain,
     for J and Rm up to order 3: ints over an int den on the Fraction specs, Polynomials over a
     monomial on the symbolic ones, and den 1 over the domain values
     themselves where `_clear` leaves S as it is (numeric Kodaira-Thurston and
@@ -475,7 +478,7 @@ def test_integer_tower_equals_fraction_tower(all_bundled, iwasawa, kodaira, abel
             ref = _reference_tower(spec, T, count)
             for k, (den, packed) in enumerate(itertools.islice(geo._tower(spec, T), count)):
                 where, got = (spec.name, T.rank, k), packed.unpacked()
-                want_den, want = geo._cleared(ref[k])
+                want_den, want = clear_and_reduce(ref[k])
                 assert den == want_den and got.comp == want.comp, where
                 if spec in domain_specs:
                     assert den == 1 and got.comp == ref[k].comp, where
@@ -529,9 +532,10 @@ def test_s2_tuples_evaluate_to_fractions(all_bundled, s2_tuples):
 
 
 def test_x1_check_fails_on_a_perturbed_entry(all_bundled, s2_tuples, kodaira):
-    """One entry of D^2J, D^3J or D^2Rm moved by one breaks (vii), (viii) or
-    (vi): symbolic, over Fractions, numeric, and with a non-monomial
-    denominator, where `_clear` leaves Rm and some of the tuple as they are."""
+    """One held entry of D^2J, D^3J or D^2Rm moved by one (den added to the
+    ring value at the packed (0, 1, 0, ...)) breaks (vii), (viii) or (vi):
+    symbolic, over Fractions, numeric, and with a non-monomial denominator,
+    where the tower holds the spec's own domain values over den 1."""
     inst = kodaira.spec.instantiate({"alpha": 1, "beta": Fraction(1, 2), "r": 2, "v": 3})
     nonmonomial = _non_monomial_spec()
     cases = [(kodaira.spec, s2_tuples["kodaira"]),
@@ -539,18 +543,51 @@ def test_x1_check_fails_on_a_perturbed_entry(all_bundled, s2_tuples, kodaira):
              (all_bundled["kodaira-thurston"].spec, s2_tuples["kodaira-thurston"]),
              (nonmonomial, geo.hermitian_s_tuple(nonmonomial, s=2, verify=True))]
     for spec, tup in cases:
-        dom = spec.domain
-        for field, index, label in (("J_derivs", 1, "vii"), ("J_derivs", 2, "viii"),
-                                    ("Rm_derivs", 2, "vi")):
-            derivs = list(getattr(tup, field))
-            T = derivs[index]
-            key = (0, 1) + (0,) * (T.rank - 2 + 2 * T.has_endo)
+        for field, index, label in (("J_pairs", 2, "vii"), ("J_pairs", 3, "viii"),
+                                    ("Rm_pairs", 2, "vi")):
+            pairs = list(getattr(tup, field))
+            den, T = pairs[index]
+            key = pack((0, 1) + (0,) * (T.rank - 2 + 2 * T.has_endo), T.n)
             comp = dict(T.comp)
-            comp[key] = T.get(key) + dom.one()
-            derivs[index] = MultiTensor(T.n, T.rank, T.has_endo, T._zero, comp)
-            bad = dataclasses.replace(tup, **{field: derivs})
+            comp[key] = T.get(key) + den
+            pairs[index] = den, MultiTensor(T.n, T.rank, T.has_endo, T._zero, comp)
+            bad = dataclasses.replace(tup, **{field: pairs})
             with pytest.raises(geo.InternalConsistencyError, match=f"identity {label} fails"):
                 geo.check_x1_identities(spec, bad)
+
+
+def test_x1_check_is_one_kernel_call_per_identity(kodaira, monkeypatch):
+    """Inside check_x1_identities on the kodaira s = 1 and s = 2 tuples
+    nothing is cleared again and no derivation_action runs: each instance of
+    (vii), (viii) and (vi) is one scatter_products call, 2 for s = 1 and 4
+    for s = 2."""
+    calls, inside = collections.Counter(), []
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += bool(inside)
+            return f(*args, **kwargs)
+        return wrapper
+
+    def checking(*args, **kwargs):
+        inside.append(True)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    check = geo.check_x1_identities
+    monkeypatch.setattr(geo, "check_x1_identities", checking)
+    monkeypatch.setattr(geo, "_clear", counting("_clear", geo._clear))
+    monkeypatch.setattr(geo, "scatter_products", counting("kernel", geo.scatter_products))
+    for module in (multilinear, geo):
+        if hasattr(module, "derivation_action"):
+            monkeypatch.setattr(module, "derivation_action",
+                                counting("derivation_action", module.derivation_action))
+    for s, kernel in ((1, 2), (2, 4)):
+        calls.clear()
+        geo.hermitian_s_tuple(kodaira.spec, s=s, verify=True)
+        assert (calls["_clear"], calls["derivation_action"], calls["kernel"]) == (0, 0, kernel), s
 
 
 def test_degree_cap_still_guards_the_s_tuple(kodaira, s2_tuples):
