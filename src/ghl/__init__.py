@@ -11,8 +11,7 @@ from .geometry import (AuditReport, BracketSpec, DerivativeTuple,
                        gauduchon_curvature_torsion, hermitian_s_tuple,
                        killing_generators, lee_form, levi_civita,
                        metric_flags, nomizu_bracket, reduce_non_effective,
-                       rescale, rescaling_exponent, ricci_and_scalar,
-                       riemann_curvature, rho2_matrix, sectional_curvature,
+                       ricci_and_scalar, riemann_curvature, rho2_matrix,
                        singer_invariant, symbolic_t, torsion_ingredients,
                        validate)
 from .fileio import (GhlFormatError, LoadedSpec, build_report, bundled_path,

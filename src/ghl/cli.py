@@ -30,7 +30,7 @@ from . import geometry as geo
 from .exprparse import ExprSyntaxError, UndeclaredParameterError
 from .fileio import (GhlFormatError, build_report, compare_reports, load_ghl,
                      parse_assignments, serialize_report)
-from .multilinear import FrameError, basis_vector
+from .multilinear import FrameError
 from .scalars import (DEFAULT_TOLERANCE, DegreeGuardError, PoleError, UsageError,
                       _degree_cap, set_degree_cap)
 
@@ -237,9 +237,9 @@ def _sweep_value(quantity: str, spec, t: Fraction) -> str:
         Om, _ = geo.gauduchon_curvature_torsion(spec, dom.from_fraction(t))
         return dom.text(geo.ricci_and_scalar(spec, Om)[2])
     if quantity == "sec_max_basis":
+        # <Rm(e_a, e_b)e_a, e_b> is the entry Rm[a][b][b][a]: matrices act on columns
         n2 = 2 * spec.m
-        e = [basis_vector(n2, a, dom) for a in range(n2)]
-        return dom.text(max(geo.sectional_curvature(spec, spec.Rm, e[a], e[b])
+        return dom.text(max(spec.Rm[a][b][b][a]
                             for a in range(n2) for b in range(a + 1, n2)))
     if quantity == "singer_k":
         res = geo.singer_invariant(spec)

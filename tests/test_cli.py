@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,9 +13,11 @@ import pytest
 from ghl import cli
 from ghl import geometry as geo
 from ghl.cli import main
-from ghl.fileio import BUNDLED, bundled_path
+from ghl.fileio import BUNDLED, bundled_path, load_ghl, parse_assignments
+from ghl.multilinear import basis_vector
 
 from conftest import TEST_DATA
+from reference import sectional_curvature
 
 
 def run(*argv):
@@ -348,6 +351,35 @@ def test_instantiated_report_with_rational_t_pinned(name, params, t, fmt):
 def test_sweep_abelian_sec_max_basis_pinned():
     assert run("sweep", str(bundled_path("abelian2")), "--grid", "t=0:1:2",
                "--quantity", "sec_max_basis") == (0, "t,sec_max_basis\n0,0\n1,0\n", "")
+
+
+# rational points of every bundled and test data file that passes validation,
+# the numeric frames at metric scales 10^-3 to 10^3 and the flat abelian2
+SEC_POINTS = {
+    **dict.fromkeys(["abelian2", "sphere", "kt-exact", "kodaira-times-c", "nonunimodular"], [""]),
+    "iwasawa": ["alpha=1", "alpha=2/3", "alpha=5"],
+    "kodaira": ["alpha=2,beta=1,r=1/2,v=5", "alpha=1,beta=0,r=1,v=1", "alpha=-3,beta=1,r=2,v=3"],
+    "kodaira-thurston": ["r=1/1000,sigma=2/1000,x=1/1000000,y=0", "r=1,sigma=1,x=1/4,y=1/4",
+                         "r=1000,sigma=7,x=5,y=-3"],
+    "iwasawa-metric": ["r=1/1000,sigma=1/1000,tau=1/1000,x=0,y=0",
+                       "r=1,sigma=2,tau=3,x=1/2,y=-1/3", "r=1000,sigma=1,tau=7,x=1,y=2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEC_POINTS))
+def test_sweep_sec_max_basis_reads_the_dense_sectional_curvature(name):
+    """sec_max_basis reads <Rm(e_a,e_b)e_a, e_b> as Rm[a][b][b][a]: the text,
+    per plane and of the max, of the dense contraction with basis vectors."""
+    path = bundled_path(name) if name in BUNDLED else TEST_DATA / f"{name}.ghl"
+    for point in SEC_POINTS[name]:
+        spec = load_ghl(path, parse_assignments(point)).spec
+        dom, n2 = spec.domain, 2 * spec.m
+        e = [basis_vector(n2, a, dom) for a in range(n2)]
+        planes = list(itertools.combinations(range(n2), 2))
+        dense = [sectional_curvature(spec, spec.Rm, e[a], e[b]) for a, b in planes]
+        assert [dom.text(spec.Rm[a][b][b][a]) for a, b in planes] \
+            == list(map(dom.text, dense)), point
+        assert cli._sweep_value("sec_max_basis", spec, 1) == dom.text(max(dense)), point
 
 
 # sha256 of `report --format text` at the file's samples s1 and s2

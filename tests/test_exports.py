@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,30 @@ def test_perfbench_tracer_targets_resolve():
     missing = [f"{modname}.{attr}" for modname, attrs in tracer.TARGETS.values()
                for attr in attrs if not hasattr(importlib.import_module(modname), attr)]
     assert missing == []
+
+
+def test_every_export_has_a_user():
+    """No export serves only the tests: code in src/ghl, perfbench or scripts
+    uses it as an identifier, an attribute or an exact string (the tracer's
+    TARGETS), not in a def, import or __all__, or the README backticks it."""
+    root = Path(__file__).resolve().parent.parent
+    init = ast.parse(Path(ghl.__file__).read_text(encoding="utf-8"))
+    exported = {*importlib.import_module("ghl.geometry").__all__,
+                *importlib.import_module("ghl.multilinear").__all__,
+                *(alias.asname or alias.name for node in ast.walk(init)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)}
+    used = set()
+    for folder in ("src/ghl", "perfbench", "scripts"):
+        for path in sorted((root / folder).glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            listed = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                      and "__all__" in [getattr(t, "id", None) for t in stmt.targets]
+                      for node in ast.walk(stmt.value)}
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+            used |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str) and id(node) not in listed}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    used |= {word for span in re.findall(r"`+([^`]+)`+", readme)
+             for word in re.findall(r"\w+", span)}
+    assert sorted(exported - used) == []

