@@ -53,7 +53,10 @@ def _rational(text: str) -> Fraction:
 
 
 def _parse_t(text: str | None, dom):
-    """--t as (value, label); (None, None) keeps build_report's default t."""
+    """--t as (value, label); (None, None) keeps build_report's default t: symbolic
+    on the exact backend, 1 on the numeric one, which refuses --t symbolic."""
+    if text == "symbolic" and dom.backend == "numeric":
+        raise UsageError("the numeric backend has no symbolic t: give --t RAT or leave it out")
     if text is None or text == "symbolic":
         return None, None
     return dom.from_fraction(_rational(text)), text
@@ -199,6 +202,8 @@ def cmd_sweep(args) -> int:
     t = Fraction(1) if args.t is None else _rational(args.t)
     fixed = args.params or {}
     names, points = _grid_points(args.grid)
+    if "t" in names and args.t is not None:
+        raise UsageError("parameter 't' is given in both --grid and --t")
     for name in names:
         # t in --params is load_ghl's to refuse, with its pointer to --t
         if name in fixed and name != "t":

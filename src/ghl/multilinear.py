@@ -294,7 +294,8 @@ def scatter_products(runs, zero, is_zero) -> dict:
     without the sums that is_zero (an int one: that are 0).  A product of
     Polynomials passes the degree cap check and adds into one {monomial:
     coefficient} dict per key, each monomial packed into an int with a
-    cap.bit_length()-bit field per variable, then one Polynomial per key.
+    cap.bit_length()-bit field per variable, then one Polynomial per key;
+    Polynomial coefficients are ints, so these sums are int sums.
     Other products sum from zero in run and entry order.  This is Johnson's
     sum-of-products scheme (1974) as Monagan and Pearce use it (2009)."""
     cap = get_degree_cap()

@@ -1,16 +1,16 @@
-"""Exact scalar kernel: sparse multivariate polynomials and rational functions
-over Q, plus a numeric domain over plain floats.
+"""Exact scalar kernel: sparse multivariate polynomials over the integers and
+rational functions over Q, plus a numeric domain over plain floats.
 
 Representation:
 
   Polynomial      vars:  tuple of parameter names, always sorted alphabetically
                   terms: dict mapping exponent tuples (one int per variable)
-                         to int or Fraction coefficients; zero coefficients
-                         are never stored, the zero polynomial has
-                         terms == {}.  Sums, differences and products keep
-                         int coefficients int.
+                         to int coefficients, the only scalars const, +, -
+                         and * take (a Fraction is a TypeError); zero
+                         coefficients are never stored, the zero polynomial
+                         has terms == {}.  evaluate returns a Fraction.
   RationalFunction  num/den Polynomials in one normal form, fixed when the
-                  value is built: int coefficients with no common factor, no
+                  value is built: coefficients with no common factor, no
                   monomial shared by num and den, den's leading coefficient
                   (graded-lex order) positive, and zero as 0/1.  No GCD is
                   taken, so num and den may still share a non-monomial
@@ -37,7 +37,7 @@ from __future__ import annotations
 import operator
 from contextvars import ContextVar
 from fractions import Fraction
-from math import gcd as _gcd, isfinite, lcm as _lcm, sqrt as _math_sqrt
+from math import gcd as _gcd, isfinite, prod, sqrt as _math_sqrt
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -86,7 +86,7 @@ def get_degree_cap() -> int:
     return _degree_cap.get()
 
 
-_ONE_TERMS = {(): Fraction(1)}      # the terms of the constant polynomial 1
+_ONE_TERMS = {(): 1}                # the terms of the constant polynomial 1
 
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
@@ -95,13 +95,13 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with int or Fraction coefficients."""
+    """Immutable sparse polynomial with int coefficients."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction]):
+    def __init__(self, variables: tuple[str, ...], terms: Mapping[tuple[int, ...], int]):
         # Internal constructor; inputs must already be canonical
-        # (sorted variables, no zero coefficients).
+        # (sorted variables, no zero coefficients, int coefficients).
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", dict(terms))
 
@@ -115,13 +115,10 @@ class Polynomial:
         return Polynomial((), {})
 
     @staticmethod
-    def const(c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial((), {} if c == 0 else {(): c})
-
-    @staticmethod
-    def variable(name: str) -> "Polynomial":
-        return Polynomial((name,), {(1,): Fraction(1)})
+    def const(c: int) -> "Polynomial":
+        if type(c) is not int:
+            raise TypeError(f"polynomial coefficients are ints, got {type(c).__name__}")
+        return Polynomial((), {(): c} if c else {})
 
     # -- basic queries ------------------------------------------------------
 
@@ -131,19 +128,19 @@ class Polynomial:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int]:
         """Leading (monomial, coefficient) in graded-lex order."""
         if not self.terms:
-            return ((0,) * len(self.vars), Fraction(0))
+            return ((0,) * len(self.vars), 0)
         m = max(self.terms, key=_grlex_key)
         return m, self.terms[m]
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -186,7 +183,7 @@ class Polynomial:
     def _combine(self, other, op):
         """self op other for op in (operator.add, operator.sub), term by term;
         with no terms on one side, the other operand (or -other) itself."""
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -219,7 +216,7 @@ class Polynomial:
         return Polynomial.const(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             if other == 0:
                 return Polynomial.zero()
             return Polynomial(self.vars, {e: k * other for e, k in self.terms.items()})
@@ -246,7 +243,7 @@ class Polynomial:
             terms = {tuple(x + y for x, y in zip(e1, e)): c1 * c
                      for e, c in b.terms.items()}
             return Polynomial(a.vars, terms)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
@@ -262,7 +259,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power must be a non-negative integer")
-        result = Polynomial.const(1)
+        result = _ONE
         base = self
         while n:
             if n & 1:
@@ -273,7 +270,7 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             other = Polynomial.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -283,30 +280,16 @@ class Polynomial:
     def __hash__(self):  # pragma: no cover
         raise TypeError("Polynomial is unhashable (equality is semantic)")
 
-    # -- substitution -------------------------------------------------------
-
-    def substitute(self, assignment: Mapping[str, Fraction]) -> "Polynomial":
-        """Replace some variables by rational values; others remain."""
-        keep = [i for i, v in enumerate(self.vars) if v not in assignment]
-        vals = {i: Fraction(assignment[v]) for i, v in enumerate(self.vars) if v in assignment}
-        newvars = tuple(self.vars[i] for i in keep)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            for i, val in vals.items():
-                c = c * val ** exp[i]
-            key = tuple(exp[i] for i in keep)
-            s = terms.get(key, Fraction(0)) + c
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return Polynomial(newvars, terms)._trim()
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
+        """sum c * prod(x_i ** e_i) at rational values for every variable."""
         missing = [v for v in self.vars if v not in assignment]
         if missing:
             raise ValueError(f"missing assignment for parameter(s): {', '.join(missing)}")
-        return self.substitute(assignment).constant_value()
+        point = [Fraction(assignment[v]) for v in self.vars]
+        return sum((c * prod(x ** e for x, e in zip(point, exp) if e)
+                    for exp, c in self.terms.items()), Fraction(0))
 
     # -- serialization ------------------------------------------------------
 
@@ -327,15 +310,14 @@ class Polynomial:
                 for v, e in zip(self.vars, exp)
                 if e
             )
-            mag = abs(c)
-            coeff = str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            body = coeff if not mono else (mono if mag == 1 else f"{coeff}*{mono}")
+            coeff = str(abs(c))
+            body = coeff if not mono else (mono if c in (1, -1) else f"{coeff}*{mono}")
             parts.append((c < 0, mono, coeff, body))
         neg, mono, coeff, body = parts[0]
         if not neg:
             out = body
         elif mono:
-            out = f"-{coeff}*{mono}"   # explicit coefficient: "-1*t^2", "-3/4*a"
+            out = f"-{coeff}*{mono}"   # explicit coefficient: "-1*t^2", "-3*a"
         else:
             out = "-" + body
         for neg, _, _, body in parts[1:]:
@@ -351,12 +333,13 @@ _ONE = Polynomial((), {(): 1})
 
 
 def _normal_form(num: Polynomial, den: Polynomial):
-    """num/den in normal form: int coefficients with no common factor, no
+    """num/den in normal form: coefficients with no common factor, no
     monomial shared by num and den, den's leading coefficient positive, and
     a zero num over the constant 1.  A pair already in normal form comes
     back as the same objects.  One pass: den's monomial content first (it
-    is usually 1 or a monomial), num's only when den has one, and over int
-    coefficients one gcd, with no lcm."""
+    is usually 1 or a monomial), num's only when den has one, then one gcd
+    of every coefficient.  Polynomial coefficients are ints, so the gcd is
+    the whole content; a Fraction coefficient ends in math.gcd's TypeError."""
     if not num.terms:
         return num, _ONE
     if any(dlow := tuple(map(min, zip(*den.terms)))):
@@ -366,13 +349,7 @@ def _normal_form(num: Polynomial, den: Polynomial):
             num, den = (Polynomial(p.vars, {tuple(map(operator.sub, e, shift)): c
                                             for e, c in p.terms.items()})._trim()
                         for p in (num, den) for shift in [[low.get(v, 0) for v in p.vars]])
-    coeffs = [*num.terms.values(), *den.terms.values()]
-    if not all(type(c) is int for c in coeffs):
-        L = _lcm(*[c.denominator for c in coeffs])
-        num, den = (Polynomial(p.vars, {e: c.numerator * (L // c.denominator)
-                                        for e, c in p.terms.items()}) for p in (num, den))
-        coeffs = [*num.terms.values(), *den.terms.values()]
-    g = _gcd(*coeffs)
+    g = _gcd(*num.terms.values(), *den.terms.values())
     if den.leading()[1] < 0:
         g = -g
     if g == 1:
@@ -510,17 +487,9 @@ class RationalFunction:
     def __hash__(self):  # pragma: no cover
         raise TypeError("RationalFunction is unhashable (equality is semantic)")
 
-    # -- substitution / evaluation ------------------------------------------
-
-    def substitute(self, assignment: Mapping[str, Fraction]) -> "RationalFunction":
-        den = self.den.substitute(assignment)
-        if den.is_zero():
-            point = ", ".join(f"{k}={v}" for k, v in sorted(assignment.items()))
-            raise PoleError(f"pole at assignment {point}")
-        return RationalFunction(self.num.substitute(assignment), den)
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        assignment = {k: Fraction(v) for k, v in assignment.items()}
         den = self.den.evaluate(assignment)
         if den == 0:
             point = ", ".join(f"{k}={v}" for k, v in sorted(assignment.items()))

@@ -367,9 +367,9 @@ def ratfun_text(num: Polynomial, den: Polynomial) -> str:
     num, den = (Polynomial(p.vars, {tuple(a - b for a, b in zip(e, low)): c
                                     for e, c in p.terms.items()}) for p in (num, den))
     scale = content(den)
-    num, den = num * (1 / scale), den * (1 / scale)
-    nc = content(num)
-    num, den = num * nc.denominator, den * nc.denominator
+    k = (content(num) / scale).denominator / scale     # den / scale, then num, made integral
+    num, den = (Polynomial(p.vars, {e: int(c * k) for e, c in p.terms.items()})
+                for p in (num, den))
     if den == Polynomial.const(1):
         return num.text()
     if num.is_constant() and den.is_constant():

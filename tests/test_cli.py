@@ -508,6 +508,35 @@ def test_sweep_symbolic_t_exits_two():
     assert run(*argv, "--t", "0")[:2] == (0, "alpha,scal\n1,27\n2,216\n")
 
 
+def test_symbolic_t_on_a_numeric_spec_exits_two():
+    """A frame-metric spec runs on the numeric backend, which has no
+    symbolic t; report and check once gave the t = 1 result under
+    --t symbolic.  Without --t the report is still the t = 1 one."""
+    kt = str(bundled_path("kodaira-thurston"))
+    expected = str(bundled_path("kodaira-thurston.expected.json"))
+    for argv in (("report", kt), ("check", kt, expected)):
+        code, out, err = run(*argv, "--t", "symbolic")
+        assert (code, out) == (2, ""), argv
+        assert "the numeric backend has no symbolic t: give --t RAT or leave it out" in err
+    code, out, _ = run("report", kt)
+    assert code == 0 and json.loads(out)["t"] == "1"
+    assert run("check", kt, expected)[:2] == (0, "check: OK\n")
+
+
+def test_sweep_t_axis_and_t_option_exits_two():
+    """A t axis in --grid and --t name one parameter twice; --t was once
+    ignored.  Either one alone still sweeps."""
+    def sweep(grid, params, *t):
+        return run("sweep", str(bundled_path("kodaira")), "--grid", grid, "--quantity", "scal",
+                   "--params", params, *t)
+
+    code, out, err = sweep("t=0:1:2", "alpha=1,beta=0,r=1,v=1", "--t", "5")
+    assert (code, out) == (2, "")
+    assert "parameter 't' is given in both --grid and --t" in err
+    assert sweep("t=0:1:2", "alpha=1,beta=0,r=1,v=1")[0] == 0
+    assert sweep("alpha=1:2:2", "beta=0,r=1,v=1", "--t", "5")[0] == 0
+
+
 @pytest.mark.parametrize("quantity", ["scal", "sec_max_basis", "singer_k"])
 def test_sweep_parses_t_for_every_quantity(quantity):
     """--t is parsed once, before any point: a bad literal is refused even

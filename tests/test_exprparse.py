@@ -7,7 +7,7 @@ import pytest
 
 from ghl.exprparse import (ExprSyntaxError, UndeclaredParameterError,
                            parse_expression, to_linear_combination, to_scalar)
-from ghl.scalars import ExactDomain, Polynomial, RationalFunction
+from ghl.scalars import ExactDomain, RationalFunction
 
 DOM = ExactDomain(("alpha", "beta", "r", "v", "t", "a", "b"))
 
@@ -105,18 +105,18 @@ def _random_ratfun(rng: random.Random) -> RationalFunction:
     names = ("alpha", "r", "t")
 
     def poly():
-        p = Polynomial.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        p = RationalFunction.const(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
         for name in names:
             for power in (1, 2, 3):
                 if rng.random() < 0.35:
                     c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    p = p + Polynomial.variable(name) ** power * c
+                    p = p + RationalFunction.param(name) ** power * c
         return p
     num = poly()
     den = poly()
     if den.is_zero():
-        den = Polynomial.const(1)
-    return RationalFunction(num, den)
+        den = RationalFunction.const(1)
+    return num / den
 
 
 def test_print_parse_round_trip_100_random():

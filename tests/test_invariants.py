@@ -14,7 +14,7 @@ import pytest
 
 from ghl import geometry as geo
 from ghl import multilinear
-from ghl.fileio import bundled_path, load_ghl
+from ghl.fileio import BUNDLED, build_report, bundled_path, load_ghl
 from ghl.multilinear import (MultiTensor, basis_vector, commutator,
                              derivation_action, pack, unpack,
                              mat_scale, mat_vec, mat_zero)
@@ -529,6 +529,40 @@ def test_s2_tuples_evaluate_to_fractions(all_bundled, s2_tuples):
                     if v.is_constant():
                         assert type(v.as_fraction()) is Fraction, name
     assert seen
+
+
+def _polynomials(x) -> list:
+    """The Polynomials inside a scalar value or a `_tower` den or ring value."""
+    if isinstance(x, Polynomial):
+        return [x]
+    if isinstance(x, RationalFunction):
+        return [x.num, x.den]
+    return []
+
+
+def test_every_polynomial_has_int_coefficients(s2_tuples, monkeypatch):
+    """Int is the one Polynomial coefficient type on the engine's paths:
+    every Polynomial built while the five bundled reports are loaded and
+    built at symbolic t, and every one inside the values and `_tower` pairs
+    of the kodaira and iwasawa s = 2 tuples, has int coefficients."""
+    built, init = [], Polynomial.__init__
+
+    def recording_init(self, variables, terms):
+        init(self, variables, terms)
+        built.append(self)
+
+    monkeypatch.setattr(Polynomial, "__init__", recording_init)
+    for name in BUNDLED:
+        build_report(load_ghl(bundled_path(name)))
+    monkeypatch.undo()
+    for name in ("kodaira", "iwasawa"):
+        tup = s2_tuples[name]
+        for T in tup.J_derivs + tup.Rm_derivs:
+            built += [p for v in T.comp.values() for p in _polynomials(v)]
+        for den, ring in tup.J_pairs + tup.Rm_pairs:
+            built += [p for v in (den, *ring.comp.values()) for p in _polynomials(v)]
+    coeffs = [c for p in built for c in p.terms.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
 
 
 def test_x1_check_fails_on_a_perturbed_entry(all_bundled, s2_tuples, kodaira):
