@@ -531,13 +531,15 @@ def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
 def _assert_unitary(M, dom, label: str):
     """Raise unless M is skew-symmetric and commutes with I
     (`_commutes_with_I`): M in u(m), as every A^t(X) is (Gauduchon 1997)."""
-    n = len(M)
-    for i in range(n):
-        for j in range(i, n):
-            if not dom.is_zero(M[i][j] + M[j][i]):
-                raise InternalConsistencyError(f"{label} is not skew-symmetric")
+    _assert_skew(M, dom, label)
     if not _commutes_with_I(M, dom):
         raise InternalConsistencyError(f"{label} does not commute with I")
+
+
+def _assert_skew(M, dom, label: str):
+    for i, j in itertools.combinations_with_replacement(range(len(M)), 2):
+        if not dom.is_zero(M[i][j] + M[j][i]):
+            raise InternalConsistencyError(f"{label} is not skew-symmetric at ({i},{j})")
 
 
 def _commutes_with_I(M, dom) -> bool:
@@ -726,20 +728,22 @@ def _derive(Q: MultiTensor, C: list, is_zero) -> MultiTensor:
     n, size = Q.n, Q.n ** (Q.rank + 2 * Q.has_endo)
     rows, cols = index_rows(((x * size, M) for x, M in enumerate(C)), is_zero)
     comp = scatter_products(action_terms(Q, rows, cols, -1), Q._zero, is_zero)
-    return MultiTensor(n, Q.rank + 1, Q.has_endo, Q._zero, comp)
+    return MultiTensor(n, Q.rank + 1, Q.has_endo, Q._zero, comp, Q.skew)
 
 
-def _rm_tensor(spec: BracketSpec, Rm: list) -> MultiTensor:
-    dom = spec.domain
-    n2 = 2 * spec.m
-    T = MultiTensor(n2, 2, True, dom.zero())
-    for a, b in itertools.combinations(range(n2), 2):
-        for r in range(n2):
-            for c in range(n2):
-                if not dom.is_zero(Rm[a][b][r][c]):
-                    T.set((a, b, r, c), Rm[a][b][r][c], dom)
-                    T.set((b, a, r, c), Rm[b][a][r][c], dom)
-    return T
+def _tower_starts(spec: BracketSpec) -> tuple[MultiTensor, MultiTensor]:
+    """J and Rm on their canonical keys r < c and a < b, r < c
+    (`MultiTensor.skew`), after the skew self-check that their `_tower`s
+    rest on: every S(e_x) and every Rm(e_a, e_b) is skew."""
+    dom, pairs = spec.domain, list(itertools.combinations(range(2 * spec.m), 2))
+    for label, M in itertools.chain(((f"S(e{x})", M) for x, M in enumerate(spec.S)),
+                                    ((f"Rm(e{a},e{b})", spec.Rm[a][b]) for a, b in pairs)):
+        _assert_skew(M, dom, "skew self-check: " + label)
+    J = {(r, c): spec.I[r][c] for r, c in pairs}
+    Rm = {(a, b, r, c): spec.Rm[a][b][r][c] for a, b in pairs for r, c in pairs}
+    return tuple(MultiTensor(2 * spec.m, rank, True, dom.zero(),
+                             {k: x for k, x in T.items() if not dom.is_zero(x)}, skew)
+                 for T, rank, skew in ((J, 0, 1), (Rm, 2, 2)))
 
 
 def _clear(values: list):
@@ -846,7 +850,10 @@ def _tower(spec: BracketSpec, T: MultiTensor):
     values once (`_clear`); a step runs `_derive` on the ring values, takes
     den times S's denominator and divides out the content den shares with
     every value (`_reduce`).  When `_clear` leaves S or T as it is, den is 1
-    and the same step runs over the spec's own domain."""
+    and the same step runs over the spec's own domain.  D^kT keeps T's
+    canonical keys (`MultiTensor.skew`): `_derive` folds each mirror's image
+    onto them (`action_terms`), as -S(x) is skew, and den is the full
+    tensor's, since a mirror shares its value's denominator and content."""
     dS, S = _clear_matrices(spec.S)
     values = list(T.comp.values())
     den, ring = _clear(values)
@@ -854,7 +861,7 @@ def _tower(spec: BracketSpec, T: MultiTensor):
         dS, S, den, ring = 1, spec.S, 1, T
     else:
         zero = 0 if isinstance(den, int) else Polynomial.zero()
-        ring = MultiTensor(T.n, T.rank, T.has_endo, zero, zip(T.comp, ring))
+        ring = MultiTensor(T.n, T.rank, T.has_endo, zero, zip(T.comp, ring), T.skew)
     ring = ring.packed()
     while True:
         yield den, ring
@@ -867,8 +874,8 @@ def _tower(spec: BracketSpec, T: MultiTensor):
 class DerivativeTuple:
     """theta^s: covariant J-derivatives D^1J..D^{s+2}J and Rm-derivatives
     D^0Rm..D^sRm for the Levi-Civita connection, held as `_tower` pairs;
-    `J_derivs` and `Rm_derivs` divide them on each read (`_divide`) into
-    tuple-keyed tensors over the spec's domain, whose zero is `zero`."""
+    `J_derivs` and `Rm_derivs` divide them on each read (`_divide`) into full
+    (`MultiTensor.mirrored`) tuple-keyed tensors over the domain of `zero`."""
     s: int
     J_pairs: list           # (den, ring) of D^0 J, D^1 J, ..., D^{s+2} J
     Rm_pairs: list          # (den, ring) of Rm, D Rm, ..., D^s Rm
@@ -878,17 +885,17 @@ class DerivativeTuple:
     Rm_derivs = property(lambda self: self._divided(self.Rm_pairs))    # [Rm, D Rm, ..., D^s Rm]
 
     def _divided(self, pairs) -> list:
-        return [MultiTensor(ring.n, ring.rank, ring.has_endo, self.zero, _divide(ring.comp, den))
-                .unpacked() for den, ring in pairs]
+        return [MultiTensor(ring.n, ring.rank, ring.has_endo, self.zero, _divide(ring.comp, den),
+                            ring.skew).mirrored().unpacked() for den, ring in pairs]
 
 
 def hermitian_s_tuple(spec: BracketSpec, s: int = 2, verify: bool = True) -> DerivativeTuple:
     """theta^s from the `_tower`s of J and Rm, with verify checked by `check_x1_identities`."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    J, Rm = MultiTensor.from_endo(spec.I, spec.domain), _rm_tensor(spec, spec.Rm)
-    tup = DerivativeTuple(s, list(itertools.islice(_tower(spec, J), s + 3)),
-                          list(itertools.islice(_tower(spec, Rm), s + 1)), spec.domain.zero())
+    J, Rm = (_tower(spec, T) for T in _tower_starts(spec))
+    tup = DerivativeTuple(s, list(itertools.islice(J, s + 3)),
+                          list(itertools.islice(Rm, s + 1)), spec.domain.zero())
     if verify:
         check_x1_identities(spec, tup)
     return tup
@@ -926,10 +933,10 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
         minus = [((x2 * n2 + x1) * size + key % size, 0, v)    # at the mirrored (x2, x1, rest)
                  for key, x1, x2, v in keys if x1 > x2]
         rows, cols = {}, {}
-        for key, v in R.comp.items():
+        for key, v in R.comp.items():                       # Rm(x1, x2) at x1 < x2
             x12, rc = divmod(key, n2 * n2)
-            if x12 // n2 < x12 % n2:
-                (r, c), a = divmod(rc, n2), dT * v
+            (r, c), a = divmod(rc, n2), dT * v
+            for r, c, a in ((r, c, a), (c, r, -a)):
                 rows.setdefault(r, []).append((x12 * size, c, a))
                 cols.setdefault(c, []).append((x12 * size, r, a))
         runs = [(0, 0, 1, scale, plus), (0, 0, -1, scale, minus)]
@@ -1039,12 +1046,12 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
         for key in sorted(rows):
             span.add(rows[key])
 
-    J = _tower(spec, MultiTensor.from_endo(spec.I, dom))
+    J, Rm = (_tower(spec, T) for T in _tower_starts(spec))
     next(J)                                 # u(m) fixes J itself
     add_rows(next(J))
     dims = []
     # order k annihilates D^0Rm..D^kRm and D^1J..D^{k+2}J
-    for k, (Jk2, Rmk) in enumerate(zip(J, _tower(spec, _rm_tensor(spec, spec.Rm)))):
+    for k, (Jk2, Rmk) in enumerate(zip(J, Rm)):
         add_rows(Rmk)
         add_rows(Jk2)
         dims.append(len(U) - len(span.pivots))
@@ -1088,8 +1095,7 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
             span.add(rows[key])
 
     dims: list[int] = []
-    pairs = zip(itertools.pairwise(_tower(fspec, MultiTensor.from_endo(fspec.I, dom))),
-                itertools.pairwise(_tower(fspec, _rm_tensor(fspec, fspec.Rm))))
+    pairs = zip(*(itertools.pairwise(_tower(fspec, T)) for T in _tower_starts(fspec)))
     for k, ((Jk, Jk1), (Rmk, Rmk1)) in enumerate(pairs):
         add_rows(Jk, Jk1)
         add_rows(Rmk, Rmk1)

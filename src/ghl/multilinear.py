@@ -231,16 +231,20 @@ class MultiTensor:
     """Covariant tensor with `rank` vector slots and an optional End slot.
 
     Components are stored sparsely: keys are (i1..irank) or
-    (i1..irank, row, col) when End-valued."""
+    (i1..irank, row, col) when End-valued.  The last `skew` index pairs (the
+    End slot's (row, col) first, then covariant slots two by two) are skew
+    and stored on their canonical keys i < j only: each mirror, with i and j
+    swapped, is the negative of its stored key's value (`mirrored`)."""
 
-    __slots__ = ("n", "rank", "has_endo", "comp", "_zero")
+    __slots__ = ("n", "rank", "has_endo", "comp", "_zero", "skew")
 
-    def __init__(self, n: int, rank: int, has_endo: bool, zero, comp=None):
+    def __init__(self, n: int, rank: int, has_endo: bool, zero, comp=None, skew: int = 0):
         self.n = n
         self.rank = rank
         self.has_endo = has_endo
         self._zero = zero
         self.comp = dict(comp or {})
+        self.skew = skew
 
     @staticmethod
     def from_endo(M, dom) -> "MultiTensor":
@@ -251,25 +255,29 @@ class MultiTensor:
     def get(self, key):
         return self.comp.get(key, self._zero)
 
-    def set(self, key, value, dom):
-        if dom.is_zero(value):
-            self.comp.pop(key, None)
-        else:
-            self.comp[key] = value
-
     def is_zero(self, dom) -> bool:
         return all(dom.is_zero(v) for v in self.comp.values())
 
     def packed(self) -> "MultiTensor":
         """This tensor keyed by `pack`ed ints, the form the kernel runs on."""
         return MultiTensor(self.n, self.rank, self.has_endo, self._zero,
-                           {pack(k, self.n): v for k, v in self.comp.items()})
+                           {pack(k, self.n): v for k, v in self.comp.items()}, self.skew)
 
     def unpacked(self) -> "MultiTensor":
         """The tuple-keyed tensor of a `packed` one."""
         n, length = self.n, self.rank + 2 * self.has_endo
         return MultiTensor(n, self.rank, self.has_endo, self._zero,
-                           {unpack(k, n, length): v for k, v in self.comp.items()})
+                           {unpack(k, n, length): v for k, v in self.comp.items()}, self.skew)
+
+    def mirrored(self) -> "MultiTensor":
+        """The full tensor of a packed one: each key, then its mirrors."""
+        comp, n = {}, self.n
+        for key, v in self.comp.items():
+            keys = [(key, v)]
+            for lo, hi in ((n ** (2 * p), n ** (2 * p + 1)) for p in range(self.skew)):
+                keys += [(k + (k // lo % n - k // hi % n) * (hi - lo), -x) for k, x in keys]
+            comp.update(keys)
+        return MultiTensor(n, self.rank, self.has_endo, self._zero, comp)
 
 
 def pack(key, n: int) -> int:
@@ -352,18 +360,37 @@ def action_terms(T: MultiTensor, rows: dict, cols: dict, sign: int = 1):
     """`scatter_products` runs, one per stored component and slot, of the
     derivation action of sign * A on T, keys packed (`MultiTensor.packed`),
     at tag + key for each A in `index_rows`: (A.T)(..X..) = -T(..AX..) on
-    each covariant slot, and the commutator [A, W] on an End slot."""
+    each covariant slot, and the commutator [A, W] on an End slot.
+
+    On a skew pair (`MultiTensor.skew`) the run of an index is split in two:
+    the entries whose output lands canonical, and those landing on a mirror,
+    which go at the mirror's canonical key (the partner index moved to this
+    slot, the output index to the partner's) with the sign flipped; outputs
+    on the diagonal are dropped.  The full action on the mirrored T sums the
+    mirror's images there, so the runs give its canonical keys exactly when
+    the action keeps the pair skew: on covariant slots for any A, on the End
+    slot for skew A (as S(x), Rm(x1, x2) and the u(m), so(2m) bases are)."""
     n, none, neg = T.n, (), -sign
-    strides = [n ** p for p in range(T.rank + 2 * T.has_endo - 1, -1, -1)][:T.rank]
+    # (stride, sign, table, partner stride or 0, entries of canonical outputs lie below it)
+    slots = [[n ** p, neg, rows, 0, False] for p in reversed(range(T.rank + 2 * T.has_endo))]
+    if T.has_endo:
+        slots[-2][1:3] = sign, cols                 # A@W on the row, -W@A on the col
+    for p in range(len(slots) - 2 * T.skew, len(slots), 2):
+        slots[p][3:], slots[p + 1][3:] = (slots[p + 1][0], True), (slots[p][0], False)
+    splits = {(id(t), i, o): ([e for e in E if e[1] < o], [e for e in E if e[1] > o])
+              for t in (rows, cols) for i, E in t.items() for o in range(n)} if T.skew else {}
     for key, c in T.comp.items():
         # (A.T)_J = -sum_r A[r][J_i] T_{J:i->r}: T_K lands at K:i->r times -A[K_i][r]
-        for stride in strides:
+        for stride, sgn, table, partner, below in slots:
             i = key // stride % n
-            yield key - i * stride, stride, neg, c, rows.get(i, none)
-        if T.has_endo:
-            row, col = key // n % n, key % n
-            yield key - row * n, n, sign, c, cols.get(row, none)    # A@W
-            yield key - col, 1, neg, c, rows.get(col, none)         # -W@A
+            if not partner:
+                yield key - i * stride, stride, sgn, c, table.get(i, none)
+                continue
+            o = key // partner % n
+            split = splits.get((id(table), i, o), (none, none))
+            base = key - i * stride
+            yield base, stride, sgn, c, split[not below]
+            yield base + o * (stride - partner), partner, -sgn, c, split[below]
 
 
 def derivation_action(A, T: MultiTensor, dom) -> MultiTensor:
@@ -371,7 +398,7 @@ def derivation_action(A, T: MultiTensor, dom) -> MultiTensor:
     without the entries of A and the sums that dom.is_zero."""
     runs = action_terms(T.packed(), *index_rows([(0, A)], dom.is_zero))
     return MultiTensor(T.n, T.rank, T.has_endo, T._zero,
-                       scatter_products(runs, T._zero, dom.is_zero)).unpacked()
+                       scatter_products(runs, T._zero, dom.is_zero), T.skew).unpacked()
 
 
 # -- complex linear algebra helpers -------------------------------------------

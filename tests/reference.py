@@ -11,6 +11,8 @@ zeros included, which the engine does in one pass and with zeros skipped,
 and the reduced pair of a tensor, which the engine's derivative tower keeps,
 and the sum-of-products kernel on tuple keys with one term per product,
 which the engine runs on packed int keys with one run of terms per factor,
+and the full J and Rm tensors with every sign mirror, which the engine's
+derivative tower folds onto canonical keys,
 and the rescaling c.mu, the matrix zero test and the sectional curvature of
 any two vectors, which `ghl sweep` reads off `Rm` on basis planes.
 
@@ -467,6 +469,43 @@ def clear_and_reduce(T: MultiTensor):
     den, *ring = (Polynomial(p.vars, {tuple(map(operator.sub, e, low)): c // g
                                       for e, c in p.terms.items()}) for p in polys)
     return den, MultiTensor(T.n, T.rank, T.has_endo, Polynomial.zero(), zip(T.comp, ring))
+
+
+# -- full tensors and their canonical keys -------------------------------------------
+
+def full_start_tensors(spec: BracketSpec) -> tuple[MultiTensor, MultiTensor]:
+    """J and Rm as full tuple-keyed tensors: every nonzero I[r][c], and
+    every nonzero Rm[a][b][r][c] read off both halves of the pair table."""
+    dom, n2 = spec.domain, 2 * spec.m
+    Rm = {(a, b, r, c): spec.Rm[a][b][r][c]
+          for a, b, r, c in itertools.product(range(n2), repeat=4)
+          if not dom.is_zero(spec.Rm[a][b][r][c])}
+    return MultiTensor.from_endo(spec.I, dom), MultiTensor(n2, 2, True, dom.zero(), Rm)
+
+
+def is_canonical(key: tuple, skew: int) -> bool:
+    """Whether each of the last `skew` index pairs of key is increasing."""
+    return all(key[-2 * p - 2] < key[-2 * p - 1] for p in range(skew))
+
+
+def canonical_part(comp: dict, skew: int) -> dict:
+    """The entries of a tuple-keyed comp at canonical keys (`is_canonical`)."""
+    return {key: x for key, x in comp.items() if is_canonical(key, skew)}
+
+
+def unfold(comp: dict, skew: int) -> dict:
+    """The full comp of one held on canonical keys: each key followed by its
+    sign mirrors, with one or more of the last `skew` index pairs swapped."""
+    out = {}
+    for key, x in comp.items():
+        for swaps in itertools.product((False, True), repeat=skew):
+            k, sign = list(key), 1
+            for p, swap in enumerate(swaps):
+                if swap:
+                    k[-2 * p - 2], k[-2 * p - 1] = k[-2 * p - 1], k[-2 * p - 2]
+                    sign = -sign
+            out[tuple(k)] = x if sign > 0 else -x
+    return out
 
 
 # -- the sum-of-products kernel on tuple keys ---------------------------------------

@@ -177,6 +177,23 @@ def test_singer_and_killing_stdout_pinned(name, params, singer, killing):
     assert run("killing", *args) == (0, f"dim kill = {killing}\n{_KILLING_OK}", "")
 
 
+def test_singer_exits_one_naming_the_skew_self_check(monkeypatch):
+    """A spec whose S(e0) is not skew fails Singer's skew self-check: exit 1,
+    the check and the entry named on stderr, nothing printed."""
+    def loading(*args, **kwargs):
+        loaded = load_ghl(*args, **kwargs)
+        S = [list(map(list, M)) for M in loaded.spec.S]
+        S[0][0][1] = S[0][0][1] + 1
+        loaded.spec.__dict__["S"] = S
+        return loaded
+
+    monkeypatch.setattr(cli, "load_ghl", loading)
+    code, out, err = run("singer", str(bundled_path("iwasawa")), "--params", "alpha=1")
+    assert (code, out) == (1, "")
+    assert err == ("internal consistency error: skew self-check: "
+                   "S(e0) is not skew-symmetric at (0,1)\n")
+
+
 @pytest.mark.parametrize("quantity", ["scal", "singer_k"])
 @pytest.mark.parametrize("fixture, condition, witness", [
     ("broken-h2", "h2", "not skew on (e1,e1)"),

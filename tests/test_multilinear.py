@@ -20,9 +20,9 @@ from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
 
 from reference import (add_product_loop, complex_trace_sym, derivation_action_loop, form_action,
                        form_basis, form_evaluate, from_bilinear,
-                       interior_product, mat_identity, pi_11, sparse_pairs,
+                       canonical_part, interior_product, mat_identity, pi_11, sparse_pairs,
                        tuple_action_terms, tuple_index_rows, tuple_product_terms,
-                       tuple_scatter_products)
+                       tuple_scatter_products, unfold)
 
 DOM = FractionDomain()
 
@@ -224,11 +224,9 @@ def test_derivation_pairing_invariance():
 
 
 def tensor_product_1forms(a: KForm, b: KForm) -> MultiTensor:
-    t = MultiTensor(a.n, 2, False, Fraction(0))
-    for (i,), ci in a.comp.items():
-        for (j,), cj in b.comp.items():
-            t.set((i, j), ci * cj, DOM)
-    return t
+    return MultiTensor(a.n, 2, False, Fraction(0),
+                       {(i, j): ci * cj for (i,), ci in a.comp.items()
+                        for (j,), cj in b.comp.items() if ci * cj})
 
 
 def test_derivation_leibniz_on_tensor_product():
@@ -466,16 +464,31 @@ def _identical(x, y) -> bool:
 @st.composite
 def kernel_action_cases(draw):
     """(zero, tagged matrices, T, sign) of one value kind, zero entries
-    among the matrices' and a tensor with or without an End slot."""
+    among the matrices', which may all be skew, and a tensor with or without
+    an End slot, which may hold only the canonical keys of some trailing
+    index pairs (`MultiTensor.skew`): the End pair only under skew matrices."""
     kind = draw(st.sampled_from(KINDS))
     values, zero = kernel_values(kind), 0.0 if kind == "float" else 0
     n, rank, has_endo = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.booleans())
     entries = st.one_of(st.just(zero), values)
     mats = [[[draw(entries) for _ in range(n)] for _ in range(n)]
             for _ in range(draw(st.integers(1, 3)))]
-    keys = st.tuples(*[st.integers(0, n - 1)] * (rank + 2 * has_endo))
-    comp = draw(st.dictionaries(keys, values, max_size=8))
-    return zero, mats, MultiTensor(n, rank, has_endo, zero, comp), draw(st.sampled_from((1, -1)))
+    skew_mats = draw(st.booleans())
+    if skew_mats:
+        for M in mats:
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                M[j][i] = -M[i][j] if i < j else zero
+    length = rank + 2 * has_endo
+    skew = draw(st.integers(0, length // 2 if skew_mats or not has_endo else 0))
+    keys = st.tuples(*[st.integers(0, n - 1)] * length)
+    comp = {}
+    for key, x in draw(st.dictionaries(keys, values, max_size=8)).items():
+        key = list(key)
+        for p in range(length - 2 * skew, length, 2):
+            key[p:p + 2] = sorted(key[p:p + 2])
+        comp[tuple(key)] = x
+    comp = canonical_part(comp, skew)
+    return zero, mats, MultiTensor(n, rank, has_endo, zero, comp, skew), draw(st.sampled_from((1, -1)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -484,15 +497,20 @@ def test_action_runs_equal_the_tuple_kernel(case):
     """`action_terms` runs on a packed tensor with int tags, summed by
     `scatter_products`, give the tuple-key kernel's terms summed
     (`reference.tuple_scatter_products`): the same keys once decoded, in the
-    same order, and identical values, floats bit for bit."""
+    same order, and identical values, floats bit for bit.  On a tensor held
+    on canonical keys the kernel's terms are those of the full tensor
+    (`reference.unfold`, each key followed by its mirrors), and the folded
+    runs give the same keys as their canonical keys, with identical values."""
     zero, mats, T, sign = case
     n, length = T.n, T.rank + 2 * T.has_endo
+    full = MultiTensor(n, T.rank, T.has_endo, zero, unfold(T.comp, T.skew))
     rows = tuple_index_rows((((t,), A) for t, A in enumerate(mats)), DOM.is_zero)
-    want = tuple_scatter_products(tuple_action_terms(T, *rows, sign), zero, DOM.is_zero)
+    want = tuple_scatter_products(tuple_action_terms(full, *rows, sign), zero, DOM.is_zero)
+    want = canonical_part(want, T.skew)
     rows = index_rows(((t * n ** length, A) for t, A in enumerate(mats)), DOM.is_zero)
     packed = scatter_products(action_terms(T.packed(), *rows, sign), zero, DOM.is_zero)
     got = {unpack(k, n, length + 1): x for k, x in packed.items()}
-    assert list(got) == list(want)
+    assert list(got) == list(want) if not T.skew else got.keys() == want.keys()
     assert all(_identical(got[k], want[k]) for k in want)
 
 
