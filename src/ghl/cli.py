@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -252,7 +253,9 @@ def _sweep_value(quantity: str, spec, t: Fraction) -> str:
     raise GhlFormatError(f"unknown sweep quantity {quantity!r}")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves it as it is, and the verbs read load_ghl late."""
     p = argparse.ArgumentParser(prog="ghl", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="verb", required=True)

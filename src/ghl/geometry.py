@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +39,7 @@ from .multilinear import (
     mat_scale, mat_sub, mat_zero, scatter_products, unpack, vec_add, vec_sub,
     wedge, complex_trace_form,
 )
-from .scalars import FractionDomain, Polynomial, RationalFunction, UsageError
+from .scalars import FractionDomain, Layout, RationalFunction, UsageError
 
 __all__ = [
     "BracketSpec", "ValidationReport", "ConditionResult", "TorsionData",
@@ -585,13 +584,14 @@ def _curvature(spec: BracketSpec, C: list) -> list[list[list]]:
     C and the bracket table are cleared together to ring values over one
     denominator den (`_clear`), so that every term is a product of two ring
     values over den^2; the terms of all pairs are summed in one
-    `scatter_products` call at the packed (a, b, i, j) and divided back once.
+    `scatter_products` call at the packed (a, b, i, j) and divided back once
+    (`_divide`).
     When `_clear` leaves the values as they are, the dense formula runs over
     the spec's own domain: its float sums are the ones numeric reports print."""
     dom = spec.domain
     q, n2 = spec.q, 2 * spec.m
     values = [*C, *spec.mu]
-    den, ring = _clear_matrices(values)
+    den, ring, layout = _clear_matrices(values)
     if ring is values:
         return _pair_table(lambda a, b: mat_sub(
             mat_sub(spec.ad_h(spec.mu_h(a, b)), commutator(C[a], C[b])),
@@ -611,8 +611,8 @@ def _curvature(spec: BracketSpec, C: list) -> list[list[list]]:
             for c, x in enumerate(bracket[q:]):
                 yield from _product_terms(key, n2, -1, x, Cs[c])
     tab = {}
-    sums = scatter_products(terms(), 0, FractionDomain.is_zero)
-    for key, x in _divide(sums, den * den).items():
+    sums = scatter_products(terms(), 0, FractionDomain.is_zero, layout)
+    for key, x in _divide(sums, _times(layout, den, den), layout).items():
         tab.setdefault(key // n2 ** 2, mat_zero(n2, dom))[key // n2 % n2][key % n2] = x
     return _pair_table(lambda a, b: tab.get(a * n2 + b) or mat_zero(n2, dom), mat_zero(n2, dom))
 
@@ -723,11 +723,11 @@ def covariant_derivative(spec: BracketSpec, Q: MultiTensor, C: list,
     return Q.unpacked()
 
 
-def _derive(Q: MultiTensor, C: list, is_zero) -> MultiTensor:
+def _derive(Q: MultiTensor, C: list, is_zero, layout=None) -> MultiTensor:
     """One step of `covariant_derivative` on a packed Q: -C(e_x) at the new first slot x."""
     n, size = Q.n, Q.n ** (Q.rank + 2 * Q.has_endo)
     rows, cols = index_rows(((x * size, M) for x, M in enumerate(C)), is_zero)
-    comp = scatter_products(action_terms(Q, rows, cols, -1), Q._zero, is_zero)
+    comp = scatter_products(action_terms(Q, rows, cols, -1), Q._zero, is_zero, layout)
     return MultiTensor(n, Q.rank + 1, Q.has_endo, Q._zero, comp, Q.skew)
 
 
@@ -746,80 +746,73 @@ def _tower_starts(spec: BracketSpec) -> tuple[MultiTensor, MultiTensor]:
                  for T, rank, skew in ((J, 0, 1), (Rm, 2, 2)))
 
 
-def _clear(values: list):
-    """(den, ring) with values[i] == ring[i] / den exactly, in one of three ways:
-    Fractions give an int lcm and ints; RationalFunctions whose denominators
-    are all monomials, with any Fractions among them taken as constants (as
-    over a Fraction spec at symbolic t), give a monomial Polynomial L*x^e,
-    L the lcm of the nonzero values' denominator coefficients, and
-    Polynomials with int coefficients, every zero value the one zero ring
-    value; anything else (no values, floats, a non-monomial denominator)
-    gives (1, values), the list itself."""
-    if values and all(isinstance(v, Fraction) for v in values):
+def _clear(values: list, layout: Layout | None = None):
+    """(den, ring, layout) with values[i] == ring[i] / den exactly, in one of
+    three ways: Fractions give an int lcm, ints and no layout;
+    RationalFunctions whose denominators are all monomials, with any
+    Fractions among them taken as constants (as over a Fraction spec at
+    symbolic t), give a one-term den L*x^e, L the lcm of the nonzero values'
+    denominator coefficients, and values packed in layout (by default one
+    over the values' variables), every zero value the one zero ring value;
+    anything else (floats, a non-monomial denominator, and no values
+    without a layout) gives (1, values, None), the list itself."""
+    if all(isinstance(v, Fraction) for v in values) and (values or layout is None):
         den = math.lcm(*(v.denominator for v in values))
-        return den, [v.numerator * (den // v.denominator) for v in values]
-    if not (values and all(isinstance(v, Fraction) or isinstance(v, RationalFunction)
-                           and len(v.den.terms) == 1 for v in values)):
-        return 1, values
+        return den, [v.numerator * (den // v.denominator) for v in values], None
+    if not all(isinstance(v, Fraction) or isinstance(v, RationalFunction)
+               and len(v.den.terms) == 1 for v in values):
+        return 1, values, None
     nonzero = [(i, v if isinstance(v, RationalFunction) else RationalFunction.const(v))
                for i, v in enumerate(values) if not FractionDomain.is_zero(v)]
-    names = tuple(sorted({x for _, v in nonzero for x in v.num.vars + v.den.vars}))
-    dens = [next(iter(v.den._aligned_to(names).terms.items())) for _, v in nonzero]
-    top = tuple(map(max, zip(*(e for e, _ in dens))))
+    layout = layout or Layout(tuple(sorted({x for _, v in nonzero
+                                            for x in v.num.vars + v.den.vars})))
+    dens = [next(iter(layout.pack(v.den).items())) for _, v in nonzero]
+    top = layout.extreme(max, [e for e, _ in dens])
     L = math.lcm(*(c for _, c in dens))
-    ring = [Polynomial(names, {})] * len(values)
+    ring = [{}] * len(values)
     for (i, v), (e, c) in zip(nonzero, dens):
-        shift, k = tuple(a - b for a, b in zip(top, e)), L // c
-        ring[i] = Polynomial(names, {tuple(map(operator.add, x, shift)): a * k
-                                     for x, a in v.num._aligned_to(names).terms.items()})
-    return Polynomial(names, {top: L}), ring
+        ring[i] = layout.pack(v.num, top - e, L // c)
+    return {top: L}, ring, layout
 
 
-def _clear_matrices(Ms: list):
-    """`_clear` over a list of matrices of any shapes: (den, ring matrices),
-    or (1, Ms) itself when `_clear` leaves their entries as they are."""
+def _clear_matrices(Ms: list, layout: Layout | None = None):
+    """`_clear` over a list of matrices of any shapes: (den, ring matrices,
+    layout), or (1, Ms, None) when `_clear` leaves their entries as they are."""
     values = [a for M in Ms for row in M for a in row]
-    den, ring = _clear(values)
+    den, ring, layout = _clear(values, layout)
     if ring is values:
-        return 1, Ms
+        return 1, Ms, None
     it = iter(ring)
-    return den, [[list(itertools.islice(it, len(row))) for row in M] for M in Ms]
+    return den, [[list(itertools.islice(it, len(row))) for row in M] for M in Ms], layout
 
 
-def _divide(ring: dict, den) -> dict:
+def _times(layout, a, b):
+    """a * b of ring values, a one-term when they are packed in layout."""
+    return layout.times(a, b) if layout else a * b
+
+
+def _divide(ring: dict, den, layout) -> dict:
     """{key: ring[key] / den}: Fractions over an int den, RationalFunctions
-    over a monomial one, which share equal denominators within the call;
-    values that are not ints stay as they are over den 1 (`_tower`'s domain
-    values)."""
-    if isinstance(den, int):
+    over a one-term den in layout (`Layout.quotient`), which share equal
+    denominators within the call; values that are not ints stay as they
+    are over den 1 (`_tower`'s domain values)."""
+    if not layout:
         return {key: Fraction(v, den) if type(v) is int else v for key, v in ring.items()}
-    out, dens = {}, {}
-    for key, v in ring.items():
-        v = RationalFunction(v, den)
-        d = dens.setdefault((v.den.vars, *v.den.terms.items()), v.den)
-        out[key] = v if d is v.den else RationalFunction._of(v.num, d)
-    return out
+    memo = {}
+    return {key: layout.quotient(v, den, memo) for key, v in ring.items()}
 
 
-def _reduce(den, values: list):
+def _reduce(den, values: list, layout):
     """(den / g, [v / g for v in values]) for g the content that den shares
     with every value: their gcd over an int den and ints, and over a
-    monomial den L*x^e and Polynomials the gcd of L and every coefficient
-    times x to the least exponents.  A reduced pair, and any other (den 1
-    over domain values), comes back as it is."""
+    one-term den and values packed in layout the gcd of every coefficient
+    times the least exponents (`Layout.reduce`).  A reduced pair, and any
+    other (den 1 over domain values), comes back as it is."""
+    if layout:
+        return layout.reduce(den, values)
     if isinstance(den, int) and all(type(v) is int for v in values):
         g = math.gcd(den, *values)
         return (den, values) if g == 1 else (den // g, [v // g for v in values])
-    if not (isinstance(den, Polynomial) and all(isinstance(v, Polynomial) for v in values)):
-        return den, values
-    names = tuple(sorted({x for p in (den, *values) for x in p.vars}))
-    polys = [p._aligned_to(names) for p in (den, *values)]
-    g = math.gcd(*(c for p in polys for c in p.terms.values()))
-    low = tuple(map(min, zip(*(e for p in polys for e in p.terms))))
-    if g == 1 and not any(low):
-        return den, values
-    den, *values = (Polynomial(names, {tuple(map(operator.sub, e, low)): c // g
-                                       for e, c in p.terms.items()}) for p in polys)
     return den, values
 
 
@@ -843,59 +836,71 @@ def _product_terms(kp: int, n: int, sign: int, A, B: list):
             yield (kp * n + i) * n, 1, sign, A, row
 
 
-def _tower(spec: BracketSpec, T: MultiTensor):
+def _towers(spec: BracketSpec):
+    """(layout, J's `_tower`, Rm's `_tower`) from `_tower_starts`: S and both
+    starts cleared once (`_clear`), packed in one layout of the spec's
+    parameters (ints, with no layout, over a Fraction spec), or den 1 over
+    the spec's own values (layout None) where `_clear` leaves any of them as
+    it is."""
+    starts = _tower_starts(spec)
+    dS, S, layout = _clear_matrices(spec.S, Layout(tuple(sorted(spec.params))))
+    values = [list(T.comp.values()) for T in starts]
+    cleared = [_clear(v, layout) for v in values]
+    if S is spec.S or any(ring is v for v, (_, ring, _) in zip(values, cleared)):
+        return None, *(_tower(T, 1, 1, spec.S, None, spec.domain.is_zero) for T in starts)
+    return layout, *(_tower(MultiTensor(T.n, T.rank, T.has_endo, {} if layout else 0,
+                                        zip(T.comp, ring), T.skew), den, dS, S, layout,
+                            FractionDomain.is_zero) for T, (den, ring, _) in zip(starts, cleared))
+
+
+def _tower(T: MultiTensor, den, dS, S: list, layout, is_zero):
     """Reduced (den, ring) pairs with D^kT == ring.unpacked() / den, k = 0, 1,
     2, ..., the Levi-Civita covariant derivatives, each built when the caller
-    asks for it, ring keyed by packed ints.  S and T are cleared to ring
-    values once (`_clear`); a step runs `_derive` on the ring values, takes
-    den times S's denominator and divides out the content den shares with
-    every value (`_reduce`).  When `_clear` leaves S or T as it is, den is 1
-    and the same step runs over the spec's own domain.  D^kT keeps T's
-    canonical keys (`MultiTensor.skew`): `_derive` folds each mirror's image
-    onto them (`action_terms`), as -S(x) is skew, and den is the full
-    tensor's, since a mirror shares its value's denominator and content."""
-    dS, S = _clear_matrices(spec.S)
-    values = list(T.comp.values())
-    den, ring = _clear(values)
-    if S is spec.S or ring is values:
-        dS, S, den, ring = 1, spec.S, 1, T
-    else:
-        zero = 0 if isinstance(den, int) else Polynomial.zero()
-        ring = MultiTensor(T.n, T.rank, T.has_endo, zero, zip(T.comp, ring), T.skew)
-    ring = ring.packed()
+    asks for it, ring keyed by packed ints, from T = D^0T over den and S
+    over dS (`_towers`).  A step runs `_derive` on the ring values, takes
+    den times dS and divides out the content den shares with every value
+    (`_reduce`); ring values packed in layout stay packed throughout.  D^kT
+    keeps T's canonical keys (`MultiTensor.skew`): `_derive` folds each
+    mirror's image onto them (`action_terms`), as -S(x) is skew, and den is
+    the full tensor's, since a mirror shares its value's denominator and
+    content."""
+    ring = T.packed()
     while True:
         yield den, ring
-        ring = _derive(ring, S, spec.domain.is_zero)
-        den, values = _reduce(den * dS, list(ring.comp.values()))
+        ring = _derive(ring, S, is_zero, layout)
+        den, values = _reduce(_times(layout, den, dS), list(ring.comp.values()), layout)
         ring.comp = dict(zip(ring.comp, values))
 
 
 @dataclass
 class DerivativeTuple:
     """theta^s: covariant J-derivatives D^1J..D^{s+2}J and Rm-derivatives
-    D^0Rm..D^sRm for the Levi-Civita connection, held as `_tower` pairs;
-    `J_derivs` and `Rm_derivs` divide them on each read (`_divide`) into full
-    (`MultiTensor.mirrored`) tuple-keyed tensors over the domain of `zero`."""
+    D^0Rm..D^sRm for the Levi-Civita connection, held as `_tower` pairs with
+    their layout; `J_derivs` and `Rm_derivs` divide them on each read
+    (`_divide`) into full (`MultiTensor.mirrored`) tuple-keyed tensors over
+    the domain of `zero`."""
     s: int
     J_pairs: list           # (den, ring) of D^0 J, D^1 J, ..., D^{s+2} J
     Rm_pairs: list          # (den, ring) of Rm, D Rm, ..., D^s Rm
     zero: object
+    layout: Layout | None   # of packed ring values (`_towers`), None over ints or domain values
 
     J_derivs = property(lambda self: self._divided(self.J_pairs[1:]))  # [D^1 J, ..., D^{s+2} J]
     Rm_derivs = property(lambda self: self._divided(self.Rm_pairs))    # [Rm, D Rm, ..., D^s Rm]
 
     def _divided(self, pairs) -> list:
-        return [MultiTensor(ring.n, ring.rank, ring.has_endo, self.zero, _divide(ring.comp, den),
-                            ring.skew).mirrored().unpacked() for den, ring in pairs]
+        return [MultiTensor(ring.n, ring.rank, ring.has_endo, self.zero,
+                            _divide(ring.comp, den, self.layout), ring.skew).mirrored().unpacked()
+                for den, ring in pairs]
 
 
 def hermitian_s_tuple(spec: BracketSpec, s: int = 2, verify: bool = True) -> DerivativeTuple:
-    """theta^s from the `_tower`s of J and Rm, with verify checked by `check_x1_identities`."""
+    """theta^s from the `_towers` of J and Rm, with verify checked by `check_x1_identities`."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    J, Rm = (_tower(spec, T) for T in _tower_starts(spec))
+    layout, J, Rm = _towers(spec)
     tup = DerivativeTuple(s, list(itertools.islice(J, s + 3)),
-                          list(itertools.islice(Rm, s + 1)), spec.domain.zero())
+                          list(itertools.islice(Rm, s + 1)), spec.domain.zero(), layout)
     if verify:
         check_x1_identities(spec, tup)
     return tup
@@ -923,9 +928,11 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
                for r in range(n2)):
             raise InternalConsistencyError(f"first Bianchi fails on ({a},{b},{c})")
     dR, R = tup.Rm_pairs[0]
+    layout = tup.layout
 
     def antisym_check(dT, P, dB, B, label: str):
-        scale, (dT,) = _reduce(dR * dB, [dT])
+        scale, (dT,) = _reduce(_times(layout, dR, dB), [dT], layout)
+        minus_dT = {e: -c for e, c in dT.items()} if layout else -dT
         length = B.rank + 2 * B.has_endo
         size = n2 ** length
         keys = [(key, *divmod(key // size, n2), v) for key, v in P.comp.items()]
@@ -935,13 +942,13 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
         rows, cols = {}, {}
         for key, v in R.comp.items():                       # Rm(x1, x2) at x1 < x2
             x12, rc = divmod(key, n2 * n2)
-            (r, c), a = divmod(rc, n2), dT * v
-            for r, c, a in ((r, c, a), (c, r, -a)):
+            r, c = divmod(rc, n2)
+            for r, c, a in ((r, c, _times(layout, dT, v)), (c, r, _times(layout, minus_dT, v))):
                 rows.setdefault(r, []).append((x12 * size, c, a))
                 cols.setdefault(c, []).append((x12 * size, r, a))
         runs = [(0, 0, 1, scale, plus), (0, 0, -1, scale, minus)]
         left = scatter_products(itertools.chain(runs, action_terms(B, rows, cols)),
-                                P._zero, dom.is_zero)
+                                P._zero, dom.is_zero, layout)
         if left:
             x12, rest = divmod(min(left), size)
             raise InternalConsistencyError(
@@ -1036,7 +1043,7 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     dom = spec.domain
     m = spec.m
     limit = m * m + 1 if kmax is None else kmax
-    _, U = _clear_matrices(unitary_basis(m, dom))       # int entries
+    U = _clear_matrices(unitary_basis(m, dom))[1]       # int entries
     span = _Echelon(len(U), dom)
 
     def add_rows(pair):
@@ -1046,7 +1053,7 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
         for key in sorted(rows):
             span.add(rows[key])
 
-    J, Rm = (_tower(spec, T) for T in _tower_starts(spec))
+    _, J, Rm = _towers(spec)
     next(J)                                 # u(m) fixes J itself
     add_rows(next(J))
     dims = []
@@ -1078,7 +1085,7 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     m = spec.m
     n2 = 2 * m
     limit = m * m + 2 if kmax is None else kmax
-    _, SO = _clear_matrices(so_basis(n2, dom))          # int entries
+    SO = _clear_matrices(so_basis(n2, dom))[1]          # int entries
     nA = len(SO)
     span = _Echelon(n2 + nA, dom)
 
@@ -1095,7 +1102,7 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
             span.add(rows[key])
 
     dims: list[int] = []
-    pairs = zip(*(itertools.pairwise(_tower(fspec, T)) for T in _tower_starts(fspec)))
+    pairs = zip(*(itertools.pairwise(T) for T in _towers(fspec)[1:]))
     for k, ((Jk, Jk1), (Rmk, Rmk1)) in enumerate(pairs):
         add_rows(Jk, Jk1)
         add_rows(Rmk, Rmk1)
@@ -1122,7 +1129,7 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
     # scaled by den once (`_sparse_generator`), summed on ints, is den^3 times
     # their Nomizu bracket: a nonzero scale, which keeps span membership
     k = len(res.basis)
-    den, ring = _clear_matrices([M for v, A in res.basis for M in ([v], A)]
+    den, ring, _ = _clear_matrices([M for v, A in res.basis for M in ([v], A)]
                                 + [spec.Rm[i][j] for i, j in pairs])
     gens = [(v, A) for (v,), A in zip(ring[:2 * k:2], ring[1:2 * k:2])]
     R = {ij: _sparse(M) for ij, M in zip(pairs, ring[2 * k:])}
@@ -1245,7 +1252,8 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
     # both sides go into one `scatter_products` call, which leaves the residues
     pairs = list(itertools.combinations(range(n2), 2))
     Gm = [mat_sub(S[i], A[i]) for i in range(n2)]
-    D, ring = _clear_matrices([*S, *Gm, *(M for X, Y in pairs for M in (Om[X][Y], Rm[X][Y]))])
+    D, ring, layout = _clear_matrices([*S, *Gm, *(M for X, Y in pairs
+                                                  for M in (Om[X][Y], Rm[X][Y]))])
     Sr = ring[:n2]
     Ss, Gs, Omr, Rmr = (list(map(_sparse, Ms)) for Ms in
                         (Sr, ring[n2:2 * n2], ring[2 * n2::2], ring[2 * n2 + 1::2]))
@@ -1261,8 +1269,8 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
                     yield from _product_terms(p, n2, -c, x, Gs[k])
             yield from _product_terms(p, n2, 1, Gs[X], Gs[Y])
             yield from _product_terms(p, n2, -1, Gs[Y], Gs[X])
-    rest = scatter_products(terms(), 0, FractionDomain.is_zero).values()
-    curv_ok = all(dom.is_zero(x) for x in rest)
+    rest = list(scatter_products(terms(), 0, FractionDomain.is_zero, layout).values())
+    curv_ok = not rest if layout else all(dom.is_zero(x) for x in rest)
     residuals.extend(rest)
 
     max_res = None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from .scalars import DegreeGuardError, Polynomial, get_degree_cap
+from .scalars import DegreeGuardError, get_degree_cap
 
 __all__ = [
     "basis_vector", "vec_add", "vec_sub", "vec_scale", "dot",
@@ -148,11 +148,6 @@ class KForm:
                 comp[k] = s
         return KForm(self.n, self.degree, comp)
 
-    def scale(self, c, dom) -> "KForm":
-        if dom.is_zero(c):
-            return KForm(self.n, self.degree)
-        return KForm(self.n, self.degree, {k: c * v for k, v in self.comp.items()})
-
     def neg(self) -> "KForm":
         return KForm(self.n, self.degree, {k: -v for k, v in self.comp.items()})
 
@@ -246,12 +241,6 @@ class MultiTensor:
         self.comp = dict(comp or {})
         self.skew = skew
 
-    @staticmethod
-    def from_endo(M, dom) -> "MultiTensor":
-        comp = {(r, c): x for r, row in enumerate(M) for c, x in enumerate(row)
-                if not dom.is_zero(x)}
-        return MultiTensor(len(M), 0, True, dom.zero(), comp)
-
     def get(self, key):
         return self.comp.get(key, self._zero)
 
@@ -273,10 +262,10 @@ class MultiTensor:
         """The full tensor of a packed one: each key, then its mirrors."""
         comp, n = {}, self.n
         for key, v in self.comp.items():
-            keys = [(key, v)]
+            keys, signed = [(key, 0)], (v, -v)
             for lo, hi in ((n ** (2 * p), n ** (2 * p + 1)) for p in range(self.skew)):
-                keys += [(k + (k // lo % n - k // hi % n) * (hi - lo), -x) for k, x in keys]
-            comp.update(keys)
+                keys += [(k + (k // lo % n - k // hi % n) * (hi - lo), 1 - s) for k, s in keys]
+            comp.update((k, signed[s]) for k, s in keys)
         return MultiTensor(n, self.rank, self.has_endo, self._zero, comp)
 
 
@@ -296,51 +285,40 @@ def unpack(x: int, n: int, length: int) -> tuple:
     return tuple(key)
 
 
-def scatter_products(runs, zero, is_zero) -> dict:
+def scatter_products(runs, zero, is_zero, layout=None) -> dict:
     """{key: sum of sign * a * c} over the runs (base, stride, sign +-1, c,
     entries), each entry (offset, r, a) at key offset + base + r * stride,
-    without the sums that is_zero (an int one: that are 0).  A product of
-    Polynomials passes the degree cap check and adds into one {monomial:
-    coefficient} dict per key, each monomial packed into an int with a
-    cap.bit_length()-bit field per variable, then one Polynomial per key;
-    Polynomial coefficients are ints, so these sums are int sums.
-    Other products sum from zero in run and entry order.  This is Johnson's
-    sum-of-products scheme (1974) as Monagan and Pearce use it (2009)."""
-    cap = get_degree_cap()
-    width = cap.bit_length()
-    shifts, packed, sums, out = {}, {}, {}, {}   # packed: id(p) -> (p kept alive, pairs, degree)
-
-    def pack_monomials(p):
-        offsets = [shifts.setdefault(v, width * len(shifts)) for v in p.vars]
-        pairs = [(sum(x << o for x, o in zip(e, offsets)), k) for e, k in p.terms.items()]
-        return packed.setdefault(id(p), (p, pairs, p.total_degree()))
-
+    without the sums that is_zero (an int one: that are 0).  Without a
+    layout the products sum from zero in run and entry order.  Nonzero
+    values packed in layout (`scalars.Layout`) sum into one {monomial:
+    coefficient} dict per key, each monomial product one int addition after
+    the degree cap check of its two factors, and come back packed.  This is
+    Johnson's sum-of-products scheme (1974) as Monagan and Pearce use it
+    (2009)."""
+    out = {}
     get = out.get
-    for base, stride, sign, c, entries in runs:
-        pc = None       # packed at c's first Polynomial product: an unused c adds no name
-        for off, r, a in entries:
-            key = off + base + r * stride
-            if type(a) is not Polynomial or type(c) is not Polynomial:
+    if layout is None:
+        for base, stride, sign, c, entries in runs:
+            for off, r, a in entries:
+                key = off + base + r * stride
                 out[key] = get(key, zero) + a * c if sign > 0 else get(key, zero) - a * c
-                continue
-            if pc is None:
-                _, pc, dc = packed.get(id(c)) or pack_monomials(c)
-            _, pa, da = packed.get(id(a)) or pack_monomials(a)
-            if pa and pc and da + dc > cap:     # a zero factor adds nothing
-                raise DegreeGuardError(f"product degree {da + dc} exceeds cap {cap}")
-            acc = sums.setdefault(key, {})
-            for ea, ka in pa:
-                ka *= sign
-                for ec, kc in pc:
-                    acc[ea + ec] = acc.get(ea + ec, 0) + ka * kc
-    names = tuple(sorted(shifts))
-    fields = [(shifts[v], (1 << width) - 1) for v in names]
-    for key, acc in sums.items():
-        poly = {tuple(e >> o & mask for o, mask in fields): k for e, k in acc.items() if k}
-        if poly or key in out:
-            x = Polynomial(names, poly)
-            out[key] = out[key] + x if key in out else x
-    return {key: x for key, x in out.items() if (x if type(x) is int else not is_zero(x))}
+        return {key: x for key, x in out.items() if (x if type(x) is int else not is_zero(x))}
+    top, cap = layout.top, min(get_degree_cap(), layout.limit)
+    for base, stride, sign, c, entries in runs:
+        dc = max(c) >> top
+        c = list(c.items()) if sign > 0 else [(e, -k) for e, k in c.items()]
+        for off, r, a in entries:
+            if (max(a) >> top) + dc > cap:
+                raise DegreeGuardError(f"product degree {(max(a) >> top) + dc} exceeds cap {cap}")
+            key = off + base + r * stride
+            acc = get(key)
+            if acc is None:
+                acc = out[key] = {}
+            for ea, ka in a.items():
+                for ec, kc in c:
+                    e = ea + ec
+                    acc[e] = acc.get(e, 0) + ka * kc
+    return {key: v for key, acc in out.items() if (v := {e: k for e, k in acc.items() if k})}
 
 
 def index_rows(tagged, is_zero):

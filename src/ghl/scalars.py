@@ -513,6 +513,76 @@ class RationalFunction:
         return f"RationalFunction({self.text()})"
 
 
+class Layout:
+    """Packed ring values: {monomial: int} dicts, no zero coefficient, {}
+    the zero.  A monomial packs the exponent of names[i] into `width` bits
+    at width * i and its degree into the bits from `top` up: while no degree
+    exceeds `limit` = 2^width - 1, a monomial product is one int addition
+    and a value's degree its largest key >> top (Monagan and Pearce, J.
+    Symbolic Comput. 46, 2011).  The width is the degree cap's when the
+    layout is made, so a later cap change cannot misread a field."""
+
+    __slots__ = ("names", "width", "top", "limit")
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names, self.width = names, _degree_cap.get().bit_length()
+        self.top, self.limit = self.width * len(names), (1 << self.width) - 1
+
+    def pack(self, p: Polynomial, shift: int = 0, scale: int = 1) -> dict:
+        """scale * p times the monomial keyed shift."""
+        offsets = [self.width * self.names.index(x) for x in p.vars]
+        v = {sum(e << o for e, o in zip(exp, offsets)) + (sum(exp) << self.top) + shift: c * scale
+             for exp, c in p.terms.items()}
+        if v and max(v) >> self.top > self.limit:
+            raise DegreeGuardError(f"degree {max(v) >> self.top} exceeds cap {self.limit}")
+        return v
+
+    def poly(self, v: dict, memo: dict) -> Polynomial:
+        """The Polynomial of v, memo keeping the exponents of each key."""
+        fields = range(0, self.top, self.width)
+        return Polynomial(self.names, {memo.get(e) or memo.setdefault(
+            e, tuple([e >> o & self.limit for o in fields])): c for e, c in v.items()})
+
+    def extreme(self, pick, keys, within: int = -1) -> int:
+        """The monomial with each exponent the pick (min or max) of the
+        keys', on the variables of the monomial within (all by default)."""
+        fields = range(0, self.top, self.width)
+        exp = [pick((e >> o & self.limit for e in keys), default=0) if within >> o & self.limit
+               else 0 for o in fields]
+        return sum(e << o for e, o in zip(exp, fields)) + (sum(exp) << self.top)
+
+    def times(self, m: dict, v: dict) -> dict:
+        """m * v for a one-term m, under the degree cap as Polynomial.__mul__."""
+        (e, c), = m.items()
+        cap = min(_degree_cap.get(), self.limit)
+        degree = (e >> self.top) + (max(v, default=0) >> self.top)
+        if v and degree > cap:
+            raise DegreeGuardError(f"product degree {degree} exceeds cap {cap}")
+        return {e + k: c * x for k, x in v.items()}
+
+    def reduce(self, den: dict, values: list, sign: bool = False):
+        """(den / g, [v / g for v in values]) for a one-term den and g the
+        gcd of every coefficient times the least exponents, negated with
+        den's coefficient when `sign`: the normal form of a monomial den."""
+        (e, c), = den.items()
+        g = _gcd(c, *(x for v in values for x in v.values()))
+        g = -g if sign and c < 0 else g
+        low = self.extreme(min, [e, *(k for v in values for k in v)], e)
+        if g == 1 and not low:
+            return den, values
+        return {e - low: c // g}, [{k - low: x // g for k, x in v.items()} for v in values]
+
+    def quotient(self, v: dict, den: dict, memo: dict) -> RationalFunction:
+        """v / den for a one-term den as `_normal_form` has it; memo shares
+        equal dens, and exponents (`poly`), among the calls given it."""
+        if not v:
+            return _RF_ZERO
+        den, (v,) = self.reduce(den, [v], True)
+        (e, c), = den.items()
+        d = memo.get((e, c)) or memo.setdefault((e, c), self.poly(den, memo))
+        return RationalFunction._of(self.poly(v, memo), d)
+
+
 def _as_rf(x):
     if isinstance(x, RationalFunction):
         return x
@@ -589,7 +659,7 @@ class FractionDomain:
     def is_zero(v) -> bool:
         if isinstance(v, (Polynomial, RationalFunction)):
             return v.is_zero()
-        return v == 0
+        return not v            # numbers, and packed ring values (`Layout`)
 
     @staticmethod
     def eq(a, b) -> bool:

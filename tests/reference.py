@@ -14,7 +14,8 @@ which the engine runs on packed int keys with one run of terms per factor,
 and the full J and Rm tensors with every sign mirror, which the engine's
 derivative tower folds onto canonical keys,
 and the rescaling c.mu, the matrix zero test and the sectional curvature of
-any two vectors, which `ghl sweep` reads off `Rm` on basis planes.
+any two vectors, which `ghl sweep` reads off `Rm` on basis planes, and an
+endomorphism as a tensor and a scaled k-form, which no engine path builds.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
@@ -43,6 +44,20 @@ def mat_identity(n: int, dom) -> list[list]:
 
 def mat_is_zero(A, dom) -> bool:
     return all(dom.is_zero(a) for row in A for a in row)
+
+
+def from_endo(M, dom) -> MultiTensor:
+    """The endomorphism M as a MultiTensor with an End slot only."""
+    comp = {(r, c): x for r, row in enumerate(M) for c, x in enumerate(row)
+            if not dom.is_zero(x)}
+    return MultiTensor(len(M), 0, True, dom.zero(), comp)
+
+
+def kform_scale(phi: KForm, c, dom) -> KForm:
+    """c * phi."""
+    if dom.is_zero(c):
+        return KForm(phi.n, phi.degree)
+    return KForm(phi.n, phi.degree, {k: c * v for k, v in phi.comp.items()})
 
 
 def from_bilinear(rows, dom) -> MultiTensor:
@@ -480,7 +495,7 @@ def full_start_tensors(spec: BracketSpec) -> tuple[MultiTensor, MultiTensor]:
     Rm = {(a, b, r, c): spec.Rm[a][b][r][c]
           for a, b, r, c in itertools.product(range(n2), repeat=4)
           if not dom.is_zero(spec.Rm[a][b][r][c])}
-    return MultiTensor.from_endo(spec.I, dom), MultiTensor(n2, 2, True, dom.zero(), Rm)
+    return from_endo(spec.I, dom), MultiTensor(n2, 2, True, dom.zero(), Rm)
 
 
 def is_canonical(key: tuple, skew: int) -> bool:

@@ -33,6 +33,23 @@ def test_validate_iwasawa_exit_zero():
     assert "integrable: yes" in out
 
 
+def test_a_call_after_a_usage_error_answers_as_a_first_call():
+    """The parser is built once per process: a call after a usage error
+    (exit 2, usage on stderr) prints and exits as the same call made first
+    on a new parser, and the usage error repeats as it was."""
+    calls = [("validate", str(bundled_path("iwasawa"))), ("report", "--no-such-option"),
+             ("singer", str(bundled_path("iwasawa")), "--params", "alpha=1")]
+    first = {}
+    for argv in calls:
+        cli.make_parser.cache_clear()
+        first[argv] = run(*argv)
+    assert first[calls[1]][0] == 2 and "usage: ghl report" in first[calls[1]][2]
+    assert [first[argv][0] for argv in calls] == [0, 2, 0]
+    for argv in calls + calls[::-1]:
+        assert run(*argv) == first[argv], argv
+    assert cli.make_parser.cache_info().misses == 1
+
+
 def test_validate_kodaira_thurston_with_params():
     code, out, _ = run("validate", str(bundled_path("kodaira-thurston")),
                        "--params", "r=1,sigma=2,x=0,y=0")

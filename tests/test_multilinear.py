@@ -15,11 +15,11 @@ from ghl.multilinear import (FrameError, KForm, MultiTensor, basis_vector,
                              action_terms, gram_schmidt_unitary, index_rows, istd,
                              mat_vec, mat_zero, pack, scatter_products, unpack, wedge)
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
-                         FractionDomain, NumericDomain, Polynomial,
+                         FractionDomain, Layout, NumericDomain, Polynomial,
                          set_degree_cap)
 
 from reference import (add_product_loop, complex_trace_sym, derivation_action_loop, form_action,
-                       form_basis, form_evaluate, from_bilinear,
+                       form_basis, form_evaluate, from_bilinear, from_endo, kform_scale,
                        canonical_part, interior_product, mat_identity, pi_11, sparse_pairs,
                        tuple_action_terms, tuple_index_rows, tuple_product_terms,
                        tuple_scatter_products, unfold)
@@ -98,7 +98,7 @@ def test_wedge_associative_graded_commutative(a, b, c):
     ab = wedge(a, b, DOM)
     ba = wedge(b, a, DOM)
     sign = (-1) ** (a.degree * b.degree)
-    assert ab.eq(ba.scale(Fraction(sign), DOM), DOM)
+    assert ab.eq(kform_scale(ba, Fraction(sign), DOM), DOM)
 
 
 def test_interior_product_full_and_partial():
@@ -120,7 +120,7 @@ def test_interior_antisymmetric_in_vectors(phi, i, j):
     v = basis_vector(4, j, DOM)
     a = interior_product(phi, [u, v], DOM)
     b = interior_product(phi, [v, u], DOM)
-    assert a.eq(b.scale(Fraction(-1), DOM), DOM)
+    assert a.eq(kform_scale(b, Fraction(-1), DOM), DOM)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_derivation_kills_metric_for_skew():
 def test_derivation_kills_J_for_unitary():
     J = istd(2, DOM)
     # J itself is in u(m): A.J = [A, J] = 0 when A = J
-    out = derivation_action(J, MultiTensor.from_endo(J, DOM), DOM)
+    out = derivation_action(J, from_endo(J, DOM), DOM)
     assert all(out.get((r, c)) == 0 for r in range(4) for c in range(4))
 
 
@@ -248,7 +248,7 @@ def test_derivation_on_endomorphism_is_commutator():
     rng = random.Random(17)
     A = rand_skew(rng, 4)
     M = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
-    out = derivation_action(A, MultiTensor.from_endo(M, DOM), DOM)
+    out = derivation_action(A, from_endo(M, DOM), DOM)
     want = commutator(A, M)
     assert all(out.get((r, c)) == want[r][c] for r in range(4) for c in range(4))
 
@@ -414,6 +414,68 @@ def test_product_terms_equal_the_add_product_loop(case):
 
 
 # ---------------------------------------------------------------------------
+# packed ring values against the definition
+# ---------------------------------------------------------------------------
+
+
+def _sympy(p: Polynomial):
+    import sympy
+    return sympy.Add(*(c * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in zip(p.vars, exp)))
+                       for exp, c in p.terms.items()))
+
+
+@st.composite
+def packed_runs(draw):
+    """`scatter_products` runs (base, stride, sign, c, entries) of nonzero
+    Polynomials over mixed variable tuples, meeting at up to six keys, with
+    runs and entries that may be empty; one run may repeat with the
+    opposite sign, so that its sums cancel."""
+    value = ring_values(True)
+    entry = st.tuples(st.integers(0, 1), st.integers(0, 1), value)
+    runs = [(draw(st.integers(0, 2)), 2, draw(st.sampled_from((1, -1))), draw(value),
+             draw(st.lists(entry, max_size=3))) for _ in range(draw(st.integers(0, 4)))]
+    if runs and draw(st.booleans()):
+        base, stride, sign, c, entries = draw(st.sampled_from(runs))
+        runs.append((base, stride, -sign, c, entries))
+    return runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_runs())
+def test_packed_sums_equal_the_sum_of_products(runs):
+    """Runs of values packed in one layout (`Layout`), summed by
+    `scatter_products`, give at each key the sum of sign * a * c over its
+    products as SymPy expands it, and no key whose sum is 0.  With the cap
+    one below the largest product degree (when that is at least 2) the
+    kernel raises DegreeGuardError naming it, and at that degree it gives
+    the same sums."""
+    sympy = pytest.importorskip("sympy")
+    want = {}
+    for base, stride, sign, c, entries in runs:
+        for off, r, a in entries:
+            key = off + base + r * stride
+            want[key] = want.get(key, 0) + sign * _sympy(a) * _sympy(c)
+    want = {key: x for key, x in ((key, sympy.expand(x)) for key, x in want.items()) if x != 0}
+    layout = Layout(NAMES)
+    packed = [(base, stride, sign, layout.pack(c), [(off, r, layout.pack(a)) for off, r, a in entries])
+              for base, stride, sign, c, entries in runs]
+    got = scatter_products(packed, {}, DOM.is_zero, layout)
+    assert got.keys() == want.keys()
+    assert all(sympy.expand(_sympy(layout.poly(got[key], {})) - want[key]) == 0 for key in want)
+    top = max((a.total_degree() + c.total_degree() for *_, c, entries in runs
+               for *_, a in entries), default=0)
+    try:
+        if top >= 2:
+            set_degree_cap(top - 1)
+            with pytest.raises(DegreeGuardError, match=f"product degree {top} exceeds cap {top - 1}"):
+                scatter_products(packed, {}, DOM.is_zero, layout)
+        set_degree_cap(max(top, 1))
+        assert scatter_products(packed, {}, DOM.is_zero, layout) == got
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
+
+
+# ---------------------------------------------------------------------------
 # packed keys and runs against the tuple-key kernel
 # ---------------------------------------------------------------------------
 
@@ -448,6 +510,26 @@ def kernel_values(kind):
             "poly": ring_values(True),
             "float": st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-3, 1e-3)).filter(bool),
             "mixed": st.one_of(ring_values(False), ring_values(True))}[kind]
+
+
+def _packed_in(values) -> Layout | None:
+    """A layout over NAMES when a Polynomial is among the values: the kernel
+    sums those packed (`Layout`), and ints among them as constants."""
+    return Layout(NAMES) if any(isinstance(x, Polynomial) for x in values) else None
+
+
+def _ring(layout, x):
+    """x as the kernel takes it: packed in layout, or as it is without one."""
+    if layout is None:
+        return x
+    return layout.pack(x if isinstance(x, Polynomial) else Polynomial.const(x))
+
+
+def _first_reached(terms, sums: dict) -> dict:
+    """sums in the order the (key, sign, a, c) terms first reach their keys,
+    the kernel's order: the tuple-key kernel lists its Polynomial sums after
+    the others."""
+    return {key: sums[key] for key in dict.fromkeys(term[0] for term in terms) if key in sums}
 
 
 def _identical(x, y) -> bool:
@@ -497,7 +579,9 @@ def test_action_runs_equal_the_tuple_kernel(case):
     """`action_terms` runs on a packed tensor with int tags, summed by
     `scatter_products`, give the tuple-key kernel's terms summed
     (`reference.tuple_scatter_products`): the same keys once decoded, in the
-    same order, and identical values, floats bit for bit.  On a tensor held
+    order the terms first reach them (`_first_reached`), and identical
+    values, floats bit for bit and Polynomials packed (`_packed_in`)
+    monomial for monomial.  On a tensor held
     on canonical keys the kernel's terms are those of the full tensor
     (`reference.unfold`, each key followed by its mirrors), and the folded
     runs give the same keys as their canonical keys, with identical values."""
@@ -505,10 +589,15 @@ def test_action_runs_equal_the_tuple_kernel(case):
     n, length = T.n, T.rank + 2 * T.has_endo
     full = MultiTensor(n, T.rank, T.has_endo, zero, unfold(T.comp, T.skew))
     rows = tuple_index_rows((((t,), A) for t, A in enumerate(mats)), DOM.is_zero)
-    want = tuple_scatter_products(tuple_action_terms(full, *rows, sign), zero, DOM.is_zero)
+    terms = list(tuple_action_terms(full, *rows, sign))
+    want = _first_reached(terms, tuple_scatter_products(terms, zero, DOM.is_zero))
     want = canonical_part(want, T.skew)
+    layout = _packed_in([*T.comp.values(), *(x for M in mats for row in M for x in row)])
+    want = {k: _ring(layout, x) for k, x in want.items()}
+    T.comp = {k: _ring(layout, x) for k, x in T.comp.items()}
+    mats = [[[_ring(layout, x) for x in row] for row in M] for M in mats]
     rows = index_rows(((t * n ** length, A) for t, A in enumerate(mats)), DOM.is_zero)
-    packed = scatter_products(action_terms(T.packed(), *rows, sign), zero, DOM.is_zero)
+    packed = scatter_products(action_terms(T.packed(), *rows, sign), zero, DOM.is_zero, layout)
     got = {unpack(k, n, length + 1): x for k, x in packed.items()}
     assert list(got) == list(want) if not T.skew else got.keys() == want.keys()
     assert all(_identical(got[k], want[k]) for k in want)
@@ -534,15 +623,22 @@ def kernel_product_cases(draw):
 def test_product_runs_equal_the_tuple_kernel(case):
     """`_product_terms` runs at the packed keys (kp*n + i)*n + j, summed by
     `scatter_products`, give `reference.tuple_product_terms` at (kp, i, j)
-    summed by the tuple-key kernel: the same keys in the same order, and
-    identical values, floats bit for bit."""
+    summed by the tuple-key kernel: the same keys in the order the terms
+    first reach them (`_first_reached`), and identical values, floats bit
+    for bit and Polynomials packed (`_packed_in`) monomial for monomial."""
     zero, n, terms = case
-    want = tuple_scatter_products(itertools.chain.from_iterable(
-        tuple_product_terms((kp,), sign, sparse_pairs(A) if isinstance(A, list) else A,
-                            sparse_pairs(B)) for kp, sign, A, B in terms), zero, DOM.is_zero)
+    ref_terms = [term for kp, sign, A, B in terms for term in tuple_product_terms(
+        (kp,), sign, sparse_pairs(A) if isinstance(A, list) else A, sparse_pairs(B))]
+    want = _first_reached(ref_terms, tuple_scatter_products(ref_terms, zero, DOM.is_zero))
+    layout = _packed_in([x for _, _, A, B in terms for M in (A, B)
+                         for x in (itertools.chain(*M) if isinstance(M, list) else [M])])
+    want = {k: _ring(layout, x) for k, x in want.items()}
+
+    def ring(M):
+        return [[_ring(layout, x) for x in row] for row in M]
     packed = scatter_products(itertools.chain.from_iterable(
-        _product_terms(kp, n, sign, _sparse(A) if isinstance(A, list) else A, _sparse(B))
-        for kp, sign, A, B in terms), zero, DOM.is_zero)
+        _product_terms(kp, n, sign, _sparse(ring(A)) if isinstance(A, list) else _ring(layout, A),
+                       _sparse(ring(B))) for kp, sign, A, B in terms), zero, DOM.is_zero, layout)
     got = {unpack(k, n, 3): x for k, x in packed.items()}
     assert list(got) == list(want)
     assert all(_identical(got[k], want[k]) for k in want)

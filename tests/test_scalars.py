@@ -1,6 +1,7 @@
 """Scalar kernel: exact polynomial/rational-function arithmetic and the
 numeric backend."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ghl.scalars
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
-                         FractionDomain, NumericDomain, PoleError, Polynomial,
+                         FractionDomain, Layout, NumericDomain, PoleError, Polynomial,
                          RationalFunction, UsageError, _normal_form,
                          get_degree_cap, set_degree_cap)
 from reference import content, normal_form_two_pass, ratfun_text
@@ -519,6 +520,43 @@ def test_equality_over_one_denominator_forms_no_product(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", None)
     assert x == RationalFunction(x.num, x.den) and x != x1
     assert y == RationalFunction(y.num) and y != RationalFunction(a8)
+
+
+# ---------------------------------------------------------------------------
+# packed ring values (`Layout`)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def packed_quotients(draw):
+    """(nums, den): int Polynomials over subsets of _NAMES, zero included,
+    and a one-term den c * x^e, c of either sign."""
+    def poly(min_size, max_size):
+        names = tuple(sorted(draw(st.sets(st.sampled_from(_NAMES)))))
+        exps = st.tuples(*[st.integers(0, 3)] * len(names))
+        terms = st.dictionaries(exps, st.integers(-12, 12).filter(bool),
+                                min_size=min_size, max_size=max_size)
+        return Polynomial(names, draw(terms))
+    return [poly(0, 4) for _ in range(draw(st.integers(1, 3)))], poly(1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_quotients())
+def test_packed_divided_read_equals_the_rational_function(case):
+    """The divided read of packed numerators over a packed one-term den
+    (`geometry._divide`) gives RationalFunction(num, den) for each: num and
+    den == term for term, and the same text; the values share one den
+    object where their dens are equal."""
+    from ghl import geometry as geo
+    nums, den = case
+    layout = Layout(_NAMES)
+    got = geo._divide({i: layout.pack(p) for i, p in enumerate(nums)}, layout.pack(den), layout)
+    for i, num in enumerate(nums):
+        want = RationalFunction(num, den)
+        assert (got[i].num, got[i].den) == (want.num, want.den)
+        assert got[i].text() == want.text()
+    for x, y in itertools.combinations([x for x in got.values() if not x.is_zero()], 2):
+        assert (x.den is y.den) == (x.den == y.den)
 
 
 # ---------------------------------------------------------------------------
