@@ -4,10 +4,11 @@
 Usage: python scripts/cli_digest.py
 
 Runs a fixed list of in-process `ghl.cli.main` calls (every verb on every
-bundled and test data file, `--t` symbolic/rational/-1/0, JSON and text
-reports, the two numeric scale probes, t-only, two-axis and pole-row sweeps,
-and usage errors, bad input files among them) and prints, per call, its argv, exit code, the sha256 of
-its stdout and the last line of its stderr.  `ghl` is imported from
+bundled and test data file, `check` on the two brackets that fail
+validation, `--t` symbolic/rational/-1/0, JSON and text reports, the two
+numeric scale probes, t-only, two-axis and pole-row sweeps, and usage
+errors, bad input files among them) and prints, per call, its argv, exit
+code, the sha256 of its stdout and the last line of its stderr.  `ghl` is imported from
 PYTHONPATH, so
 
     PYTHONPATH=src python3 scripts/cli_digest.py > after.jsonl
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from ghl.cli import main as ghl_main
 
-VERSION = 5
+VERSION = 6
 ROOT = Path(__file__).resolve().parent.parent
 
 DATA = "src/ghl/data/"
@@ -68,6 +69,8 @@ def calls() -> list[list[str]]:
     for name in BUNDLED:
         out.append(["report", _path(name), "--format", "text"])
         out.append(["check", _path(name), DATA + name + ".expected.json"])
+    for name in ("broken-h2", "broken-jacobi"):
+        out.append(["check", _path(name), DATA + "abelian2.expected.json"])
     for name in ("iwasawa", "kodaira", "kodaira-thurston", "iwasawa-metric", "kt-exact"):
         for t in ("1/2", "-1", "0"):
             out.append(["report", _path(name), "--t", t])

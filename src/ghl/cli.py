@@ -11,7 +11,9 @@
 
 Exit codes: 0 success, 1 semantic failure (validation failure, check
 mismatch or a failed built-in identity), 2 usage, parse or I/O errors,
-3 internal error (an engine defect).
+3 internal error (an engine defect).  Every verb but validate refuses a
+bracket that fails h1-h4 before any geometry: exit 1, each failed
+condition named on stderr.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ def cmd_validate(args) -> int:
 
 def cmd_report(args) -> int:
     loaded = load_ghl(args.file, args.params, args.tol)
+    if _validation_failed(loaded):
+        return SEMANTIC_ERROR
     report = build_report(loaded, *_parse_t(args.t, loaded.spec.domain))
     text = serialize_report(report)
     if args.format == "text":
@@ -121,6 +125,8 @@ def _print_text_report(report: dict, out) -> None:
 
 def cmd_check(args) -> int:
     loaded = load_ghl(args.file, args.params, args.tol)
+    if _validation_failed(loaded):
+        return SEMANTIC_ERROR
     actual = build_report(loaded, *_parse_t(args.t, loaded.spec.domain))
     expected = json.loads(Path(args.expected).read_text(encoding="utf-8"))
     diffs = compare_reports(actual, expected, tol=args.tol)

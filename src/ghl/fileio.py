@@ -335,8 +335,8 @@ def build_report(loaded: LoadedSpec, t=None, t_label: str | None = None) -> dict
         t_label = dom.text(t)
 
     tors, S, Rm = spec.tors, spec.S, spec.Rm
-    A = geo.gauduchon_connection(spec, t)
-    Om, T = geo._curvature(spec, A), geo._torsion(spec, A)
+    ring = geo._gauduchon(spec, t)
+    A, (Om, T) = geo._divided_connection(spec, *ring), geo._curvature_torsion(spec, *ring)
     W = geo.rho2_matrix(spec, Om)
     rho1, _, scal = geo._ricci_and_scalar(spec, Om, W)
     theta = geo.lee_form(spec)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -36,10 +37,11 @@ from typing import Sequence
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
     action_terms, coboundary, index_rows, istd, mat_add,
-    mat_scale, mat_sub, mat_zero, scatter_products, unpack, vec_add, vec_sub,
-    wedge, complex_trace_form,
+    mat_sub, mat_zero, scatter_products, unpack, vec_add,
+    wedge, complex_trace_form, _conn_endo, _matrices, _product_terms, _sparse,
 )
-from .scalars import FractionDomain, Layout, RationalFunction, UsageError
+from .scalars import (FractionDomain, Layout, RationalFunction, UsageError, get_degree_cap,
+                      _clear, _divide, _plus, _reduce, _scale, _times)
 
 __all__ = [
     "BracketSpec", "ValidationReport", "ConditionResult", "TorsionData",
@@ -86,13 +88,14 @@ class BracketSpec:
             if any(not domain.is_zero(c) for c in vec):
                 store[(a, b)] = vec
         self.mu_store = store
+        self._rings = {}            # layout key -> `_RingForm` or None, built on first use
 
     # -- bracket access ------------------------------------------------------
 
     @cached_property
     def mu(self) -> list[list[list]]:
         """mu[a][b] = mu(e_a, e_b) for all a, b in 0..n-1, the `_pair_table`
-        of `mu_store`: 0 - x below the diagonal keeps a numeric 0.0 from
+        of `mu_store`: 0.0 - x below the diagonal keeps a numeric 0.0 from
         printing as -0.0.  Callers must not mutate it."""
         zeros = [self.domain.zero()] * self.n
         return _pair_table(lambda a, b: self.mu_store.get((a, b), zeros), zeros)
@@ -414,9 +417,9 @@ def _Ie(a: int) -> tuple[int, int]:
 
 
 def _signed(s: int, x):
-    """s x for s = +-1.  Negates as 0 - x, so that a numeric 0.0 stays 0.0
-    rather than printing as -0.0."""
-    return x if s > 0 else 0 - x
+    """s x for s = +-1.  Negates a float as 0.0 - x, so that a numeric 0.0
+    stays 0.0 rather than printing as -0.0, and any other value as -x."""
+    return x if s > 0 else 0.0 - x if type(x) is float else -x
 
 
 def _mu_m_table(spec: BracketSpec, clean: bool = False) -> list[list[list]]:
@@ -497,47 +500,129 @@ def levi_civita(spec: BracketSpec) -> list[list[list]]:
              for z in range(n2)] for x in range(n2)]
 
 
-def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
-    """A^t: R^{2m} -> u(m).  t is a scalar of the spec's domain (or symbolic)."""
-    dom = spec.domain
-    n2 = 2 * spec.m
-    tors = spec.tors
-    S = spec.S
-    quarter = dom.from_fraction("1/4")
-    half = dom.from_fraction("1/2")
-    cp = (t + 1) * quarter
-    cm = (t - 1) * quarter
-
+def _connection_terms(spec: BracketSpec) -> list[list]:
+    """The t-independent tensors of A^t but S, flat over (x, z, y) at
+    (x n2 + z) n2 + y: s_y s_z F+(e_x, e_y^1, e_z^1) (= F+(X, IY, IZ),
+    `_Ie`), F+(e_x, e_y, e_z), <N(e_y, e_z), e_x> and F-(e_x, e_y, e_z)."""
+    dom, n2, tors = spec.domain, 2 * spec.m, spec.tors
     zeros = [dom.zero()] * n2
     N = _pair_table(lambda a, b: tors.N.get((a, b), zeros), zeros)
-    out = []
-    for x in range(n2):
-        M = mat_zero(n2, dom)
-        for y in range(n2):
-            iy, sy = _Ie(y)
-            for z in range(n2):
-                iz, sz = _Ie(z)
-                M[z][y] = S[x][z][y] \
-                    - cp * _signed(sy * sz, tors.F_plus.component((x, iy, iz), dom)) \
-                    - cm * tors.F_plus.component((x, y, z), dom) \
-                    + quarter * N[y][z][x] \
-                    - half * tors.F_minus.component((x, y, z), dom)
-        _assert_unitary(M, dom, f"A^t(e{x})")
-        out.append(M)
-    return out
+    keys = list(itertools.product(range(n2), repeat=3))
+    plus, minus = tors.F_plus.component, tors.F_minus.component
+    # I e_a = s_a e_{a^1} (`_Ie`), s_y s_z = -1 exactly when y and z differ in parity
+    return [[_signed(1 - ((y ^ z) & 1) * 2, plus((x, y ^ 1, z ^ 1), dom)) for x, z, y in keys],
+            [plus((x, y, z), dom) for x, z, y in keys], [N[y][z][x] for x, z, y in keys],
+            [minus((x, y, z), dom) for x, z, y in keys]]
+
+
+class _RingForm:
+    """The bracket table `mu` (as `BracketSpec.mu`) and the matrices S(e_x)
+    as ring values over one den (`_clear`) in one layout, with ad(e_z) of
+    each isotropy vector (`_sparse`); the terms of A^t (`_terms`), Rm's
+    undivided sums (`_rm_sums`) and S reduced to its own den for the
+    towers (`_towers`) once asked for.  Built by `_ring_form`."""
+
+    Rm = terms = tower_S = None
+
+    def __init__(self, spec: BracketSpec, den, ring: list, layout):
+        n, q, n2 = spec.n, spec.q, 2 * spec.m
+        self.den, self.layout = den, layout
+        self.one, self.zero = ({0: 1}, {}) if layout else (1, 0)
+        it = iter(ring)
+        self.mu = [[list(itertools.islice(it, n)) for _ in range(n)] for _ in range(n)]
+        self.S = _matrices(list(it), n2)
+        self.ad = [_sparse([[self.mu[z][q + b][q + r] for b in range(n2)] for r in range(n2)])
+                   for z in range(q)]
+
+
+def _ring_form(spec: BracketSpec, *values, t: bool = True) -> _RingForm | None:
+    """The spec's `_RingForm`, cached per layout: at the degree cap's width
+    over the spec's parameters, t (unless not t) and the values' variables,
+    sorted, or over ints on a Fraction spec where the values bring none;
+    None where `_clear` leaves the values as they are (floats, a
+    non-monomial denominator)."""
+    names = {x for v in values if isinstance(v, RationalFunction) for x in v.num.vars + v.den.vars}
+    if isinstance(spec.domain, FractionDomain) and not names:
+        key = None
+    else:
+        names.update(spec.params, ("t",) if t else ())
+        key = tuple(sorted(names)), get_degree_cap().bit_length()
+    if key not in spec._rings:
+        values = _flat(spec.mu) + _flat(spec.S) if spec.domain.backend == "exact" else []
+        den, ring, layout = (_clear(values, key and Layout(key[0])) if values
+                             else (1, values, None))
+        spec._rings[key] = None if ring is values else _RingForm(spec, den, ring, layout)
+    return spec._rings[key]
+
+
+def _flat(Ms: list) -> list:
+    """The entries of a list of matrices, in order (`_matrices` inverts it)."""
+    return [x for M in Ms for row in M for x in row]
+
+
+def _terms(spec: BracketSpec, form: _RingForm) -> list:
+    """S over den and the `_connection_terms` over 4 den as `scatter_products`
+    entries at their flat keys: each term is an integer combination of
+    brackets over 4 (module docstring), so `_clear` packs it at that den.
+    Kept on the form."""
+    if form.terms is None:
+        terms = _connection_terms(spec)
+        _, ring, _ = _clear([x for T in terms for x in T], form.layout, _scale(form.den, 4))
+        size = len(terms[0])
+        form.terms = [[(key, 0, v) for key, v in enumerate(T) if v] for T in [
+            _flat(form.S), *(ring[i:i + size] for i in range(0, len(ring), size))]]
+    return form.terms
+
+
+def _gauduchon(spec: BracketSpec, t):
+    """(form, k, A) with A^t(e_x) = A[x] / (form.den k) for ring matrices A:
+    t = tn / td cleared in the `_ring_form`'s layout and k = 16 td, so that
+    16 td den A^t = 16 td S - (tn + td) FI - (tn - td) F+ + td N - 2 td F-,
+    S over den and the rest over 4 den (`_terms`), is one `scatter_products`
+    call with those ring constants.  (None, None, A) over the spec's domain
+    where no ring form holds the spec or t.  Each A^t(e_x) is asserted to
+    lie in u(m) (`_assert_unitary`)."""
+    dom, n2 = spec.domain, 2 * spec.m
+    form, tv = _ring_form(spec, t), [t]
+    cleared = form and _clear(tv, form.layout)
+    if not cleared or cleared[1] is tv:
+        quarter, half = dom.from_fraction("1/4"), dom.from_fraction("1/2")
+        cp, cm = (t + 1) * quarter, (t - 1) * quarter
+        flat = [s - cp * fi - cm * f + quarter * nt - half * fm
+                for s, fi, f, nt, fm in zip(_flat(spec.S), *_connection_terms(spec))]
+        form, k = None, None
+    else:
+        td, (tn,), _ = cleared
+        k = _scale(td, 16)
+        runs = [(0, 0, sign, c, T) for sign, c, T in zip(
+            (1, -1, -1, 1, -1), (k, _plus(tn, td), _plus(tn, td, -1), td, _scale(td, 2)),
+            _terms(spec, form)) if c]
+        sums = scatter_products(runs, 0, FractionDomain.is_zero, form.layout)
+        flat = [sums.get(key, form.zero) for key in range(n2 ** 3)]
+    A = _matrices(flat, n2)
+    for x, M in enumerate(A):
+        _assert_unitary(M, FractionDomain if form else dom, f"A^t(e{x})")
+    return form, k, A
+
+
+def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
+    """A^t: R^{2m} -> u(m).  t is a scalar of the spec's domain (or symbolic)."""
+    return _divided_connection(spec, *_gauduchon(spec, t))
 
 
 def _assert_unitary(M, dom, label: str):
     """Raise unless M is skew-symmetric and commutes with I
-    (`_commutes_with_I`): M in u(m), as every A^t(X) is (Gauduchon 1997)."""
+    (`_commutes_with_I`): M in u(m), as every A^t(X) is (Gauduchon 1997).
+    Ring values (`_clear`) are checked with dom = FractionDomain."""
     _assert_skew(M, dom, label)
     if not _commutes_with_I(M, dom):
         raise InternalConsistencyError(f"{label} does not commute with I")
 
 
 def _assert_skew(M, dom, label: str):
+    add = _plus if type(M[0][0]) is dict else operator.add
     for i, j in itertools.combinations_with_replacement(range(len(M)), 2):
-        if not dom.is_zero(M[i][j] + M[j][i]):
+        if not dom.is_zero(add(M[i][j], M[j][i])):
             raise InternalConsistencyError(f"{label} is not skew-symmetric at ({i},{j})")
 
 
@@ -548,90 +633,138 @@ def _commutes_with_I(M, dom) -> bool:
     and entry (i^1, j^1) test the same pair, so even rows i suffice.  A
     dense `commutator` would form 2 (2m)^3 products per matrix."""
     n = len(M)
-    return all(dom.is_zero(M[i][j ^ 1] - M[i ^ 1][j] if (i ^ j) & 1
-                           else M[i][j ^ 1] + M[i ^ 1][j])
+    return all(dom.is_zero(_plus(M[i][j ^ 1], M[i ^ 1][j], -1 if (i ^ j) & 1 else 1))
                for i in range(0, n, 2) for j in range(n))
 
 
 # -- curvature --------------------------------------------------------------------
 
 
-def _conn_endo(C: list, v: Sequence, dom):
-    """sum_a v[a] C[a] over the nonzero coefficients."""
-    M = mat_zero(len(C[0]), dom)
-    for a, c in enumerate(v):
-        if not dom.is_zero(c):
-            M = mat_add(M, mat_scale(c, C[a]))
-    return M
-
-
 def _pair_table(upper, zero: list) -> list[list]:
     """X[a][b] = X(e_a, e_b) for all a, b of a 2-form on m with vector or
     matrix values, kept as `BracketSpec.mu` is: upper(a, b) above the
-    diagonal, the one `zero` on it and the entrywise zero - x below.
+    diagonal, the one `zero` on it and the entrywise -x below (as
+    `_signed` negates).
     Callers must not mutate it."""
-    sub = mat_sub if isinstance(zero[0], list) else vec_sub
+    matrix = isinstance(zero[0], list)
+    floats = type(zero[0][0] if matrix else zero[0]) is float
+
+    def negated(row):
+        return [0.0 - v for v in row] if floats else [-v for v in row]
     tab = [[zero] * len(zero) for _ in zero]
     for a, b in itertools.combinations(range(len(zero)), 2):
         tab[a][b] = x = upper(a, b)
-        tab[b][a] = sub(zero, x)
+        tab[b][a] = list(map(negated, x)) if matrix else negated(x)
     return tab
 
 
-def _curvature(spec: BracketSpec, C: list) -> list[list[list]]:
-    """Om[a][b] = ad(mu_h(e_a, e_b)) - [C(e_a), C(e_b)] - C(mu_m(e_a, e_b)).
+def _curvature(spec: BracketSpec, form, k, C: list) -> tuple:
+    """(den, sums) with Om(e_a, e_b)[i][j] = sums[((a n2 + b) n2 + i) n2 + j]
+    / den for a < b, where Om[a][b] = ad(mu_h(e_a, e_b)) - [C(e_a), C(e_b)]
+    - C(mu_m(e_a, e_b)), for `_gauduchon`'s (form, k, C) or (form, form.one,
+    form.S).
 
-    C and the bracket table are cleared together to ring values over one
-    denominator den (`_clear`), so that every term is a product of two ring
-    values over den^2; the terms of all pairs are summed in one
-    `scatter_products` call at the packed (a, b, i, j) and divided back once
-    (`_divide`).
-    When `_clear` leaves the values as they are, the dense formula runs over
-    the spec's own domain: its float sums are the ones numeric reports print."""
-    dom = spec.domain
+    C is over den k and the bracket table over den (the form's), so ad's
+    products are scaled by k^2 and C(mu_m)'s by k: every term is a product
+    of two ring values over (den k)^2, all summed in one `scatter_products`
+    call at the packed (a, b, i, j) and left undivided (`_pairs` divides).
+    Without a form the dense formula runs over the spec's own domain, at
+    every entry: its float sums are the ones numeric reports print."""
     q, n2 = spec.q, 2 * spec.m
-    values = [*C, *spec.mu]
-    den, ring, layout = _clear_matrices(values)
-    if ring is values:
-        return _pair_table(lambda a, b: mat_sub(
-            mat_sub(spec.ad_h(spec.mu_h(a, b)), commutator(C[a], C[b])),
-            _conn_endo(C, spec.mu_m(a, b), dom)), mat_zero(n2, dom))
-    Cs = [_sparse(M) for M in ring[:n2]]
-    mu = ring[n2:]
-    ad = [_sparse([[mu[z][q + b][q + r] for b in range(n2)] for r in range(n2)])
-          for z in range(q)]
+    pairs = list(itertools.combinations(range(n2), 2))
+    if form is None:
+        sums = {}
+        for a, b in pairs:
+            M = mat_sub(mat_sub(spec.ad_h(spec.mu_h(a, b)), commutator(C[a], C[b])),
+                        _conn_endo(C, spec.mu_m(a, b), spec.domain))
+            sums.update(zip(itertools.count((a * n2 + b) * n2 * n2), itertools.chain(*M)))
+        return 1, sums
+    layout, mu = form.layout, form.mu
+    k2, Cs = _times(layout, k, k), [_sparse(M) for M in C]
 
     def terms():
-        for a, b in itertools.combinations(range(n2), 2):
+        for a, b in pairs:
             key, bracket = a * n2 + b, mu[q + a][q + b]
             for z, h in enumerate(bracket[:q]):
-                yield from _product_terms(key, n2, 1, h, ad[z])
+                yield from _product_terms(key, n2, 1, _times(layout, k2, h), form.ad[z])
             yield from _product_terms(key, n2, -1, Cs[a], Cs[b])
             yield from _product_terms(key, n2, 1, Cs[b], Cs[a])
             for c, x in enumerate(bracket[q:]):
-                yield from _product_terms(key, n2, -1, x, Cs[c])
-    tab = {}
-    sums = scatter_products(terms(), 0, FractionDomain.is_zero, layout)
-    for key, x in _divide(sums, _times(layout, den, den), layout).items():
-        tab.setdefault(key // n2 ** 2, mat_zero(n2, dom))[key // n2 % n2][key % n2] = x
-    return _pair_table(lambda a, b: tab.get(a * n2 + b) or mat_zero(n2, dom), mat_zero(n2, dom))
+                yield from _product_terms(key, n2, -1, _times(layout, k, x), Cs[c])
+    den = _times(layout, form.den, k)
+    return _times(layout, den, den), scatter_products(terms(), 0, FractionDomain.is_zero, layout)
+
+
+def _rm_sums(spec: BracketSpec, form: _RingForm) -> tuple:
+    """Rm's (den, sums) in the form's ring (`_curvature` on form.S), kept on
+    it for the audit; `riemann_curvature`, whose table the spec keeps, does
+    not keep them."""
+    form.Rm = form.Rm or _curvature(spec, form, form.one, form.S)
+    return form.Rm
+
+
+def _divided(spec: BracketSpec, form, pair: tuple, size: int) -> list:
+    """The values at range(size) of `_curvature`'s, `_torsion`'s or
+    `_gauduchon`'s (den, sums), each divided once (`_divide`) into the
+    spec's domain, zeros filled in."""
+    out = [spec.domain.zero()] * size
+    for key, x in (_divide(pair[1], pair[0], form.layout) if form else pair[1]).items():
+        out[key] = x
+    return out
+
+
+def _pairs(spec: BracketSpec, form, pair: tuple, matrix: bool) -> list[list]:
+    """The pair table of `_curvature`'s (matrix) or `_torsion`'s (den, sums)."""
+    n2, size = 2 * spec.m, (2 * spec.m) ** (2 if matrix else 1)
+    flat = _divided(spec, form, pair, n2 * n2 * size)
+
+    def value(a, b):
+        k = (a * n2 + b) * size
+        return [flat[i:i + n2] for i in range(k, k + size, n2)] if matrix else flat[k:k + n2]
+    return _pair_table(value, mat_zero(n2, spec.domain) if matrix else [spec.domain.zero()] * n2)
 
 
 def riemann_curvature(spec: BracketSpec) -> list[list[list]]:
-    return _curvature(spec, spec.S)
+    form = _ring_form(spec)
+    C = form.S if form else spec.S
+    return _pairs(spec, form, _curvature(spec, form, form and form.one, C), True)
 
 
-def _torsion(spec: BracketSpec, A: list) -> list[list[list]]:
-    """T[a][b] = T(e_a, e_b) = A(e_a) e_b - A(e_b) e_a - mu_m(e_a, e_b)."""
-    return _pair_table(
-        lambda a, b: [A[a][r][b] - A[b][r][a] - v for r, v in enumerate(spec.mu_m(a, b))],
-        [spec.domain.zero()] * (2 * spec.m))
+def _torsion(spec: BracketSpec, form, k, A: list) -> tuple:
+    """(den, sums) with T(e_a, e_b)_r = sums[(a n2 + b) n2 + r] / den for
+    a < b, T(e_a, e_b) = A(e_a) e_b - A(e_b) e_a - mu_m(e_a, e_b), on
+    `_gauduchon`'s (form, k, A) with mu_m scaled by k, or over the domain."""
+    q, n2 = spec.q, 2 * spec.m
+    keys = [((a * n2 + b) * n2 + r, a, b, r)
+            for a, b in itertools.combinations(range(n2), 2) for r in range(n2)]
+    if form is None:
+        return 1, {key: A[a][r][b] - A[b][r][a] - spec.mu[q + a][q + b][q + r]
+                   for key, a, b, r in keys}
+    sums = {key: _plus(_plus(A[a][r][b], A[b][r][a], -1),
+                       _times(form.layout, k, form.mu[q + a][q + b][q + r]), -1)
+            for key, a, b, r in keys}
+    return _times(form.layout, form.den, k), {i: v for i, v in sums.items() if v != {}}
+
+
+def _divided_connection(spec: BracketSpec, form, k, A: list) -> list[list[list]]:
+    """`_gauduchon`'s A^t over the spec's domain, each ring value divided once."""
+    if form is None:
+        return A
+    flat = {i: x for i, x in enumerate(_flat(A)) if x}
+    den = _times(form.layout, form.den, k)
+    return _matrices(_divided(spec, form, (den, flat), len(A) ** 3), len(A))
+
+
+def _curvature_torsion(spec: BracketSpec, form, k, A: list) -> tuple:
+    """(Omega^t, T^t) as pair tables, on `_gauduchon`'s ring values, each
+    value divided once."""
+    return (_pairs(spec, form, _curvature(spec, form, k, A), True),
+            _pairs(spec, form, _torsion(spec, form, k, A), False))
 
 
 def gauduchon_curvature_torsion(spec: BracketSpec, t):
     """(Omega_t, T_t) as pair tables; Omega entries are in u(m), T values are vectors."""
-    A = gauduchon_connection(spec, t)
-    return _curvature(spec, A), _torsion(spec, A)
+    return _curvature_torsion(spec, *_gauduchon(spec, t))
 
 
 def rho2_matrix(spec: BracketSpec, Om: list) -> list[list]:
@@ -746,111 +879,25 @@ def _tower_starts(spec: BracketSpec) -> tuple[MultiTensor, MultiTensor]:
                  for T, rank, skew in ((J, 0, 1), (Rm, 2, 2)))
 
 
-def _clear(values: list, layout: Layout | None = None):
-    """(den, ring, layout) with values[i] == ring[i] / den exactly, in one of
-    three ways: Fractions give an int lcm, ints and no layout;
-    RationalFunctions whose denominators are all monomials, with any
-    Fractions among them taken as constants (as over a Fraction spec at
-    symbolic t), give a one-term den L*x^e, L the lcm of the nonzero values'
-    denominator coefficients, and values packed in layout (by default one
-    over the values' variables), every zero value the one zero ring value;
-    anything else (floats, a non-monomial denominator, and no values
-    without a layout) gives (1, values, None), the list itself."""
-    if all(isinstance(v, Fraction) for v in values) and (values or layout is None):
-        den = math.lcm(*(v.denominator for v in values))
-        return den, [v.numerator * (den // v.denominator) for v in values], None
-    if not all(isinstance(v, Fraction) or isinstance(v, RationalFunction)
-               and len(v.den.terms) == 1 for v in values):
-        return 1, values, None
-    nonzero = [(i, v if isinstance(v, RationalFunction) else RationalFunction.const(v))
-               for i, v in enumerate(values) if not FractionDomain.is_zero(v)]
-    layout = layout or Layout(tuple(sorted({x for _, v in nonzero
-                                            for x in v.num.vars + v.den.vars})))
-    dens = [next(iter(layout.pack(v.den).items())) for _, v in nonzero]
-    top = layout.extreme(max, [e for e, _ in dens])
-    L = math.lcm(*(c for _, c in dens))
-    ring = [{}] * len(values)
-    for (i, v), (e, c) in zip(nonzero, dens):
-        ring[i] = layout.pack(v.num, top - e, L // c)
-    return {top: L}, ring, layout
-
-
-def _clear_matrices(Ms: list, layout: Layout | None = None):
-    """`_clear` over a list of matrices of any shapes: (den, ring matrices,
-    layout), or (1, Ms, None) when `_clear` leaves their entries as they are."""
-    values = [a for M in Ms for row in M for a in row]
-    den, ring, layout = _clear(values, layout)
-    if ring is values:
-        return 1, Ms, None
-    it = iter(ring)
-    return den, [[list(itertools.islice(it, len(row))) for row in M] for M in Ms], layout
-
-
-def _times(layout, a, b):
-    """a * b of ring values, a one-term when they are packed in layout."""
-    return layout.times(a, b) if layout else a * b
-
-
-def _divide(ring: dict, den, layout) -> dict:
-    """{key: ring[key] / den}: Fractions over an int den, RationalFunctions
-    over a one-term den in layout (`Layout.quotient`), which share equal
-    denominators within the call; values that are not ints stay as they
-    are over den 1 (`_tower`'s domain values)."""
-    if not layout:
-        return {key: Fraction(v, den) if type(v) is int else v for key, v in ring.items()}
-    memo = {}
-    return {key: layout.quotient(v, den, memo) for key, v in ring.items()}
-
-
-def _reduce(den, values: list, layout):
-    """(den / g, [v / g for v in values]) for g the content that den shares
-    with every value: their gcd over an int den and ints, and over a
-    one-term den and values packed in layout the gcd of every coefficient
-    times the least exponents (`Layout.reduce`).  A reduced pair, and any
-    other (den 1 over domain values), comes back as it is."""
-    if layout:
-        return layout.reduce(den, values)
-    if isinstance(den, int) and all(type(v) is int for v in values):
-        g = math.gcd(den, *values)
-        return (den, values) if g == 1 else (den // g, [v // g for v in values])
-    return den, values
-
-
-def _sparse(M: list) -> list:
-    """The rows of a matrix as [(0, column, entry)] lists of its nonzero entries."""
-    return [[(0, j, x) for j, x in enumerate(row) if not FractionDomain.is_zero(x)] for row in M]
-
-
-def _product_terms(kp: int, n: int, sign: int, A, B: list):
-    """`scatter_products` runs of sign * (A B)[i][j] at (kp*n + i)*n + j for
-    row-sparse A and B (`_sparse`), or of sign * A * B[i][j] for a scalar A,
-    so that no product with a zero factor is formed: a dense ring product
-    made the iwasawa report slower than the domain one."""
-    if isinstance(A, list):
-        for i, row in enumerate(A):
-            base = (kp * n + i) * n
-            for _, k, a in row:
-                yield base, 1, sign, a, B[k]
-    elif not FractionDomain.is_zero(A):
-        for i, row in enumerate(B):
-            yield (kp * n + i) * n, 1, sign, A, row
-
-
 def _towers(spec: BracketSpec):
-    """(layout, J's `_tower`, Rm's `_tower`) from `_tower_starts`: S and both
-    starts cleared once (`_clear`), packed in one layout of the spec's
-    parameters (ints, with no layout, over a Fraction spec), or den 1 over
-    the spec's own values (layout None) where `_clear` leaves any of them as
-    it is."""
+    """(layout, J's `_tower`, Rm's `_tower`) from `_tower_starts`, each start
+    cleared once (`_clear`) in the layout of the `_ring_form` of the spec's
+    parameters alone (ints, with no layout, over a Fraction spec), whose
+    reduced S (`tower_S`) they step with; den 1 over the spec's own values
+    (layout None) where that form or a start's clear leaves them as they are."""
     starts = _tower_starts(spec)
-    dS, S, layout = _clear_matrices(spec.S, Layout(tuple(sorted(spec.params))))
+    form = _ring_form(spec, t=False)
+    if form and form.tower_S is None:
+        dS, S = _reduce(form.den, _flat(form.S), form.layout)
+        form.tower_S = dS, _matrices(S, 2 * spec.m)
     values = [list(T.comp.values()) for T in starts]
-    cleared = [_clear(v, layout) for v in values]
-    if S is spec.S or any(ring is v for v, (_, ring, _) in zip(values, cleared)):
+    cleared = [_clear(v, form.layout) for v in values] if form else []
+    if not form or any(ring is v for v, (_, ring, _) in zip(values, cleared)):
         return None, *(_tower(T, 1, 1, spec.S, None, spec.domain.is_zero) for T in starts)
-    return layout, *(_tower(MultiTensor(T.n, T.rank, T.has_endo, {} if layout else 0,
-                                        zip(T.comp, ring), T.skew), den, dS, S, layout,
-                            FractionDomain.is_zero) for T, (den, ring, _) in zip(starts, cleared))
+    return form.layout, *(_tower(MultiTensor(T.n, T.rank, T.has_endo, form.zero,
+                                             zip(T.comp, ring), T.skew), den, *form.tower_S,
+                                 form.layout, FractionDomain.is_zero)
+                          for T, (den, ring, _) in zip(starts, cleared))
 
 
 def _tower(T: MultiTensor, den, dS, S: list, layout, is_zero):
@@ -1043,7 +1090,7 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     dom = spec.domain
     m = spec.m
     limit = m * m + 1 if kmax is None else kmax
-    U = _clear_matrices(unitary_basis(m, dom))[1]       # int entries
+    U = [[[int(x) for x in row] for row in M] for M in unitary_basis(m, dom)]   # 0 and +-1
     span = _Echelon(len(U), dom)
 
     def add_rows(pair):
@@ -1085,7 +1132,7 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     m = spec.m
     n2 = 2 * m
     limit = m * m + 2 if kmax is None else kmax
-    SO = _clear_matrices(so_basis(n2, dom))[1]          # int entries
+    SO = [[[int(x) for x in row] for row in M] for M in so_basis(n2, dom)]     # 0 and +-1
     nA = len(SO)
     span = _Echelon(n2 + nA, dom)
 
@@ -1128,11 +1175,12 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
     # (`_clear`), so `_nomizu` of the ring generators, each sparsified and
     # scaled by den once (`_sparse_generator`), summed on ints, is den^3 times
     # their Nomizu bracket: a nonzero scale, which keeps span membership
-    k = len(res.basis)
-    den, ring, _ = _clear_matrices([M for v, A in res.basis for M in ([v], A)]
-                                + [spec.Rm[i][j] for i, j in pairs])
-    gens = [(v, A) for (v,), A in zip(ring[:2 * k:2], ring[1:2 * k:2])]
-    R = {ij: _sparse(M) for ij, M in zip(pairs, ring[2 * k:])}
+    k, size = len(res.basis), n2 + n2 * n2
+    den, ring, _ = _clear([x for v, A in res.basis for x in [*v, *itertools.chain(*A)]]
+                          + [x for i, j in pairs for row in spec.Rm[i][j] for x in row])
+    gens = [(ring[i:i + n2], _matrices(ring[i + n2:i + size], n2)[0])
+            for i in range(0, k * size, size)]
+    R = dict(zip(pairs, map(_sparse, _matrices(ring[k * size:], n2))))
     # v-components span R^{2m}
     vspan = _Echelon(n2, dom)
     if sum(vspan.add(v) for v, _ in gens) != n2:
@@ -1227,53 +1275,57 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
       curvature: Om - Rm = X . (D_Y G-) - Y . (D_X G-) - [G-_X, G-_Y]
                  with G- := S - A  (the (1,2)-tensor nabla - D)
     """
-    dom = spec.domain
-    n2 = 2 * spec.m
-    S = spec.S
-    A = gauduchon_connection(spec, t)
-    Om, T = _curvature(spec, A), _torsion(spec, A)
-    Rm = spec.Rm
+    dom, n2 = spec.domain, 2 * spec.m
+    form, k, A = _gauduchon(spec, t)
+    Om, T = _curvature(spec, form, k, A)[1], _torsion(spec, form, k, A)[1]
+    # On `_gauduchon`'s ring values, over E = den k: A, T and k S are over E,
+    # Om, k^2 Rm and the products below over E^2 (without a form, over the
+    # domain with E = 1).  Each identity is one `scatter_products` call that
+    # leaves the residues.
+    if form:
+        layout, one, zero, is_zero = form.layout, form.one, form.zero, FractionDomain.is_zero
+        S = [[[_times(layout, k, x) for x in row] for row in M] for M in form.S]
+        Rm, kk = _rm_sums(spec, form)[1], _times(layout, k, k)
+    else:
+        layout, one, zero, is_zero = None, dom.one(), dom.zero(), dom.is_zero
+        S, (_, Rm), kk = spec.S, _curvature(spec, None, None, spec.S), one
 
-    residuals = []
-    tors_ok = True
-    Gp = [mat_add(S[i], A[i]) for i in range(n2)]
-    for X in range(n2):
-        for Y in range(n2):
-            for Z in range(n2):
-                r = (dom.from_fraction(2) * Gp[X][Z][Y]
-                     - T[X][Y][Z] + T[Y][Z][X] - T[Z][X][Y])
-                if not dom.is_zero(r):
-                    tors_ok = False
-                residuals.append(r)
+    def entries(Ms):        # <M(e_x) e_y, e_z> at (x n2 + z) n2 + y
+        return [((x * n2 + z) * n2 + y, 0, v) for x, M in enumerate(Ms) for z, row in enumerate(M)
+                for y, v in enumerate(row) if not FractionDomain.is_zero(v)]
 
-    # the curvature identity times D^2, where S, G-, Om and Rm are cleared to
-    # ring values over one D (`_clear`):
-    # D*(Om - Rm) = E1 - E2 - [G-_X, G-_Y], X . (D_Y G-) = [G-_X, S_Y] + G-_{S(Y)X};
-    # both sides go into one `scatter_products` call, which leaves the residues
-    pairs = list(itertools.combinations(range(n2), 2))
-    Gm = [mat_sub(S[i], A[i]) for i in range(n2)]
-    D, ring, layout = _clear_matrices([*S, *Gm, *(M for X, Y in pairs
-                                                  for M in (Om[X][Y], Rm[X][Y]))])
-    Sr = ring[:n2]
-    Ss, Gs, Omr, Rmr = (list(map(_sparse, Ms)) for Ms in
-                        (Sr, ring[n2:2 * n2], ring[2 * n2::2], ring[2 * n2 + 1::2]))
+    minus, plus = [], []    # -T(X,Y)_Z + T(Y,Z)_X - T(Z,X)_Y, with T(b,a) = -T(a,b)
+    for key, v in T.items():
+        (a, b), r = divmod(key // n2, n2), key % n2
+        minus += [((x * n2 + z) * n2 + y, 0, v) for x, y, z in ((a, b, r), (r, b, a), (b, r, a))]
+        plus += [((x * n2 + z) * n2 + y, 0, v) for x, y, z in ((b, a, r), (r, a, b), (a, r, b))]
+    two = _scale(one, 2)
+    residuals = list(scatter_products([(0, 0, 1, two, entries(S)), (0, 0, 1, two, entries(A)),
+                                       (0, 0, -1, one, minus), (0, 0, 1, one, plus)],
+                                      zero, FractionDomain.is_zero, layout).values())
+    tors_ok = all(map(is_zero, residuals))
+
+    # X . (D_Y G-) = [G-_X, S_Y] + G-_{S(Y)X}
+    Gm = [[[_plus(x, y, -1) for x, y in zip(r, ra)] for r, ra in zip(M, MA)] for M, MA in zip(S, A)]
+    Ss, Gs = list(map(_sparse, S)), list(map(_sparse, Gm))
 
     def terms():
-        for p, (X, Y) in enumerate(pairs):
-            yield from _product_terms(p, n2, 1, D, Omr[p])
-            yield from _product_terms(p, n2, -1, D, Rmr[p])
+        yield 0, 0, 1, one, [(key, 0, v) for key, v in Om.items()]
+        yield 0, 0, -1, kk, [(key, 0, v) for key, v in Rm.items()]
+        for X, Y in itertools.combinations(range(n2), 2):
+            p = X * n2 + Y
             for U, V, c in ((X, Y, 1), (Y, X, -1)):
                 yield from _product_terms(p, n2, -c, Gs[U], Ss[V])
                 yield from _product_terms(p, n2, c, Ss[V], Gs[U])
-                for k, x in enumerate(row[U] for row in Sr[V]):
-                    yield from _product_terms(p, n2, -c, x, Gs[k])
+                for i, x in enumerate(row[U] for row in S[V]):
+                    yield from _product_terms(p, n2, -c, x, Gs[i])
             yield from _product_terms(p, n2, 1, Gs[X], Gs[Y])
             yield from _product_terms(p, n2, -1, Gs[Y], Gs[X])
-    rest = list(scatter_products(terms(), 0, FractionDomain.is_zero, layout).values())
-    curv_ok = not rest if layout else all(dom.is_zero(x) for x in rest)
+    rest = list(scatter_products(terms(), zero, FractionDomain.is_zero, layout).values())
+    curv_ok = all(map(is_zero, rest))
     residuals.extend(rest)
 
     max_res = None
     if dom.backend == "numeric":
-        max_res = max(abs(r) for r in residuals) if residuals else 0.0
+        max_res = max((abs(r) for r in residuals), default=0.0)
     return AuditReport(tors_ok, curv_ok, max_res)

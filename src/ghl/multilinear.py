@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from .scalars import DegreeGuardError, get_degree_cap
+from .scalars import DegreeGuardError, FractionDomain, get_degree_cap
 
 __all__ = [
     "basis_vector", "vec_add", "vec_sub", "vec_scale", "dot",
@@ -291,10 +291,12 @@ def scatter_products(runs, zero, is_zero, layout=None) -> dict:
     without the sums that is_zero (an int one: that are 0).  Without a
     layout the products sum from zero in run and entry order.  Nonzero
     values packed in layout (`scalars.Layout`) sum into one {monomial:
-    coefficient} dict per key, each monomial product one int addition after
-    the degree cap check of its two factors, and come back packed.  This is
-    Johnson's sum-of-products scheme (1974) as Monagan and Pearce use it
-    (2009)."""
+    coefficient} dict per key, each monomial product one int addition, and
+    come back packed.  The degree cap is checked once per run, on c and the
+    largest degree of its entries list (kept by id for the call, as lists
+    repeat across runs); a run over the cap raises at its first entry
+    over it, as a check per product would.  This is Johnson's
+    sum-of-products scheme (1974) as Monagan and Pearce use it (2009)."""
     out = {}
     get = out.get
     if layout is None:
@@ -303,13 +305,16 @@ def scatter_products(runs, zero, is_zero, layout=None) -> dict:
                 key = off + base + r * stride
                 out[key] = get(key, zero) + a * c if sign > 0 else get(key, zero) - a * c
         return {key: x for key, x in out.items() if (x if type(x) is int else not is_zero(x))}
-    top, cap = layout.top, min(get_degree_cap(), layout.limit)
+    top, cap, degrees = layout.top, min(get_degree_cap(), layout.limit), {}
     for base, stride, sign, c, entries in runs:
         dc = max(c) >> top
+        if id(entries) not in degrees:      # the list is kept, so its id is not reused
+            degrees[id(entries)] = entries, max((max(a) for _, _, a in entries), default=0) >> top
+        if entries and degrees[id(entries)][1] + dc > cap:
+            da = next(d for _, _, a in entries if (d := max(a) >> top) + dc > cap)
+            raise DegreeGuardError(f"product degree {da + dc} exceeds cap {cap}")
         c = list(c.items()) if sign > 0 else [(e, -k) for e, k in c.items()]
         for off, r, a in entries:
-            if (max(a) >> top) + dc > cap:
-                raise DegreeGuardError(f"product degree {(max(a) >> top) + dc} exceeds cap {cap}")
             key = off + base + r * stride
             acc = get(key)
             if acc is None:
@@ -377,6 +382,40 @@ def derivation_action(A, T: MultiTensor, dom) -> MultiTensor:
     runs = action_terms(T.packed(), *index_rows([(0, A)], dom.is_zero))
     return MultiTensor(T.n, T.rank, T.has_endo, T._zero,
                        scatter_products(runs, T._zero, dom.is_zero), T.skew).unpacked()
+
+
+def _conn_endo(C: list, v: Sequence, dom):
+    """sum_a v[a] C[a] over the nonzero coefficients."""
+    M = mat_zero(len(C[0]), dom)
+    for a, c in enumerate(v):
+        if not dom.is_zero(c):
+            M = mat_add(M, mat_scale(c, C[a]))
+    return M
+
+
+def _matrices(flat: list, n: int) -> list:
+    """The n x n matrices of a flat list, in order."""
+    return [[flat[i:i + n] for i in range(j, j + n * n, n)] for j in range(0, len(flat), n * n)]
+
+
+def _sparse(M: list) -> list:
+    """The rows of a matrix as [(0, column, entry)] lists of its nonzero entries."""
+    return [[(0, j, x) for j, x in enumerate(row) if not FractionDomain.is_zero(x)] for row in M]
+
+
+def _product_terms(kp: int, n: int, sign: int, A, B: list):
+    """`scatter_products` runs of sign * (A B)[i][j] at (kp*n + i)*n + j for
+    row-sparse A and B (`_sparse`), or of sign * A * B[i][j] for a scalar A,
+    so that no product with a zero factor is formed: a dense ring product
+    made the iwasawa report slower than the domain one."""
+    if isinstance(A, list):
+        for i, row in enumerate(A):
+            base = (kp * n + i) * n
+            for _, k, a in row:
+                yield base, 1, sign, a, B[k]
+    elif not FractionDomain.is_zero(A):
+        for i, row in enumerate(B):
+            yield (kp * n + i) * n, 1, sign, A, row
 
 
 # -- complex linear algebra helpers -------------------------------------------

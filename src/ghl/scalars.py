@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import operator
 from contextvars import ContextVar
+from functools import reduce
 from fractions import Fraction
-from math import gcd as _gcd, isfinite, prod, sqrt as _math_sqrt
+from math import gcd as _gcd, isfinite, lcm, prod, sqrt as _math_sqrt
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -538,10 +539,13 @@ class Layout:
         return v
 
     def poly(self, v: dict, memo: dict) -> Polynomial:
-        """The Polynomial of v, memo keeping the exponents of each key."""
-        fields = range(0, self.top, self.width)
-        return Polynomial(self.names, {memo.get(e) or memo.setdefault(
-            e, tuple([e >> o & self.limit for o in fields])): c for e, c in v.items()})
+        """The Polynomial of v over the names it uses, memo keeping the
+        exponents of each key under those names."""
+        used = reduce(operator.or_, v, 0)
+        fields = tuple([o for o in range(0, self.top, self.width) if used >> o & self.limit])
+        names = tuple([self.names[o // self.width] for o in fields])
+        return Polynomial(names, {memo.get((e, fields)) or memo.setdefault(
+            (e, fields), tuple([e >> o & self.limit for o in fields])): c for e, c in v.items()})
 
     def extreme(self, pick, keys, within: int = -1) -> int:
         """The monomial with each exponent the pick (min or max) of the
@@ -731,3 +735,85 @@ class NumericDomain:
         if _finite(v) < 0:
             raise ValueError("sqrt of negative numeric scalar")
         return _math_sqrt(v)
+
+
+# -- ring values -----------------------------------------------------------------
+#
+# A spec's scalars cleared of denominators (`_clear`): ints over an int den,
+# or values packed in a `Layout` over a one-term den, as the kernel
+# (`multilinear.scatter_products`) sums them; divided back where they leave.
+
+
+def _plus(a, b, sign: int = 1):
+    """a + sign b for sign = +-1, of domain values or of ring values
+    (`_clear`): ints, or packed dicts summed monomial by monomial."""
+    if type(a) is not dict:
+        return a + b if sign > 0 else a - b
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _scale(v, c: int):
+    """c v for an int c and a ring value v (`_clear`)."""
+    return {e: c * x for e, x in v.items()} if type(v) is dict else c * v
+
+
+def _clear(values: list, layout: Layout | None = None, den=None):
+    """(den, ring, layout) with values[i] == ring[i] / den exactly, in one of
+    three ways: Fractions without a layout give an int lcm, ints and no
+    layout; RationalFunctions whose denominators are all monomials, and
+    Fractions taken as constants (as over a Fraction spec at symbolic t),
+    give a one-term den L*x^e, L the lcm of the nonzero values' denominator
+    coefficients, and values packed in layout (by default one over the
+    values' variables), every zero value the one zero ring value; anything
+    else (floats, a non-monomial denominator) gives (1, values, None), the
+    list itself.  A given den, a multiple of every value's, is used as it is."""
+    if layout is None and all(isinstance(v, Fraction) for v in values):
+        den = den or lcm(*(v.denominator for v in values))
+        return den, [v.numerator * (den // v.denominator) for v in values], None
+    if not all(isinstance(v, Fraction) or isinstance(v, RationalFunction)
+               and len(v.den.terms) == 1 for v in values):
+        return 1, values, None
+    nonzero = [(i, v if isinstance(v, RationalFunction) else RationalFunction.const(v))
+               for i, v in enumerate(values) if not FractionDomain.is_zero(v)]
+    layout = layout or Layout(tuple(sorted({x for _, v in nonzero
+                                            for x in v.num.vars + v.den.vars})))
+    dens = [next(iter(layout.pack(v.den).items())) for _, v in nonzero]
+    den = den or {layout.extreme(max, [e for e, _ in dens]): lcm(*(c for _, c in dens))}
+    (top, L), = den.items()
+    ring = [{}] * len(values)
+    for (i, v), (e, c) in zip(nonzero, dens):
+        ring[i] = layout.pack(v.num, top - e, L // c)
+    return den, ring, layout
+
+
+def _times(layout, a, b):
+    """a * b of ring values, a one-term when they are packed in layout."""
+    return layout.times(a, b) if layout else a * b
+
+
+def _divide(ring: dict, den, layout) -> dict:
+    """{key: ring[key] / den}: Fractions over an int den, RationalFunctions
+    over a one-term den in layout (`Layout.quotient`), which share equal
+    denominators within the call; values that are not ints stay as they
+    are over den 1 (`_tower`'s domain values)."""
+    if not layout:
+        return {key: Fraction(v, den) if type(v) is int else v for key, v in ring.items()}
+    memo = {}
+    return {key: layout.quotient(v, den, memo) for key, v in ring.items()}
+
+
+def _reduce(den, values: list, layout):
+    """(den / g, [v / g for v in values]) for g the content that den shares
+    with every value: their gcd over an int den and ints, and over a
+    one-term den and values packed in layout the gcd of every coefficient
+    times the least exponents (`Layout.reduce`).  A reduced pair, and any
+    other (den 1 over domain values), comes back as it is."""
+    if layout:
+        return layout.reduce(den, values)
+    if isinstance(den, int) and all(type(v) is int for v in values):
+        g = _gcd(den, *values)
+        return (den, values) if g == 1 else (den // g, [v // g for v in values])
+    return den, values

@@ -351,7 +351,7 @@ def lee_from_torsion_trace(spec) -> list:
     n2 = 2 * spec.m
 
     def torsion_trace(t):
-        T = geo._torsion(spec, geo.gauduchon_connection(spec, t))
+        T = geo.gauduchon_curvature_torsion(spec, t)[1]
         return [sum((T[x][b][b] for b in range(n2)), dom.zero()) for x in range(n2)]
 
     theta = torsion_trace(dom.one())

@@ -166,15 +166,18 @@ def test_killing_cli_requires_instantiation():
     assert "dim kill = 10" in out
 
 
-@pytest.mark.parametrize("verb", ["singer", "killing"])
+@pytest.mark.parametrize("verb", ["singer", "killing", "report", "check"])
 @pytest.mark.parametrize("fixture, condition, witness", [
     ("broken-h2", "h2", "not skew on (e1,e1)"),
     ("broken-jacobi", "h1", "Jacobi fails on (e0,e1,e2)"),
 ])
 def test_singer_and_killing_exit_one_on_failed_validation(verb, fixture, condition, witness):
     """A bracket that fails h1-h4 is a validation failure (exit 1), named on
-    stderr, and no invariant is printed."""
-    code, out, err = run(verb, str(TEST_DATA / f"{fixture}.ghl"))
+    stderr, and no invariant or report is printed: singer, killing, report
+    and check (which refuses before it reads its expected file)."""
+    expected = ([str(bundled_path("abelian2").with_suffix(".expected.json"))]
+                if verb == "check" else [])
+    code, out, err = run(verb, str(TEST_DATA / f"{fixture}.ghl"), *expected)
     assert (code, out) == (1, "")
     assert err.startswith(f"validation failed: {condition}") and witness in err
 

@@ -12,6 +12,7 @@ from ghl import geometry as geo
 from ghl.fileio import (BUNDLED, GhlFormatError, build_report, bundled_path,
                         compare_reports, load_ghl, parse_assignments,
                         serialize_report)
+from ghl.scalars import DEFAULT_DEGREE_CAP, set_degree_cap
 
 from conftest import TEST_DATA
 
@@ -72,21 +73,71 @@ def test_report_round_trips_scal(kodaira):
 
 
 def test_build_report_builds_each_derived_object_once(monkeypatch):
-    """N, S, the torsion data, A^t, d omega^{m-1} and the rho2 matrix are
-    built once per spec, validation included; curvature is built twice, for
-    Rm and Omega^t (the Lee form reads d omega^{m-1}, and its check the
-    printed T)."""
+    """N, S, the torsion data, the ring form's terms, A^t (in ring values,
+    `_gauduchon`), d omega^{m-1} and the rho2 matrix are built once per
+    spec, validation included; curvature is built twice, for Rm and Omega^t
+    (the Lee form reads d omega^{m-1}, and its check the printed T)."""
     calls = Counter()
-    for name in ("_nijenhuis", "levi_civita", "torsion_ingredients", "gauduchon_connection",
-                 "_curvature", "_omega_power", "rho2_matrix"):
+    for name in ("_nijenhuis", "levi_civita", "torsion_ingredients", "_connection_terms",
+                 "_gauduchon", "_curvature", "_omega_power", "rho2_matrix"):
         def counted(*args, _orig=getattr(geo, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(geo, name, counted)
     build_report(load_ghl(bundled_path("iwasawa")))
     assert calls == {"_nijenhuis": 1, "levi_civita": 1, "torsion_ingredients": 1,
-                     "gauduchon_connection": 1, "_curvature": 2, "_omega_power": 1,
-                     "rho2_matrix": 1}
+                     "_connection_terms": 1, "_gauduchon": 1, "_curvature": 2,
+                     "_omega_power": 1, "rho2_matrix": 1}
+
+
+@pytest.mark.parametrize("sample, layouts", [
+    (None, [("alpha", "beta", "r", "t", "v")]),
+    ({"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5}, [None, ("t",)])])
+def test_ring_form_is_cleared_once_per_layout(monkeypatch, sample, layouts):
+    """Across one report, one check (a second report of the same spec, then
+    `compare_reports`), one connection audit and one t-only sweep of a
+    spec, its bracket table and S are cleared (`_clear`, which packs them)
+    once per layout: kodaira over Q(alpha, beta, r, v) in the one layout of
+    its parameters and t, and at a rational point over ints (Rm and the
+    sweep's rational t) and, for symbolic t, in the layout of t."""
+    from ghl.cli import _sweep_value
+    loaded = load_ghl(bundled_path("kodaira"), sample)
+    spec, calls, clear = loaded.spec, [], geo._clear
+
+    def recording(values, layout=None, *den):
+        calls.append((layout and layout.names, set(map(id, values))))
+        return clear(values, layout, *den)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geo, "_clear", recording)
+        report = build_report(loaded)
+        assert compare_reports(build_report(loaded), report) == []
+        assert geo.connection_audit(spec, geo.symbolic_t()).ok
+        for t in (0, Fraction(1, 2), 1, 2):
+            _sweep_value("scal", spec, Fraction(t))
+    zero = spec.domain.is_zero
+    mu = {id(x) for row in spec.mu for v in row for x in v if not zero(x)}
+    S = {id(x) for M in spec.S for row in M for x in row if not zero(x)}
+    for ids in (mu, S):
+        assert sorted(names or () for names, got in calls if ids <= got) == sorted(
+            names or () for names in layouts)
+
+
+def test_a_wider_degree_cap_builds_a_ring_form_of_its_width():
+    """The ring form is cached per layout width: after a report at the
+    default cap 64 (7-bit fields, degrees up to 127), a cap of 200 makes the
+    next report of the same spec build a form with 8-bit fields, and the
+    report text is the same."""
+    loaded = load_ghl(bundled_path("kodaira"))
+    first = serialize_report(build_report(loaded))
+    assert [form.layout.limit for form in loaded.spec._rings.values()] == [127]
+    try:
+        set_degree_cap(200)
+        second = serialize_report(build_report(loaded))
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
+    assert [form.layout.width for form in loaded.spec._rings.values()] == [7, 8]
+    assert second == first
 
 
 def test_serialize_deterministic(iwasawa):

@@ -27,7 +27,7 @@ from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, Frac
 from reference import (canonical_part, clear_and_reduce, clear_every_value, curvature_dense,
                        form_basis, from_bilinear, from_endo, full_start_tensors, mat_identity,
                        mat_is_zero, rescale, unfold)
-from test_nonintegrable import random_two_step_specs
+from test_nonintegrable import honest_connection_matrices, random_two_step_specs
 
 
 def spec_t(spec):
@@ -46,6 +46,34 @@ def test_A_in_unitary_algebra_all_specs(all_bundled):
     failure raises InternalConsistencyError."""
     for name, loaded in all_bundled.items():
         geo.gauduchon_connection(loaded.spec, spec_t(loaded.spec))
+
+
+@pytest.mark.parametrize("name, sample, t", [
+    ("kodaira", None, None), ("kodaira", None, Fraction(1, 3)),
+    ("kodaira", {"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5}, None),
+    ("kodaira-thurston", {"r": 1, "sigma": 2, "x": Fraction(1, 3), "y": 0}, Fraction(3, 5))])
+def test_unitarity_check_fails_on_a_perturbed_connection_term(name, sample, t):
+    """A^t's u(m) check runs on every call, on the values A^t is built in:
+    one entry S(e_x)_zy of a fresh spec moved (by den in its ring form, so by
+    one in S; by one in the domain S of the numeric spec, which has no ring
+    form) makes gauduchon_connection name A^t(e_x)'s broken skew symmetry,
+    at symbolic and rational t."""
+    spec = load_ghl(bundled_path(name), sample).spec
+    t = geo.symbolic_t() if t is None else spec.domain.from_fraction(t)
+    form = geo._ring_form(spec, t)
+    if form:
+        terms = geo._terms(spec, form)          # S's entries first, over den
+        (key, _, v), *rest = terms[0]
+        terms[0] = [(key, 0, geo._plus(v, form.den))] + rest
+    else:
+        S = copy.deepcopy(spec.S)
+        key = next(i for i, x in enumerate(itertools.chain(*itertools.chain(*S))) if x)
+        n2 = 2 * spec.m
+        S[key // n2 ** 2][key // n2 % n2][key % n2] += 1
+        spec.__dict__["S"] = S
+    with pytest.raises(geo.InternalConsistencyError,
+                       match=rf"A\^t\(e{key // (2 * spec.m) ** 2}\) is not skew-symmetric"):
+        geo.gauduchon_connection(spec, t)
 
 
 def test_omega_commutes_with_I_all_specs(all_bundled):
@@ -681,16 +709,19 @@ def test_x1_curvature_checks_fail_on_a_perturbed_rm(kodaira, moves, label):
         geo.check_x1_identities(spec, tup)
 
 
-def test_tower_values_are_packed_once_per_s_tuple(kodaira, monkeypatch):
-    """An s-tuple packs each value of S and of the J and Rm starts once
-    (`Layout.pack`, its numerator and its denominator), and never again in
-    the tower steps or the X1 check; every factor the scatter kernel sees is
-    packed, none a Polynomial."""
-    spec, packs, factors = kodaira.spec, [], []
+def test_tower_values_are_packed_once_per_s_tuple(monkeypatch):
+    """On a fresh spec (its Rm built first), an s-tuple packs each value of
+    the J and Rm starts once (`Layout.pack`, its numerator and its
+    denominator), the bracket table and S once per spec, in the ring form
+    of the spec's parameters that the first tuple builds (`_ring_form`),
+    and nothing again in the tower steps, the X1 check or a second tuple;
+    every factor the scatter kernel sees is packed, none a Polynomial."""
+    spec, packs, factors = load_ghl(bundled_path("kodaira")).spec, [], []
     spec.Rm                                     # build the spec's own data first
-    nonzero = sum(not spec.domain.is_zero(x) for x in itertools.chain(
-        (x for M in spec.S for row in M for x in row),
-        *(T.comp.values() for T in geo._tower_starts(spec))))
+    zero = spec.domain.is_zero
+    S = [x.num for M in spec.S for row in M for x in row if not zero(x)]
+    mu = [x for row in spec.mu for v in row for x in v if not zero(x)]
+    starts = [x.num for T in geo._tower_starts(spec) for x in T.comp.values() if not zero(x)]
     pack, kernel = Layout.pack, geo.scatter_products
 
     def counting(self, p, *args):
@@ -707,7 +738,10 @@ def test_tower_values_are_packed_once_per_s_tuple(kodaira, monkeypatch):
     for s in (1, 2):
         packs.clear()
         geo.hermitian_s_tuple(spec, s=s, verify=True)
-        assert len(packs) == 2 * nonzero, s
+        ids = collections.Counter(map(id, packs))
+        assert all(ids[id(p)] == 1 for p in starts), s
+        assert all(ids[id(p)] == (s == 1) for p in S), s
+        assert len(packs) == 2 * (len(starts) + (len(S) + len(mu) if s == 1 else 0)), s
     assert factors and set(factors) == {dict}
 
 
@@ -784,43 +818,48 @@ def test_degree_cap_still_guards_the_s_tuple(kodaira, s2_tuples):
         set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
-def test_degree_cap_guards_the_curvature_brackets(kodaira):
-    """The scatter kernel's per-product cap check covers the brackets of
-    `_curvature` as Polynomial.__mul__ did: kodaira's symbolic S needs cap
-    12 and its A^t at symbolic t cap 14, and one below each raises."""
-    spec = kodaira.spec
-    At = geo.gauduchon_connection(spec, geo.symbolic_t())
+def test_degree_cap_guards_the_curvature_brackets():
+    """The scatter kernel's per-run cap check covers the brackets of
+    `_curvature` as Polynomial.__mul__ did: on fresh kodaira specs, Rm from
+    the symbolic S needs cap 12 and Omega^t at symbolic t cap 14, and one
+    below each raises."""
+    t = geo.symbolic_t()
     try:
-        for C, cap in ((spec.S, 12), (At, 14)):
+        for build, cap in ((geo.riemann_curvature, 12),
+                           (lambda spec: geo.gauduchon_curvature_torsion(spec, t), 14)):
+            spec = load_ghl(bundled_path("kodaira")).spec
             set_degree_cap(cap - 1)
             with pytest.raises(DegreeGuardError):
-                geo._curvature(spec, C)
+                build(spec)
             set_degree_cap(cap)
-            geo._curvature(spec, C)
+            build(spec)
     finally:
         set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
-def test_curvature_sums_without_polynomial_products(kodaira, monkeypatch):
-    """`_curvature` on kodaira's symbolic S and on its A^t at symbolic t
-    forms every bracket term in the scatter kernel, and den * den, the
-    square of a one-term denominator, on packed values (`Layout.times`): it
-    makes no Polynomial.__mul__ call."""
-    spec = kodaira.spec
-    At = geo.gauduchon_connection(spec, geo.symbolic_t())
-    spec.mu                                     # build the spec's own data first
-    mul = Polynomial.__mul__
-    for C in (spec.S, At):
-        products = []
+def test_curvature_sums_without_polynomial_products(monkeypatch):
+    """Once a spec's own data (its bracket table, S, N and F) are built, Rm,
+    A^t, Omega^t and T^t at symbolic t and the connection audit run on
+    packed values (`Layout`) from the ring form (`_ring_form`) through the
+    scatter kernel, den * den (`Layout.times`) and the divided read: on
+    kodaira they make no Polynomial or RationalFunction __mul__ or __sub__
+    call."""
+    spec = load_ghl(bundled_path("kodaira")).spec
+    spec.mu, spec.S, spec.tors                  # build the spec's own data first
+    t = geo.symbolic_t()
+    calls = []
+    for cls, name in itertools.product((Polynomial, RationalFunction), ("__mul__", "__sub__")):
+        def counting(self, other, _f=getattr(cls, name), _name=f"{cls.__name__}.{name}"):
+            calls.append(_name)
+            return _f(self, other)
+        monkeypatch.setattr(cls, name, counting)
+    geo.riemann_curvature(spec)
+    geo.gauduchon_connection(spec, t)
+    geo.gauduchon_curvature_torsion(spec, t)
+    assert geo.connection_audit(spec, t).ok
+    monkeypatch.undo()
+    assert calls == []
 
-        def counting_mul(self, other):
-            products.append((self, other))
-            return mul(self, other)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Polynomial, "__mul__", counting_mul)
-            geo._curvature(spec, C)
-        assert products == []
 
 def test_tower_step_sums_without_polynomial_products(kodaira, monkeypatch):
     """A `_tower` step on kodaira's symbolic Rm runs on packed values
@@ -870,12 +909,12 @@ def test_s_tuple_runs_the_x1_check_once(iwasawa, monkeypatch):
 
 
 def test_curvature_equals_dense_formula(all_bundled):
-    """`_curvature` equals the dense domain formula entry by entry, for Rm and
-    Omega^t at t in {-1, 0, 1} and at symbolic t: on the bundled specs
-    (sphere has q > 0), generated Fraction specs, a spec whose denominator
-    alpha + 1 `_clear` leaves as it is, and a second numeric Kodaira-Thurston
-    point.  The ring sums run on every exact spec but that one, a Fraction
-    spec at symbolic t included."""
+    """Rm and Omega^t (`_curvature`) equal the dense domain formula entry by
+    entry, Omega^t at t in {-1, 0, 1} and at symbolic t: on the bundled
+    specs (sphere has q > 0), generated Fraction specs, a spec whose
+    denominator alpha + 1 `_clear` leaves as it is, and a second numeric
+    Kodaira-Thurston point.  The ring sums (`_ring_form`) run on every exact
+    spec but that one, a Fraction spec at symbolic t included."""
     nonmonomial = _non_monomial_spec()
     kt = load_ghl(bundled_path("kodaira-thurston"),
                   sample={"r": 1, "sigma": 2, "x": Fraction(1, 3), "y": Fraction(-1, 5)})
@@ -886,13 +925,76 @@ def test_curvature_equals_dense_formula(all_bundled):
         ts = [dom.from_fraction(t) for t in (-1, 0, 1)]
         if dom.backend == "exact":
             ts.append(geo.symbolic_t())
-        for C in [spec.S] + [geo.gauduchon_connection(spec, t) for t in ts]:
-            values = [*C, *spec.mu]
-            ring = geo._clear_matrices(values)[1] is not values
+        cases = [(None, spec.S, geo.riemann_curvature(spec))]
+        cases += [(t, geo.gauduchon_connection(spec, t),
+                   geo.gauduchon_curvature_torsion(spec, t)[0]) for t in ts]
+        for t, C, got in cases:
+            ring = geo._ring_form(spec, t) is not None
             assert ring == (dom.backend == "exact" and spec is not nonmonomial), spec.name
-            got, want = geo._curvature(spec, C), curvature_dense(spec, C)
+            want = curvature_dense(spec, C)
             assert all(dom.eq(got[a][b][i][j], want[a][b][i][j])
                        for a, b, i, j in itertools.product(range(2 * spec.m), repeat=4)), spec.name
+
+
+def _symbolic_two_step_specs(count: int, seed: int = 11) -> list:
+    """Two-step nilpotent m = 3 specs over Q(a, b), each bracket [e_i, e_j],
+    i < j < 4, in span(e4, e5) with coefficients drawn from rational
+    functions with monomial denominators: every draw is a valid bracket
+    (e4 and e5 are central, so Jacobi holds, and q = 0)."""
+    rng = random.Random(seed)
+    dom = ExactDomain(("a", "b"))
+    a, b, one, zero = dom.param("a"), dom.param("b"), dom.one(), dom.zero()
+    pool = [zero, zero, one, -2 * one, a, -a, a * b, one / a, b / (a * a), (a + b) / (b * 3)]
+    specs = []
+    for k in range(count):
+        mu = {(i, j): [zero] * 4 + [rng.choice(pool), rng.choice(pool)]
+              for i, j in itertools.combinations(range(4), 2)}
+        specs.append(geo.BracketSpec(0, 3, mu, dom, f"two-step-ab-{k}", ("a", "b")))
+    return specs
+
+
+SPECIALISED_T = (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1))
+
+
+def test_specialisation_commutes_for_the_report_pipeline(iwasawa, kodaira):
+    """A^t, Omega^t, T^t, scal and the Lee form built over Q(params, t) at
+    symbolic t (packed polynomial ring values) and evaluated at three
+    rational points and t in {-1, 0, 1/3, 1} equal those built on
+    spec.instantiate(point) at that t (int ring values): on iwasawa, kodaira
+    and seeded two-step specs over Q(a, b).  On the m = 3 specs, at the
+    first point, the evaluated A^t is also the negative of
+    `honest_connection_matrices`, the connection built from the Koszul
+    formula and the brackets alone."""
+    rng = random.Random(20261020)
+    specs = [iwasawa.spec, kodaira.spec] + _symbolic_two_step_specs(2)
+    for spec in specs:
+        n2, t = 2 * spec.m, geo.symbolic_t()
+        A = geo.gauduchon_connection(spec, t)
+        Om, T = geo.gauduchon_curvature_torsion(spec, t)
+        scal, theta = geo.ricci_and_scalar(spec, Om)[2], geo.lee_form(spec)
+        for k in range(3):
+            point = {p: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                     for p in spec.params}
+            inst = spec.instantiate(point)
+            inst_theta = geo.lee_form(inst)
+            assert [x.evaluate(point) for x in theta] == inst_theta, spec.name
+            for tv in SPECIALISED_T:
+                at = dict(point, t=tv)
+                Ai = geo.gauduchon_connection(inst, tv)
+                Omi, Ti = geo.gauduchon_curvature_torsion(inst, tv)
+                where = (spec.name, point, tv)
+                assert all(A[x][i][j].evaluate(at) == Ai[x][i][j]
+                           for x, i, j in itertools.product(range(n2), repeat=3)), where
+                pairs = list(itertools.combinations(range(n2), 2))     # b < a hold the negatives
+                assert all(Om[a][b][i][j].evaluate(at) == Omi[a][b][i][j] for a, b in pairs
+                           for i, j in itertools.product(range(n2), repeat=2)), where
+                assert all(T[a][b][r].evaluate(at) == Ti[a][b][r]
+                           for a, b in pairs for r in range(n2)), where
+                assert scal.evaluate(at) == geo.ricci_and_scalar(inst, Omi)[2], where
+                if spec.m == 3 and k == 0:
+                    honest = honest_connection_matrices(inst, tv)
+                    assert all(Ai[x][i][j] == -honest[x][i][j]
+                               for x, i, j in itertools.product(range(n2), repeat=3)), where
 
 
 def _moved(table: list, a: int, b: int, i: int, by) -> list:
@@ -920,6 +1022,16 @@ def test_ricci_trace_check_fails_on_a_perturbed_omega_entry(all_bundled):
             geo.ricci_and_scalar(spec, _moved(Om, 0, 1, 0, row))
 
 
+def _moved_sum(pair: tuple, key: int) -> tuple:
+    """`_curvature`'s or `_torsion`'s (den, sums) with sums[key] moved by den:
+    the divided value there moves by one, in the ring (`_plus`) or, over den
+    1, in the domain."""
+    den, sums = pair
+    zero = {} if type(den) is dict else 0
+    moved = {**sums, key: geo._plus(sums.get(key, zero), den)}
+    return den, {k: v for k, v in moved.items() if v != {}}     # no zero sum, as the kernel
+
+
 def test_audit_fails_on_a_perturbed_torsion_entry(all_bundled, kodaira, monkeypatch):
     """One entry of T^t(e0, e1) moved by one breaks the audit's torsion
     identity and nothing else: symbolic, over Fractions at symbolic and
@@ -930,9 +1042,10 @@ def test_audit_fails_on_a_perturbed_torsion_entry(all_bundled, kodaira, monkeypa
     torsion = geo._torsion
     for spec, t in cases:
         t = spec_t(spec) if t is None else spec.domain.from_fraction(t)
+        n2 = 2 * spec.m
         with monkeypatch.context() as patch:
-            patch.setattr(geo, "_torsion", lambda spec, A: _moved(torsion(spec, A), 0, 1, 1,
-                                                                   spec.domain.one()))
+            patch.setattr(geo, "_torsion", lambda spec, *args: _moved_sum(torsion(spec, *args),
+                                                                          (0 * n2 + 1) * n2 + 1))
             rep = geo.connection_audit(spec, t)
         assert not rep.torsion_identity_ok and rep.curvature_identity_ok, spec.name
 
@@ -946,14 +1059,12 @@ def test_audit_fails_on_a_perturbed_omega_entry(all_bundled, kodaira, monkeypatc
     cases += [(inst, None), (inst, Fraction(3, 5)), (_non_monomial_spec(), None)]
     curvature = geo._curvature
 
-    def perturbed(spec, C):
-        Om = curvature(spec, C)
-        if C is spec.S:
+    def perturbed(spec, form, k, C):
+        Om = curvature(spec, form, k, C)
+        if C is (form.S if form else spec.S):
             return Om
-        Om = [list(row) for row in Om]
-        Om[0][1] = [list(row) for row in Om[0][1]]
-        Om[0][1][0][1] = Om[0][1][0][1] + spec.domain.one()
-        return Om
+        n2 = 2 * spec.m
+        return _moved_sum(Om, ((0 * n2 + 1) * n2 + 0) * n2 + 1)
 
     for spec, t in cases:
         t = spec_t(spec) if t is None else spec.domain.from_fraction(t)
@@ -1014,7 +1125,7 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
             length = Tp.rank + 2 * Tp.has_endo
             T = MultiTensor(Ti.n, Ti.rank, Ti.has_endo, dom.zero(),
                             {key: Fraction(x, ref_den) for key, x in Ti.comp.items()})
-            ints = geo._clear_matrices(basis)[1]
+            ints = [[[int(x) for x in row] for row in B] for B in basis]
             expected, relabelled = {}, {}
             for col, (B, Bi) in enumerate(zip(basis, ints)):
                 for key, x in canonical_part(derivation_action(B, T, dom).comp, Tp.skew).items():

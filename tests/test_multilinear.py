@@ -475,6 +475,34 @@ def test_packed_sums_equal_the_sum_of_products(runs):
         set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
+def test_degree_cap_is_checked_once_per_run_at_the_same_products():
+    """The kernel checks the cap once per run, on c and the largest degree
+    of its entries list (kept for the call): a product one degree over the
+    cap raises and one at the cap does not; the message names the first
+    entry over the cap, as a check per product would; a list reused under
+    a c of higher degree raises in that run."""
+    layout = Layout(NAMES)
+
+    def mono(*exp):
+        return Polynomial(NAMES, {exp: 1})
+
+    entries = [(k, 0, layout.pack(mono(e, 0, 0))) for k, e in enumerate((0, 3, 6))]
+    low, high = mono(0, 1, 0), mono(0, 0, 2)        # degrees 1 and 2
+    runs = [(0, 0, 1, layout.pack(low), entries), (0, 0, -1, layout.pack(high), entries)]
+    try:
+        set_degree_cap(8)
+        assert scatter_products(runs, {}, DOM.is_zero, layout)[2] == layout.pack(
+            mono(6, 1, 0) - mono(6, 0, 2))
+        for cap, which, degree in ((7, runs, 8), (6, runs[:1], 7), (3, runs[1:], 5)):
+            set_degree_cap(cap)
+            with pytest.raises(DegreeGuardError, match=f"product degree {degree} exceeds cap {cap}"):
+                scatter_products(which, {}, DOM.is_zero, layout)
+        set_degree_cap(7)
+        assert scatter_products(runs[:1], {}, DOM.is_zero, layout)
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
+
+
 # ---------------------------------------------------------------------------
 # packed keys and runs against the tuple-key kernel
 # ---------------------------------------------------------------------------

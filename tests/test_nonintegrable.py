@@ -101,8 +101,26 @@ def honest_connection_matrices(spec, tval: Fraction):
     e = [basis_vector(n, i, DOM) for i in range(n)]
     J = istd(3, DOM)
 
+    def memo(f):
+        """f memoized on its vector arguments by identity: they are basis
+        vectors and memoized results, so each value is computed once.  The
+        cache keeps the arguments, so that no id is reused."""
+        cache = {}
+
+        def g(*vectors):
+            key = tuple(map(id, vectors))
+            if key not in cache:
+                cache[key] = vectors, f(*vectors)
+            return cache[key][1]
+        return g
+
+    @memo
     def lie(u, v):
         return mu_m_vec(spec, u, v)
+
+    @memo
+    def Jv(X):
+        return mat_vec(J, X)
 
     def ip(u, v):
         return dot(u, v)
@@ -117,23 +135,24 @@ def honest_connection_matrices(spec, tval: Fraction):
                                                + ip(lie(e[c], e[a]), e[b]))
 
     def N(X, Y):
-        JX, JY = mat_vec(J, X), mat_vec(J, Y)
+        JX, JY = Jv(X), Jv(Y)
         v1 = lie(JX, JY)
         v2 = lie(X, Y)
         v3 = mat_vec(J, [x + y for x, y in zip(lie(JX, Y), lie(X, JY))])
         return [a - b - c for a, b, c in zip(v1, v2, v3)]
 
     def omega(X, Y):
-        return ip(mat_vec(J, X), Y)
+        return ip(Jv(X), Y)
 
     def domega(X, Y, Z):
         return (-omega(lie(X, Y), Z) + omega(lie(X, Z), Y) - omega(lie(Y, Z), X))
 
+    @memo
     def dc(X, Y, Z):
-        return domega(mat_vec(J, X), mat_vec(J, Y), mat_vec(J, Z))
+        return domega(Jv(X), Jv(Y), Jv(Z))
 
     def dc_minus(X, Y, Z):
-        JX, JY, JZ = mat_vec(J, X), mat_vec(J, Y), mat_vec(J, Z)
+        JX, JY, JZ = Jv(X), Jv(Y), Jv(Z)
         return Fraction(1, 4) * (dc(X, Y, Z) - dc(JX, JY, Z)
                                  - dc(JX, Y, JZ) - dc(X, JY, JZ))
 
@@ -144,9 +163,9 @@ def honest_connection_matrices(spec, tval: Fraction):
     for a in range(n):
         M = [[Fraction(0)] * n for _ in range(n)]
         for b in range(n):
-            Jb = mat_vec(J, e[b])
+            Jb = Jv(e[b])
             for c in range(n):
-                Jc = mat_vec(J, e[c])
+                Jc = Jv(e[c])
                 M[c][b] = (D[a][c][b]
                            - (tval + 1) / 4 * dc_plus(e[a], Jb, Jc)
                            - (tval - 1) / 4 * dc_plus(e[a], e[b], e[c])
