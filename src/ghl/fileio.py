@@ -335,8 +335,7 @@ def build_report(loaded: LoadedSpec, t=None, t_label: str | None = None) -> dict
         t_label = dom.text(t)
 
     tors, S, Rm = spec.tors, spec.S, spec.Rm
-    ring = geo._gauduchon(spec, t)
-    A, (Om, T) = geo._divided_connection(spec, *ring), geo._curvature_torsion(spec, *ring)
+    A, Om, T = geo.gauduchon_tables(spec, t)
     W = geo.rho2_matrix(spec, Om)
     rho1, _, scal = geo._ricci_and_scalar(spec, Om, W)
     theta = geo.lee_form(spec)

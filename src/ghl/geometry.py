@@ -49,6 +49,7 @@ __all__ = [
     "InternalConsistencyError", "validate", "reduce_non_effective",
     "torsion_ingredients", "levi_civita",
     "gauduchon_connection", "riemann_curvature", "gauduchon_curvature_torsion",
+    "gauduchon_tables",
     "ricci_and_scalar", "rho2_matrix", "lee_form", "covariant_derivative",
     "hermitian_s_tuple", "check_x1_identities", "singer_invariant",
     "killing_generators", "nomizu_bracket", "metric_flags", "connection_audit",
@@ -518,15 +519,22 @@ def _connection_terms(spec: BracketSpec) -> list[list]:
 class _RingForm:
     """The bracket table `mu` (as `BracketSpec.mu`) and the matrices S(e_x)
     as ring values over one den (`_clear`) in one layout, with ad(e_z) of
-    each isotropy vector (`_sparse`); the terms of A^t (`_terms`), Rm's
-    undivided sums (`_rm_sums`) and S reduced to its own den for the
-    towers (`_towers`) once asked for.  Built by `_ring_form`."""
+    each isotropy vector (`_sparse`); the terms of A^t (`_terms`) and Rm's
+    undivided sums (`connection_audit`'s `_curvature`) once asked for.  A dense form (ring None:
+    floats, a non-monomial denominator) holds the spec's own mu and S over
+    den 1 with no layout.  `dom` tests the values' zeros.  Built by
+    `_ring_form` and, for a t that `_clear` leaves as it is, `_gauduchon`."""
 
-    Rm = terms = tower_S = None
+    Rm = terms = None
 
-    def __init__(self, spec: BracketSpec, den, ring: list, layout):
+    def __init__(self, spec: BracketSpec, den, ring: list | None, layout):
         n, q, n2 = spec.n, spec.q, 2 * spec.m
-        self.den, self.layout = den, layout
+        self.den, self.layout, self.dense = den, layout, ring is None
+        if self.dense:
+            self.dom, self.mu, self.S = spec.domain, spec.mu, spec.S
+            self.one, self.zero = spec.domain.one(), spec.domain.zero()
+            return
+        self.dom = FractionDomain
         self.one, self.zero = ({0: 1}, {}) if layout else (1, 0)
         it = iter(ring)
         self.mu = [[list(itertools.islice(it, n)) for _ in range(n)] for _ in range(n)]
@@ -535,23 +543,26 @@ class _RingForm:
                    for z in range(q)]
 
 
-def _ring_form(spec: BracketSpec, *values, t: bool = True) -> _RingForm | None:
-    """The spec's `_RingForm`, cached per layout: at the degree cap's width
-    over the spec's parameters, t (unless not t) and the values' variables,
-    sorted, or over ints on a Fraction spec where the values bring none;
-    None where `_clear` leaves the values as they are (floats, a
-    non-monomial denominator)."""
+def _layout_key(spec: BracketSpec, *values, t: bool = True) -> tuple | None:
+    """The key of the layout over the spec's parameters, t (unless not t)
+    and the values' variables, sorted, at the degree cap's width; None
+    (ints) on a Fraction spec where the values bring no variable."""
     names = {x for v in values if isinstance(v, RationalFunction) for x in v.num.vars + v.den.vars}
     if isinstance(spec.domain, FractionDomain) and not names:
-        key = None
-    else:
-        names.update(spec.params, ("t",) if t else ())
-        key = tuple(sorted(names)), get_degree_cap().bit_length()
+        return None
+    names.update(spec.params, ("t",) if t else ())
+    return tuple(sorted(names)), get_degree_cap().bit_length()
+
+
+def _ring_form(spec: BracketSpec, *values) -> _RingForm:
+    """The spec's `_RingForm` in the layout of `_layout_key`, cached per
+    key; a dense one where `_clear` leaves mu and S as they are."""
+    key = _layout_key(spec, *values)
     if key not in spec._rings:
         values = _flat(spec.mu) + _flat(spec.S) if spec.domain.backend == "exact" else []
         den, ring, layout = (_clear(values, key and Layout(key[0])) if values
                              else (1, values, None))
-        spec._rings[key] = None if ring is values else _RingForm(spec, den, ring, layout)
+        spec._rings[key] = _RingForm(spec, den, None if ring is values else ring, layout)
     return spec._rings[key]
 
 
@@ -579,20 +590,19 @@ def _gauduchon(spec: BracketSpec, t):
     t = tn / td cleared in the `_ring_form`'s layout and k = 16 td, so that
     16 td den A^t = 16 td S - (tn + td) FI - (tn - td) F+ + td N - 2 td F-,
     S over den and the rest over 4 den (`_terms`), is one `scatter_products`
-    call with those ring constants.  (None, None, A) over the spec's domain
-    where no ring form holds the spec or t.  Each A^t(e_x) is asserted to
-    lie in u(m) (`_assert_unitary`)."""
+    call with those ring constants.  A dense form and k = 1, with A over
+    the spec's domain, where `_clear` leaves the spec's values or t as they
+    are.  Each A^t(e_x) is asserted to lie in u(m) (`_assert_unitary`)."""
     dom, n2 = spec.domain, 2 * spec.m
     form, tv = _ring_form(spec, t), [t]
-    cleared = form and _clear(tv, form.layout)
-    if not cleared or cleared[1] is tv:
+    td, (tn,), _ = cleared = (1, tv, None) if form.dense else _clear(tv, form.layout)
+    if cleared[1] is tv:
         quarter, half = dom.from_fraction("1/4"), dom.from_fraction("1/2")
         cp, cm = (t + 1) * quarter, (t - 1) * quarter
         flat = [s - cp * fi - cm * f + quarter * nt - half * fm
                 for s, fi, f, nt, fm in zip(_flat(spec.S), *_connection_terms(spec))]
-        form, k = None, None
+        form, k = form if form.dense else _RingForm(spec, 1, None, None), 1
     else:
-        td, (tn,), _ = cleared
         k = _scale(td, 16)
         runs = [(0, 0, sign, c, T) for sign, c, T in zip(
             (1, -1, -1, 1, -1), (k, _plus(tn, td), _plus(tn, td, -1), td, _scale(td, 2)),
@@ -601,7 +611,7 @@ def _gauduchon(spec: BracketSpec, t):
         flat = [sums.get(key, form.zero) for key in range(n2 ** 3)]
     A = _matrices(flat, n2)
     for x, M in enumerate(A):
-        _assert_unitary(M, FractionDomain if form else dom, f"A^t(e{x})")
+        _assert_unitary(M, form.dom, f"A^t(e{x})")
     return form, k, A
 
 
@@ -610,10 +620,17 @@ def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
     return _divided_connection(spec, *_gauduchon(spec, t))
 
 
+def _divided_connection(spec: BracketSpec, form, k, A: list) -> list[list[list]]:
+    """`_gauduchon`'s A^t over the spec's domain, each ring value divided once."""
+    flat = dict(enumerate(_flat(A)))
+    den = _times(form.layout, form.den, k)
+    return _matrices(_divided(spec, form, (den, flat), len(flat)), len(A))
+
+
 def _assert_unitary(M, dom, label: str):
     """Raise unless M is skew-symmetric and commutes with I
     (`_commutes_with_I`): M in u(m), as every A^t(X) is (Gauduchon 1997).
-    Ring values (`_clear`) are checked with dom = FractionDomain."""
+    Ring values (`_clear`) are checked with their form's dom."""
     _assert_skew(M, dom, label)
     if not _commutes_with_I(M, dom):
         raise InternalConsistencyError(f"{label} does not commute with I")
@@ -668,11 +685,11 @@ def _curvature(spec: BracketSpec, form, k, C: list) -> tuple:
     products are scaled by k^2 and C(mu_m)'s by k: every term is a product
     of two ring values over (den k)^2, all summed in one `scatter_products`
     call at the packed (a, b, i, j) and left undivided (`_pairs` divides).
-    Without a form the dense formula runs over the spec's own domain, at
+    On a dense form the dense formula runs over the spec's own domain, at
     every entry: its float sums are the ones numeric reports print."""
     q, n2 = spec.q, 2 * spec.m
     pairs = list(itertools.combinations(range(n2), 2))
-    if form is None:
+    if form.dense:
         sums = {}
         for a, b in pairs:
             M = mat_sub(mat_sub(spec.ad_h(spec.mu_h(a, b)), commutator(C[a], C[b])),
@@ -695,20 +712,12 @@ def _curvature(spec: BracketSpec, form, k, C: list) -> tuple:
     return _times(layout, den, den), scatter_products(terms(), 0, FractionDomain.is_zero, layout)
 
 
-def _rm_sums(spec: BracketSpec, form: _RingForm) -> tuple:
-    """Rm's (den, sums) in the form's ring (`_curvature` on form.S), kept on
-    it for the audit; `riemann_curvature`, whose table the spec keeps, does
-    not keep them."""
-    form.Rm = form.Rm or _curvature(spec, form, form.one, form.S)
-    return form.Rm
-
-
 def _divided(spec: BracketSpec, form, pair: tuple, size: int) -> list:
     """The values at range(size) of `_curvature`'s, `_torsion`'s or
     `_gauduchon`'s (den, sums), each divided once (`_divide`) into the
     spec's domain, zeros filled in."""
     out = [spec.domain.zero()] * size
-    for key, x in (_divide(pair[1], pair[0], form.layout) if form else pair[1]).items():
+    for key, x in _divide(pair[1], pair[0], form.layout).items():
         out[key] = x
     return out
 
@@ -726,45 +735,32 @@ def _pairs(spec: BracketSpec, form, pair: tuple, matrix: bool) -> list[list]:
 
 def riemann_curvature(spec: BracketSpec) -> list[list[list]]:
     form = _ring_form(spec)
-    C = form.S if form else spec.S
-    return _pairs(spec, form, _curvature(spec, form, form and form.one, C), True)
+    return _pairs(spec, form, _curvature(spec, form, form.one, form.S), True)
 
 
 def _torsion(spec: BracketSpec, form, k, A: list) -> tuple:
     """(den, sums) with T(e_a, e_b)_r = sums[(a n2 + b) n2 + r] / den for
     a < b, T(e_a, e_b) = A(e_a) e_b - A(e_b) e_a - mu_m(e_a, e_b), on
-    `_gauduchon`'s (form, k, A) with mu_m scaled by k, or over the domain."""
-    q, n2 = spec.q, 2 * spec.m
-    keys = [((a * n2 + b) * n2 + r, a, b, r)
-            for a, b in itertools.combinations(range(n2), 2) for r in range(n2)]
-    if form is None:
-        return 1, {key: A[a][r][b] - A[b][r][a] - spec.mu[q + a][q + b][q + r]
-                   for key, a, b, r in keys}
-    sums = {key: _plus(_plus(A[a][r][b], A[b][r][a], -1),
-                       _times(form.layout, k, form.mu[q + a][q + b][q + r]), -1)
-            for key, a, b, r in keys}
-    return _times(form.layout, form.den, k), {i: v for i, v in sums.items() if v != {}}
+    `_gauduchon`'s (form, k, A) with mu_m scaled by k."""
+    q, n2, layout = spec.q, 2 * spec.m, form.layout
+    sums = {(a * n2 + b) * n2 + r: _plus(_plus(A[a][r][b], A[b][r][a], -1),
+                                       _times(layout, k, form.mu[q + a][q + b][q + r]), -1)
+            for a, b in itertools.combinations(range(n2), 2) for r in range(n2)}
+    return _times(layout, form.den, k), {i: v for i, v in sums.items() if v != {}}
 
 
-def _divided_connection(spec: BracketSpec, form, k, A: list) -> list[list[list]]:
-    """`_gauduchon`'s A^t over the spec's domain, each ring value divided once."""
-    if form is None:
-        return A
-    flat = {i: x for i, x in enumerate(_flat(A)) if x}
-    den = _times(form.layout, form.den, k)
-    return _matrices(_divided(spec, form, (den, flat), len(A) ** 3), len(A))
-
-
-def _curvature_torsion(spec: BracketSpec, form, k, A: list) -> tuple:
-    """(Omega^t, T^t) as pair tables, on `_gauduchon`'s ring values, each
-    value divided once."""
-    return (_pairs(spec, form, _curvature(spec, form, k, A), True),
-            _pairs(spec, form, _torsion(spec, form, k, A), False))
+def gauduchon_tables(spec: BracketSpec, t) -> tuple:
+    """(A^t, Omega^t, T^t) from one `_gauduchon` call, each ring value
+    divided once: A^t as `gauduchon_connection` gives it, Omega^t and T^t
+    as pair tables."""
+    ring = _gauduchon(spec, t)
+    return (_divided_connection(spec, *ring), _pairs(spec, ring[0], _curvature(spec, *ring), True),
+            _pairs(spec, ring[0], _torsion(spec, *ring), False))
 
 
 def gauduchon_curvature_torsion(spec: BracketSpec, t):
     """(Omega_t, T_t) as pair tables; Omega entries are in u(m), T values are vectors."""
-    return _curvature_torsion(spec, *_gauduchon(spec, t))
+    return gauduchon_tables(spec, t)[1:]
 
 
 def rho2_matrix(spec: BracketSpec, Om: list) -> list[list]:
@@ -881,23 +877,26 @@ def _tower_starts(spec: BracketSpec) -> tuple[MultiTensor, MultiTensor]:
 
 def _towers(spec: BracketSpec):
     """(layout, J's `_tower`, Rm's `_tower`) from `_tower_starts`, each start
-    cleared once (`_clear`) in the layout of the `_ring_form` of the spec's
-    parameters alone (ints, with no layout, over a Fraction spec), whose
-    reduced S (`tower_S`) they step with; den 1 over the spec's own values
-    (layout None) where that form or a start's clear leaves them as they are."""
+    cleared once (`_clear`) in the layout of the spec's parameters alone
+    (`_layout_key`; ints, with no layout, over a Fraction spec), and S
+    cleared alone and reduced (`_reduce`) once per spec and layout, kept
+    with the ring forms; den 1 over the spec's own values (layout None)
+    where `_clear` leaves S or a start as it is."""
     starts = _tower_starts(spec)
-    form = _ring_form(spec, t=False)
-    if form and form.tower_S is None:
-        dS, S = _reduce(form.den, _flat(form.S), form.layout)
-        form.tower_S = dS, _matrices(S, 2 * spec.m)
+    key = "S", _layout_key(spec, t=False)
+    if key not in spec._rings:
+        values = _flat(spec.S)
+        dS, S, layout = _clear(values, key[1] and Layout(key[1][0]))
+        dS, S = _reduce(dS, S, layout)
+        spec._rings[key] = S is not values and (layout, dS, _matrices(S, 2 * spec.m))
     values = [list(T.comp.values()) for T in starts]
-    cleared = [_clear(v, form.layout) for v in values] if form else []
-    if not form or any(ring is v for v, (_, ring, _) in zip(values, cleared)):
+    cleared = [_clear(v, spec._rings[key][0]) for v in values] if spec._rings[key] else []
+    if not cleared or any(ring is v for v, (_, ring, _) in zip(values, cleared)):
         return None, *(_tower(T, 1, 1, spec.S, None, spec.domain.is_zero) for T in starts)
-    return form.layout, *(_tower(MultiTensor(T.n, T.rank, T.has_endo, form.zero,
-                                             zip(T.comp, ring), T.skew), den, *form.tower_S,
-                                 form.layout, FractionDomain.is_zero)
-                          for T, (den, ring, _) in zip(starts, cleared))
+    layout, dS, S = spec._rings[key]
+    return layout, *(_tower(MultiTensor(T.n, T.rank, T.has_endo, {} if layout else 0,
+                                        zip(T.comp, ring), T.skew), den, dS, S, layout,
+                            FractionDomain.is_zero) for T, (den, ring, _) in zip(starts, cleared))
 
 
 def _tower(T: MultiTensor, den, dS, S: list, layout, is_zero):
@@ -1276,19 +1275,16 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
                  with G- := S - A  (the (1,2)-tensor nabla - D)
     """
     dom, n2 = spec.domain, 2 * spec.m
-    form, k, A = _gauduchon(spec, t)
-    Om, T = _curvature(spec, form, k, A)[1], _torsion(spec, form, k, A)[1]
+    form, k, A = ring = _gauduchon(spec, t)
+    Om, T = _curvature(spec, *ring)[1], _torsion(spec, *ring)[1]
     # On `_gauduchon`'s ring values, over E = den k: A, T and k S are over E,
-    # Om, k^2 Rm and the products below over E^2 (without a form, over the
-    # domain with E = 1).  Each identity is one `scatter_products` call that
-    # leaves the residues.
-    if form:
-        layout, one, zero, is_zero = form.layout, form.one, form.zero, FractionDomain.is_zero
-        S = [[[_times(layout, k, x) for x in row] for row in M] for M in form.S]
-        Rm, kk = _rm_sums(spec, form)[1], _times(layout, k, k)
-    else:
-        layout, one, zero, is_zero = None, dom.one(), dom.zero(), dom.is_zero
-        S, (_, Rm), kk = spec.S, _curvature(spec, None, None, spec.S), one
+    # Om, k^2 Rm and the products below over E^2 (a dense form's are the
+    # domain's, with E = 1).  Each identity is one `scatter_products` call
+    # that leaves the residues.
+    layout, one, zero = form.layout, form.one, form.zero
+    S = [[[_times(layout, k, x) for x in row] for row in M] for M in form.S]
+    form.Rm = form.Rm or _curvature(spec, form, form.one, form.S)    # kept for the next audit
+    Rm, kk = form.Rm[1], _times(layout, k, k)
 
     def entries(Ms):        # <M(e_x) e_y, e_z> at (x n2 + z) n2 + y
         return [((x * n2 + z) * n2 + y, 0, v) for x, M in enumerate(Ms) for z, row in enumerate(M)
@@ -1303,7 +1299,7 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
     residuals = list(scatter_products([(0, 0, 1, two, entries(S)), (0, 0, 1, two, entries(A)),
                                        (0, 0, -1, one, minus), (0, 0, 1, one, plus)],
                                       zero, FractionDomain.is_zero, layout).values())
-    tors_ok = all(map(is_zero, residuals))
+    tors_ok = all(map(form.dom.is_zero, residuals))
 
     # X . (D_Y G-) = [G-_X, S_Y] + G-_{S(Y)X}
     Gm = [[[_plus(x, y, -1) for x, y in zip(r, ra)] for r, ra in zip(M, MA)] for M, MA in zip(S, A)]
@@ -1322,7 +1318,7 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
             yield from _product_terms(p, n2, 1, Gs[X], Gs[Y])
             yield from _product_terms(p, n2, -1, Gs[Y], Gs[X])
     rest = list(scatter_products(terms(), zero, FractionDomain.is_zero, layout).values())
-    curv_ok = all(map(is_zero, rest))
+    curv_ok = all(map(form.dom.is_zero, rest))
     residuals.extend(rest)
 
     max_res = None

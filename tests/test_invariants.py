@@ -55,13 +55,13 @@ def test_A_in_unitary_algebra_all_specs(all_bundled):
 def test_unitarity_check_fails_on_a_perturbed_connection_term(name, sample, t):
     """A^t's u(m) check runs on every call, on the values A^t is built in:
     one entry S(e_x)_zy of a fresh spec moved (by den in its ring form, so by
-    one in S; by one in the domain S of the numeric spec, which has no ring
-    form) makes gauduchon_connection name A^t(e_x)'s broken skew symmetry,
+    one in S; by one in the domain S of the numeric spec, whose form is
+    dense) makes gauduchon_connection name A^t(e_x)'s broken skew symmetry,
     at symbolic and rational t."""
     spec = load_ghl(bundled_path(name), sample).spec
     t = geo.symbolic_t() if t is None else spec.domain.from_fraction(t)
     form = geo._ring_form(spec, t)
-    if form:
+    if not form.dense:
         terms = geo._terms(spec, form)          # S's entries first, over den
         (key, _, v), *rest = terms[0]
         terms[0] = [(key, 0, geo._plus(v, form.den))] + rest
@@ -712,15 +712,15 @@ def test_x1_curvature_checks_fail_on_a_perturbed_rm(kodaira, moves, label):
 def test_tower_values_are_packed_once_per_s_tuple(monkeypatch):
     """On a fresh spec (its Rm built first), an s-tuple packs each value of
     the J and Rm starts once (`Layout.pack`, its numerator and its
-    denominator), the bracket table and S once per spec, in the ring form
-    of the spec's parameters that the first tuple builds (`_ring_form`),
-    and nothing again in the tower steps, the X1 check or a second tuple;
-    every factor the scatter kernel sees is packed, none a Polynomial."""
+    denominator), S once per spec, in the layout of the spec's parameters
+    that the first tuple clears it in (`_towers`), and nothing else: not
+    the bracket table, and nothing again in the tower steps, the X1 check
+    or a second tuple; every factor the scatter kernel sees is packed,
+    none a Polynomial."""
     spec, packs, factors = load_ghl(bundled_path("kodaira")).spec, [], []
     spec.Rm                                     # build the spec's own data first
     zero = spec.domain.is_zero
     S = [x.num for M in spec.S for row in M for x in row if not zero(x)]
-    mu = [x for row in spec.mu for v in row for x in v if not zero(x)]
     starts = [x.num for T in geo._tower_starts(spec) for x in T.comp.values() if not zero(x)]
     pack, kernel = Layout.pack, geo.scatter_products
 
@@ -741,7 +741,7 @@ def test_tower_values_are_packed_once_per_s_tuple(monkeypatch):
         ids = collections.Counter(map(id, packs))
         assert all(ids[id(p)] == 1 for p in starts), s
         assert all(ids[id(p)] == (s == 1) for p in S), s
-        assert len(packs) == 2 * (len(starts) + (len(S) + len(mu) if s == 1 else 0)), s
+        assert len(packs) == 2 * (len(starts) + (len(S) if s == 1 else 0)), s
     assert factors and set(factors) == {dict}
 
 
@@ -929,7 +929,7 @@ def test_curvature_equals_dense_formula(all_bundled):
         cases += [(t, geo.gauduchon_connection(spec, t),
                    geo.gauduchon_curvature_torsion(spec, t)[0]) for t in ts]
         for t, C, got in cases:
-            ring = geo._ring_form(spec, t) is not None
+            ring = not geo._ring_form(spec, t).dense
             assert ring == (dom.backend == "exact" and spec is not nonmonomial), spec.name
             want = curvature_dense(spec, C)
             assert all(dom.eq(got[a][b][i][j], want[a][b][i][j])
@@ -1061,7 +1061,7 @@ def test_audit_fails_on_a_perturbed_omega_entry(all_bundled, kodaira, monkeypatc
 
     def perturbed(spec, form, k, C):
         Om = curvature(spec, form, k, C)
-        if C is (form.S if form else spec.S):
+        if C is form.S:
             return Om
         n2 = 2 * spec.m
         return _moved_sum(Om, ((0 * n2 + 1) * n2 + 0) * n2 + 1)
