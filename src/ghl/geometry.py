@@ -37,7 +37,7 @@ from typing import Sequence
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
     action_terms, coboundary, index_rows, istd, mat_add,
-    mat_sub, mat_zero, scatter_products, unpack, vec_add,
+    mat_scale, mat_sub, mat_zero, scatter_products, unpack, vec_add,
     wedge, complex_trace_form, _conn_endo, _matrices, _product_terms, _sparse,
 )
 from .scalars import (FractionDomain, Layout, RationalFunction, UsageError, get_degree_cap,
@@ -357,10 +357,28 @@ class _Echelon:
             for c in row:
                 row[c] //= g
 
+    def kernel(self) -> dict[int, list[int]]:
+        """For integer rows: {f: L times the canonical null vector of free
+        column f}, L the lcm of the kept pivot entries (1 with no rows), so
+        ints throughout.  Each x of the null space is the sum of x_f / L *
+        kernel[f], so there a linear form r and the row {f: r(kernel[f])}
+        agree up to the factor L: adding either gives the same RREF."""
+        L = math.lcm(*(prow[p] for p, prow in self.pivots.items()))
+        out = {f: [0] * f + [L] + [0] * (self.ncols - f - 1)
+               for f in range(self.ncols) if f not in self.pivots}
+        for p, prow in self.pivots.items():
+            for f, x in prow.items():
+                if f != p:
+                    out[f][p] = -L // prow[p] * x
+        return out
+
     def nullspace(self) -> list[list]:
         """The canonical basis: one vector per free column f, with 1 at f.
-        Integer rows make their Fractions here, one per entry read."""
+        Integer rows make their Fractions here, from `kernel()`."""
         dom = self.dom
+        if self.integral:
+            return [[dom.from_fraction(Fraction(x, v[f])) for x in v]
+                    for f, v in self.kernel().items()]
         basis = []
         for f in range(self.ncols):
             if f in self.pivots:
@@ -369,8 +387,7 @@ class _Echelon:
             v[f] = dom.one()
             for p, prow in self.pivots.items():
                 if f in prow:
-                    v[p] = (-dom.from_fraction(Fraction(prow[f], prow[p])) if self.integral
-                            else -prow[f])
+                    v[p] = -prow[f]
             basis.append(v)
         return basis
 
@@ -1063,17 +1080,18 @@ def _constant_spec(spec: BracketSpec, what: str) -> BracketSpec:
     return spec if isinstance(spec.domain, FractionDomain) else spec.instantiate({})
 
 
-def _add_index_action(rows: dict, basis: list, T: MultiTensor, first: int = 0,
-                      scale: int = 1) -> None:
-    """rows[key][first + col] = scale * (B . T)[key] for the col-th matrix B
-    of basis and a packed T, keys packed.  For the skew int u(m) and so(2m)
-    bases and an int T the End slot's commutator relabels indices, and the
-    rows hold ints."""
+def _add_index_action(rows: dict, gens: list, T: MultiTensor, runs=()) -> None:
+    """rows[key][col] = sum of (B . T)[key] over the (col, B) of gens, plus
+    the sums of `scatter_products` runs at col * n^length + key, for a
+    packed T, keys packed.  gens are int multiples of the skew int u(m) and
+    so(2m) basis matrices, skew themselves, so with an int T the rows hold
+    ints; the pairs at one col act as their combination."""
     size = T.n ** (T.rank + 2 * T.has_endo)
-    action = index_rows(((col * size, B) for col, B in enumerate(basis)), FractionDomain.is_zero)
-    for key, x in scatter_products(action_terms(T, *action), 0, FractionDomain.is_zero).items():
+    action = index_rows(((col * size, B) for col, B in gens), FractionDomain.is_zero)
+    terms = itertools.chain(action_terms(T, *action), runs)
+    for key, x in scatter_products(terms, 0, FractionDomain.is_zero).items():
         col, key = divmod(key, size)
-        rows.setdefault(key, {})[first + col] = scale * x
+        rows.setdefault(key, {})[col] = x
 
 
 @dataclass
@@ -1093,9 +1111,10 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     span = _Echelon(len(U), dom)
 
     def add_rows(pair):
-        """Rows of B . T = 0 in the u(m) coordinates of B, for (den, T): times den."""
+        """Rows of B . T = 0 for (den, T) and B in the kernel left: times den."""
         rows = {}
-        _add_index_action(rows, U, pair[1])
+        _add_index_action(rows, [(f, mat_scale(x, B)) for f, v in span.kernel().items()
+                                 for x, B in zip(v, U) if x], pair[1])
         for key in sorted(rows):
             span.add(rows[key])
 
@@ -1136,14 +1155,18 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
     span = _Echelon(n2 + nA, dom)
 
     def add_rows(Tk, Tk1):
-        """Rows of v . Tk1 + A . Tk = 0 in (v, A-coords), over the lcm of the dens."""
+        """Rows of v . Tk1 + A . Tk = 0 for (v, A) in the kernel left, over
+        the lcm of the dens; v contracts Tk1's first slot, one run per entry."""
         (d0, T0), (d1, T1) = Tk, Tk1
         d = math.lcm(d0, d1)
         size = n2 ** (T0.rank + 2 * T0.has_endo)
+        kernel = span.kernel()
+        vs = [[(0, f, v[x] * (d // d1)) for f, v in kernel.items() if v[x]] for x in range(n2)]
         rows = {}
-        for key, x in T1.comp.items():
-            rows.setdefault(key % size, {})[key // size] = x * (d // d1)
-        _add_index_action(rows, SO, T0, n2, d // d0)
+        gens = [(f, mat_scale(x * (d // d0), B)) for f, v in kernel.items()
+                for x, B in zip(v[n2:], SO) if x]
+        _add_index_action(rows, gens, T0, ((key % size, size, 1, x, vs[key // size])
+                                           for key, x in T1.comp.items()))
         for key in sorted(rows):
             span.add(rows[key])
 

@@ -5,6 +5,8 @@ import hashlib
 import io
 import itertools
 import json
+import random
+import re
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -620,3 +622,62 @@ def test_engine_type_error_exits_three(monkeypatch):
     code, _, err = run("report", str(bundled_path("iwasawa")))
     assert code == 3
     assert "internal error: TypeError: unsupported operand" in err
+
+
+def _mutated(lines: list, rng) -> list:
+    """One line mutation of a .ghl file: a line deleted, doubled, swapped
+    with or replaced by another, cut short, its sign flipped or a digit in
+    it set to 0-3 (so m and q stay at most 3), or a stray line inserted."""
+    lines = list(lines)
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    kind = rng.randrange(8)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2:
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 3:
+        lines[i] = lines[j]
+    elif kind == 4:
+        lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    elif kind == 5:
+        lines[i] = (lines[i].replace("-", "+", 1) if "-" in lines[i]
+                    else lines[i].replace("= ", "= -", 1))
+    elif kind == 6:
+        digits = [p for p, ch in enumerate(lines[i]) if ch.isdigit()]
+        if digits:
+            p = rng.choice(digits)
+            lines[i] = lines[i][:p] + str(rng.randrange(4)) + lines[i][p + 1:]
+    else:
+        lines.insert(i, rng.choice(["[brackets]", "e0,e1 = e1", "e1,e2 = 1/0", "m = 1",
+                                    "params = alpha", "x y z", "e0,e0 = e2"]))
+    return lines
+
+
+def test_line_mutated_files_exit_zero_one_or_two_and_name_the_failure(tmp_path):
+    """A seeded fuzz probe: 100 line-mutated copies of the bundled and test
+    .ghl files go through validate, report and singer --kmax 2 (at every
+    declared parameter set to 1).  No run is an engine failure (exit 3),
+    and every exit 1 names a failed condition h1-h4 or a built-in
+    self-check."""
+    rng = random.Random(20)
+    sources = [bundled_path(name) for name in BUNDLED] + sorted(TEST_DATA.glob("*.ghl"))
+    codes = Counter()
+    for n in range(100):
+        source = rng.choice(sources)
+        text = source.read_text(encoding="utf-8")
+        path = tmp_path / f"mutant-{n}.ghl"
+        path.write_text("\n".join(_mutated(text.splitlines(), rng)) + "\n", encoding="utf-8")
+        names = next((line.split("=", 1)[1] for line in text.splitlines()
+                      if line.startswith("params")), "")
+        params = ",".join(f"{p.strip()}=1" for p in names.split(",") if p.strip())
+        singer = ["singer", str(path), "--kmax", "2"] + (["--params", params] if params else [])
+        for argv in (["validate", str(path)], ["report", str(path)], singer):
+            code, out, err = run(*argv)
+            codes[code] += 1
+            assert code in (0, 1, 2), (source.name, argv, path.read_text(), err)
+            if code == 1:
+                assert re.search(r"h[1-4]: FAIL|validation failed: h[1-4]|"
+                                 r"internal consistency error: ", out + err), (argv, out, err)
+    assert codes[0] and codes[1] and codes[2]

@@ -265,8 +265,10 @@ def _int_matrices(draw):
 def test_integer_echelon_matches_fraction_echelon_and_sympy(case):
     """Differential test: integer dict rows, as Singer and Killing hand them
     over, give the pivots and canonical null space of the same rows as
-    Fractions and of SymPy's rref, and every kept integer row is primitive
-    with a positive pivot entry and is its RREF row up to that scale."""
+    Fractions and of SymPy's rref, `kernel()` is that null space times the
+    lcm of the pivot entries, in ints, and every kept integer row is
+    primitive with a positive pivot entry and is its RREF row up to that
+    scale."""
     sympy = pytest.importorskip("sympy")
     ncols, rows = case
     dom = FractionDomain()
@@ -280,6 +282,10 @@ def test_integer_echelon_matches_fraction_echelon_and_sympy(case):
     assert sorted(ints.pivots) == sorted(fracs.pivots) == list(piv)
     want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in M.nullspace()]
     assert ints.nullspace() == fracs.nullspace() == want
+    L = math.lcm(*(ints.pivots[p][p] for p in piv))
+    free = [f for f in range(ncols) if f not in piv]
+    assert ints.kernel() == {f: [L * x for x in w] for f, w in zip(free, want)}
+    assert all(type(x) is int for v in ints.kernel().values() for x in v)
     for i, p in enumerate(piv):
         rref = {c: Fraction(int(x.p), int(x.q)) for c, x in enumerate(R.row(i)) if x}
         assert fracs.pivots[p] == rref

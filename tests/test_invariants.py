@@ -25,8 +25,8 @@ from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, Frac
                          Layout, Polynomial, RationalFunction, UsageError, set_degree_cap)
 
 from reference import (canonical_part, clear_and_reduce, clear_every_value, curvature_dense,
-                       form_basis, from_bilinear, from_endo, full_start_tensors, mat_identity,
-                       mat_is_zero, rescale, unfold)
+                       derivation_action_loop, form_basis, from_bilinear, from_endo,
+                       full_start_tensors, mat_identity, mat_is_zero, rescale, unfold)
 from test_nonintegrable import honest_connection_matrices, random_two_step_specs
 
 
@@ -774,10 +774,15 @@ def test_skew_self_check_names_the_entry(kodaira, table, where, label):
 def test_canonical_keys_cut_kernel_entries_and_rows(monkeypatch):
     """The towers store only canonical keys: one kodaira s = 2 tuple (its Rm
     built too) feeds the scatter kernel 19,212 entries, against 62,328 with
-    every mirror stored, and iwasawa alpha = 1 feeds `_Echelon.add` 2,524
-    Singer rows (6,664) and 7,309 Killing rows (28,361)."""
-    entries, rows = [], []
-    kernel, add = geo.scatter_products, geo._Echelon.add
+    every mirror stored.  Singer and Killing act only with the kernel left
+    before each batch (`_Echelon.kernel`): on iwasawa alpha = 1 Singer acts
+    with 9, then 4 matrices per batch (one per free column) and feeds
+    `_Echelon.add` 72 rows (2,524 with the full u(m) basis at every batch),
+    and Killing with 15, 11, 11, 10, 10, 10 matrices (the generators with a
+    nonzero so(2m) part; 15 each with the full basis) and 193 rows, its
+    closure check's included (7,309)."""
+    entries, rows, gens = [], [], []
+    kernel, add, act = geo.scatter_products, geo._Echelon.add, geo._add_index_action
 
     def counting(runs, *args):
         runs = list(runs)
@@ -788,17 +793,23 @@ def test_canonical_keys_cut_kernel_entries_and_rows(monkeypatch):
         rows.append(1)
         return add(self, row)
 
+    def counting_act(rows, acting, *args):
+        gens.append(len({col for col, _ in acting}))        # one matrix per free column
+        return act(rows, acting, *args)
+
     kodaira = load_ghl(bundled_path("kodaira")).spec
     iwasawa = load_ghl(bundled_path("iwasawa"), {"alpha": 1}).spec
     monkeypatch.setattr(geo, "scatter_products", counting)
     monkeypatch.setattr(geo._Echelon, "add", counting_add)
+    monkeypatch.setattr(geo, "_add_index_action", counting_act)
     geo.hermitian_s_tuple(kodaira, s=2, verify=False)
     assert sum(entries) <= 24_000
     geo.singer_invariant(iwasawa)
-    assert len(rows) <= 2_700
+    assert len(rows) <= 100 and gens == [9, 4, 4, 4, 4]
     rows.clear()
+    gens.clear()
     geo.killing_generators(iwasawa)
-    assert len(rows) <= 9_500
+    assert len(rows) <= 300 and gens == [15, 11, 11, 10, 10, 10]
 
 
 def test_degree_cap_still_guards_the_s_tuple(kodaira, s2_tuples):
@@ -1133,14 +1144,15 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
                 for key, x in canonical_part(_relabelled(Bi, Ti), Tp.skew).items():
                     relabelled.setdefault(key, {})[col] = x
             packed = {}
-            geo._add_index_action(packed, ints, Tp)
+            geo._add_index_action(packed, list(enumerate(ints)), Tp)
             rows = {unpack(k, Tp.n, length): r for k, r in packed.items()}
             assert all(type(x) is int for r in rows.values() for x in r.values())
             assert rows == relabelled, (spec.name, T.rank, T.has_endo)
             got = {k: {c: Fraction(x, den) for c, x in r.items()} for k, r in rows.items()}
             assert got == expected, (spec.name, T.rank, T.has_endo)
             shifted = {}
-            geo._add_index_action(shifted, ints, Tp, 5, 3)
+            geo._add_index_action(shifted, [(col + 5, [[3 * x for x in row] for row in B])
+                                             for col, B in enumerate(ints)], Tp)
             assert shifted == {k: {c + 5: 3 * x for c, x in r.items()} for k, r in packed.items()}
 
 
@@ -1220,6 +1232,129 @@ def test_killing_dim_is_2m_plus_stable_singer_dim(all_bundled):
         j_stable = geo.singer_invariant(spec).dims[-1]
         assert geo.killing_generators(spec).dim == 2 * spec.m + j_stable, spec.name
 
+
+def _add_multiple(row: dict, f, other: dict, skip: int) -> None:
+    """row += f * other on every column but skip, dropping zero entries."""
+    for c, x in other.items():
+        if c != skip:
+            y = row.get(c, 0) + f * x
+            if y:
+                row[c] = y
+            else:
+                row.pop(c, None)
+
+
+def _gauss_jordan(pivots: dict, rows) -> None:
+    """Add {column: Fraction} rows to `pivots`, {column: reduced row with 1
+    there and no entry at another pivot column}, one entry at a time."""
+    for row in rows:
+        for p in [c for c in row if c in pivots]:
+            _add_multiple(row, -row.pop(p), pivots[p], p)
+        if row:
+            lead = min(row)
+            row = {c: x / row[lead] for c, x in row.items()}
+            for prow in pivots.values():
+                if lead in prow:
+                    _add_multiple(prow, -prow.pop(lead), row, lead)
+            pivots[lead] = row
+
+
+def _definition_rows(acting: list, T: MultiTensor, dom, contracted=None) -> list:
+    """The distinct rows, each scaled to lead with 1, of sum_i x_i (B_i . T)
+    = 0 over the full Fraction tensor T (`derivation_action_loop`), one per
+    key, as {column: entry}; with a contracted D^{k+1}T, the columns of
+    v . D^{k+1}T (its first slot) come first."""
+    width = 0 if contracted is None else contracted.n
+    rows = {}
+    for col, B in enumerate(acting):
+        for key, x in derivation_action_loop(B, T, dom).comp.items():
+            rows.setdefault(key, {})[width + col] = x
+    for key, x in (contracted.comp.items() if contracted else ()):
+        rows.setdefault(key[1:], {})[key[0]] = x
+    distinct = {}
+    for key in sorted(rows):
+        row = rows[key]
+        lead = row[min(row)]
+        distinct[tuple(sorted((c, x / lead) for c, x in row.items()))] = None
+    return [dict(row) for row in distinct]
+
+
+def _invariants_by_definition(spec):
+    """Singer's (dims, k_Jg) and Killing's (dim, orders_used, basis) from
+    the full u(m) and so(2m) bases acting on the divided tensors D^kJ and
+    D^kRm of `hermitian_s_tuple(spec, s, verify=False)`, each read from the
+    least s that holds it, eliminated over Fractions by Gauss-Jordan."""
+    dom = spec.domain
+
+    @functools.cache
+    def D(T: str, k: int) -> MultiTensor:
+        if T == "J":
+            return (full_start_tensors(spec)[0] if k == 0 else
+                    geo.hermitian_s_tuple(spec, max(k - 2, 0), verify=False).J_derivs[k - 1])
+        return geo.hermitian_s_tuple(spec, k, verify=False).Rm_derivs[k]
+
+    def add(pivots: dict, ncols: int, acting: list, T, contracted=None) -> int:
+        """Eliminate the rows of `_definition_rows` unless no column is
+        left free (they cannot change the null space then); the number of
+        free columns after."""
+        if len(pivots) < ncols:
+            _gauss_jordan(pivots, _definition_rows(acting, T, dom, contracted))
+        return ncols - len(pivots)
+
+    U, SO = geo.unitary_basis(spec.m, dom), geo.so_basis(2 * spec.m, dom)
+    pivots, dims = {}, []
+    add(pivots, len(U), U, D("J", 1))
+    while len(dims) < 2 or dims[-1] != dims[-2]:    # D^0Rm..D^kRm and D^1J..D^{k+2}J
+        k = len(dims)
+        add(pivots, len(U), U, D("Rm", k))
+        dims.append(add(pivots, len(U), U, D("J", k + 2)))
+    n2, ncols = 2 * spec.m, 2 * spec.m + len(SO)
+    kpivots, kdims = {}, []
+    while len(kdims) < 2 or kdims[-1] != kdims[-2]:    # v . D^{k+1}T + A . D^kT = 0
+        k = len(kdims)
+        add(kpivots, ncols, SO, D("J", k), D("J", k + 1))
+        kdims.append(add(kpivots, ncols, SO, D("Rm", k), D("Rm", k + 1)))
+    basis = []
+    for f in (f for f in range(ncols) if f not in kpivots):
+        x = [Fraction(c == f) for c in range(ncols)]
+        for p, prow in kpivots.items():
+            x[p] = -prow.get(f, 0)
+        A = [[sum(a * B[r][c] for a, B in zip(x[n2:], SO)) for c in range(n2)] for r in range(n2)]
+        basis.append((x[:n2], A))
+    return (dims, len(dims) - 2), (len(basis), len(kdims), basis)
+
+
+def test_singer_and_killing_equal_the_definition(all_bundled):
+    """Singer's dims and k_Jg and Killing's dim, orders and basis, entry for
+    entry, equal a full-basis elimination by the definition
+    (`_invariants_by_definition`): every u(m) and so(2m) basis matrix acts
+    by the entrywise loop on the divided tuple, and the engine's action
+    (`_add_index_action`, `action_terms`, `scatter_products`) is not used.
+    The engine acts only with the kernel left before each batch of rows
+    (`_Echelon.kernel`), so this pins that those rows change no pivot.
+    iwasawa at alpha = 1 needs three Killing orders, its kernel shrinking
+    after order 0.  Every spec here has k_Jg = 0: a probe of 335 generated
+    two-step specs (150 of `random_two_step_specs(seed=101)` and the 185
+    `_nilpotent` specs of seeds 100-136, each kind) found none with k_Jg > 0."""
+    points = [("iwasawa", {"alpha": 1}),
+              ("kodaira", {"alpha": 1, "beta": 0, "r": 1, "v": 1}),
+              ("kodaira", {"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5}),
+              ("abelian2", {}), ("sphere", {})]
+    specs = [all_bundled[name].spec.instantiate(params) for name, params in points]
+    specs += random_two_step_specs(2, seed=23)
+    specs += [_nilpotent(seed, m, kind) for seed, m, kind in
+              [(5, 2, "abelian"), (6, 2, "generic"), (7, 2, "abelian"), (8, 2, "generic"),
+               (12, 2, "abelian"), (9, 3, "abelian"), (10, 3, "generic"),
+               (11, 3, "generic")]]
+    orders = []
+    for spec in specs:
+        (dims, k_jg), (dim, used, basis) = _invariants_by_definition(spec)
+        sing, kill = geo.singer_invariant(spec), geo.killing_generators(spec)
+        assert (sing.dims, sing.k_jg) == (dims, k_jg), spec.name
+        assert (kill.dim, kill.orders_used) == (dim, used), spec.name
+        assert kill.basis == basis, spec.name
+        orders.append(used)
+    assert orders[0] == 3
 
 def _exact_two_step_spec():
     spec = random_two_step_specs(1, seed=3)[0]

@@ -83,3 +83,24 @@ def test_cli_digest_lines_match_the_pinned_reports():
         d = reports[f"src/ghl/data/{name}.ghl"]
         want = hashlib.sha256(bundled_path(name).with_suffix(".expected.json").read_bytes())
         assert (d["exit"], d["stdout_sha256"], d["stderr_last"]) == (0, want.hexdigest(), ""), name
+
+
+def test_line_coverage_lists_the_lines_a_run_skips(tmp_path):
+    """On a one-test run that imports geometry and makes one zero test,
+    every src/ghl file gets one line, the first statement of
+    `_Echelon.kernel`, which it never reaches, is listed, and cli.py, which
+    it never imports, is unexecuted throughout."""
+    probe = tmp_path / "test_probe.py"
+    probe.write_text("from ghl import geometry\n\n\ndef test_probe():\n"
+                     "    assert geometry.FractionDomain.is_zero(0)\n", encoding="utf-8")
+    proc = run_script("line_coverage.py", str(probe), "-q", "-p", "no:cacheprovider")
+    assert proc.returncode == 0, proc.stderr
+    lines = {line.split(":")[0]: line for line in proc.stdout.splitlines()
+             if line.startswith(("src/", "total:"))}
+    assert sorted(lines) == sorted(f"src/ghl/{p.name}" for p in (ROOT / "src" / "ghl")
+                                   .glob("*.py")) + ["total"]
+    total, executable = map(int, lines["src/ghl/cli.py"].split(": ")[1].split()[::2])
+    assert total == executable > 100
+    source = (ROOT / "src" / "ghl" / "geometry.py").read_text(encoding="utf-8").splitlines()
+    first = next(i for i, text in enumerate(source, 1) if "L = math.lcm(" in text)
+    assert f" {first}," in lines["src/ghl/geometry.py"]
