@@ -1162,9 +1162,9 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
         size = n2 ** (T0.rank + 2 * T0.has_endo)
         kernel = span.kernel()
         vs = [[(0, f, v[x] * (d // d1)) for f, v in kernel.items() if v[x]] for x in range(n2)]
-        rows = {}
         gens = [(f, mat_scale(x * (d // d0), B)) for f, v in kernel.items()
                 for x, B in zip(v[n2:], SO) if x]
+        rows = {}
         _add_index_action(rows, gens, T0, ((key % size, size, 1, x, vs[key // size])
                                            for key, x in T1.comp.items()))
         for key in sorted(rows):
