@@ -193,12 +193,8 @@ def _grid_points(text: str) -> tuple[list[str], list[dict]]:
             raise UsageError(f"grid count must be an integer, got {parts[2]!r}") from None
         if count < 1:
             raise GhlFormatError("grid count must be >= 1")
-        if count == 1:
-            vals = [start]
-        else:
-            step = (stop - start) / (count - 1)
-            vals = [start + i * step for i in range(count)]
-        axes[name] = vals
+        step = (stop - start) / max(count - 1, 1)     # a count of 1 gives the start alone
+        axes[name] = [start + i * step for i in range(count)]
     names = list(axes)
     return names, [dict(zip(names, combo)) for combo in itertools.product(*axes.values())]
 

@@ -128,27 +128,25 @@ def parse_assignments(text: str) -> dict[str, Fraction]:
     return out
 
 
-def _parse_bracket_key(key: str, n: int, path) -> tuple[int, int]:
+def _basis_pair(path, section: str, key: str, n: int) -> tuple[int, int]:
+    """The indices (a, b) of a key 'ea,eb' of [section], each below n."""
     parts = [p.strip() for p in key.split(",")]
     if len(parts) != 2:
-        raise GhlFormatError(f"{path}: bracket key must be 'ea,eb', got {key!r}")
-    idx = []
+        raise GhlFormatError(f"{path}: [{section}] {key}: key must be 'ea,eb'")
     for p in parts:
         m = _BASIS_RE.match(p)
-        if not m:
-            raise GhlFormatError(f"{path}: bad basis token {p!r}")
-        idx.append(int(m.group(1)))
-    a, b = idx
-    if not (0 <= a < b < n):
-        raise GhlFormatError(f"{path}: bracket key {key!r} needs 0 <= a < b < {n}")
-    return a, b
+        if not m or int(m.group(1)) >= n:
+            raise GhlFormatError(f"{path}: [{section}] {key}: {p!r} is not one of e0..e{n - 1}")
+    return int(parts[0][1:]), int(parts[1][1:])
 
 
 def _brackets(path, sections: dict, n: int, dom) -> dict:
     """The [brackets] section as {(a, b): coordinate vector}; a pair given twice is an error."""
     mu = {}
     for key, value in sections.get("brackets", []):
-        a, b = _parse_bracket_key(key, n, path)
+        a, b = _basis_pair(path, "brackets", key, n)
+        if a >= b:
+            raise GhlFormatError(f"{path}: [brackets] {key}: needs a < b for 'ea,eb'")
         if (a, b) in mu:
             raise GhlFormatError(f"{path}: duplicate key {key!r} in [brackets]")
         mu[(a, b)] = _parse_value(path, "brackets", key, value,
@@ -217,7 +215,7 @@ def _algebra_spec(path: Path, sections: dict) -> BracketSpec:
     params = _parse_params(head.get("params", ""))
     backend = head.get("backend", "exact")
     if backend != "exact":
-        raise GhlFormatError(f"{path}: direct bracket files are exact-backend only")
+        raise GhlFormatError(f"{path}: [algebra] backend must be exact, got {backend!r}")
     dom = ExactDomain(params)
     mu = _brackets(path, sections, q + 2 * m, dom)
     return BracketSpec(q, m, mu, dom, name, params)
@@ -251,27 +249,16 @@ def _frame_spec(path: Path, sections: dict, sample: dict | None,
         J.append(row)
     J2 = [[sum(J[i][k] * J[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     if any(J2[i][j] != (-1 if i == j else 0) for i in range(n) for j in range(n)):
-        raise GhlFormatError(f"{path}: J^2 != -Id")
+        raise GhlFormatError(f"{path}: [J] J^2 != -Id")
 
     # metric entries, symmetric fill, unspecified = 0
     Gexpr = [[None] * n for _ in range(n)]
     for key, value in sections.get("metric", []):
-        parts = [p.strip() for p in key.split(",")]
-        if len(parts) != 2:
-            raise GhlFormatError(f"{path}: metric key must be 'ea,eb'")
-        ij = []
-        for p in parts:
-            mm = _BASIS_RE.match(p)
-            if not mm or int(mm.group(1)) >= n:
-                raise GhlFormatError(f"{path}: bad metric index {p!r}")
-            ij.append(int(mm.group(1)))
-        i, j = ij
+        i, j = _basis_pair(path, "metric", key, n)
         val = _parse_value(path, "metric", key, value, lambda node: to_scalar(node, exact))
         if Gexpr[i][j] is not None:
-            raise GhlFormatError(f"{path}: duplicate metric entry {key}")
-        Gexpr[i][j] = val
-        if i != j:
-            Gexpr[j][i] = val
+            raise GhlFormatError(f"{path}: [metric] {key}: entry given twice")
+        Gexpr[i][j] = Gexpr[j][i] = val
 
     samples = [parse_assignments(v) for v in
                _section_dict(sections.get("samples", []), path, "samples").values()]
@@ -444,9 +431,8 @@ def compare_reports(actual: dict, expected: dict, tol: float = DEFAULT_TOLERANCE
         elif isinstance(a, str) and isinstance(b, str):
             if not scalar_eq(a, b):
                 diffs.append(path)
-        else:
-            if a != b:
-                diffs.append(path)
+        elif a != b:
+            diffs.append(path)
 
     walk(actual, expected, "")
     return diffs

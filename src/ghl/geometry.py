@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -89,7 +90,7 @@ class BracketSpec:
             if any(not domain.is_zero(c) for c in vec):
                 store[(a, b)] = vec
         self.mu_store = store
-        self._rings = {}            # layout key -> `_RingForm` or None, built on first use
+        self._rings = {}            # layout key -> `_RingForm`, built on first use
 
     # -- bracket access ------------------------------------------------------
 
@@ -200,7 +201,7 @@ class ValidationReport:
 
     @property
     def integrable(self) -> bool:
-        return next(c.passed for c in self.conditions if c.name == "h5")
+        return self.condition("h5").passed
 
     def condition(self, name: str) -> ConditionResult:
         return next(c for c in self.conditions if c.name == name)
@@ -536,17 +537,18 @@ def _connection_terms(spec: BracketSpec) -> list[list]:
 class _RingForm:
     """The bracket table `mu` (as `BracketSpec.mu`) and the matrices S(e_x)
     as ring values over one den (`_clear`) in one layout, with ad(e_z) of
-    each isotropy vector (`_sparse`); the terms of A^t (`_terms`) and Rm's
-    undivided sums (`connection_audit`'s `_curvature`) once asked for.  A dense form (ring None:
-    floats, a non-monomial denominator) holds the spec's own mu and S over
-    den 1 with no layout.  `dom` tests the values' zeros.  Built by
-    `_ring_form` and, for a t that `_clear` leaves as it is, `_gauduchon`."""
-
-    Rm = terms = None
+    each isotropy vector (`_sparse`).  One form per spec and layout serves
+    A^t, Omega^t and T^t (`_gauduchon`), Rm, the audit and the derivative
+    towers (`_towers`), each reading the members below, built once when
+    first asked for.  A dense form (ring None: floats, a non-monomial
+    denominator) holds the spec's own mu and S over den 1 with no layout.
+    `dom` tests the values' zeros.  Built by `_ring_form` and, for a t that
+    `_clear` leaves as it is, `_gauduchon`."""
 
     def __init__(self, spec: BracketSpec, den, ring: list | None, layout):
         n, q, n2 = spec.n, spec.q, 2 * spec.m
         self.den, self.layout, self.dense = den, layout, ring is None
+        self._spec = weakref.ref(spec)      # the spec caches its forms: no cycle
         if self.dense:
             self.dom, self.mu, self.S = spec.domain, spec.mu, spec.S
             self.one, self.zero = spec.domain.one(), spec.domain.zero()
@@ -559,15 +561,39 @@ class _RingForm:
         self.ad = [_sparse([[self.mu[z][q + b][q + r] for b in range(n2)] for r in range(n2)])
                    for z in range(q)]
 
+    @cached_property
+    def terms(self) -> list:
+        """S over den and the `_connection_terms` over 4 den as
+        `scatter_products` entries at their flat keys: each term is an
+        integer combination of brackets over 4 (module docstring), so
+        `_clear` packs it at that den.  Ring forms only."""
+        terms = _connection_terms(self._spec())
+        _, ring, _ = _clear([x for T in terms for x in T], self.layout, _scale(self.den, 4))
+        size = len(terms[0])
+        return [[(key, 0, v) for key, v in enumerate(T) if v] for T in [
+            _flat(self.S), *(ring[i:i + size] for i in range(0, len(ring), size))]]
 
-def _layout_key(spec: BracketSpec, *values, t: bool = True) -> tuple | None:
-    """The key of the layout over the spec's parameters, t (unless not t)
-    and the values' variables, sorted, at the degree cap's width; None
-    (ints) on a Fraction spec where the values bring no variable."""
+    @cached_property
+    def Rm(self) -> tuple:
+        """Rm's undivided (den, sums) (`_curvature` on S), which
+        `riemann_curvature` divides and `connection_audit` reads."""
+        return _curvature(self._spec(), self, self.one, self.S)
+
+    @cached_property
+    def tower_S(self) -> tuple:
+        """(dS, S) with S reduced once (`_reduce`), as `_tower` steps with it."""
+        dS, S = _reduce(self.den, _flat(self.S), self.layout)
+        return dS, _matrices(S, 2 * self._spec().m)
+
+
+def _layout_key(spec: BracketSpec, *values) -> tuple | None:
+    """The key of the layout over the spec's parameters, t and the values'
+    variables, sorted, at the degree cap's width; None (ints) on a Fraction
+    spec where the values bring no variable."""
     names = {x for v in values if isinstance(v, RationalFunction) for x in v.num.vars + v.den.vars}
     if isinstance(spec.domain, FractionDomain) and not names:
         return None
-    names.update(spec.params, ("t",) if t else ())
+    names.update(spec.params, ("t",))
     return tuple(sorted(names)), get_degree_cap().bit_length()
 
 
@@ -576,9 +602,8 @@ def _ring_form(spec: BracketSpec, *values) -> _RingForm:
     key; a dense one where `_clear` leaves mu and S as they are."""
     key = _layout_key(spec, *values)
     if key not in spec._rings:
-        values = _flat(spec.mu) + _flat(spec.S) if spec.domain.backend == "exact" else []
-        den, ring, layout = (_clear(values, key and Layout(key[0])) if values
-                             else (1, values, None))
+        values = _flat(spec.mu) + _flat(spec.S)
+        den, ring, layout = _clear(values, key and Layout(key[0]))
         spec._rings[key] = _RingForm(spec, den, None if ring is values else ring, layout)
     return spec._rings[key]
 
@@ -588,28 +613,15 @@ def _flat(Ms: list) -> list:
     return [x for M in Ms for row in M for x in row]
 
 
-def _terms(spec: BracketSpec, form: _RingForm) -> list:
-    """S over den and the `_connection_terms` over 4 den as `scatter_products`
-    entries at their flat keys: each term is an integer combination of
-    brackets over 4 (module docstring), so `_clear` packs it at that den.
-    Kept on the form."""
-    if form.terms is None:
-        terms = _connection_terms(spec)
-        _, ring, _ = _clear([x for T in terms for x in T], form.layout, _scale(form.den, 4))
-        size = len(terms[0])
-        form.terms = [[(key, 0, v) for key, v in enumerate(T) if v] for T in [
-            _flat(form.S), *(ring[i:i + size] for i in range(0, len(ring), size))]]
-    return form.terms
-
-
 def _gauduchon(spec: BracketSpec, t):
     """(form, k, A) with A^t(e_x) = A[x] / (form.den k) for ring matrices A:
     t = tn / td cleared in the `_ring_form`'s layout and k = 16 td, so that
     16 td den A^t = 16 td S - (tn + td) FI - (tn - td) F+ + td N - 2 td F-,
-    S over den and the rest over 4 den (`_terms`), is one `scatter_products`
-    call with those ring constants.  A dense form and k = 1, with A over
-    the spec's domain, where `_clear` leaves the spec's values or t as they
-    are.  Each A^t(e_x) is asserted to lie in u(m) (`_assert_unitary`)."""
+    S over den and the rest over 4 den (`_RingForm.terms`), is one
+    `scatter_products` call with those ring constants.  A dense form and
+    k = 1, with A over the spec's domain, where `_clear` leaves the spec's
+    values or t as they are.  Each A^t(e_x) is asserted to lie in u(m)
+    (`_assert_unitary`)."""
     dom, n2 = spec.domain, 2 * spec.m
     form, tv = _ring_form(spec, t), [t]
     td, (tn,), _ = cleared = (1, tv, None) if form.dense else _clear(tv, form.layout)
@@ -623,7 +635,7 @@ def _gauduchon(spec: BracketSpec, t):
         k = _scale(td, 16)
         runs = [(0, 0, sign, c, T) for sign, c, T in zip(
             (1, -1, -1, 1, -1), (k, _plus(tn, td), _plus(tn, td, -1), td, _scale(td, 2)),
-            _terms(spec, form)) if c]
+            form.terms) if c]
         sums = scatter_products(runs, 0, FractionDomain.is_zero, form.layout)
         flat = [sums.get(key, form.zero) for key in range(n2 ** 3)]
     A = _matrices(flat, n2)
@@ -634,14 +646,13 @@ def _gauduchon(spec: BracketSpec, t):
 
 def gauduchon_connection(spec: BracketSpec, t) -> list[list[list]]:
     """A^t: R^{2m} -> u(m).  t is a scalar of the spec's domain (or symbolic)."""
-    return _divided_connection(spec, *_gauduchon(spec, t))
+    form, k, A = _gauduchon(spec, t)
+    return _divided(spec, form, _connection_pair(form, k, A), table=False)
 
 
-def _divided_connection(spec: BracketSpec, form, k, A: list) -> list[list[list]]:
-    """`_gauduchon`'s A^t over the spec's domain, each ring value divided once."""
-    flat = dict(enumerate(_flat(A)))
-    den = _times(form.layout, form.den, k)
-    return _matrices(_divided(spec, form, (den, flat), len(flat)), len(A))
+def _connection_pair(form, k, A: list) -> tuple:
+    """`_gauduchon`'s A^t as (den, sums) at the flat keys (x n2 + r) n2 + c."""
+    return _times(form.layout, form.den, k), dict(enumerate(_flat(A)))
 
 
 def _assert_unitary(M, dom, label: str):
@@ -701,7 +712,7 @@ def _curvature(spec: BracketSpec, form, k, C: list) -> tuple:
     C is over den k and the bracket table over den (the form's), so ad's
     products are scaled by k^2 and C(mu_m)'s by k: every term is a product
     of two ring values over (den k)^2, all summed in one `scatter_products`
-    call at the packed (a, b, i, j) and left undivided (`_pairs` divides).
+    call at the packed (a, b, i, j) and left undivided (`_divided` divides).
     On a dense form the dense formula runs over the spec's own domain, at
     every entry: its float sums are the ones numeric reports print."""
     q, n2 = spec.q, 2 * spec.m
@@ -729,30 +740,24 @@ def _curvature(spec: BracketSpec, form, k, C: list) -> tuple:
     return _times(layout, den, den), scatter_products(terms(), 0, FractionDomain.is_zero, layout)
 
 
-def _divided(spec: BracketSpec, form, pair: tuple, size: int) -> list:
-    """The values at range(size) of `_curvature`'s, `_torsion`'s or
-    `_gauduchon`'s (den, sums), each divided once (`_divide`) into the
-    spec's domain, zeros filled in."""
-    out = [spec.domain.zero()] * size
+def _divided(spec: BracketSpec, form, pair: tuple, *, table: bool, matrix: bool = True) -> list:
+    """The values of (den, sums), each divided once (`_divide`) into the
+    spec's domain, zeros filled in: A^t's n2 matrices (`_connection_pair`),
+    or as a pair table (`table`) `_curvature`'s matrices or `_torsion`'s
+    n2-vectors (not `matrix`), whose value at a = b = 0 is a zero."""
+    n2 = 2 * spec.m
+    entries = n2 * n2 if table else n2
+    width = n2 * n2 if matrix else n2
+    flat = [spec.domain.zero()] * (entries * width)
     for key, x in _divide(pair[1], pair[0], form.layout).items():
-        out[key] = x
-    return out
-
-
-def _pairs(spec: BracketSpec, form, pair: tuple, matrix: bool) -> list[list]:
-    """The pair table of `_curvature`'s (matrix) or `_torsion`'s (den, sums)."""
-    n2, size = 2 * spec.m, (2 * spec.m) ** (2 if matrix else 1)
-    flat = _divided(spec, form, pair, n2 * n2 * size)
-
-    def value(a, b):
-        k = (a * n2 + b) * size
-        return [flat[i:i + n2] for i in range(k, k + size, n2)] if matrix else flat[k:k + n2]
-    return _pair_table(value, mat_zero(n2, spec.domain) if matrix else [spec.domain.zero()] * n2)
+        flat[key] = x
+    values = _matrices(flat, n2) if matrix else [flat[i:i + n2] for i in range(0, len(flat), n2)]
+    return _pair_table(lambda a, b: values[a * n2 + b], values[0]) if table else values
 
 
 def riemann_curvature(spec: BracketSpec) -> list[list[list]]:
     form = _ring_form(spec)
-    return _pairs(spec, form, _curvature(spec, form, form.one, form.S), True)
+    return _divided(spec, form, form.Rm, table=True)
 
 
 def _torsion(spec: BracketSpec, form, k, A: list) -> tuple:
@@ -770,9 +775,10 @@ def gauduchon_tables(spec: BracketSpec, t) -> tuple:
     """(A^t, Omega^t, T^t) from one `_gauduchon` call, each ring value
     divided once: A^t as `gauduchon_connection` gives it, Omega^t and T^t
     as pair tables."""
-    ring = _gauduchon(spec, t)
-    return (_divided_connection(spec, *ring), _pairs(spec, ring[0], _curvature(spec, *ring), True),
-            _pairs(spec, ring[0], _torsion(spec, *ring), False))
+    form, k, A = ring = _gauduchon(spec, t)
+    return (_divided(spec, form, _connection_pair(form, k, A), table=False),
+            _divided(spec, form, _curvature(spec, *ring), table=True),
+            _divided(spec, form, _torsion(spec, *ring), table=True, matrix=False))
 
 
 def gauduchon_curvature_torsion(spec: BracketSpec, t):
@@ -893,27 +899,20 @@ def _tower_starts(spec: BracketSpec) -> tuple[MultiTensor, MultiTensor]:
 
 
 def _towers(spec: BracketSpec):
-    """(layout, J's `_tower`, Rm's `_tower`) from `_tower_starts`, each start
-    cleared once (`_clear`) in the layout of the spec's parameters alone
-    (`_layout_key`; ints, with no layout, over a Fraction spec), and S
-    cleared alone and reduced (`_reduce`) once per spec and layout, kept
-    with the ring forms; den 1 over the spec's own values (layout None)
-    where `_clear` leaves S or a start as it is."""
-    starts = _tower_starts(spec)
-    key = "S", _layout_key(spec, t=False)
-    if key not in spec._rings:
-        values = _flat(spec.S)
-        dS, S, layout = _clear(values, key[1] and Layout(key[1][0]))
-        dS, S = _reduce(dS, S, layout)
-        spec._rings[key] = S is not values and (layout, dS, _matrices(S, 2 * spec.m))
-    values = [list(T.comp.values()) for T in starts]
-    cleared = [_clear(v, spec._rings[key][0]) for v in values] if spec._rings[key] else []
-    if not cleared or any(ring is v for v, (_, ring, _) in zip(values, cleared)):
-        return None, *(_tower(T, 1, 1, spec.S, None, spec.domain.is_zero) for T in starts)
-    layout, dS, S = spec._rings[key]
-    return layout, *(_tower(MultiTensor(T.n, T.rank, T.has_endo, {} if layout else 0,
-                                        zip(T.comp, ring), T.skew), den, dS, S, layout,
-                            FractionDomain.is_zero) for T, (den, ring, _) in zip(starts, cleared))
+    """(layout, J's `_tower`, Rm's `_tower`) on the spec's `_ring_form`:
+    each `_tower_starts` tensor cleared once (`_clear`) in the form's
+    layout (ints, with no layout, over a Fraction spec), or kept as it is
+    over den 1 on a dense form, and the form's S reduced once per form
+    (`_RingForm.tower_S`)."""
+    form = _ring_form(spec)
+    towers = [form.layout]
+    for T in _tower_starts(spec):
+        den = 1
+        if not form.dense:
+            den, ring, _ = _clear(list(T.comp.values()), form.layout)
+            T = MultiTensor(T.n, T.rank, T.has_endo, form.zero, zip(T.comp, ring), T.skew)
+        towers.append(_tower(T, den, *form.tower_S, form.layout, form.dom.is_zero))
+    return tuple(towers)
 
 
 def _tower(T: MultiTensor, den, dS, S: list, layout, is_zero):
@@ -1306,7 +1305,6 @@ def connection_audit(spec: BracketSpec, t) -> AuditReport:
     # that leaves the residues.
     layout, one, zero = form.layout, form.one, form.zero
     S = [[[_times(layout, k, x) for x in row] for row in M] for M in form.S]
-    form.Rm = form.Rm or _curvature(spec, form, form.one, form.S)    # kept for the next audit
     Rm, kk = form.Rm[1], _times(layout, k, k)
 
     def entries(Ms):        # <M(e_x) e_y, e_z> at (x n2 + z) n2 + y

@@ -762,17 +762,20 @@ def _scale(v, c: int):
 
 def _clear(values: list, layout: Layout | None = None, den=None):
     """(den, ring, layout) with values[i] == ring[i] / den exactly, in one of
-    three ways: Fractions without a layout give an int lcm, ints and no
-    layout; RationalFunctions whose denominators are all monomials, and
+    three ways: Fractions without a layout, RationalFunctions with no
+    variable taken as theirs, give an int lcm, ints and no layout;
+    RationalFunctions whose denominators are all monomials, and
     Fractions taken as constants (as over a Fraction spec at symbolic t),
     give a one-term den L*x^e, L the lcm of the nonzero values' denominator
     coefficients, and values packed in layout (by default one over the
     values' variables), every zero value the one zero ring value; anything
     else (floats, a non-monomial denominator) gives (1, values, None), the
     list itself.  A given den, a multiple of every value's, is used as it is."""
-    if layout is None and all(isinstance(v, Fraction) for v in values):
-        den = den or lcm(*(v.denominator for v in values))
-        return den, [v.numerator * (den // v.denominator) for v in values], None
+    consts = () if layout else [v.as_fraction() if isinstance(v, RationalFunction)
+                                and not v.num.vars + v.den.vars else v for v in values]
+    if layout is None and all(isinstance(v, Fraction) for v in consts):
+        den = den or lcm(*(v.denominator for v in consts))
+        return den, [v.numerator * (den // v.denominator) for v in consts], None
     if not all(isinstance(v, Fraction) or isinstance(v, RationalFunction)
                and len(v.den.terms) == 1 for v in values):
         return 1, values, None

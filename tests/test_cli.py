@@ -524,6 +524,50 @@ def test_usage_mistakes_exit_two():
         assert message in err, (argv, err)
 
 
+@pytest.mark.parametrize("name, message", [
+    ("bracket-key-arity", "[brackets] e0,e1,e0: key must be 'ea,eb'"),
+    ("bracket-key-token", "[brackets] e0,e2: 'e2' is not one of e0..e1"),
+    ("bracket-key-order", "[brackets] e1,e0: needs a < b for 'ea,eb'"),
+    ("no-section", "expected an [algebra] or [frame] section"),
+    ("numeric-backend", "[algebra] backend must be exact, got 'numeric'"),
+    ("j-missing-row", "[J] missing row1"),
+    ("j-not-integers", "[J] row0 must be integers"),
+    ("j-wrong-length", "[J] row0 must have 2 entries"),
+    ("j-not-complex", "[J] J^2 != -Id"),
+    ("metric-key-arity", "[metric] e0: key must be 'ea,eb'"),
+    ("metric-key-token", "[metric] e1,e2: 'e2' is not one of e0..e1"),
+    ("metric-twice", "[metric] e1,e0: entry given twice"),
+    ("sample-misses-parameter", "sample misses parameter(s) sigma"),
+])
+def test_a_malformed_file_exits_two_naming_file_section_and_key(name, message):
+    """Each crafted file breaks one rule of the format: `validate` exits 2
+    with one error line that names the file and, where there is one, the
+    section and the key.  They sit under `malformed/`, out of the fuzz
+    probe's sources, so that its mutants keep reaching the engine."""
+    path = str(TEST_DATA / "malformed" / f"{name}.ghl")
+    code, out, err = run("validate", path)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("alpha", "bad grid component 'alpha'"),
+    ("alpha=0:1", "grid component must be name=start:stop:count, got 'alpha=0:1'"),
+    ("alpha=0:1:0", "grid count must be >= 1"),
+])
+def test_a_malformed_grid_exits_two(grid, message):
+    code, out, err = run("sweep", str(bundled_path("iwasawa")), "--grid", grid,
+                         "--quantity", "scal")
+    assert (code, out) == (2, "") and message in err
+
+
+def test_a_one_point_grid_axis_is_its_start():
+    """count 1 gives the start alone, with an empty axis piece skipped."""
+    code, out, _ = run("sweep", str(bundled_path("iwasawa")), "--grid", "alpha=2:5:1,",
+                       "--quantity", "sec_max_basis")
+    assert code == 0 and out.splitlines()[0] == "alpha,sec_max_basis"
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["2"]
+
+
 @pytest.mark.parametrize("grid, params, message", [
     ("t=0:1:2,t=2:3:2", "alpha=1,beta=0,r=1,v=1", "grid parameter 't' is given twice"),
     ("alpha=0:2:3", "beta=0,r=1,v=1,alpha=1",

@@ -3,11 +3,13 @@ package __init__ imports and every function perfbench's tracer wraps, so a
 deleted class cannot linger as an export and no traced layer reads 0 unseen."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import pkgutil
 import re
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -47,15 +49,22 @@ def test_perfbench_tracer_targets_resolve():
 
 
 def test_every_export_has_a_user():
-    """No export serves only the tests: code in src/ghl, perfbench or scripts
-    uses it as an identifier, an attribute or an exact string (the tracer's
-    TARGETS), not in a def, import or __all__, or the README backticks it."""
+    """No export, and no public method of an exported class, serves only
+    the tests: code in src/ghl, perfbench or scripts uses it as an
+    identifier, an attribute or an exact string (the tracer's TARGETS), not
+    in a def, import or __all__, or the README backticks it."""
     root = Path(__file__).resolve().parent.parent
     init = ast.parse(Path(ghl.__file__).read_text(encoding="utf-8"))
-    exported = {*importlib.import_module("ghl.geometry").__all__,
-                *importlib.import_module("ghl.multilinear").__all__,
-                *(alias.asname or alias.name for node in ast.walk(init)
-                  if isinstance(node, ast.ImportFrom) for alias in node.names)}
+    names = {("ghl.geometry", n) for n in importlib.import_module("ghl.geometry").__all__}
+    names |= {("ghl.multilinear", n) for n in importlib.import_module("ghl.multilinear").__all__}
+    names |= {("ghl", alias.asname or alias.name) for node in ast.walk(init)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    objects = {name: getattr(importlib.import_module(mod), name) for mod, name in names}
+    exported = set(objects) | {
+        f"{name}.{attr}" for name, obj in objects.items() if isinstance(obj, type)
+        for attr, member in vars(obj).items() if not attr.startswith("_")
+        and isinstance(member, (FunctionType, property, staticmethod, classmethod,
+                                functools.cached_property))}
     used = set()
     for folder in ("src/ghl", "perfbench", "scripts"):
         for path in sorted((root / folder).glob("*.py")):
@@ -70,4 +79,4 @@ def test_every_export_has_a_user():
     readme = (root / "README.md").read_text(encoding="utf-8")
     used |= {word for span in re.findall(r"`+([^`]+)`+", readme)
              for word in re.findall(r"\w+", span)}
-    assert sorted(exported - used) == []
+    assert sorted(n for n in exported if n.rpartition(".")[2] not in used) == []

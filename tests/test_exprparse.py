@@ -44,6 +44,19 @@ def test_syntax_error_reports_offset():
     assert err.value.offset == 8
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("(alpha + 1", "expected ')'", 10),
+    ("alpha 1", "unexpected trailing input 1", 6),
+    ("alpha)", "unexpected trailing input ')'", 5),
+    ("   ", "empty expression", 0),
+    ("alpha + *", "expected integer, parameter or '('", 8),
+])
+def test_syntax_errors_name_what_was_expected(text, message, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression(text)
+    assert str(err.value) == f"{message} (at byte offset {offset})"
+
+
 def test_undeclared_parameter_named():
     with pytest.raises(UndeclaredParameterError, match="gamma"):
         val("gamma + 1")
@@ -64,6 +77,13 @@ def test_linear_combination():
     assert vec[5].eq(RationalFunction.param("beta"))
     assert vec[0].eq(RationalFunction.const(Fraction(-1, 2)))
     assert all(vec[i].is_zero() for i in (1, 2, 3))
+
+
+def test_linear_combination_scales_a_vector_from_either_side():
+    left = to_linear_combination(parse_expression("e1*alpha/2"), DOM, 4)
+    right = to_linear_combination(parse_expression("alpha/2*e1"), DOM, 4)
+    assert all(x.eq(y) for x, y in zip(left, right))
+    assert left[1].eq(RationalFunction.param("alpha") / 2)
 
 
 def test_linear_combination_rejections():

@@ -1,8 +1,10 @@
 """File formats: .ghl loading (both kinds), report serialization and
 comparison, round trips."""
 
+import gc
 import json
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from ghl import geometry as geo
 from ghl.fileio import (BUNDLED, GhlFormatError, build_report, bundled_path,
                         compare_reports, load_ghl, parse_assignments,
                         serialize_report)
-from ghl.scalars import DEFAULT_DEGREE_CAP, set_degree_cap
+from ghl.scalars import DEFAULT_DEGREE_CAP, RationalFunction, set_degree_cap
 
 from conftest import TEST_DATA
 
@@ -95,49 +97,99 @@ def test_build_report_builds_each_derived_object_once(monkeypatch):
     ({"alpha": 2, "beta": 1, "r": Fraction(1, 2), "v": 5}, [None, ("t",)])])
 def test_ring_form_is_cleared_once_per_layout(monkeypatch, sample, layouts):
     """Across one report, one check (a second report of the same spec, then
-    `compare_reports`), one connection audit and one t-only sweep of a
-    spec, its bracket table and S are cleared (`_clear`, which packs them)
-    once per layout: kodaira over Q(alpha, beta, r, v) in the one layout of
-    its parameters and t, and at a rational point over ints (Rm and the
-    sweep's rational t) and, for symbolic t, in the layout of t."""
+    `compare_reports`), two connection audits, one t-only sweep, an s-tuple
+    and, at a rational point, Singer and Killing of a spec, its bracket
+    table and S are cleared (`_clear`, which packs them) once per layout:
+    kodaira over Q(alpha, beta, r, v) in the one layout of its parameters
+    and t, and at a rational point over ints (Rm, the sweep's rational t
+    and the towers) and, for symbolic t, in the layout of t.  Every
+    `spec._rings` value is a `_RingForm`, and each builds Rm's undivided
+    sums (`_curvature` on the form's own S) once, across
+    `riemann_curvature` and both audits."""
     from ghl.cli import _sweep_value
     loaded = load_ghl(bundled_path("kodaira"), sample)
-    spec, calls, clear = loaded.spec, [], geo._clear
+    spec, calls, clear, curvature, rm_sums = loaded.spec, [], geo._clear, geo._curvature, []
 
     def recording(values, layout=None, *den):
         calls.append((layout and layout.names, set(map(id, values))))
         return clear(values, layout, *den)
 
+    def counting(spec, form, k, C):
+        if C is form.S:
+            rm_sums.append(form)
+        return curvature(spec, form, k, C)
+
     with monkeypatch.context() as patch:
         patch.setattr(geo, "_clear", recording)
+        patch.setattr(geo, "_curvature", counting)
         report = build_report(loaded)
         assert compare_reports(build_report(loaded), report) == []
-        assert geo.connection_audit(spec, geo.symbolic_t()).ok
+        for _ in range(2):
+            assert geo.connection_audit(spec, geo.symbolic_t()).ok
         for t in (0, Fraction(1, 2), 1, 2):
             _sweep_value("scal", spec, Fraction(t))
+        geo.hermitian_s_tuple(spec, s=1)
+        if sample:
+            geo.singer_invariant(spec)
+            geo.killing_generators(spec)
     zero = spec.domain.is_zero
     mu = {id(x) for row in spec.mu for v in row for x in v if not zero(x)}
     S = {id(x) for M in spec.S for row in M for x in row if not zero(x)}
     for ids in (mu, S):
         assert sorted(names or () for names, got in calls if ids <= got) == sorted(
             names or () for names in layouts)
+    forms = list(spec._rings.values())
+    assert len(forms) == len(layouts) and all(type(form) is geo._RingForm for form in forms)
+    assert Counter(map(id, rm_sums)) == Counter(map(id, forms))
+
+
+@pytest.mark.parametrize("sample", [None, {"alpha": 2, "beta": 1, "r": 1, "v": 3}])
+def test_a_spec_with_ring_forms_is_freed_without_the_cycle_collector(sample):
+    """A ring form holds its spec by weak reference, so a spec whose report,
+    audit and s-tuple built its forms and their members is freed as soon as
+    its last reference goes, with the cycle collector off: specs built one
+    per sweep point or per call do not pile up until a collection."""
+    loaded = load_ghl(bundled_path("kodaira"), sample)
+    build_report(loaded)
+    assert geo.connection_audit(loaded.spec, geo.symbolic_t()).ok
+    geo.hermitian_s_tuple(loaded.spec, s=0)
+    assert loaded.spec._rings
+    spec = weakref.ref(loaded.spec)
+    gc.disable()
+    try:
+        del loaded
+        assert spec() is None
+    finally:
+        gc.enable()
 
 
 def test_a_wider_degree_cap_builds_a_ring_form_of_its_width():
     """The ring form is cached per layout width: after a report at the
     default cap 64 (7-bit fields, degrees up to 127), a cap of 200 makes the
     next report of the same spec build a form with 8-bit fields, and the
-    report text is the same."""
-    loaded = load_ghl(bundled_path("kodaira"))
-    first = serialize_report(build_report(loaded))
-    assert [form.layout.limit for form in loaded.spec._rings.values()] == [127]
-    try:
-        set_degree_cap(200)
-        second = serialize_report(build_report(loaded))
-    finally:
-        set_degree_cap(DEFAULT_DEGREE_CAP)
-    assert [form.layout.width for form in loaded.spec._rings.values()] == [7, 8]
-    assert second == first
+    report text is the same; also where an s-tuple (`_towers`) builds the
+    first form, which the first report then reads."""
+    for tower_first in (False, True):
+        loaded = load_ghl(bundled_path("kodaira"))
+        if tower_first:
+            geo.hermitian_s_tuple(loaded.spec, s=0)
+        first = serialize_report(build_report(loaded))
+        assert [form.layout.limit for form in loaded.spec._rings.values()] == [127]
+        try:
+            set_degree_cap(200)
+            second = serialize_report(build_report(loaded))
+        finally:
+            set_degree_cap(DEFAULT_DEGREE_CAP)
+        assert [form.layout.width for form in loaded.spec._rings.values()] == [7, 8]
+        assert second == first
+
+
+def test_a_report_at_a_given_t_labels_it_with_its_text(kodaira):
+    """A library caller that gives t but no label gets t's own text, and the
+    report of the CLI's `--t 1/2`."""
+    rep = build_report(kodaira, RationalFunction.const(Fraction(1, 2)))
+    assert rep["t"] == "1/2"
+    assert rep == build_report(kodaira, RationalFunction.const(Fraction(1, 2)), "1/2")
 
 
 def test_serialize_deterministic(iwasawa):
@@ -166,6 +218,28 @@ def test_compare_reports_semantic_equality(iwasawa):
     other["F"]["0,2,4"] = "alpha"
     diffs = compare_reports(rep, other)
     assert any("F/0,2,4" in d for d in diffs)
+
+
+def test_compare_reports_names_each_kind_of_difference():
+    """Each kind of difference gives its path: a key on one side only, a
+    list of another length, a flag that differs, a string that parses as no
+    scalar, and on a numeric report a float beyond the tolerance or a
+    non-number; a float within the tolerance matches."""
+    expected = json.loads(bundled_path("kodaira-thurston.expected.json").read_text())
+    actual = json.loads(json.dumps(expected))
+    del actual["rho1"]
+    actual["lee"].append("0.0")
+    actual["flags"]["balanced"] = False
+    actual["T"]["0,2"][3] = "1.75000000001"
+    actual["T"]["0,3"][2] = "-0.3"
+    actual["Rm"]["0,2"][0][2] = "x"
+    assert compare_reports(actual, expected) == [
+        "/Rm/0,2[0][2]", "/T/0,3[2]", "/flags/balanced", "/lee (length 5 != 4)",
+        "/rho1 (missing on one side)"]
+    exact = json.loads(bundled_path("iwasawa.expected.json").read_text())
+    other = json.loads(json.dumps(exact))
+    other["scal"] = "(1"
+    assert compare_reports(other, exact) == ["/scal"]
 
 
 def test_parse_assignments():

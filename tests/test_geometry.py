@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ghl import geometry as geo
 from ghl.fileio import build_report, bundled_path, load_ghl
 from ghl.multilinear import basis_vector, commutator, dot, istd, mat_mul, mat_sub, mat_zero
-from ghl.scalars import ExactDomain, FractionDomain, NumericDomain, RationalFunction
+from ghl.scalars import ExactDomain, FractionDomain, NumericDomain, RationalFunction, UsageError
 
 from conftest import TEST_DATA
 from reference import (N_vec, form_evaluate, lee_from_torsion_trace, mat_is_zero, mu_m_vec,
@@ -547,6 +547,21 @@ def test_gauduchon_abelian_zero_any_t(abelian2):
     assert all(mat_is_zero(M, abelian2.spec.domain) for M in A)
 
 
+@pytest.mark.parametrize("t", [ExactDomain().from_fraction(1),
+                               RationalFunction.const(Fraction(1, 3))])
+def test_a_constant_rational_function_t_equals_its_fraction(t):
+    """Over a Fraction spec a t given as a constant RationalFunction, as an
+    exact domain's `from_fraction` makes it, is cleared as its Fraction
+    (`_clear`): A^t, the tables, Omega^t and T^t and the audit equal those
+    at that Fraction, all over Fractions."""
+    spec = load_ghl(bundled_path("kodaira"), {"alpha": 2, "beta": 1, "r": 1, "v": 3}).spec
+    for build in (geo.gauduchon_connection, geo.gauduchon_tables,
+                  geo.gauduchon_curvature_torsion, geo.connection_audit):
+        assert build(spec, t) == build(spec, t.as_fraction()), build.__name__
+    assert {type(x) for M in geo.gauduchon_connection(spec, t) for row in M for x in row} == {
+        Fraction}
+
+
 def test_gauduchon_kt_t_independent(kodaira_thurston, kt_exact):
     # exact variant: A carries no t symbolically
     A = geo.gauduchon_connection(kt_exact.spec, geo.symbolic_t())
@@ -890,6 +905,36 @@ def test_validate_names_the_first_failure(q, m, mu, name, witness):
     rep = geo.validate(spec)
     assert not rep.condition(name).passed
     assert rep.condition(name).witness == witness
+
+
+@pytest.mark.parametrize("q, m, mu, message", [
+    (-1, 1, {}, "need q >= 0 and m >= 1"),
+    (0, 0, {}, "need q >= 0 and m >= 1"),
+    (0, 1, {(1, 0): [0, 1]}, r"bad bracket key \(1,0\)"),
+    (0, 1, {(0, 2): [0, 1]}, r"bad bracket key \(0,2\)"),
+    (0, 1, {(0, 1): [0, 1, 0]}, "bracket value has wrong length"),
+])
+def test_bracket_spec_rejects_bad_dimensions_and_keys(q, m, mu, message):
+    """The constructor is the engine's own input check, below the file
+    loader's (which names file, section and key)."""
+    with pytest.raises(ValueError, match=message):
+        geo.BracketSpec(q, m, mu, FractionDomain())
+
+
+def test_engine_entry_points_reject_what_they_cannot_run(kodaira_thurston):
+    """instantiate needs the exact backend; a negative s has no tuple; and
+    Singer and Killing need constant structure constants, even on a spec
+    that declares no parameter."""
+    with pytest.raises(TypeError, match="instantiate applies to the exact backend"):
+        kodaira_thurston.spec.instantiate({})
+    abelian = geo.BracketSpec(0, 1, {}, FractionDomain())
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        geo.hermitian_s_tuple(abelian, s=-1)
+    x = RationalFunction.param("x")
+    hidden = geo.BracketSpec(0, 1, {(0, 1): [x, x]}, ExactDomain())
+    for verb in (geo.singer_invariant, geo.killing_generators):
+        with pytest.raises(UsageError, match="requires constant structure constants"):
+            verb(hidden)
 
 
 def _direct_sum(*specs):

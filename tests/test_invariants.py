@@ -62,7 +62,7 @@ def test_unitarity_check_fails_on_a_perturbed_connection_term(name, sample, t):
     t = geo.symbolic_t() if t is None else spec.domain.from_fraction(t)
     form = geo._ring_form(spec, t)
     if not form.dense:
-        terms = geo._terms(spec, form)          # S's entries first, over den
+        terms = form.terms                      # S's entries first, over den
         (key, _, v), *rest = terms[0]
         terms[0] = [(key, 0, geo._plus(v, form.den))] + rest
     else:
@@ -712,11 +712,10 @@ def test_x1_curvature_checks_fail_on_a_perturbed_rm(kodaira, moves, label):
 def test_tower_values_are_packed_once_per_s_tuple(monkeypatch):
     """On a fresh spec (its Rm built first), an s-tuple packs each value of
     the J and Rm starts once (`Layout.pack`, its numerator and its
-    denominator), S once per spec, in the layout of the spec's parameters
-    that the first tuple clears it in (`_towers`), and nothing else: not
-    the bracket table, and nothing again in the tower steps, the X1 check
-    or a second tuple; every factor the scatter kernel sees is packed,
-    none a Polynomial."""
+    denominator), and nothing else: not S or the bracket table, which the
+    spec's ring form (`_towers`) already holds from Rm, and nothing again in
+    the tower steps, the X1 check or a second tuple; every factor the
+    scatter kernel sees is packed, none a Polynomial."""
     spec, packs, factors = load_ghl(bundled_path("kodaira")).spec, [], []
     spec.Rm                                     # build the spec's own data first
     zero = spec.domain.is_zero
@@ -740,8 +739,8 @@ def test_tower_values_are_packed_once_per_s_tuple(monkeypatch):
         geo.hermitian_s_tuple(spec, s=s, verify=True)
         ids = collections.Counter(map(id, packs))
         assert all(ids[id(p)] == 1 for p in starts), s
-        assert all(ids[id(p)] == (s == 1) for p in S), s
-        assert len(packs) == 2 * (len(starts) + (len(S) if s == 1 else 0)), s
+        assert not any(ids[id(p)] for p in S), s
+        assert len(packs) == 2 * len(starts), s
     assert factors and set(factors) == {dict}
 
 
