@@ -374,23 +374,11 @@ class _Echelon:
         return out
 
     def nullspace(self) -> list[list]:
-        """The canonical basis: one vector per free column f, with 1 at f.
-        Integer rows make their Fractions here, from `kernel()`."""
-        dom = self.dom
-        if self.integral:
-            return [[dom.from_fraction(Fraction(x, v[f])) for x in v]
-                    for f, v in self.kernel().items()]
-        basis = []
-        for f in range(self.ncols):
-            if f in self.pivots:
-                continue
-            v = [dom.zero()] * self.ncols
-            v[f] = dom.one()
-            for p, prow in self.pivots.items():
-                if f in prow:
-                    v[p] = -prow[f]
-            basis.append(v)
-        return basis
+        """For integer rows (or none): the canonical basis, one vector per
+        free column f with 1 at f, made into the domain's Fractions from
+        `kernel()`."""
+        return [[self.dom.from_fraction(Fraction(x, v[f])) for x in v]
+                for f, v in self.kernel().items()]
 
 
 def reduce_non_effective(spec: BracketSpec):
@@ -575,8 +563,9 @@ class _RingForm:
 
     @cached_property
     def Rm(self) -> tuple:
-        """Rm's undivided (den, sums) (`_curvature` on S), which
-        `riemann_curvature` divides and `connection_audit` reads."""
+        """Rm's undivided (den, sums) (`_curvature` on S), which the
+        towers (`_towers`), X1, the Killing closure and `connection_audit`
+        read; only `riemann_curvature`, for printing, divides it."""
         return _curvature(self._spec(), self, self.one, self.S)
 
     @cached_property
@@ -883,50 +872,46 @@ def _derive(Q: MultiTensor, C: list, is_zero, layout=None) -> MultiTensor:
     return MultiTensor(n, Q.rank + 1, Q.has_endo, Q._zero, comp, Q.skew)
 
 
-def _tower_starts(spec: BracketSpec) -> tuple[MultiTensor, MultiTensor]:
-    """J and Rm on their canonical keys r < c and a < b, r < c
-    (`MultiTensor.skew`), after the skew self-check that their `_tower`s
-    rest on: every S(e_x) and every Rm(e_a, e_b) is skew."""
-    dom, pairs = spec.domain, list(itertools.combinations(range(2 * spec.m), 2))
-    for label, M in itertools.chain(((f"S(e{x})", M) for x, M in enumerate(spec.S)),
-                                    ((f"Rm(e{a},e{b})", spec.Rm[a][b]) for a, b in pairs)):
-        _assert_skew(M, dom, "skew self-check: " + label)
-    J = {(r, c): spec.I[r][c] for r, c in pairs}
-    Rm = {(a, b, r, c): spec.Rm[a][b][r][c] for a, b in pairs for r, c in pairs}
-    return tuple(MultiTensor(2 * spec.m, rank, True, dom.zero(),
-                             {k: x for k, x in T.items() if not dom.is_zero(x)}, skew)
-                 for T, rank, skew in ((J, 0, 1), (Rm, 2, 2)))
+def _rm_blocks(form) -> list:
+    """The form's undivided Rm(e_a, e_b) at a n2 + b for a < b (`_RingForm.Rm`),
+    as ring matrices, the form's zero filling the unset entries."""
+    n2, sums = len(form.S), form.Rm[1]
+    return _matrices([sums.get(key, form.zero) for key in range(n2 ** 4)], n2)
 
 
 def _towers(spec: BracketSpec):
-    """(layout, J's `_tower`, Rm's `_tower`) on the spec's `_ring_form`:
-    each `_tower_starts` tensor cleared once (`_clear`) in the form's
-    layout (ints, with no layout, over a Fraction spec), or kept as it is
-    over den 1 on a dense form, and the form's S reduced once per form
-    (`_RingForm.tower_S`)."""
-    form = _ring_form(spec)
-    towers = [form.layout]
-    for T in _tower_starts(spec):
-        den = 1
-        if not form.dense:
-            den, ring, _ = _clear(list(T.comp.values()), form.layout)
-            T = MultiTensor(T.n, T.rank, T.has_endo, form.zero, zip(T.comp, ring), T.skew)
-        towers.append(_tower(T, den, *form.tower_S, form.layout, form.dom.is_zero))
-    return tuple(towers)
+    """(layout, J's `_tower`, Rm's `_tower`) on the spec's `_ring_form`, after
+    the skew self-check they rest on: every S(e_x) and Rm(e_a, e_b) of the
+    form is skew.  The packed starts hold the canonical keys r < c and a < b
+    (`MultiTensor.skew`): J the ring's -1 at each (2k, 2k+1) over its 1, Rm
+    the form's Rm sums at r < c that `form.dom` does not call zero, reduced
+    once (`_reduce`)."""
+    form, n2 = _ring_form(spec), 2 * spec.m
+    pairs, blocks = list(itertools.combinations(range(n2), 2)), _rm_blocks(form)
+    for label, M in itertools.chain(((f"S(e{x})", M) for x, M in enumerate(form.S)),
+                                    ((f"Rm(e{a},e{b})", blocks[a * n2 + b]) for a, b in pairs)):
+        _assert_skew(M, form.dom, "skew self-check: " + label)
+    J = MultiTensor(n2, 0, True, form.zero, {2 * k * n2 + 2 * k + 1: _scale(form.one, -1)
+                                            for k in range(spec.m)}, 1)
+    start = {key: v for key, v in form.Rm[1].items()
+             if key // n2 % n2 < key % n2 and not form.dom.is_zero(v)}
+    dR, values = _reduce(form.Rm[0], list(start.values()), form.layout)
+    Rm = MultiTensor(n2, 2, True, form.zero, zip(start, values), 2)
+    return form.layout, *(_tower(T, den, *form.tower_S, form.layout, form.dom.is_zero)
+                          for T, den in ((J, form.one), (Rm, dR)))
 
 
-def _tower(T: MultiTensor, den, dS, S: list, layout, is_zero):
+def _tower(ring: MultiTensor, den, dS, S: list, layout, is_zero):
     """Reduced (den, ring) pairs with D^kT == ring.unpacked() / den, k = 0, 1,
     2, ..., the Levi-Civita covariant derivatives, each built when the caller
-    asks for it, ring keyed by packed ints, from T = D^0T over den and S
-    over dS (`_towers`).  A step runs `_derive` on the ring values, takes
-    den times dS and divides out the content den shares with every value
-    (`_reduce`); ring values packed in layout stay packed throughout.  D^kT
-    keeps T's canonical keys (`MultiTensor.skew`): `_derive` folds each
-    mirror's image onto them (`action_terms`), as -S(x) is skew, and den is
-    the full tensor's, since a mirror shares its value's denominator and
-    content."""
-    ring = T.packed()
+    asks for it, ring keyed by packed ints, from the packed D^0T over den
+    and S over dS (`_towers`).  A step runs `_derive` on the ring values,
+    takes den times dS and divides out the content den shares with every
+    value (`_reduce`); ring values packed in layout stay packed throughout.
+    D^kT keeps the start's canonical keys (`MultiTensor.skew`): `_derive`
+    folds each mirror's image onto them (`action_terms`), as -S(x) is skew,
+    and den is the full tensor's, since a mirror shares its value's
+    denominator and content."""
     while True:
         yield den, ring
         ring = _derive(ring, S, is_zero, layout)
@@ -974,19 +959,22 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
     T(x1,x2,.) - T(x2,x1,.) = -Rm(x1,x2) . base on the tuple's pairs is
     checked in their ring, cleared of denominators up to shared content
     (`_reduce`), as one `scatter_products` call at the packed (x1, x2, rest),
-    x1 < x2, that must leave no sum."""
+    x1 < x2, that must leave no sum.  Pair symmetry and first Bianchi read
+    the undivided Rm of the spec's form (`_rm_blocks`), Rm(c, a) as -Rm(a, c)."""
     dom = spec.domain
     n2 = 2 * spec.m
-    Rm = spec.Rm
+    form = _ring_form(spec)
+    Rm, is_zero = _rm_blocks(form), form.dom.is_zero
 
     # (i) pair symmetry <Rm(a,b)e_c, e_d> = <Rm(c,d)e_a, e_b>
     for a, b in itertools.combinations(range(n2), 2):
         for c, d in itertools.combinations(range(n2), 2):
-            if not dom.is_zero(Rm[a][b][d][c] - Rm[c][d][b][a]):
+            if not is_zero(_plus(Rm[a * n2 + b][d][c], Rm[c * n2 + d][b][a], -1)):
                 raise InternalConsistencyError(f"pair symmetry fails on ({a},{b},{c},{d})")
     # (ii) first Bianchi: Rm(a,b)e_c + Rm(b,c)e_a + Rm(c,a)e_b = 0
     for a, b, c in itertools.combinations(range(n2), 3):
-        if any(not dom.is_zero(Rm[a][b][r][c] + Rm[b][c][r][a] + Rm[c][a][r][b])
+        if any(not is_zero(_plus(_plus(Rm[a * n2 + b][r][c], Rm[b * n2 + c][r][a]),
+                                 Rm[a * n2 + c][r][b], -1))
                for r in range(n2)):
             raise InternalConsistencyError(f"first Bianchi fails on ({a},{b},{c})")
     dR, R = tup.Rm_pairs[0]
@@ -1140,15 +1128,16 @@ class KillingResult:
     orders_used: int
 
 
-def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingResult:
+def killing_generators(spec: BracketSpec) -> KillingResult:
     """Basis of the real holomorphic Killing generators (v, A), by solving
     v . D^{k+1}J + A . D^kJ = 0 and v . D^{k+1}Rm + A . D^kRm = 0 for
-    increasing k until the solution space stabilizes (kmax as in Singer)."""
+    increasing k until the solution space stabilizes; not stabilizing by
+    k = m^2 + 2 is an InternalConsistencyError."""
     fspec = _constant_spec(spec, "killing_generators")
     dom = fspec.domain
     m = spec.m
     n2 = 2 * m
-    limit = m * m + 2 if kmax is None else kmax
+    limit = m * m + 2
     SO = [[[int(x) for x in row] for row in M] for M in so_basis(n2, dom)]     # 0 and +-1
     nA = len(SO)
     span = _Echelon(n2 + nA, dom)
@@ -1184,24 +1173,24 @@ def killing_generators(spec: BracketSpec, kmax: int | None = None) -> KillingRes
             res.basis = [(list(map(lift, v)), [list(map(lift, r)) for r in A]) for v, A in basis]
             return res
         if k >= limit:
-            raise (InternalConsistencyError if kmax is None else UsageError)(
+            raise InternalConsistencyError(
                 f"Killing solution space did not stabilize within kmax={limit}")
 
 
 def _check_killing(spec: BracketSpec, res: KillingResult):
     dom = spec.domain
     n2 = 2 * spec.m
-    pairs = list(itertools.combinations(range(n2), 2))
-    # v = v'/den, A = A'/den and Rm(e_i, e_j) = R'_ij/den over one den
-    # (`_clear`), so `_nomizu` of the ring generators, each sparsified and
-    # scaled by den once (`_sparse_generator`), summed on ints, is den^3 times
-    # their Nomizu bracket: a nonzero scale, which keeps span membership
-    k, size = len(res.basis), n2 + n2 * n2
-    den, ring, _ = _clear([x for v, A in res.basis for x in [*v, *itertools.chain(*A)]]
-                          + [x for i, j in pairs for row in spec.Rm[i][j] for x in row])
+    # v = v'/den, A = A'/den (`_clear`) and Rm(e_i, e_j) = R'_ij/dR (the
+    # form's), so `_nomizu` of the ring generators, each sparsified and its A
+    # scaled by dR once (`_sparse_generator`), summed on ints, is den^2 dR
+    # times their Nomizu bracket: a nonzero scale, which keeps span membership
+    size = n2 + n2 * n2
+    _, ring, _ = _clear([x for v, A in res.basis for x in [*v, *itertools.chain(*A)]])
     gens = [(ring[i:i + n2], _matrices(ring[i + n2:i + size], n2)[0])
-            for i in range(0, k * size, size)]
-    R = dict(zip(pairs, map(_sparse, _matrices(ring[k * size:], n2))))
+            for i in range(0, len(ring), size)]
+    form = _ring_form(spec)
+    dR, blocks = form.Rm[0], _rm_blocks(form)
+    R = {(i, j): _sparse(blocks[i * n2 + j]) for i, j in itertools.combinations(range(n2), 2)}
     # v-components span R^{2m}
     vspan = _Echelon(n2, dom)
     if sum(vspan.add(v) for v, _ in gens) != n2:
@@ -1215,7 +1204,7 @@ def _check_killing(spec: BracketSpec, res: KillingResult):
     span = _Echelon(n2 + n2 * n2, dom)
     for v, A in gens:
         span.add(flat(v, A))
-    for a, b in itertools.combinations([_sparse_generator(v, A, den) for v, A in gens], 2):
+    for a, b in itertools.combinations([_sparse_generator(v, A, dR) for v, A in gens], 2):
         if span.add(flat(*_nomizu(a, b, R, 0))):
             raise InternalConsistencyError(
                 "Killing generators are not closed under the Nomizu bracket")

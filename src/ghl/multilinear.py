@@ -157,15 +157,11 @@ class KForm:
     def is_zero(self, dom) -> bool:
         return all(dom.is_zero(c) for c in self.comp.values())
 
-    def eq(self, other: "KForm", dom) -> bool:
-        return self.sub(other, dom).is_zero(dom)
 
 def wedge(a: KForm, b: KForm, dom) -> KForm:
     if a.n != b.n:
         raise ValueError("wedge of forms on different spaces")
     deg = a.degree + b.degree
-    if deg > a.n:
-        return KForm(a.n, deg)
     comp: dict[tuple, object] = {}
     for ka, ca in a.comp.items():
         for kb, cb in b.comp.items():
@@ -243,9 +239,6 @@ class MultiTensor:
 
     def get(self, key):
         return self.comp.get(key, self._zero)
-
-    def is_zero(self, dom) -> bool:
-        return all(dom.is_zero(v) for v in self.comp.values())
 
     def packed(self) -> "MultiTensor":
         """This tensor keyed by `pack`ed ints, the form the kernel runs on."""

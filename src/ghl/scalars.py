@@ -130,9 +130,7 @@ class Polynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def leading(self) -> tuple[tuple[int, ...], int]:
-        """Leading (monomial, coefficient) in graded-lex order."""
-        if not self.terms:
-            return ((0,) * len(self.vars), 0)
+        """Leading (monomial, coefficient) in graded-lex order, of a nonzero polynomial."""
         m = max(self.terms, key=_grlex_key)
         return m, self.terms[m]
 
@@ -170,8 +168,6 @@ class Polynomial:
 
     def _trim(self) -> "Polynomial":
         """Drop variables that no longer occur (keeps keys short)."""
-        if not self.vars:
-            return self
         used = [i for i in range(len(self.vars)) if any(e[i] for e in self.terms)]
         if len(used) == len(self.vars):
             return self

@@ -292,11 +292,18 @@ def test_frame_metric_explicit_sample():
 
 
 def test_frame_metric_rejects_degenerate_sample():
+    """A degenerate sample fails the frame; so does the scale probe r = sigma
+    = 1/100000, where every metric entry (1e-10 on the diagonal) tests zero
+    at the absolute tolerance 1e-9, so no frame vector is kept."""
     from ghl.multilinear import FrameError
     with pytest.raises(FrameError):
         load_ghl(bundled_path("kodaira-thurston"),
                  sample={"r": Fraction(1), "sigma": Fraction(1),
                          "x": Fraction(1), "y": Fraction(1)})
+    with pytest.raises(FrameError, match="rank deficiency"):
+        load_ghl(bundled_path("kodaira-thurston"),
+                 sample={"r": Fraction(1, 100000), "sigma": Fraction(1, 100000),
+                         "x": Fraction(0), "y": Fraction(0)})
 
 
 def test_frame_metric_abelian_identity_matches_direct(tmp_path):

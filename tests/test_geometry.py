@@ -219,9 +219,22 @@ def test_reduce_matches_sympy_reference_on_generated_specs():
 # ---------------------------------------------------------------------------
 
 
+def _sympy_rref_rows(M, convert) -> tuple[list, list]:
+    """(pivot columns, RREF rows as {column: entry} without zeros) of the
+    SymPy matrix M, each entry made a domain value by convert."""
+    R, piv = M.rref()
+    rows = [{c: convert(x) for c, x in enumerate(R.row(i)) if x} for i in range(len(piv))]
+    return list(piv), rows
+
+
+def _sympy_fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
 def test_echelon_matches_sympy_nullspace():
     """Differential test: the incremental RREF fed rows in shuffled order
-    gives SymPy's canonical null-space basis and rank."""
+    keeps SymPy's RREF rows, which fix the canonical null-space basis, and
+    its rank."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20211)
     dom = FractionDomain()
@@ -240,8 +253,9 @@ def test_echelon_matches_sympy_nullspace():
         for row in rng.sample(rows, len(rows)):
             span.add(row)
         assert len(span.pivots) == M.rank()
-        want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in M.nullspace()]
-        assert span.nullspace() == want, rows
+        piv, want = _sympy_rref_rows(M, _sympy_fraction)
+        assert sorted(span.pivots) == piv, rows
+        assert [span.pivots[p] for p in piv] == want, rows
 
 
 @st.composite
@@ -278,16 +292,15 @@ def test_integer_echelon_matches_fraction_echelon_and_sympy(case):
         assert kept == fracs.add([Fraction(x) for x in row])
     assert ints.integral is not False and not fracs.integral
     M = sympy.Matrix(len(rows), ncols, [x for row in rows for x in row])
-    R, piv = M.rref()
-    assert sorted(ints.pivots) == sorted(fracs.pivots) == list(piv)
-    want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in M.nullspace()]
-    assert ints.nullspace() == fracs.nullspace() == want
+    piv, rrefs = _sympy_rref_rows(M, _sympy_fraction)
+    assert sorted(ints.pivots) == sorted(fracs.pivots) == piv
+    want = [[_sympy_fraction(x) for x in v] for v in M.nullspace()]
+    assert ints.nullspace() == want
     L = math.lcm(*(ints.pivots[p][p] for p in piv))
     free = [f for f in range(ncols) if f not in piv]
     assert ints.kernel() == {f: [L * x for x in w] for f, w in zip(free, want)}
     assert all(type(x) is int for v in ints.kernel().values() for x in v)
-    for i, p in enumerate(piv):
-        rref = {c: Fraction(int(x.p), int(x.q)) for c, x in enumerate(R.row(i)) if x}
+    for p, rref in zip(piv, rrefs):
         assert fracs.pivots[p] == rref
         row = ints.pivots[p]
         assert all(type(x) is int for x in row.values())
@@ -296,13 +309,13 @@ def test_integer_echelon_matches_fraction_echelon_and_sympy(case):
 
 
 def test_echelon_symbolic_matches_sympy():
-    """Over Q(a) the canonical basis agrees with SymPy's, whatever the order."""
+    """Over Q(a) the kept RREF rows agree with SymPy's, whatever the order."""
     sympy = pytest.importorskip("sympy")
     dom = ExactDomain(("a",))
     a, one, zero = RF("a"), dom.one(), dom.zero()
     rows = [[a, one, zero, a], [one, a, one, zero], [a + one, a + one, one, a]]
     sa = sympy.Symbol("a")
-    want = sympy.Matrix([[sa, 1, 0, sa], [1, sa, 1, 0], [sa + 1, sa + 1, 1, sa]]).nullspace()
+    M = sympy.Matrix([[sa, 1, 0, sa], [1, sa, 1, 0], [sa + 1, sa + 1, 1, sa]])
 
     def from_sympy(expr):
         def poly(p):
@@ -313,14 +326,15 @@ def test_echelon_symbolic_matches_sympy():
         num, den = sympy.fraction(sympy.cancel(expr))
         return poly(num) / poly(den)
 
+    piv, want = _sympy_rref_rows(M, from_sympy)
     for order in itertools.permutations(rows):
         span = geo._Echelon(4, dom)
         assert [span.add(r) for r in order].count(True) == 2
-        got = span.nullspace()
-        assert len(got) == len(want) == 2
-        for v, w in zip(got, want):
-            for x, y in zip(v, w):
-                assert dom.eq(x, from_sympy(y)), (x, y)
+        assert sorted(span.pivots) == piv
+        for p, w in zip(piv, want):
+            got = span.pivots[p]
+            assert sorted(got) == sorted(w), (p, got, w)
+            assert all(dom.eq(got[c], w[c]) for c in w), (p, got, w)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +402,7 @@ def test_iwasawa_torsion_ingredients(iwasawa):
     assert set(tors.F.comp) == set(expected)
     for key, want in expected.items():
         assert dom.eq(tors.F.comp[key], want)
-    assert tors.F_plus.eq(tors.F, dom)
+    assert tors.F_plus.sub(tors.F, dom).is_zero(dom)
 
 
 def test_iwasawa_F_equals_dc_omega_via_coboundary(iwasawa):
@@ -456,7 +470,7 @@ def test_fplus_fminus_relation_random_two_step():
         if not geo.validate(spec).ok:
             continue
         tors = geo.torsion_ingredients(spec)
-        assert tors.F_plus.add(tors.F_minus, dom).eq(tors.F, dom)
+        assert tors.F_plus.add(tors.F_minus, dom).sub(tors.F, dom).is_zero(dom)
         e = [basis_vector(n2, i, dom) for i in range(n2)]
         for key in itertools.combinations(range(n2), 3):
             X, Y, Z = (e[k] for k in key)

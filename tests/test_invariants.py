@@ -117,7 +117,7 @@ def test_fplus_plus_fminus_all_specs(all_bundled):
         spec = loaded.spec
         dom = spec.domain
         tors = geo.torsion_ingredients(spec)
-        assert tors.F_plus.add(tors.F_minus, dom).eq(tors.F, dom), name
+        assert tors.F_plus.add(tors.F_minus, dom).sub(tors.F, dom).is_zero(dom), name
         # F- = 0 iff N = 0 on the bundled examples
         n_zero = all(all(dom.is_zero(x) for x in v) for v in tors.N.values())
         assert tors.F_minus.is_zero(dom) == (n_zero or name == "kodaira-thurston"), name
@@ -149,10 +149,10 @@ def test_gauduchon_parallel_J_and_g_all_specs(all_bundled):
         A = geo.gauduchon_connection(spec, spec_t(spec))
         Jt = from_endo(spec.I, dom)
         gt = from_bilinear(mat_identity(2 * spec.m, dom), dom)
-        assert geo.covariant_derivative(spec, Jt, A, 1).is_zero(dom), name
-        assert geo.covariant_derivative(spec, gt, A, 1).is_zero(dom), name
+        assert all(map(dom.is_zero, geo.covariant_derivative(spec, Jt, A, 1).comp.values())), name
+        assert all(map(dom.is_zero, geo.covariant_derivative(spec, gt, A, 1).comp.values())), name
         S = geo.levi_civita(spec)
-        assert geo.covariant_derivative(spec, gt, S, 1).is_zero(dom), name
+        assert all(map(dom.is_zero, geo.covariant_derivative(spec, gt, S, 1).comp.values())), name
 
 
 def test_iwasawa_DJ_is_minus_commutator(iwasawa):
@@ -197,17 +197,17 @@ def test_derivation_route_matches_covariant_derivative(iwasawa):
 def test_s_tuple_abelian_all_zero(abelian2):
     tup = geo.hermitian_s_tuple(abelian2.spec, s=2)
     dom = abelian2.spec.domain
-    assert all(T.is_zero(dom) for T in tup.J_derivs)
-    assert all(T.is_zero(dom) for T in tup.Rm_derivs)
+    assert all(all(map(dom.is_zero, T.comp.values())) for T in tup.J_derivs)
+    assert all(all(map(dom.is_zero, T.comp.values())) for T in tup.Rm_derivs)
 
 
 def test_s_tuple_sphere_symmetric_space(sphere):
     tup = geo.hermitian_s_tuple(sphere.spec, s=2)
     dom = sphere.spec.domain
     # S = 0: all covariant derivatives of Rm vanish, Rm itself does not
-    assert not tup.Rm_derivs[0].is_zero(dom)
-    assert tup.Rm_derivs[1].is_zero(dom)
-    assert tup.Rm_derivs[2].is_zero(dom)
+    assert not all(map(dom.is_zero, tup.Rm_derivs[0].comp.values()))
+    assert all(map(dom.is_zero, tup.Rm_derivs[1].comp.values()))
+    assert all(map(dom.is_zero, tup.Rm_derivs[2].comp.values()))
 
 
 def test_s_tuple_identity_vii_independent_sides(iwasawa):
@@ -524,10 +524,11 @@ def test_integer_tower_equals_fraction_tower(all_bundled, iwasawa, kodaira, abel
     for spec in specs:
         counts = (4, 2 if spec is kodaira.spec else 4)
         layout, *towers = geo._towers(spec)
-        for T, tower, full, count in zip(geo._tower_starts(spec), towers,
-                                         full_start_tensors(spec), counts):
+        for tower, full, count in zip(towers, full_start_tensors(spec), counts):
             ref = _reference_tower(spec, full, count)
-            for k, (den, packed) in enumerate(itertools.islice(tower, count)):
+            pairs = list(itertools.islice(tower, count))
+            T = pairs[0][1]                     # D^0T: the rank and skew of the start
+            for k, (den, packed) in enumerate(pairs):
                 where, got, den = (spec.name, T.rank, k), packed.unpacked(), _ring_value(layout, den)
                 got.comp = {key: _ring_value(layout, x) for key, x in got.comp.items()}
                 want_den, want = clear_and_reduce(ref[k])
@@ -701,26 +702,39 @@ def test_x1_curvature_checks_fail_on_a_perturbed_rm(kodaira, moves, label):
     (0,1,2)."""
     spec = kodaira.spec.instantiate({"alpha": 1, "beta": 0, "r": 1, "v": 1})
     tup = geo.hermitian_s_tuple(spec, s=0, verify=True)
-    Rm = copy.deepcopy(spec.Rm)
-    for a, b, i, j, by in moves:
-        Rm[a][b][i][j] += by
-    spec.__dict__["Rm"] = Rm
     with pytest.raises(geo.InternalConsistencyError, match=label):
-        geo.check_x1_identities(spec, tup)
+        geo.check_x1_identities(_rm_moved(spec, moves), tup)
+
+
+def _rm_moved(spec, moves):
+    """spec with the undivided Rm of its ring form (`_RingForm.Rm`, held at
+    a < b) replaced by a moved copy: each move (a, b, i, j, by) adds by
+    times the form's Rm den to the sum at Rm(e_a, e_b)[i][j], and a move at
+    a > b goes onto (b, a, i, j) with by negated, as Rm(e_b, e_a) =
+    -Rm(e_a, e_b).  A move and its mirror so add up to twice the move at
+    a < b."""
+    form, n2 = geo._ring_form(spec), 2 * spec.m
+    den, sums = form.Rm
+    sums = dict(sums)
+    for a, b, i, j, by in moves:
+        if a > b:
+            a, b, by = b, a, -by
+        key = ((a * n2 + b) * n2 + i) * n2 + j
+        sums[key] = sums.get(key, 0) + by * den
+        if not sums[key]:
+            del sums[key]
+    form.__dict__["Rm"] = den, sums
+    return spec
 
 
 def test_tower_values_are_packed_once_per_s_tuple(monkeypatch):
-    """On a fresh spec (its Rm built first), an s-tuple packs each value of
-    the J and Rm starts once (`Layout.pack`, its numerator and its
-    denominator), and nothing else: not S or the bracket table, which the
-    spec's ring form (`_towers`) already holds from Rm, and nothing again in
-    the tower steps, the X1 check or a second tuple; every factor the
-    scatter kernel sees is packed, none a Polynomial."""
+    """On a fresh spec (its Rm built first), an s-tuple packs nothing
+    (`Layout.pack`): S, the bracket table and Rm's sums are already the
+    spec's ring form's (`_towers`), J's start is the ring's -1, and nothing
+    is packed in the tower steps, the X1 check or a second tuple; every
+    factor the scatter kernel sees is packed, none a Polynomial."""
     spec, packs, factors = load_ghl(bundled_path("kodaira")).spec, [], []
     spec.Rm                                     # build the spec's own data first
-    zero = spec.domain.is_zero
-    S = [x.num for M in spec.S for row in M for x in row if not zero(x)]
-    starts = [x.num for T in geo._tower_starts(spec) for x in T.comp.values() if not zero(x)]
     pack, kernel = Layout.pack, geo.scatter_products
 
     def counting(self, p, *args):
@@ -735,17 +749,33 @@ def test_tower_values_are_packed_once_per_s_tuple(monkeypatch):
     monkeypatch.setattr(Layout, "pack", counting)
     monkeypatch.setattr(geo, "scatter_products", recording)
     for s in (1, 2):
-        packs.clear()
         geo.hermitian_s_tuple(spec, s=s, verify=True)
-        ids = collections.Counter(map(id, packs))
-        assert all(ids[id(p)] == 1 for p in starts), s
-        assert not any(ids[id(p)] for p in S), s
-        assert len(packs) == 2 * len(starts), s
+        assert packs == [], s
     assert factors and set(factors) == {dict}
 
 
+def test_only_printing_builds_the_divided_rm():
+    """Singer and Killing on a fresh Fraction spec and an s-tuple with its
+    X1 check on a fresh symbolic spec read the ring form's undivided Rm
+    (`_RingForm.Rm`) and leave the divided table `spec.Rm` unbuilt;
+    `build_report`, which prints it, builds it."""
+    runs = [(geo.singer_invariant, "iwasawa", {"alpha": 1}),
+            (geo.killing_generators, "iwasawa", {"alpha": 1}),
+            (lambda spec: geo.hermitian_s_tuple(spec, s=1, verify=True), "kodaira", None)]
+    for run, name, sample in runs:
+        spec = load_ghl(bundled_path(name), sample).spec
+        run(spec)
+        assert "Rm" not in spec.__dict__, name
+    loaded = load_ghl(bundled_path("kodaira"))
+    build_report(loaded)
+    assert "Rm" in loaded.spec.__dict__
+
+
 def _skew_broken(spec, table: str, where: tuple):
-    """spec with the entry `where` of its cached S or Rm moved by one, in a copy."""
+    """spec with the entry `where` of its cached S, or of its ring form's
+    undivided Rm (`_rm_moved`), moved by one, in a copy."""
+    if table == "Rm":
+        return _rm_moved(spec, [(*where, 1)])
     broken = copy.deepcopy(getattr(spec, table))
     *outer, i, j = where
     M = functools.reduce(operator.getitem, outer, broken)
@@ -1454,5 +1484,3 @@ def test_singer_and_killing_spans_hold_only_ints(all_bundled, monkeypatch):
 def test_explicit_kmax_too_small_is_a_usage_error(sphere):
     with pytest.raises(UsageError, match="kmax=0"):
         geo.singer_invariant(sphere.spec, kmax=0)
-    with pytest.raises(UsageError, match="kmax=0"):
-        geo.killing_generators(sphere.spec, kmax=0)

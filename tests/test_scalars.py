@@ -642,6 +642,8 @@ def test_numeric_scalar_basics():
     for bad_tol in (-1.0, float("nan")):
         with pytest.raises(UsageError):
             NumericDomain(tol=bad_tol)
+    with pytest.raises(TypeError, match="no symbolic parameters"):
+        num.param("a")
 
 
 def test_numeric_comparison_is_relative_hybrid():
@@ -657,3 +659,42 @@ def test_exact_domain_rejects_sqrt_and_undeclared():
         dom.sqrt(dom.one())
     with pytest.raises(KeyError):
         dom.param("beta")
+    with pytest.raises(TypeError, match="square roots"):
+        FractionDomain.sqrt(Fraction(4))
+    with pytest.raises(KeyError, match="undeclared"):
+        FractionDomain.param("alpha")
+
+
+def test_scalar_guards_a_caller_can_reach():
+    """Every raise of the scalar kernel's values that no engine path
+    reaches, reached from outside: immutable and unhashable values, a
+    non-constant as a constant, bad powers, a zero denominator, operands of
+    no scalar type, and the degree guards of a packed value (`Layout.pack`,
+    as for a value cleared after the cap was lowered) and of a packed
+    product (`Layout.times`)."""
+    a = R("a")
+    for value, name in ((P("a"), "vars"), (a, "num")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, None)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+    with pytest.raises(ValueError, match="not constant"):
+        a.as_fraction()
+    with pytest.raises(ValueError, match="non-negative integer"):
+        P("a") ** -1
+    with pytest.raises(ValueError, match="integer"):
+        a ** Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RationalFunction(P("a"), Polynomial.zero())
+    assert P("a") != "a"
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        assert getattr(a, op)("a") is NotImplemented, op
+    assert (2 / a).eq(RationalFunction.const(2) / a)
+    layout = Layout(("a", "b"))
+    with pytest.raises(DegreeGuardError, match=f"degree 200 exceeds cap {layout.limit}"):
+        layout.pack(Polynomial(("a", "b"), {(100, 100): 1}))
+    cap = get_degree_cap()
+    high, low = layout.pack(P("a") ** (cap - 1)), layout.pack(P("a"))
+    assert layout.times(high, low) == layout.pack(P("a") ** cap)
+    with pytest.raises(DegreeGuardError, match=f"product degree {cap + 1} exceeds cap {cap}"):
+        layout.times(high, layout.pack(P("a") ** 2))
