@@ -6,8 +6,9 @@ Usage: python scripts/cli_digest.py
 Runs a fixed list of in-process `ghl.cli.main` calls (every verb on every
 bundled and test data file, `check` on the two brackets that fail
 validation, `--t` symbolic/rational/-1/0, JSON and text reports, the two
-numeric scale probes, t-only, two-axis and pole-row sweeps, and usage
-errors, bad input files among them) and prints, per call, its argv, exit
+numeric scale probes, t-only, two-axis and pole-row sweeps, usage
+errors, bad input files among them, and a file whose curvature takes the
+dense path with an isotropy term) and prints, per call, its argv, exit
 code, the sha256 of its stdout and the last line of its stderr.  `ghl` is imported from
 PYTHONPATH, so
 
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from ghl.cli import main as ghl_main
 
-VERSION = 6
+VERSION = 7
 ROOT = Path(__file__).resolve().parent.parent
 
 DATA = "src/ghl/data/"
@@ -149,6 +150,9 @@ def calls() -> list[list[str]]:
         ["validate", TESTS + "no-such-file.ghl"],
         ["frobnicate", IWA],
     ]
+    # the dense curvature with an isotropy term (a non-monomial denominator)
+    dense = TESTS + "sphere-nonmonomial.ghl"
+    out += [["validate", dense], ["report", dense], ["report", dense, "--params", "a=2"]]
     return out
 
 

@@ -323,8 +323,8 @@ def build_report(loaded: LoadedSpec, t=None, t_label: str | None = None) -> dict
 
     tors, S, Rm = spec.tors, spec.S, spec.Rm
     A, Om, T = geo.gauduchon_tables(spec, t)
+    rho1, _, scal = geo.ricci_and_scalar(spec, Om)
     W = geo.rho2_matrix(spec, Om)
-    rho1, _, scal = geo._ricci_and_scalar(spec, Om, W)
     theta = geo.lee_form(spec)
     geo._check_lee_trace(spec, T, t, theta)
     flags = geo.metric_flags(spec)

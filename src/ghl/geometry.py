@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
-    action_terms, coboundary, index_rows, istd, mat_add,
+    action_terms, coboundary, index_rows, mat_add,
     mat_scale, mat_sub, mat_zero, scatter_products, unpack, vec_add,
     wedge, complex_trace_form, _conn_endo, _matrices, _product_terms, _sparse,
 )
@@ -129,10 +129,6 @@ class BracketSpec:
     # each formula lives.  Callers must not mutate what these return.
 
     @cached_property
-    def I(self) -> list[list]:
-        return istd(self.m, self.domain)
-
-    @cached_property
     def N(self) -> dict:
         return _nijenhuis(self)
 
@@ -151,21 +147,6 @@ class BracketSpec:
     @cached_property
     def omega_power(self) -> tuple:
         return _omega_power(self)
-
-    def ad_h(self, hvec: Sequence) -> list[list]:
-        """ad of an isotropy vector restricted to R^{2m} (column action)."""
-        q, n2 = self.q, 2 * self.m
-        M = mat_zero(n2, self.domain)
-        dom = self.domain
-        for z in range(q):
-            if dom.is_zero(hvec[z]):
-                continue
-            for b in range(n2):
-                col = self.mu[z][q + b]
-                for r in range(n2):
-                    if not dom.is_zero(col[q + r]):
-                        M[r][b] = M[r][b] + hvec[z] * col[q + r]
-        return M
 
     def instantiate(self, assignment: dict) -> "BracketSpec":
         """Substitute rational values for all parameters (exact backend)."""
@@ -238,8 +219,8 @@ def validate(spec: BracketSpec) -> ValidationReport:
     rep.conditions.append(ConditionResult("h2", not h2_wit, h2_wit))
 
     # h3: ad(Z) commutes with I
-    h3_wit = next((f"ad(e{z}) does not commute with I" for z in range(q)
-                   if not _commutes_with_I(spec.ad_h(basis_vector(q, z, dom)), dom)), "")
+    h3_wit = next((f"ad(e{z}) does not commute with I" for z, M in
+                   enumerate(_isotropy_ad(mu, q, 2 * m)) if not _commutes_with_I(M, dom)), "")
     rep.conditions.append(ConditionResult("h3", not h3_wit, h3_wit))
 
     # h4: effectiveness; the isotropy kernel's dimension is q minus the rank
@@ -253,6 +234,12 @@ def validate(spec: BracketSpec) -> ValidationReport:
         "h5", bad is None,
         "" if bad is None else f"integrability fails on (e{q + bad[0]},e{q + bad[1]})"))
     return rep
+
+
+def _isotropy_ad(mu: list, q: int, n2: int) -> list:
+    """ad(e_z) on the m-block for each isotropy vector e_z, read by index
+    from the bracket table mu: column b holds the m-part of mu(e_z, e_{q+b})."""
+    return [[[mu[z][q + b][q + r] for b in range(n2)] for r in range(n2)] for z in range(q)]
 
 
 def _isotropy_echelon(spec: BracketSpec) -> _Echelon:
@@ -546,8 +533,7 @@ class _RingForm:
         it = iter(ring)
         self.mu = [[list(itertools.islice(it, n)) for _ in range(n)] for _ in range(n)]
         self.S = _matrices(list(it), n2)
-        self.ad = [_sparse([[self.mu[z][q + b][q + r] for b in range(n2)] for r in range(n2)])
-                   for z in range(q)]
+        self.ad = list(map(_sparse, _isotropy_ad(self.mu, q, n2)))
 
     @cached_property
     def terms(self) -> list:
@@ -703,14 +689,15 @@ def _curvature(spec: BracketSpec, form, k, C: list) -> tuple:
     of two ring values over (den k)^2, all summed in one `scatter_products`
     call at the packed (a, b, i, j) and left undivided (`_divided` divides).
     On a dense form the dense formula runs over the spec's own domain, at
-    every entry: its float sums are the ones numeric reports print."""
+    every entry, ad(mu_h) summed over the isotropy's nonzero coefficients
+    (`_conn_endo`): its float sums are the ones numeric reports print."""
     q, n2 = spec.q, 2 * spec.m
     pairs = list(itertools.combinations(range(n2), 2))
     if form.dense:
-        sums = {}
+        dom, ad, sums = spec.domain, _isotropy_ad(spec.mu, q, n2), {}
         for a, b in pairs:
-            M = mat_sub(mat_sub(spec.ad_h(spec.mu_h(a, b)), commutator(C[a], C[b])),
-                        _conn_endo(C, spec.mu_m(a, b), spec.domain))
+            iso = _conn_endo(ad, spec.mu_h(a, b), dom) if q else mat_zero(n2, dom)
+            M = mat_sub(mat_sub(iso, commutator(C[a], C[b])), _conn_endo(C, spec.mu_m(a, b), dom))
             sums.update(zip(itertools.count((a * n2 + b) * n2 * n2), itertools.chain(*M)))
         return 1, sums
     layout, mu = form.layout, form.mu
@@ -763,16 +750,22 @@ def _torsion(spec: BracketSpec, form, k, A: list) -> tuple:
 def gauduchon_tables(spec: BracketSpec, t) -> tuple:
     """(A^t, Omega^t, T^t) from one `_gauduchon` call, each ring value
     divided once: A^t as `gauduchon_connection` gives it, Omega^t and T^t
-    as pair tables."""
+    as `gauduchon_curvature_torsion` does."""
     form, k, A = ring = _gauduchon(spec, t)
     return (_divided(spec, form, _connection_pair(form, k, A), table=False),
-            _divided(spec, form, _curvature(spec, *ring), table=True),
-            _divided(spec, form, _torsion(spec, *ring), table=True, matrix=False))
+            *_curvature_torsion(spec, ring))
 
 
 def gauduchon_curvature_torsion(spec: BracketSpec, t):
     """(Omega_t, T_t) as pair tables; Omega entries are in u(m), T values are vectors."""
-    return gauduchon_tables(spec, t)[1:]
+    return _curvature_torsion(spec, _gauduchon(spec, t))
+
+
+def _curvature_torsion(spec: BracketSpec, ring: tuple) -> tuple:
+    """Omega^t and T^t of `_gauduchon`'s (form, k, A), each divided once."""
+    form = ring[0]
+    return (_divided(spec, form, _curvature(spec, *ring), table=True),
+            _divided(spec, form, _torsion(spec, *ring), table=True, matrix=False))
 
 
 def rho2_matrix(spec: BracketSpec, Om: list) -> list[list]:
@@ -785,13 +778,9 @@ def rho2_matrix(spec: BracketSpec, Om: list) -> list[list]:
 def ricci_and_scalar(spec: BracketSpec, Om: list):
     """(rho1, rho2, scal) with both Ricci forms as KForms; asserts the two
     scalar traces agree."""
-    return _ricci_and_scalar(spec, Om, rho2_matrix(spec, Om))
-
-
-def _ricci_and_scalar(spec: BracketSpec, Om: list, W: list):
-    """`ricci_and_scalar` on a caller's W = rho2_matrix(spec, Om)."""
     dom = spec.domain
     n2 = 2 * spec.m
+    W = rho2_matrix(spec, Om)
     half = dom.from_fraction("1/2")
     comp1 = {}
     for i, j in itertools.combinations(range(n2), 2):
@@ -1015,42 +1004,30 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
 # -- Singer invariant and Killing generators -----------------------------------------
 
 
-def unitary_basis(m: int, dom) -> list[list[list]]:
-    """Basis of u(m) as real 2m x 2m matrices (complex pairs adjacent)."""
-    out = []
+def unitary_basis(m: int) -> list[list[list[int]]]:
+    """Basis of u(m) as int 2m x 2m matrices with entries 0 and +-1 (complex
+    pairs adjacent, column action): the rotation I of each pair p, then for
+    each p < q the real and the imaginary unit mixing pairs p and q."""
     n2 = 2 * m
-    one = dom.one()
+    rot, ident, minus = [[0, -1], [1, 0]], [[1, 0], [0, 1]], [[-1, 0], [0, -1]]
 
-    def put(M, p, qq, block):
-        for i in range(2):
-            for j in range(2):
-                if block[i][j]:
-                    M[2 * p + i][2 * qq + j] = one if block[i][j] > 0 else -one
-
-    rot = [[0, -1], [1, 0]]
-    ident = [[1, 0], [0, 1]]
-    for p in range(m):
-        M = mat_zero(n2, dom)
-        put(M, p, p, rot)
-        out.append(M)
-    for p, qq in itertools.combinations(range(m), 2):
-        M = mat_zero(n2, dom)
-        put(M, p, qq, ident)
-        put(M, qq, p, [[-1, 0], [0, -1]])
-        out.append(M)
-        M = mat_zero(n2, dom)
-        put(M, p, qq, rot)
-        put(M, qq, p, rot)
-        out.append(M)
-    return out
+    def matrix(*blocks):
+        M = [[0] * n2 for _ in range(n2)]
+        for p, qq, block in blocks:
+            for i, j in itertools.product(range(2), repeat=2):
+                M[2 * p + i][2 * qq + j] = block[i][j]
+        return M
+    return [matrix((p, p, rot)) for p in range(m)] + [
+        M for p, qq in itertools.combinations(range(m), 2)
+        for M in (matrix((p, qq, ident), (qq, p, minus)), matrix((p, qq, rot), (qq, p, rot)))]
 
 
-def so_basis(n2: int, dom) -> list[list[list]]:
+def so_basis(n2: int) -> list[list[list[int]]]:
+    """Basis of so(n2) as int matrices: for each a < b, -1 at (a, b) and 1 at (b, a)."""
     out = []
     for a, b in itertools.combinations(range(n2), 2):
-        M = mat_zero(n2, dom)
-        M[a][b] = -dom.one()
-        M[b][a] = dom.one()
+        M = [[0] * n2 for _ in range(n2)]
+        M[a][b], M[b][a] = -1, 1
         out.append(M)
     return out
 
@@ -1094,7 +1071,7 @@ def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult
     dom = spec.domain
     m = spec.m
     limit = m * m + 1 if kmax is None else kmax
-    U = [[[int(x) for x in row] for row in M] for M in unitary_basis(m, dom)]   # 0 and +-1
+    U = unitary_basis(m)
     span = _Echelon(len(U), dom)
 
     def add_rows(pair):
@@ -1138,7 +1115,7 @@ def killing_generators(spec: BracketSpec) -> KillingResult:
     m = spec.m
     n2 = 2 * m
     limit = m * m + 2
-    SO = [[[int(x) for x in row] for row in M] for M in so_basis(n2, dom)]     # 0 and +-1
+    SO = so_basis(n2)
     nA = len(SO)
     span = _Echelon(n2 + nA, dom)
 

@@ -22,7 +22,7 @@ from .scalars import DegreeGuardError, FractionDomain, get_degree_cap
 
 __all__ = [
     "basis_vector", "vec_add", "vec_sub", "vec_scale", "dot",
-    "mat_zero", "istd", "mat_add", "mat_sub", "mat_scale",
+    "mat_zero", "mat_add", "mat_sub", "mat_scale",
     "mat_mul", "mat_vec", "commutator",
     "KForm", "MultiTensor", "wedge", "coboundary",
     "derivation_action", "complex_trace", "complex_trace_form",
@@ -64,16 +64,6 @@ def dot(u, v):
 def mat_zero(n: int, dom) -> list[list]:
     z = dom.zero()
     return [[z] * n for _ in range(n)]
-
-
-def istd(m: int, dom) -> list[list]:
-    """Standard complex structure on R^{2m}: I e_{2k} = e_{2k+1}."""
-    M = mat_zero(2 * m, dom)
-    one = dom.one()
-    for k in range(m):
-        M[2 * k + 1][2 * k] = one
-        M[2 * k][2 * k + 1] = -one
-    return M
 
 
 def mat_add(A, B):

@@ -526,13 +526,14 @@ class Layout:
         self.top, self.limit = self.width * len(names), (1 << self.width) - 1
 
     def pack(self, p: Polynomial, shift: int = 0, scale: int = 1) -> dict:
-        """scale * p times the monomial keyed shift."""
+        """scale * p times the monomial keyed shift; the degree is checked
+        before packing, as an exponent past its field would carry."""
+        degree = p.total_degree() + (shift >> self.top)
+        if p.terms and degree > self.limit:
+            raise DegreeGuardError(f"degree {degree} exceeds cap {self.limit}")
         offsets = [self.width * self.names.index(x) for x in p.vars]
-        v = {sum(e << o for e, o in zip(exp, offsets)) + (sum(exp) << self.top) + shift: c * scale
-             for exp, c in p.terms.items()}
-        if v and max(v) >> self.top > self.limit:
-            raise DegreeGuardError(f"degree {max(v) >> self.top} exceeds cap {self.limit}")
-        return v
+        return {sum(e << o for e, o in zip(exp, offsets)) + (sum(exp) << self.top) + shift:
+                c * scale for exp, c in p.terms.items()}
 
     def poly(self, v: dict, memo: dict) -> Polynomial:
         """The Polynomial of v over the names it uses, memo keeping the

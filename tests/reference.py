@@ -14,8 +14,9 @@ which the engine runs on packed int keys with one run of terms per factor,
 and the full J and Rm tensors with every sign mirror, which the engine's
 derivative tower folds onto canonical keys,
 and the rescaling c.mu, the matrix zero test and the sectional curvature of
-any two vectors, which `ghl sweep` reads off `Rm` on basis planes, and an
-endomorphism as a tensor and a scaled k-form, which no engine path builds.
+any two vectors, which `ghl sweep` reads off `Rm` on basis planes, and the
+complex structure I as a dense matrix, which the engine reads by index, and
+an endomorphism as a tensor and a scaled k-form, which no engine path builds.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
@@ -33,6 +34,16 @@ from ghl.scalars import (DegreeGuardError, FractionDomain, Polynomial, RationalF
                          get_degree_cap)
 from ghl.multilinear import (KForm, MultiTensor, _sort_sign, dot, mat_mul, mat_scale, mat_sub,
                              mat_vec, mat_zero)
+
+
+def istd(m: int, dom) -> list[list]:
+    """Standard complex structure on R^{2m} as a dense matrix: I e_{2k} =
+    e_{2k+1}, which the engine reads by index (`geometry._Ie`)."""
+    M = mat_zero(2 * m, dom)
+    for k in range(m):
+        M[2 * k + 1][2 * k] = dom.one()
+        M[2 * k][2 * k + 1] = -dom.one()
+    return M
 
 
 def mat_identity(n: int, dom) -> list[list]:
@@ -495,7 +506,7 @@ def full_start_tensors(spec: BracketSpec) -> tuple[MultiTensor, MultiTensor]:
     Rm = {(a, b, r, c): spec.Rm[a][b][r][c]
           for a, b, r, c in itertools.product(range(n2), repeat=4)
           if not dom.is_zero(spec.Rm[a][b][r][c])}
-    return from_endo(spec.I, dom), MultiTensor(n2, 2, True, dom.zero(), Rm)
+    return from_endo(istd(spec.m, dom), dom), MultiTensor(n2, 2, True, dom.zero(), Rm)
 
 
 def is_canonical(key: tuple, skew: int) -> bool:

@@ -22,7 +22,7 @@ from ghl.fileio import build_report, bundled_path, load_ghl, serialize_report
 from ghl.multilinear import MultiTensor, basis_vector, mat_vec, mat_zero
 from ghl.scalars import ExactDomain, RationalFunction
 
-from reference import from_bilinear, from_endo, mat_identity, mat_is_zero, sectional_curvature
+from reference import from_bilinear, from_endo, istd, mat_identity, mat_is_zero, sectional_curvature
 
 from test_geometry import (IWASAWA_A, IWASAWA_OMEGA, IWASAWA_S, koszul_oracle,
                            sparse_mat)
@@ -336,7 +336,7 @@ def test_criterion_5_property_suites(all_bundled, s2_tuples):
         Om, T = geo.gauduchon_curvature_torsion(spec, t)
         geo.ricci_and_scalar(spec, Om)                          # asserts traces
 
-        Jt = from_endo(spec.I, dom)
+        Jt = from_endo(istd(spec.m, dom), dom)
         gt = from_bilinear(mat_identity(n2, dom), dom)
         assert all(map(dom.is_zero, geo.covariant_derivative(spec, Jt, A, 1).comp.values())), name
         assert all(map(dom.is_zero, geo.covariant_derivative(spec, gt, A, 1).comp.values())), name

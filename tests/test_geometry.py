@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from ghl import geometry as geo
 from ghl.fileio import build_report, bundled_path, load_ghl
-from ghl.multilinear import basis_vector, commutator, dot, istd, mat_mul, mat_sub, mat_zero
+from ghl.multilinear import basis_vector, commutator, dot, mat_mul, mat_sub, mat_zero
 from ghl.scalars import ExactDomain, FractionDomain, NumericDomain, RationalFunction, UsageError
 
 from conftest import TEST_DATA
-from reference import (N_vec, form_evaluate, lee_from_torsion_trace, mat_is_zero, mu_m_vec,
+from reference import (N_vec, form_evaluate, istd, lee_from_torsion_trace, mat_is_zero, mu_m_vec,
                        rescale, sectional_curvature, split_bracket)
 from test_invariants import _nilpotent
 from test_nonintegrable import random_two_step_specs
@@ -415,7 +415,7 @@ def test_iwasawa_F_equals_dc_omega_via_coboundary(iwasawa):
     domega = coboundary(spec.mu_m, n2, omega, dom)
     # F = -J(d omega) with coframe transport J e^i = sum_k J[k][i] e^k;
     # evaluated on vectors that reads F(X,Y,Z) = (d omega)(JX, JY, JZ).
-    J = spec.I
+    J = istd(spec.m, dom)
     Jcols = [[J[r][c] for r in range(n2)] for c in range(n2)]
     F = geo.torsion_ingredients(spec).F
     for key in itertools.combinations(range(n2), 3):
@@ -612,7 +612,7 @@ def test_commuting_with_I_by_index_equals_the_commutator(kind, m, data):
     functions and floats."""
     dom, scalar = _I_DOMAINS[kind]
     n2 = 2 * m
-    U = geo.unitary_basis(m, dom)
+    U = geo.unitary_basis(m)
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(U), max_size=len(U)))
     M = mat_zero(n2, dom)
     for c, B in zip(coeffs, U):
@@ -696,6 +696,32 @@ def test_riemann_sphere(sphere):
     X = basis_vector(2, 0, dom)
     Y = basis_vector(2, 1, dom)
     assert sectional_curvature(spec, Rm, X, Y) == 1
+
+
+def test_dense_curvature_with_isotropy_is_the_round_sphere():
+    """su(2) with [e1, e2] = c e0 and c = 1/(a + 1), a non-monomial
+    denominator, so its ring form is dense and Rm runs the dense formula
+    with its isotropy term ad(mu_h): S = 0 there, so Rm(e1, e2) = c ad(e0)
+    on m, the round sphere of curvature c, with ad(e0) e1 = e2 and ad(e0)
+    e2 = -e1 from the brackets.  At a = 2 it equals the ring path's Rm of
+    the spec loaded at a = 2."""
+    path = TEST_DATA / "sphere-nonmonomial.ghl"
+    spec = load_ghl(path).spec
+    rep = geo.validate(spec)
+    assert rep.ok and rep.integrable
+    assert geo._ring_form(spec).dense
+    dom = spec.domain
+    c = dom.one() / (dom.param("a") + 1)
+    ad = [[0, -1], [1, 0]]                      # column action on (e1, e2)
+    Rm = geo.riemann_curvature(spec)
+    assert all(dom.eq(Rm[0][1][i][j], c * ad[i][j]) for i in range(2) for j in range(2))
+    assert dom.text(Rm[0][1][1][0]) == "(1) / (a + 1)"
+    point = load_ghl(path, {"a": 2}).spec
+    assert not geo._ring_form(point).dense
+    at_two = [[[[x.evaluate({"a": Fraction(2)}) for x in row] for row in M] for M in pair]
+              for pair in Rm]
+    assert at_two == geo.riemann_curvature(point)
+    assert point.Rm[0][1][1][0] == Fraction(1, 3)
 
 
 def test_riemann_iwasawa_matches_koszul_oracle(iwasawa):

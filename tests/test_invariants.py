@@ -26,7 +26,7 @@ from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, Frac
 
 from reference import (canonical_part, clear_and_reduce, clear_every_value, curvature_dense,
                        derivation_action_loop, form_basis, from_bilinear, from_endo,
-                       full_start_tensors, mat_identity, mat_is_zero, rescale, unfold)
+                       full_start_tensors, istd, mat_identity, mat_is_zero, rescale, unfold)
 from test_nonintegrable import honest_connection_matrices, random_two_step_specs
 
 
@@ -82,7 +82,7 @@ def test_omega_commutes_with_I_all_specs(all_bundled):
         dom = spec.domain
         Om, _ = geo.gauduchon_curvature_torsion(spec, spec_t(spec))
         for M in itertools.chain.from_iterable(Om):
-            assert mat_is_zero(commutator(M, spec.I), dom), name
+            assert mat_is_zero(commutator(M, istd(spec.m, dom)), dom), name
 
 
 def test_curvature_pair_symmetry_and_bianchi_all_specs(all_bundled):
@@ -147,7 +147,7 @@ def test_gauduchon_parallel_J_and_g_all_specs(all_bundled):
         spec = loaded.spec
         dom = spec.domain
         A = geo.gauduchon_connection(spec, spec_t(spec))
-        Jt = from_endo(spec.I, dom)
+        Jt = from_endo(istd(spec.m, dom), dom)
         gt = from_bilinear(mat_identity(2 * spec.m, dom), dom)
         assert all(map(dom.is_zero, geo.covariant_derivative(spec, Jt, A, 1).comp.values())), name
         assert all(map(dom.is_zero, geo.covariant_derivative(spec, gt, A, 1).comp.values())), name
@@ -159,11 +159,11 @@ def test_iwasawa_DJ_is_minus_commutator(iwasawa):
     spec = iwasawa.spec
     dom = spec.domain
     S = geo.levi_civita(spec)
-    Jt = from_endo(spec.I, dom)
+    Jt = from_endo(istd(spec.m, dom), dom)
     DJ = geo.covariant_derivative(spec, Jt, S, 1)
     some_nonzero = False
     for x in range(6):
-        want = mat_scale(-dom.one(), commutator(S[x], spec.I))
+        want = mat_scale(-dom.one(), commutator(S[x], istd(spec.m, dom)))
         got = mat_zero(6, dom)
         for key, val in DJ.comp.items():
             if key[0] == x:
@@ -181,8 +181,8 @@ def test_derivation_route_matches_covariant_derivative(iwasawa):
     spec = iwasawa.spec
     dom = spec.domain
     S = geo.levi_civita(spec)
-    via_derivation = commutator(mat_scale(-dom.one(), S[0]), spec.I)
-    Jt = from_endo(spec.I, dom)
+    via_derivation = commutator(mat_scale(-dom.one(), S[0]), istd(spec.m, dom))
+    Jt = from_endo(istd(spec.m, dom), dom)
     DJ = geo.covariant_derivative(spec, Jt, S, 1)
     for r in range(6):
         for c in range(6):
@@ -220,7 +220,7 @@ def test_s_tuple_identity_vii_independent_sides(iwasawa):
     checked = 0
     for x1, x2 in itertools.combinations(range(6), 2):
         R = Rm[x1][x2]
-        rhs = mat_scale(-dom.one(), commutator(R, spec.I))
+        rhs = mat_scale(-dom.one(), commutator(R, istd(spec.m, dom)))
         for r in range(6):
             for c in range(6):
                 lhs = D2J.get((x1, x2, r, c)) - D2J.get((x2, x1, r, c))
@@ -314,7 +314,7 @@ def test_singer_iwasawa_against_nullspace_oracle(iwasawa):
     assert res.k_jg <= 9 - 1         # <= m^2 - 1
     # oracle for dim j(0): sympy nullspace of the stacked constraints
     dom = inst.domain
-    U = geo.unitary_basis(inst.m, dom)
+    U = geo.unitary_basis(inst.m)
     S = geo.levi_civita(inst)
     Rm = geo.riemann_curvature(inst)
     Jt, Rmt = full_start_tensors(inst)
@@ -1155,7 +1155,7 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
     specs += random_two_step_specs(3)
     for spec in specs:
         dom = spec.domain
-        bases = (geo.unitary_basis(spec.m, dom), geo.so_basis(2 * spec.m, dom))
+        bases = (geo.unitary_basis(spec.m), geo.so_basis(2 * spec.m))
         # J, DJ, D^2J, Rm and D Rm as (den, int tensor) pairs and their full references
         pairs = []
         for tower, full, count in zip(geo._towers(spec)[1:], full_start_tensors(spec), (3, 2)):
@@ -1330,7 +1330,7 @@ def _invariants_by_definition(spec):
             _gauss_jordan(pivots, _definition_rows(acting, T, dom, contracted))
         return ncols - len(pivots)
 
-    U, SO = geo.unitary_basis(spec.m, dom), geo.so_basis(2 * spec.m, dom)
+    U, SO = geo.unitary_basis(spec.m), geo.so_basis(2 * spec.m)
     pivots, dims = {}, []
     add(pivots, len(U), U, D("J", 1))
     while len(dims) < 2 or dims[-1] != dims[-2]:    # D^0Rm..D^kRm and D^1J..D^{k+2}J

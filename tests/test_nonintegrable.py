@@ -15,10 +15,10 @@ from fractions import Fraction
 import pytest
 
 from ghl import geometry as geo
-from ghl.multilinear import basis_vector, dot, istd, mat_vec
+from ghl.multilinear import basis_vector, dot, mat_vec
 from ghl.scalars import FractionDomain
 
-from reference import N_vec, form_evaluate, mu_m_vec
+from reference import N_vec, form_evaluate, istd, mu_m_vec
 
 DOM = FractionDomain()
 
@@ -224,7 +224,7 @@ def _vector_torsion(spec):
     definitions, with I applied as a matrix to basis vectors."""
     dom = spec.domain
     n2 = 2 * spec.m
-    I = spec.I
+    I = istd(spec.m, dom)
 
     def mu(x, y):
         return mu_m_vec(spec, x, y)

@@ -693,6 +693,9 @@ def test_scalar_guards_a_caller_can_reach():
     layout = Layout(("a", "b"))
     with pytest.raises(DegreeGuardError, match=f"degree 200 exceeds cap {layout.limit}"):
         layout.pack(Polynomial(("a", "b"), {(100, 100): 1}))
+    for e in (128, 200):                # one exponent past its field: its own degree
+        with pytest.raises(DegreeGuardError, match=f"degree {e} exceeds cap {layout.limit}"):
+            Layout(("a",)).pack(Polynomial(("a",), {(e,): 1}))
     cap = get_degree_cap()
     high, low = layout.pack(P("a") ** (cap - 1)), layout.pack(P("a"))
     assert layout.times(high, low) == layout.pack(P("a") ** cap)
