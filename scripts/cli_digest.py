@@ -7,10 +7,10 @@ Runs a fixed list of in-process `ghl.cli.main` calls (every verb on every
 bundled and test data file, `check` on the two brackets that fail
 validation, `--t` symbolic/rational/-1/0, JSON and text reports, the two
 numeric scale probes, t-only, two-axis and pole-row sweeps, usage
-errors, bad input files among them, and a file whose curvature takes the
-dense path with an isotropy term) and prints, per call, its argv, exit
-code, the sha256 of its stdout and the last line of its stderr.  `ghl` is imported from
-PYTHONPATH, so
+errors, bad input files among them, a file whose curvature takes the
+dense path with an isotropy term, and Singer and Killing on two test data
+files) and prints, per call, its argv, exit code, the sha256 of its stdout
+and the last line of its stderr.  `ghl` is imported from PYTHONPATH, so
 
     PYTHONPATH=src python3 scripts/cli_digest.py > after.jsonl
     PYTHONPATH=<other checkout>/src python3 scripts/cli_digest.py > before.jsonl
@@ -31,7 +31,7 @@ from pathlib import Path
 
 from ghl.cli import main as ghl_main
 
-VERSION = 7
+VERSION = 8
 ROOT = Path(__file__).resolve().parent.parent
 
 DATA = "src/ghl/data/"
@@ -153,6 +153,9 @@ def calls() -> list[list[str]]:
     # the dense curvature with an isotropy term (a non-monomial denominator)
     dense = TESTS + "sphere-nonmonomial.ghl"
     out += [["validate", dense], ["report", dense], ["report", dense, "--params", "a=2"]]
+    # Singer and Killing at m = 3 without isotropy, and on a non-unimodular bracket
+    for name in ("kodaira-times-c", "nonunimodular"):
+        out += [["singer", _path(name)], ["killing", _path(name)]]
     return out
 
 

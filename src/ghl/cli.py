@@ -242,7 +242,7 @@ def cmd_sweep(args) -> int:
 def _sweep_value(quantity: str, spec, t: Fraction) -> str:
     dom = spec.domain
     if quantity == "scal":
-        Om, _ = geo.gauduchon_curvature_torsion(spec, dom.from_fraction(t))
+        Om = geo._omega(spec, geo._gauduchon(spec, dom.from_fraction(t)))
         return dom.text(geo.ricci_and_scalar(spec, Om)[2])
     if quantity == "sec_max_basis":
         # <Rm(e_a, e_b)e_a, e_b> is the entry Rm[a][b][b][a]: matrices act on columns

@@ -38,7 +38,7 @@ from typing import Sequence
 from .multilinear import (
     KForm, MultiTensor, basis_vector, commutator, complex_trace,
     action_terms, coboundary, index_rows, mat_add,
-    mat_scale, mat_sub, mat_zero, scatter_products, unpack, vec_add,
+    mat_sub, mat_zero, scatter_products, unpack, vec_add,
     wedge, complex_trace_form, _conn_endo, _matrices, _product_terms, _sparse,
 )
 from .scalars import (FractionDomain, Layout, RationalFunction, UsageError, get_degree_cap,
@@ -54,7 +54,7 @@ __all__ = [
     "ricci_and_scalar", "rho2_matrix", "lee_form", "covariant_derivative",
     "hermitian_s_tuple", "check_x1_identities", "singer_invariant",
     "killing_generators", "nomizu_bracket", "metric_flags", "connection_audit",
-    "unitary_basis", "so_basis", "symbolic_t",
+    "symbolic_t",
 ]
 
 
@@ -753,19 +753,23 @@ def gauduchon_tables(spec: BracketSpec, t) -> tuple:
     as `gauduchon_curvature_torsion` does."""
     form, k, A = ring = _gauduchon(spec, t)
     return (_divided(spec, form, _connection_pair(form, k, A), table=False),
-            *_curvature_torsion(spec, ring))
+            _omega(spec, ring), _torsion_table(spec, ring))
 
 
 def gauduchon_curvature_torsion(spec: BracketSpec, t):
     """(Omega_t, T_t) as pair tables; Omega entries are in u(m), T values are vectors."""
-    return _curvature_torsion(spec, _gauduchon(spec, t))
+    ring = _gauduchon(spec, t)
+    return _omega(spec, ring), _torsion_table(spec, ring)
 
 
-def _curvature_torsion(spec: BracketSpec, ring: tuple) -> tuple:
-    """Omega^t and T^t of `_gauduchon`'s (form, k, A), each divided once."""
-    form = ring[0]
-    return (_divided(spec, form, _curvature(spec, *ring), table=True),
-            _divided(spec, form, _torsion(spec, *ring), table=True, matrix=False))
+def _omega(spec: BracketSpec, ring: tuple) -> list:
+    """Omega^t of `_gauduchon`'s (form, k, A) as a pair table, divided once."""
+    return _divided(spec, ring[0], _curvature(spec, *ring), table=True)
+
+
+def _torsion_table(spec: BracketSpec, ring: tuple) -> list:
+    """T^t of `_gauduchon`'s (form, k, A) as a pair table, divided once."""
+    return _divided(spec, ring[0], _torsion(spec, *ring), table=True, matrix=False)
 
 
 def rho2_matrix(spec: BracketSpec, Om: list) -> list[list]:
@@ -912,17 +916,17 @@ def _tower(ring: MultiTensor, den, dS, S: list, layout, is_zero):
 class DerivativeTuple:
     """theta^s: covariant J-derivatives D^1J..D^{s+2}J and Rm-derivatives
     D^0Rm..D^sRm for the Levi-Civita connection, held as `_tower` pairs with
-    their layout; `J_derivs` and `Rm_derivs` divide them on each read
-    (`_divide`) into full (`MultiTensor.mirrored`) tuple-keyed tensors over
-    the domain of `zero`."""
+    their layout; `J_derivs` and `Rm_derivs` divide them on their first
+    read (`_divide`) into full (`MultiTensor.mirrored`) tuple-keyed tensors
+    over the domain of `zero`, and keep what they made."""
     s: int
     J_pairs: list           # (den, ring) of D^0 J, D^1 J, ..., D^{s+2} J
     Rm_pairs: list          # (den, ring) of Rm, D Rm, ..., D^s Rm
     zero: object
     layout: Layout | None   # of packed ring values (`_towers`), None over ints or domain values
 
-    J_derivs = property(lambda self: self._divided(self.J_pairs[1:]))  # [D^1 J, ..., D^{s+2} J]
-    Rm_derivs = property(lambda self: self._divided(self.Rm_pairs))    # [Rm, D Rm, ..., D^s Rm]
+    J_derivs = cached_property(lambda self: self._divided(self.J_pairs[1:]))  # [D^1 J, ..., D^{s+2} J]
+    Rm_derivs = cached_property(lambda self: self._divided(self.Rm_pairs))    # [Rm, D Rm, ..., D^s Rm]
 
     def _divided(self, pairs) -> list:
         return [MultiTensor(ring.n, ring.rank, ring.has_endo, self.zero,
@@ -1004,34 +1008,6 @@ def check_x1_identities(spec: BracketSpec, tup: DerivativeTuple):
 # -- Singer invariant and Killing generators -----------------------------------------
 
 
-def unitary_basis(m: int) -> list[list[list[int]]]:
-    """Basis of u(m) as int 2m x 2m matrices with entries 0 and +-1 (complex
-    pairs adjacent, column action): the rotation I of each pair p, then for
-    each p < q the real and the imaginary unit mixing pairs p and q."""
-    n2 = 2 * m
-    rot, ident, minus = [[0, -1], [1, 0]], [[1, 0], [0, 1]], [[-1, 0], [0, -1]]
-
-    def matrix(*blocks):
-        M = [[0] * n2 for _ in range(n2)]
-        for p, qq, block in blocks:
-            for i, j in itertools.product(range(2), repeat=2):
-                M[2 * p + i][2 * qq + j] = block[i][j]
-        return M
-    return [matrix((p, p, rot)) for p in range(m)] + [
-        M for p, qq in itertools.combinations(range(m), 2)
-        for M in (matrix((p, qq, ident), (qq, p, minus)), matrix((p, qq, rot), (qq, p, rot)))]
-
-
-def so_basis(n2: int) -> list[list[list[int]]]:
-    """Basis of so(n2) as int matrices: for each a < b, -1 at (a, b) and 1 at (b, a)."""
-    out = []
-    for a, b in itertools.combinations(range(n2), 2):
-        M = [[0] * n2 for _ in range(n2)]
-        M[a][b], M[b][a] = -1, 1
-        out.append(M)
-    return out
-
-
 def _constant_spec(spec: BracketSpec, what: str) -> BracketSpec:
     """`spec` itself over a FractionDomain, else its copy over plain Fractions."""
     if spec.domain.backend != "exact" or spec.params:
@@ -1044,18 +1020,56 @@ def _constant_spec(spec: BracketSpec, what: str) -> BracketSpec:
     return spec if isinstance(spec.domain, FractionDomain) else spec.instantiate({})
 
 
-def _add_index_action(rows: dict, gens: list, T: MultiTensor, runs=()) -> None:
-    """rows[key][col] = sum of (B . T)[key] over the (col, B) of gens, plus
-    the sums of `scatter_products` runs at col * n^length + key, for a
-    packed T, keys packed.  gens are int multiples of the skew int u(m) and
-    so(2m) basis matrices, skew themselves, so with an int T the rows hold
-    ints; the pairs at one col act as their combination."""
-    size = T.n ** (T.rank + 2 * T.has_endo)
-    action = index_rows(((col * size, B) for col, B in gens), FractionDomain.is_zero)
-    terms = itertools.chain(action_terms(T, *action), runs)
-    for key, x in scatter_products(terms, 0, FractionDomain.is_zero).items():
-        col, key = divmod(key, size)
-        rows.setdefault(key, {})[col] = x
+def _skew(x: Sequence, n2: int) -> list[list]:
+    """The so(n2) matrix of coordinates x over the pairs a < b in
+    `itertools.combinations` order: -x_i at (a, b), x_i at (b, a) and
+    zeros of x's type elsewhere."""
+    M = [[x[0] * 0] * n2 for _ in range(n2)]
+    for (a, b), c in zip(itertools.combinations(range(n2), 2), x):
+        M[a][b], M[b][a] = -c, c
+    return M
+
+
+def _kernel_rows(kernel: dict, n2: int, Tk, Tk1=None) -> dict:
+    """{key: {f: entry}}, the rows of v . Tk1 + A . Tk = 0 (A . Tk = 0 with
+    no Tk1) at Tk's packed keys for the kernel left, {free column f: int
+    vector (v, A)} (`_Echelon.kernel`), v the first n2 entries when there
+    is a Tk1 and A the `_skew` of the rest.  Tk and Tk1 are `_tower` pairs
+    (den, T), the rows over the lcm of their dens: A acts by index
+    (`action_terms`), v contracts Tk1's first slot, one run per entry."""
+    (d0, T), off = Tk, n2 if Tk1 else 0
+    d = math.lcm(d0, Tk1[0]) if Tk1 else d0
+    size = n2 ** (T.rank + 2 * T.has_endo)
+    gens = ((f * size, _skew([x * (d // d0) for x in v[off:]], n2)) for f, v in kernel.items())
+    runs = action_terms(T, *index_rows(gens, FractionDomain.is_zero))
+    if Tk1:
+        d1, T1 = Tk1
+        vs = [[(0, f, v[x] * (d // d1)) for f, v in kernel.items() if v[x]] for x in range(n2)]
+        runs = itertools.chain(runs, ((key % size, size, 1, x, vs[key // size])
+                                      for key, x in T1.comp.items()))
+    rows = {}
+    for key, x in scatter_products(runs, 0, FractionDomain.is_zero).items():
+        f, key = divmod(key, size)
+        rows.setdefault(key, {})[f] = x
+    return rows
+
+
+def _stabilize(span: _Echelon, n2: int, batches, limit: int, error, what: str) -> list[int]:
+    """Add to span, in key order, the `_kernel_rows` of each batch of each
+    order (a batch holds the arguments after the kernel, which is read
+    before each batch, and n2).  Returns the free-column counts after each
+    order once two in a row agree; raises error after order `limit`."""
+    dims = []
+    for k, order in enumerate(batches):
+        for batch in order:
+            rows = _kernel_rows(span.kernel(), n2, *batch)
+            for key in sorted(rows):
+                span.add(rows[key])
+        dims.append(span.ncols - len(span.pivots))
+        if len(dims) >= 2 and dims[-1] == dims[-2]:
+            return dims
+        if k >= limit:
+            raise error(f"{what} did not stabilize within kmax={limit}")
 
 
 @dataclass
@@ -1066,36 +1080,19 @@ class SingerResult:
 
 def singer_invariant(spec: BracketSpec, kmax: int | None = None) -> SingerResult:
     """Isotropy filtration dims j(0) >= j(1) >= ... and the first stabilization
-    order; not stabilizing by a given kmax is a UsageError."""
+    order; not stabilizing by a given kmax is a UsageError.  The filtration
+    is cut out of so(2m), in `_skew` coordinates: order 0 annihilates D^0J,
+    which leaves u(m), then D^1J, D^0Rm and D^2J, and order k > 0 D^kRm and
+    D^{k+2}J."""
     spec = _constant_spec(spec, "singer_invariant")
-    dom = spec.domain
-    m = spec.m
-    limit = m * m + 1 if kmax is None else kmax
-    U = unitary_basis(m)
-    span = _Echelon(len(U), dom)
-
-    def add_rows(pair):
-        """Rows of B . T = 0 for (den, T) and B in the kernel left: times den."""
-        rows = {}
-        _add_index_action(rows, [(f, mat_scale(x, B)) for f, v in span.kernel().items()
-                                 for x, B in zip(v, U) if x], pair[1])
-        for key in sorted(rows):
-            span.add(rows[key])
-
+    n2 = 2 * spec.m
     _, J, Rm = _towers(spec)
-    next(J)                                 # u(m) fixes J itself
-    add_rows(next(J))
-    dims = []
-    # order k annihilates D^0Rm..D^kRm and D^1J..D^{k+2}J
-    for k, (Jk2, Rmk) in enumerate(zip(J, Rm)):
-        add_rows(Rmk)
-        add_rows(Jk2)
-        dims.append(len(U) - len(span.pivots))
-        if len(dims) >= 2 and dims[-1] == dims[-2]:
-            return SingerResult(dims, len(dims) - 2)
-        if k >= limit:
-            raise (InternalConsistencyError if kmax is None else UsageError)(
-                f"Singer filtration did not stabilize within kmax={limit}")
+    orders = itertools.chain([[(next(J),), (next(J),), (next(Rm),), (next(J),)]],
+                             ([(Rmk,), (Jk2,)] for Jk2, Rmk in zip(J, Rm)))
+    dims = _stabilize(_Echelon(n2 * (n2 - 1) // 2, spec.domain), n2, orders,
+                      spec.m ** 2 + 1 if kmax is None else kmax,
+                      InternalConsistencyError if kmax is None else UsageError, "Singer filtration")
+    return SingerResult(dims, len(dims) - 2)
 
 
 @dataclass
@@ -1106,52 +1103,22 @@ class KillingResult:
 
 
 def killing_generators(spec: BracketSpec) -> KillingResult:
-    """Basis of the real holomorphic Killing generators (v, A), by solving
-    v . D^{k+1}J + A . D^kJ = 0 and v . D^{k+1}Rm + A . D^kRm = 0 for
-    increasing k until the solution space stabilizes; not stabilizing by
-    k = m^2 + 2 is an InternalConsistencyError."""
+    """Basis of the real holomorphic Killing generators (v, A), A in so(2m)
+    by its `_skew` coordinates, by solving v . D^{k+1}J + A . D^kJ = 0 and
+    v . D^{k+1}Rm + A . D^kRm = 0 for increasing k until the solution space
+    stabilizes; not stabilizing by k = m^2 + 2 is an InternalConsistencyError."""
     fspec = _constant_spec(spec, "killing_generators")
-    dom = fspec.domain
-    m = spec.m
-    n2 = 2 * m
-    limit = m * m + 2
-    SO = so_basis(n2)
-    nA = len(SO)
-    span = _Echelon(n2 + nA, dom)
-
-    def add_rows(Tk, Tk1):
-        """Rows of v . Tk1 + A . Tk = 0 for (v, A) in the kernel left, over
-        the lcm of the dens; v contracts Tk1's first slot, one run per entry."""
-        (d0, T0), (d1, T1) = Tk, Tk1
-        d = math.lcm(d0, d1)
-        size = n2 ** (T0.rank + 2 * T0.has_endo)
-        kernel = span.kernel()
-        vs = [[(0, f, v[x] * (d // d1)) for f, v in kernel.items() if v[x]] for x in range(n2)]
-        gens = [(f, mat_scale(x * (d // d0), B)) for f, v in kernel.items()
-                for x, B in zip(v[n2:], SO) if x]
-        rows = {}
-        _add_index_action(rows, gens, T0, ((key % size, size, 1, x, vs[key // size])
-                                           for key, x in T1.comp.items()))
-        for key in sorted(rows):
-            span.add(rows[key])
-
-    dims: list[int] = []
-    pairs = zip(*(itertools.pairwise(T) for T in _towers(fspec)[1:]))
-    for k, ((Jk, Jk1), (Rmk, Rmk1)) in enumerate(pairs):
-        add_rows(Jk, Jk1)
-        add_rows(Rmk, Rmk1)
-        dims.append(n2 + nA - len(span.pivots))
-        if len(dims) >= 2 and dims[-1] == dims[-2]:
-            basis = [(vec[:n2], _conn_endo(SO, vec[n2:], dom))
-                     for vec in span.nullspace()]
-            res = KillingResult(basis, len(basis), k + 1)
-            _check_killing(fspec, res)
-            lift = spec.domain.from_fraction        # back into the caller's domain
-            res.basis = [(list(map(lift, v)), [list(map(lift, r)) for r in A]) for v, A in basis]
-            return res
-        if k >= limit:
-            raise InternalConsistencyError(
-                f"Killing solution space did not stabilize within kmax={limit}")
+    n2 = 2 * spec.m
+    span = _Echelon(n2 + n2 * (n2 - 1) // 2, fspec.domain)
+    orders = zip(*(itertools.pairwise(T) for T in _towers(fspec)[1:]))
+    dims = _stabilize(span, n2, orders, spec.m ** 2 + 2, InternalConsistencyError,
+                      "Killing solution space")
+    basis = [(vec[:n2], _skew(vec[n2:], n2)) for vec in span.nullspace()]
+    res = KillingResult(basis, len(basis), len(dims))
+    _check_killing(fspec, res)
+    lift = spec.domain.from_fraction        # back into the caller's domain
+    res.basis = [(list(map(lift, v)), [list(map(lift, r)) for r in A]) for v, A in basis]
+    return res
 
 
 def _check_killing(spec: BracketSpec, res: KillingResult):

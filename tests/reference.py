@@ -16,6 +16,8 @@ derivative tower folds onto canonical keys,
 and the rescaling c.mu, the matrix zero test and the sectional curvature of
 any two vectors, which `ghl sweep` reads off `Rm` on basis planes, and the
 complex structure I as a dense matrix, which the engine reads by index, and
+the u(m) and so(2m) bases as dense matrices, which the engine neither
+builds nor shares with the tests (it solves in so(2m) coordinates), and
 an endomorphism as a tensor and a scaled k-form, which no engine path builds.
 
 The engine calls none of these.  They are the independent path the tests
@@ -44,6 +46,37 @@ def istd(m: int, dom) -> list[list]:
         M[2 * k + 1][2 * k] = dom.one()
         M[2 * k][2 * k + 1] = -dom.one()
     return M
+
+
+def unitary_basis(m: int) -> list[list[list[int]]]:
+    """Basis of u(m) as int 2m x 2m matrices with entries 0 and +-1 (complex
+    pairs adjacent, column action): the rotation I of each pair p, then for
+    each p < q the real and the imaginary unit mixing pairs p and q.  The
+    engine cuts u(m) out of so(2m) as the annihilator of J."""
+    n2 = 2 * m
+    rot, ident, minus = [[0, -1], [1, 0]], [[1, 0], [0, 1]], [[-1, 0], [0, -1]]
+
+    def matrix(*blocks):
+        M = [[0] * n2 for _ in range(n2)]
+        for p, qq, block in blocks:
+            for i, j in itertools.product(range(2), repeat=2):
+                M[2 * p + i][2 * qq + j] = block[i][j]
+        return M
+    return [matrix((p, p, rot)) for p in range(m)] + [
+        M for p, qq in itertools.combinations(range(m), 2)
+        for M in (matrix((p, qq, ident), (qq, p, minus)), matrix((p, qq, rot), (qq, p, rot)))]
+
+
+def so_basis(n2: int) -> list[list[list[int]]]:
+    """Basis of so(n2) as dense int matrices: for each a < b, -1 at (a, b)
+    and 1 at (b, a), which the engine reads off coordinates by index
+    (`geometry._skew`, `geometry._kernel_rows`)."""
+    out = []
+    for a, b in itertools.combinations(range(n2), 2):
+        M = [[0] * n2 for _ in range(n2)]
+        M[a][b], M[b][a] = -1, 1
+        out.append(M)
+    return out
 
 
 def mat_identity(n: int, dom) -> list[list]:

@@ -288,19 +288,23 @@ def test_sweep_t_grid_builds_one_spec(monkeypatch):
 
 def test_sweep_scal_divides_no_connection(monkeypatch):
     """`--quantity scal` reads Omega^t alone: no point divides the A^t it
-    would throw away (`geometry._connection_pair`)."""
+    would throw away (`geometry._connection_pair`) or builds T^t
+    (`geometry._torsion`)."""
     calls = Counter()
 
-    def counted(*args, _orig=geo._connection_pair):
-        calls["_connection_pair"] += 1
-        return _orig(*args)
-    monkeypatch.setattr(geo, "_connection_pair", counted)
+    def counting(name):
+        def counted(*args, _orig=getattr(geo, name)):
+            calls[name] += 1
+            return _orig(*args)
+        return counted
+    for name in ("_connection_pair", "_torsion"):
+        monkeypatch.setattr(geo, name, counting(name))
     code, out, _ = run("sweep", str(bundled_path("kodaira")),
                        "--grid", "t=0:1:5", "--quantity", "scal",
                        "--params", "alpha=1,beta=0,r=1,v=1")
     assert code == 0
     assert out == "t,scal\n0,8\n1/4,6\n1/2,4\n3/4,2\n1,0\n"
-    assert calls["_connection_pair"] == 0
+    assert calls["_connection_pair"] == 0 and calls["_torsion"] == 0
 
 
 def test_sweep_iwasawa_alpha_grid_zero():

@@ -20,7 +20,7 @@ from ghl.scalars import ExactDomain, FractionDomain, NumericDomain, RationalFunc
 
 from conftest import TEST_DATA
 from reference import (N_vec, form_evaluate, istd, lee_from_torsion_trace, mat_is_zero, mu_m_vec,
-                       rescale, sectional_curvature, split_bracket)
+                       rescale, sectional_curvature, split_bracket, unitary_basis)
 from test_invariants import _nilpotent
 from test_nonintegrable import random_two_step_specs
 
@@ -612,7 +612,7 @@ def test_commuting_with_I_by_index_equals_the_commutator(kind, m, data):
     functions and floats."""
     dom, scalar = _I_DOMAINS[kind]
     n2 = 2 * m
-    U = geo.unitary_basis(m)
+    U = unitary_basis(m)
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(U), max_size=len(U)))
     M = mat_zero(n2, dom)
     for c, B in zip(coeffs, U):

@@ -24,9 +24,11 @@ from ghl.multilinear import (MultiTensor, basis_vector, commutator,
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain, FractionDomain,
                          Layout, Polynomial, RationalFunction, UsageError, set_degree_cap)
 
+from conftest import TEST_DATA
 from reference import (canonical_part, clear_and_reduce, clear_every_value, curvature_dense,
                        derivation_action_loop, form_basis, from_bilinear, from_endo,
-                       full_start_tensors, istd, mat_identity, mat_is_zero, rescale, unfold)
+                       full_start_tensors, istd, mat_identity, mat_is_zero, rescale, so_basis,
+                       unfold, unitary_basis)
 from test_nonintegrable import honest_connection_matrices, random_two_step_specs
 
 
@@ -229,6 +231,20 @@ def test_s_tuple_identity_vii_independent_sides(iwasawa):
     assert checked
 
 
+def test_tuple_divides_each_derivative_once(kodaira, monkeypatch):
+    """`J_derivs` and `Rm_derivs` divide the tower pairs on their first read
+    and keep what they made: reading both twice on a kodaira s = 1 tuple
+    makes 5 `_divide` calls (D^1J..D^3J, Rm and D Rm), not 10, and the
+    second reads return the same objects."""
+    calls = []
+    divide = geo._divide
+    tup = geo.hermitian_s_tuple(kodaira.spec, s=1, verify=False)
+    monkeypatch.setattr(geo, "_divide", lambda *args: calls.append(1) or divide(*args))
+    J, Rm = tup.J_derivs, tup.Rm_derivs
+    assert tup.J_derivs is J and tup.Rm_derivs is Rm
+    assert (len(J), len(Rm), len(calls)) == (3, 2, 5)
+
+
 def test_x1_identities_verified_all_specs(all_bundled, s2_tuples):
     """s2_tuples builds each tuple with verify=True, which raises on any
     (X1) failure."""
@@ -314,7 +330,7 @@ def test_singer_iwasawa_against_nullspace_oracle(iwasawa):
     assert res.k_jg <= 9 - 1         # <= m^2 - 1
     # oracle for dim j(0): sympy nullspace of the stacked constraints
     dom = inst.domain
-    U = geo.unitary_basis(inst.m)
+    U = unitary_basis(inst.m)
     S = geo.levi_civita(inst)
     Rm = geo.riemann_curvature(inst)
     Jt, Rmt = full_start_tensors(inst)
@@ -805,13 +821,14 @@ def test_canonical_keys_cut_kernel_entries_and_rows(monkeypatch):
     built too) feeds the scatter kernel 19,212 entries, against 62,328 with
     every mirror stored.  Singer and Killing act only with the kernel left
     before each batch (`_Echelon.kernel`): on iwasawa alpha = 1 Singer acts
-    with 9, then 4 matrices per batch (one per free column) and feeds
-    `_Echelon.add` 72 rows (2,524 with the full u(m) basis at every batch),
-    and Killing with 15, 11, 11, 10, 10, 10 matrices (the generators with a
-    nonzero so(2m) part; 15 each with the full basis) and 193 rows, its
-    closure check's included (7,309)."""
+    with all 15 of so(6) on D^0J, which leaves the 9 of u(3), then with 9,
+    then 4 matrices per batch (one per free column) and feeds
+    `_Echelon.add` 48 rows, 12 of them for D^0J, and Killing with 15, 11,
+    11, 10, 10, 10 matrices (the generators with a nonzero so(2m) part; 15
+    each with the full basis) and 193 rows, its closure check's included
+    (7,309)."""
     entries, rows, gens = [], [], []
-    kernel, add, act = geo.scatter_products, geo._Echelon.add, geo._add_index_action
+    kernel, add, act = geo.scatter_products, geo._Echelon.add, geo._kernel_rows
 
     def counting(runs, *args):
         runs = list(runs)
@@ -822,19 +839,20 @@ def test_canonical_keys_cut_kernel_entries_and_rows(monkeypatch):
         rows.append(1)
         return add(self, row)
 
-    def counting_act(rows, acting, *args):
-        gens.append(len({col for col, _ in acting}))        # one matrix per free column
-        return act(rows, acting, *args)
+    def counting_act(kernel, n2, *pairs):
+        off = n2 if len(pairs) > 1 else 0                   # Killing's v comes first
+        gens.append(sum(any(v[off:]) for v in kernel.values()))     # one per free column
+        return act(kernel, n2, *pairs)
 
     kodaira = load_ghl(bundled_path("kodaira")).spec
     iwasawa = load_ghl(bundled_path("iwasawa"), {"alpha": 1}).spec
     monkeypatch.setattr(geo, "scatter_products", counting)
     monkeypatch.setattr(geo._Echelon, "add", counting_add)
-    monkeypatch.setattr(geo, "_add_index_action", counting_act)
+    monkeypatch.setattr(geo, "_kernel_rows", counting_act)
     geo.hermitian_s_tuple(kodaira, s=2, verify=False)
     assert sum(entries) <= 24_000
     geo.singer_invariant(iwasawa)
-    assert len(rows) <= 100 and gens == [9, 4, 4, 4, 4]
+    assert len(rows) <= 100 and gens == [15, 9, 4, 4, 4, 4]
     rows.clear()
     gens.clear()
     geo.killing_generators(iwasawa)
@@ -1143,9 +1161,10 @@ def _relabelled(B, T):
 
 
 def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, sphere):
-    """`_add_index_action` over the int u(m) and so(2m) bases and a `_tower`
-    pair (den, T) of the engine's J and Rm (`_towers`) gives int rows
-    equal to den times the rows of the Fraction bases acting on the full
+    """`_kernel_rows` on a `_tower` pair (den, T) of the engine's J and Rm
+    (`_towers`), for so(2m) as the identity kernel and for the u(m) basis as
+    reference vectors in so(2m) coordinates (`_skew`), gives int rows equal
+    to den times the rows of the Fraction bases acting on the full
     reference tensor T / den (`_reference_tower`), and equal to the index
     relabelling of each basis matrix on the full ring tensor, both at the
     canonical keys of T."""
@@ -1154,8 +1173,8 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
              abelian2.spec.instantiate({}), sphere.spec.instantiate({})]
     specs += random_two_step_specs(3)
     for spec in specs:
-        dom = spec.domain
-        bases = (geo.unitary_basis(spec.m), geo.so_basis(2 * spec.m))
+        dom, n2 = spec.domain, 2 * spec.m
+        bases = (unitary_basis(spec.m), so_basis(n2))
         # J, DJ, D^2J, Rm and D Rm as (den, int tensor) pairs and their full references
         pairs = []
         for tower, full, count in zip(geo._towers(spec)[1:], full_start_tensors(spec), (3, 2)):
@@ -1165,24 +1184,48 @@ def test_index_action_rows_equal_derivation_action(iwasawa, kodaira, abelian2, s
             length = Tp.rank + 2 * Tp.has_endo
             T = MultiTensor(Ti.n, Ti.rank, Ti.has_endo, dom.zero(),
                             {key: Fraction(x, ref_den) for key, x in Ti.comp.items()})
-            ints = [[[int(x) for x in row] for row in B] for B in basis]
+            kernel = {col: [B[b][a] for a, b in itertools.combinations(range(n2), 2)]
+                      for col, B in enumerate(basis)}
+            assert [geo._skew(v, n2) for v in kernel.values()] == basis
             expected, relabelled = {}, {}
-            for col, (B, Bi) in enumerate(zip(basis, ints)):
+            for col, B in enumerate(basis):
                 for key, x in canonical_part(derivation_action(B, T, dom).comp, Tp.skew).items():
                     expected.setdefault(key, {})[col] = x
-                for key, x in canonical_part(_relabelled(Bi, Ti), Tp.skew).items():
+                for key, x in canonical_part(_relabelled(B, Ti), Tp.skew).items():
                     relabelled.setdefault(key, {})[col] = x
-            packed = {}
-            geo._add_index_action(packed, list(enumerate(ints)), Tp)
+            packed = geo._kernel_rows(kernel, n2, (den, Tp))
             rows = {unpack(k, Tp.n, length): r for k, r in packed.items()}
             assert all(type(x) is int for r in rows.values() for x in r.values())
             assert rows == relabelled, (spec.name, T.rank, T.has_endo)
             got = {k: {c: Fraction(x, den) for c, x in r.items()} for k, r in rows.items()}
             assert got == expected, (spec.name, T.rank, T.has_endo)
-            shifted = {}
-            geo._add_index_action(shifted, [(col + 5, [[3 * x for x in row] for row in B])
-                                             for col, B in enumerate(ints)], Tp)
+            shifted = geo._kernel_rows({col + 5: [3 * x for x in v] for col, v in kernel.items()},
+                                       n2, (den, Tp))
             assert shifted == {k: {c + 5: 3 * x for c, x in r.items()} for k, r in packed.items()}
+
+
+def test_singer_d0j_step_leaves_u_m(all_bundled):
+    """Singer starts from so(2m) and first annihilates D^0J: after that
+    batch the kernel has m^2 free columns, and every kernel vector's
+    `_skew` matrix commutes with I (`_commutes_with_I`), so the kernel is
+    u(m), on m = 1, 2 and 3 specs."""
+    specs = [all_bundled["sphere"].spec.instantiate({}),
+             all_bundled["abelian2"].spec.instantiate({}),
+             all_bundled["iwasawa"].spec.instantiate({"alpha": 1}),
+             load_ghl(TEST_DATA / "kodaira-times-c.ghl").spec.instantiate({})]
+    assert sorted(spec.m for spec in specs) == [1, 2, 3, 3]
+    for spec in specs:
+        n2 = 2 * spec.m
+        span = geo._Echelon(n2 * (n2 - 1) // 2, spec.domain)
+        rows = geo._kernel_rows(span.kernel(), n2, next(geo._towers(spec)[1]))
+        for key in sorted(rows):
+            span.add(rows[key])
+        kernel = span.kernel()
+        assert len(kernel) == spec.m ** 2, spec.name
+        assert all(geo._commutes_with_I(geo._skew(v, n2), spec.domain)
+                   for v in kernel.values()), spec.name
+    # the check can fail: the rotation in the (e0, e2) plane is in so(4), not u(2)
+    assert not geo._commutes_with_I(geo._skew([0, 1, 0, 0, 0, 0], 4), FractionDomain)
 
 
 def test_singer_and_killing_feed_integers_to_derivation_action(iwasawa, kodaira, monkeypatch):
@@ -1330,7 +1373,7 @@ def _invariants_by_definition(spec):
             _gauss_jordan(pivots, _definition_rows(acting, T, dom, contracted))
         return ncols - len(pivots)
 
-    U, SO = geo.unitary_basis(spec.m), geo.so_basis(2 * spec.m)
+    U, SO = unitary_basis(spec.m), so_basis(2 * spec.m)
     pivots, dims = {}, []
     add(pivots, len(U), U, D("J", 1))
     while len(dims) < 2 or dims[-1] != dims[-2]:    # D^0Rm..D^kRm and D^1J..D^{k+2}J
@@ -1358,7 +1401,7 @@ def test_singer_and_killing_equal_the_definition(all_bundled):
     entry, equal a full-basis elimination by the definition
     (`_invariants_by_definition`): every u(m) and so(2m) basis matrix acts
     by the entrywise loop on the divided tuple, and the engine's action
-    (`_add_index_action`, `action_terms`, `scatter_products`) is not used.
+    (`_kernel_rows`, `action_terms`, `scatter_products`) is not used.
     The engine acts only with the kernel left before each batch of rows
     (`_Echelon.kernel`), so this pins that those rows change no pivot.
     iwasawa at alpha = 1 needs three Killing orders, its kernel shrinking
