@@ -8,9 +8,10 @@ bundled and test data file, `check` on the two brackets that fail
 validation, `--t` symbolic/rational/-1/0, JSON and text reports, the two
 numeric scale probes, t-only, two-axis and pole-row sweeps, usage
 errors, bad input files among them, a file whose curvature takes the
-dense path with an isotropy term, and Singer and Killing on two test data
-files) and prints, per call, its argv, exit code, the sha256 of its stdout
-and the last line of its stderr.  `ghl` is imported from PYTHONPATH, so
+dense path with an isotropy term, Singer and Killing on two test data
+files, an m = 3 frame-metric file with a nonzero Lee form, and files with
+an unknown section or header key) and prints, per call, its argv, exit
+code, the sha256 of its stdout and the last line of its stderr.  `ghl` is imported from PYTHONPATH, so
 
     PYTHONPATH=src python3 scripts/cli_digest.py > after.jsonl
     PYTHONPATH=<other checkout>/src python3 scripts/cli_digest.py > before.jsonl
@@ -31,7 +32,7 @@ from pathlib import Path
 
 from ghl.cli import main as ghl_main
 
-VERSION = 8
+VERSION = 9
 ROOT = Path(__file__).resolve().parent.parent
 
 DATA = "src/ghl/data/"
@@ -156,6 +157,14 @@ def calls() -> list[list[str]]:
     # Singer and Killing at m = 3 without isotropy, and on a non-unimodular bracket
     for name in ("kodaira-times-c", "nonunimodular"):
         out += [["singer", _path(name)], ["killing", _path(name)]]
+    # an m = 3 frame-metric file with a nonzero Lee form, and files with an
+    # unknown section or header key
+    frame = TESTS + "frames/kodaira-times-c-metric.ghl"
+    out += [["validate", frame], ["report", frame],
+            ["report", frame, "--params", "r=2,s=1,u=3,x=1/2,y=1/3", "--t", "0"]]
+    for name in ("section-misspelt", "algebra-with-samples", "both-headers",
+                 "header-key-unknown", "frame-key-unknown"):
+        out.append(["validate", TESTS + "malformed/" + name + ".ghl"])
     return out
 
 

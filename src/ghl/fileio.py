@@ -55,6 +55,9 @@ __all__ = ["GhlFormatError", "LoadedSpec", "load_ghl", "serialize_report",
            "parse_assignments", "compare_reports", "BUNDLED", "bundled_path"]
 
 REPORT_SCHEMA = 1
+# each kind of file: the sections it may hold, then the keys of its header
+_FORMATS = {"algebra": (("algebra", "brackets"), ("name", "q", "m", "params", "backend")),
+            "frame": (("frame", "brackets", "j", "metric", "samples"), ("name", "m", "params"))}
 
 
 class GhlFormatError(ValueError):
@@ -178,18 +181,28 @@ def load_ghl(path: str | Path, sample: dict | None = None,
     symbolic when `sample` is None, else it is instantiated there (even at an
     empty sample) to a FractionDomain spec.  A frame-metric file is evaluated
     at `sample`, or at its first [samples] entry when `sample` is None or
-    empty.  A sample name the file does not declare is a UsageError."""
+    empty.  A sample name the file does not declare is a UsageError, and a
+    section or header key that the file's kind does not have a GhlFormatError."""
     path = Path(path)
     sections = _read_sections(path)
-    if "algebra" in sections:
+    kind = next((kind for kind in _FORMATS if kind in sections), None)
+    if kind is None:
+        raise GhlFormatError(f"{path}: expected an [algebra] or [frame] section")
+    names, keys = _FORMATS[kind]       # a file with both headers reads as an algebra file
+    bad = next(itertools.chain(
+        (f"[{name}]: unknown section in a file with [{kind}]" for name in sections
+         if name not in names),
+        (f"[{kind}] {key}: unknown key, expected one of {', '.join(keys)}"
+         for key, _ in sections[kind] if key not in keys)), "")
+    if bad:
+        raise GhlFormatError(f"{path}: {bad}")
+    if kind == "algebra":
         spec = _algebra_spec(path, sections)
         if sample is not None:
             _check_declared(sample, spec.params)
             spec = spec.instantiate(sample)
-    elif "frame" in sections:
-        spec, sample = _frame_spec(path, sections, sample, tol)
     else:
-        raise GhlFormatError(f"{path}: expected an [algebra] or [frame] section")
+        spec, sample = _frame_spec(path, sections, sample, tol)
     return LoadedSpec(spec, validate(spec), None if sample is None else dict(sample))
 
 

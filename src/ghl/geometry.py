@@ -17,7 +17,8 @@ Sign conventions are normalized against the worked examples (see tests):
     Om_t(X,Y)  = ad(mu_h(X,Y)) - [A(X),A(Y)] - A(mu_m(X,Y))
     T_t(X,Y)   = A(X)Y - A(Y)X - mu_m(X,Y)
     theta      : d(w^{m-1}) = theta ^ w^{m-1},  w = sum_k e^{2k} ^ e^{2k+1},
-                 d = multilinear.coboundary; tr T_t(X,.) = (t+1)/2 theta(X)
+                 d = multilinear.coboundary; read as the w-trace
+                 theta(X) = sum_k dw(X, e_{2k}, e_{2k+1}); tr T_t(X,.) = (t+1)/2 theta(X)
 
 Ricci forms and the scalar follow the m-pair traces: rho2 is the matrix
 sum_k Om(e_{2k}, e_{2k+1}), rho1(X,Y) = 1/2(c(Om(X,Y)) + c(Om(IX,IY))) with
@@ -36,10 +37,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .multilinear import (
-    KForm, MultiTensor, basis_vector, commutator, complex_trace,
-    action_terms, coboundary, index_rows, mat_add,
-    mat_sub, mat_zero, scatter_products, unpack, vec_add,
-    wedge, complex_trace_form, _conn_endo, _matrices, _product_terms, _sparse,
+    KForm, MultiTensor, commutator, complex_trace, action_terms, coboundary, index_rows,
+    mat_add, mat_sub, mat_zero, scatter_products, unpack,
+    complex_trace_form, _conn_endo, _matrices, _product_terms, _sparse,
 )
 from .scalars import (FractionDomain, Layout, RationalFunction, UsageError, get_degree_cap,
                       _clear, _divide, _plus, _reduce, _scale, _times)
@@ -145,8 +145,10 @@ class BracketSpec:
         return riemann_curvature(self)
 
     @cached_property
-    def omega_power(self) -> tuple:
-        return _omega_power(self)
+    def domega(self) -> KForm:
+        dom, n2 = self.domain, 2 * self.m
+        omega = KForm(n2, 2, {(2 * k, 2 * k + 1): dom.one() for k in range(self.m)})
+        return coboundary(self.mu_m, n2, omega, dom)
 
     def instantiate(self, assignment: dict) -> "BracketSpec":
         """Substitute rational values for all parameters (exact backend)."""
@@ -197,10 +199,17 @@ def validate(spec: BracketSpec) -> ValidationReport:
     def nonzero(v):
         return any(not dom.is_zero(x) for x in v)
 
+    def cyclic(x, y, z):    # mu(mu(e_x, e_y), e_z) = sum_d mu[x][y][d] mu[d][z]
+        out = [dom.zero()] * n
+        for d, c in enumerate(mu[x][y]):
+            if not dom.is_zero(c):
+                for e, v in enumerate(mu[d][z]):
+                    if not dom.is_zero(v):
+                        out[e] = out[e] + c * v
+        return out
+
     def jacobi(a, b, c):
-        ea, eb, ec = (basis_vector(n, i, dom) for i in (a, b, c))
-        return vec_add(vec_add(spec.mu_vec(mu[a][b], ec), spec.mu_vec(mu[b][c], ea)),
-                       spec.mu_vec(mu[c][a], eb))
+        return [u + v + w for u, v, w in zip(cyclic(a, b, c), cyclic(b, c, a), cyclic(c, a, b))]
 
     # h1: Jacobi, then closure of the isotropy block; the first failure is the witness
     h1_wit = next(itertools.chain(
@@ -811,27 +820,13 @@ def ricci_and_scalar(spec: BracketSpec, Om: list):
     return rho1, rho2, scal2
 
 
-def _omega_power(spec: BracketSpec) -> tuple[KForm, KForm, KForm]:
-    """(omega, omega^{m-1}, d omega^{m-1}); the power starts at the 0-form 1."""
-    dom = spec.domain
-    n2 = 2 * spec.m
-    omega = KForm(n2, 2, {(2 * k, 2 * k + 1): dom.one() for k in range(spec.m)})
-    power = KForm(n2, 0, {(): dom.one()})
-    for _ in range(spec.m - 1):
-        power = wedge(power, omega, dom)
-    return omega, power, coboundary(spec.mu_m, n2, power, dom)
-
-
 def lee_form(spec: BracketSpec) -> list:
-    """theta with d omega^{m-1} = theta ^ omega^{m-1}: e^x ^ omega^{m-1} has one
-    component, at the indices other than x ^ 1, so theta(e_x) is a quotient."""
-    dom = spec.domain
-    _, power, dpow = spec.omega_power
-    theta = []
-    for x in range(power.n):
-        (key, c), = wedge(KForm(power.n, 1, {(x,): dom.one()}), power, dom).comp.items()
-        theta.append(dpow.component(key, dom) / c)
-    return theta
+    """theta with d omega^{m-1} = theta ^ omega^{m-1}, read as the omega-trace
+    theta(e_x) = sum_k d omega(e_x, e_{2k}, e_{2k+1}): d omega is a primitive
+    3-form, which has no trace, plus theta ^ omega / (m - 1), whose trace is theta."""
+    dom, dw = spec.domain, spec.domega
+    return [sum((dw.component((x, 2 * k, 2 * k + 1), dom) for k in range(spec.m)), dom.zero())
+            for x in range(2 * spec.m)]
 
 
 def _check_lee_trace(spec: BracketSpec, T: list, t, theta: list) -> None:
@@ -1198,12 +1193,11 @@ def _nomizu(a, b, R: dict, zero):
 
 
 def metric_flags(spec: BracketSpec) -> dict:
+    """balanced: theta ^ omega^{m-1} = 0 iff theta = 0 (L^{m-1} is injective)."""
     dom = spec.domain
-    n2 = 2 * spec.m
-    omega, _, dpow = spec.omega_power
     return {"integrable": not spec.N,
-            "almost_kahler": coboundary(spec.mu_m, n2, omega, dom).is_zero(dom),
-            "balanced": dpow.is_zero(dom)}
+            "almost_kahler": spec.domega.is_zero(dom),
+            "balanced": all(map(dom.is_zero, lee_form(spec)))}
 
 
 # -- audits ------------------------------------------------------------------------

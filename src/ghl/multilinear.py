@@ -21,10 +21,10 @@ from typing import Callable, Sequence
 from .scalars import DegreeGuardError, FractionDomain, get_degree_cap
 
 __all__ = [
-    "basis_vector", "vec_add", "vec_sub", "vec_scale", "dot",
+    "basis_vector", "vec_sub", "vec_scale", "dot",
     "mat_zero", "mat_add", "mat_sub", "mat_scale",
     "mat_mul", "mat_vec", "commutator",
-    "KForm", "MultiTensor", "wedge", "coboundary",
+    "KForm", "MultiTensor", "coboundary",
     "derivation_action", "complex_trace", "complex_trace_form",
     "gram_schmidt_unitary", "FrameError",
 ]
@@ -36,10 +36,6 @@ def basis_vector(n: int, i: int, dom) -> list:
     v = [dom.zero()] * n
     v[i] = dom.one()
     return v
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
 
 
 def vec_sub(u, v):
@@ -148,41 +144,15 @@ class KForm:
         return all(dom.is_zero(c) for c in self.comp.values())
 
 
-def wedge(a: KForm, b: KForm, dom) -> KForm:
-    if a.n != b.n:
-        raise ValueError("wedge of forms on different spaces")
-    deg = a.degree + b.degree
-    comp: dict[tuple, object] = {}
-    for ka, ca in a.comp.items():
-        for kb, cb in b.comp.items():
-            key, sign = _sort_sign(ka + kb)
-            if key is None:
-                continue
-            c = ca * cb
-            if sign < 0:
-                c = -c
-            s = comp.get(key)
-            s = c if s is None else s + c
-            if dom.is_zero(s):
-                comp.pop(key, None)
-            else:
-                comp[key] = s
-    return KForm(a.n, deg, comp)
-
-
 def coboundary(mu: Callable[[int, int], Sequence], n: int, phi: KForm, dom) -> KForm:
     """Chevalley-Eilenberg differential in the worked examples' sign:
 
         (d phi)(X0..Xk) = -sum_{i<j} (-1)^{i+j} phi(mu(Xi,Xj), rest)
     """
     k = phi.degree
-    out = KForm(n, k + 1)
-    if k + 1 > n:
-        return out
     comp: dict[tuple, object] = {}
     for key in itertools.combinations(range(n), k + 1):
         total = dom.zero()
-        nonzero = False
         for i, j in itertools.combinations(range(k + 1), 2):
             rest = [key[p] for p in range(k + 1) if p != i and p != j]
             bracket = mu(key[i], key[j])
@@ -195,15 +165,13 @@ def coboundary(mu: Callable[[int, int], Sequence], n: int, phi: KForm, dom) -> K
                 if dom.is_zero(val):
                     continue
                 acc = acc + fc * val
-                nonzero = True
             if (i + j) % 2 == 0:
                 total = total - acc
             else:
                 total = total + acc
-        if nonzero and not dom.is_zero(total):
+        if not dom.is_zero(total):
             comp[key] = total
-    out.comp = comp
-    return out
+    return KForm(n, k + 1, comp)
 
 
 # -- multi tensors -------------------------------------------------------------

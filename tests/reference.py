@@ -2,11 +2,11 @@
 evaluations of definitions that the engine evaluates by index, the curvature
 of a connection by dense matrix products, which the engine sums sparsely over
 one denominator, the Lee form read from the Gauduchon torsion, which the
-engine reads from d omega^{m-1}, the printed form of a rational function
-normalised from any num/den pair, which the engine fixes when it builds the
-value, and the derivation action and the matrix brackets summed entry by
-entry with each scalar's own arithmetic, which the engine sums on packed
-monomials, and the two-pass normal form and the clearing of every value,
+engine reads as the omega-trace of d omega, the printed form of a rational
+function normalised from any num/den pair, which the engine fixes when it
+builds the value, and the derivation action and the matrix brackets summed
+entry by entry with each scalar's own arithmetic, which the engine sums on
+packed monomials, and the two-pass normal form and the clearing of every value,
 zeros included, which the engine does in one pass and with zeros skipped,
 and the reduced pair of a tensor, which the engine's derivative tower keeps,
 and the sum-of-products kernel on tuple keys with one term per product,
@@ -18,7 +18,8 @@ any two vectors, which `ghl sweep` reads off `Rm` on basis planes, and the
 complex structure I as a dense matrix, which the engine reads by index, and
 the u(m) and so(2m) bases as dense matrices, which the engine neither
 builds nor shares with the tests (it solves in so(2m) coordinates), and
-an endomorphism as a tensor and a scaled k-form, which no engine path builds.
+an endomorphism as a tensor, a scaled k-form and the wedge of two forms,
+which no engine path builds.
 
 The engine calls none of these.  They are the independent path the tests
 compare the engine against."""
@@ -124,6 +125,26 @@ def form_basis(n: int, indices, dom) -> KForm:
         return KForm(n, len(indices))
     c = dom.one() if sign > 0 else -dom.one()
     return KForm(n, len(indices), {key: c})
+
+
+def wedge(a: KForm, b: KForm, dom) -> KForm:
+    """a ^ b, with no 1/k! factors."""
+    if a.n != b.n:
+        raise ValueError("wedge of forms on different spaces")
+    comp: dict[tuple, object] = {}
+    for ka, ca in a.comp.items():
+        for kb, cb in b.comp.items():
+            key, sign = _sort_sign(ka + kb)
+            if key is None:
+                continue
+            c = ca * cb if sign > 0 else -(ca * cb)
+            s = comp.get(key)
+            s = c if s is None else s + c
+            if dom.is_zero(s):
+                comp.pop(key, None)
+            else:
+                comp[key] = s
+    return KForm(a.n, a.degree + b.degree, comp)
 
 
 def _perm_sign(perm) -> int:

@@ -559,6 +559,12 @@ def test_usage_mistakes_exit_two():
     ("metric-key-token", "[metric] e1,e2: 'e2' is not one of e0..e1"),
     ("metric-twice", "[metric] e1,e0: entry given twice"),
     ("sample-misses-parameter", "sample misses parameter(s) sigma"),
+    ("section-misspelt", "[bracket]: unknown section in a file with [algebra]"),
+    ("algebra-with-samples", "[samples]: unknown section in a file with [algebra]"),
+    ("both-headers", "[frame]: unknown section in a file with [algebra]"),
+    ("header-key-unknown",
+     "[algebra] parms: unknown key, expected one of name, q, m, params, backend"),
+    ("frame-key-unknown", "[frame] q: unknown key, expected one of name, m, params"),
 ])
 def test_a_malformed_file_exits_two_naming_file_section_and_key(name, message):
     """Each crafted file breaks one rule of the format: `validate` exits 2

@@ -76,13 +76,14 @@ def test_report_round_trips_scal(kodaira):
 
 def test_build_report_builds_each_derived_object_once(monkeypatch):
     """N, S, the torsion data, the ring form's terms, A^t (in ring values,
-    `_gauduchon`) and d omega^{m-1} are built once per spec, validation
-    included; curvature is built twice, for Rm and Omega^t (the Lee form
-    reads d omega^{m-1}, and its check the printed T), and the rho2 matrix
-    twice, in the public `ricci_and_scalar` and for the printed rho2."""
+    `_gauduchon`) and d omega (one `coboundary` call, read by the Lee form
+    and both flags) are built once per spec, validation included; curvature
+    is built twice, for Rm and Omega^t (the Lee form reads d omega, and its
+    check the printed T), and the rho2 matrix twice, in the public
+    `ricci_and_scalar` and for the printed rho2."""
     calls = Counter()
     for name in ("_nijenhuis", "levi_civita", "torsion_ingredients", "_connection_terms",
-                 "_gauduchon", "_curvature", "_omega_power", "rho2_matrix"):
+                 "_gauduchon", "_curvature", "coboundary", "rho2_matrix"):
         def counted(*args, _orig=getattr(geo, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
@@ -90,7 +91,7 @@ def test_build_report_builds_each_derived_object_once(monkeypatch):
     build_report(load_ghl(bundled_path("iwasawa")))
     assert calls == {"_nijenhuis": 1, "levi_civita": 1, "torsion_ingredients": 1,
                      "_connection_terms": 1, "_gauduchon": 1, "_curvature": 2,
-                     "_omega_power": 1, "rho2_matrix": 2}
+                     "coboundary": 1, "rho2_matrix": 2}
 
 
 @pytest.mark.parametrize("sample, layouts", [

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghl import geometry as geo
-from ghl.fileio import build_report, bundled_path, load_ghl
+from ghl.fileio import BUNDLED, build_report, bundled_path, load_ghl
 from ghl.multilinear import basis_vector, commutator, dot, mat_mul, mat_sub, mat_zero
 from ghl.scalars import ExactDomain, FractionDomain, NumericDomain, RationalFunction, UsageError
 
 from conftest import TEST_DATA
 from reference import (N_vec, form_evaluate, istd, lee_from_torsion_trace, mat_is_zero, mu_m_vec,
-                       rescale, sectional_curvature, split_bracket, unitary_basis)
-from test_invariants import _nilpotent
+                       rescale, sectional_curvature, split_bracket, unitary_basis, wedge)
+from test_invariants import _nilpotent, _symbolic_two_step_specs
 from test_nonintegrable import random_two_step_specs
 
 
@@ -407,7 +407,7 @@ def test_iwasawa_torsion_ingredients(iwasawa):
 
 def test_iwasawa_F_equals_dc_omega_via_coboundary(iwasawa):
     """Dual route: F = -J(d omega) through the coboundary machinery."""
-    from ghl.multilinear import KForm, coboundary, wedge
+    from ghl.multilinear import KForm, coboundary
     spec = iwasawa.spec
     dom = spec.domain
     n2 = 6
@@ -930,6 +930,61 @@ def test_lee_kodaira_wedge_equation_oracle(kodaira):
             sign = (-1) ** pos
             acc = acc + dom.from_fraction(sign) * theta[x] * omega.component(rest, dom)
         assert dom.eq(domega.component(key, dom), acc)
+
+
+def _lee_definition_specs() -> list:
+    """Every bundled and loadable tests/data spec, the m = 3 frame-metric
+    file, and seeded generated specs at m = 1 (rotating isotropy), m = 2 and
+    m = 3 (two-step nilpotent, Fraction and over Q(a, b))."""
+    rng = random.Random(38)
+    files = [bundled_path(name) for name in BUNDLED]
+    files += [TEST_DATA / f"{name}.ghl" for name in (
+        "broken-h2", "broken-jacobi", "iwasawa-metric", "kodaira-times-c", "kt-exact",
+        "nonunimodular", "sphere-nonmonomial")]
+    files.append(TEST_DATA / "frames" / "kodaira-times-c-metric.ghl")
+    specs = [load_ghl(path).spec for path in files]
+    specs += [_rotating_isotropy_spec(rng, q) for q in (1, 2)]
+    specs += [_nilpotent(seed, 2, kind) for seed, kind in ((1, "abelian"), (2, "generic"))]
+    specs += [_nilpotent(3, 3, "holomorphic"), _nilpotent(4, 3, "generic")]
+    return specs + random_two_step_specs(3, seed=38) + _symbolic_two_step_specs(3, seed=38)
+
+
+def test_lee_form_solves_its_defining_equation():
+    """theta ^ omega^{m-1} = d(omega^{m-1}), with the power built by the
+    reference wedge and differentiated by `coboundary`, on every spec of
+    `_lee_definition_specs`: exactly, or by `NumericDomain.eq` on the frame
+    files; and `balanced` is d(omega^{m-1}) = 0.  kodaira, kodaira-times-c
+    and the m = 3 frame file have theta != 0."""
+    from ghl.multilinear import KForm, coboundary
+    nonzero = set()
+    for spec in _lee_definition_specs():
+        dom, n2 = spec.domain, 2 * spec.m
+        omega = KForm(n2, 2, {(2 * k, 2 * k + 1): dom.one() for k in range(spec.m)})
+        power = KForm(n2, 0, {(): dom.one()})
+        for _ in range(spec.m - 1):
+            power = wedge(power, omega, dom)
+        dpow = coboundary(spec.mu_m, n2, power, dom)
+        theta = geo.lee_form(spec)
+        lhs = wedge(KForm(n2, 1, {(x,): c for x, c in enumerate(theta)}), power, dom)
+        for key in itertools.combinations(range(n2), n2 - 1):
+            assert dom.eq(lhs.component(key, dom), dpow.component(key, dom)), (spec.name, key)
+        assert geo.metric_flags(spec)["balanced"] == dpow.is_zero(dom), spec.name
+        if not all(map(dom.is_zero, theta)):
+            nonzero.add(spec.name)
+    assert {"kodaira", "kodaira-times-c", "kodaira-times-c-metric"} <= nonzero
+
+
+def test_domega_is_built_once_per_spec(monkeypatch):
+    """The Lee form and both flags read one cached d omega: a fresh spec's
+    report, two more flag reads and a Lee form make one `coboundary` call."""
+    calls = []
+    orig = geo.coboundary
+    monkeypatch.setattr(geo, "coboundary", lambda *args: calls.append(1) or orig(*args))
+    loaded = load_ghl(bundled_path("kodaira"))
+    build_report(loaded)
+    for read in (geo.metric_flags, geo.metric_flags, geo.lee_form):
+        read(loaded.spec)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("q, m, mu, name, witness", [

@@ -13,7 +13,7 @@ from ghl.multilinear import (FrameError, KForm, MultiTensor, basis_vector,
                              coboundary, commutator, complex_trace,
                              complex_trace_form, derivation_action, dot,
                              action_terms, gram_schmidt_unitary, index_rows,
-                             mat_vec, mat_zero, pack, scatter_products, unpack, wedge)
+                             mat_vec, mat_zero, pack, scatter_products, unpack)
 from ghl.scalars import (DEFAULT_DEGREE_CAP, DegreeGuardError, ExactDomain,
                          FractionDomain, Layout, NumericDomain, Polynomial,
                          set_degree_cap)
@@ -22,7 +22,7 @@ from reference import (add_product_loop, complex_trace_sym, derivation_action_lo
                        form_basis, form_evaluate, from_bilinear, from_endo, kform_scale,
                        canonical_part, interior_product, istd, mat_identity, pi_11, sparse_pairs,
                        tuple_action_terms, tuple_index_rows, tuple_product_terms,
-                       tuple_scatter_products, unfold)
+                       tuple_scatter_products, unfold, wedge)
 
 DOM = FractionDomain()
 
